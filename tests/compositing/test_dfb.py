@@ -1,27 +1,23 @@
-"""Distributed FrameBuffer: exactness, overlap, and failover.
+"""Distributed FrameBuffer: exactness and overlap.
 
 DFB reuses the direct-send schedule as its tile-ownership map, so the
 pixels (and the message/byte totals) must match direct-send exactly;
 what it buys is *time* — pieces enter the wire while later rays still
 march, so compositing partially hides inside the render stage.
+
+Failover is one protocol shared with direct-send; it is pinned for both
+backends in ``tests/fault/test_failover.py::TestTileFailover``.
 """
 
 import numpy as np
 import pytest
 
-from repro.compositing.dfb import dfb_compose, dfb_compose_failover
-from repro.compositing.directsend import (
-    assemble_final_image,
-    assemble_tiles,
-    direct_send_compose,
-)
+from repro.compositing.dfb import dfb_compose
+from repro.compositing.directsend import assemble_final_image, direct_send_compose
 from repro.compositing.schedule import schedule_from_geometry
-from repro.fault import FaultPlan, NodeCrash
-from repro.fault.failover import check_exact_cover
 from repro.obs import Tracer
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
-from repro.render.image import PartialImage
 from repro.render.raycast import render_block
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
@@ -139,47 +135,3 @@ class TestDFBOverlap:
         run_dfb(8, 8, scene, tracer=tracer)
         stages = tracer.stage_maxima()
         assert stages["render"] > 0 and stages["composite"] > 0
-
-
-class TestDFBFailover:
-    def test_crash_recovers_full_canvas(self, scene):
-        ranks, image = 16, 64
-        cam = Camera.looking_at_volume((32,) * 3, width=image, height=image)
-        dec = BlockDecomposition((32,) * 3, ranks)
-        sched = schedule_from_geometry(dec, cam, ranks)
-
-        def program(ctx):
-            px = np.zeros((image, image, 4), np.float32)
-            px[..., ctx.rank % 3] = 0.05
-            px[..., 3] = 0.05
-            partial = PartialImage((0, 0, image, image), px, float(ctx.rank))
-            return (yield from dfb_compose_failover(ctx, partial, sched, RENDER_S))
-
-        plan = FaultPlan(node_crashes=(NodeCrash(1e-5, 0),), detect_s=1e-4, seed=11)
-        res = MPIWorld.for_cores(ranks).run(program, fault=plan)
-
-        dead = {r for r, v in enumerate(res.values) if v is None}
-        assert len(dead) == 4  # one node in VN mode = 4 ranks
-        rects = [rect for v in res.values if v for rect, _ in v]
-        check_exact_cover(rects, image, image)
-        canvas = assemble_tiles(res.values, image, image)
-        assert float(canvas[..., 3].min()) > 0.0
-        assert res.fault is not None and res.fault.crashes == 1
-        dead_tiles = {t for t in dead if t < sched.num_compositors}
-        assert res.fault.recoveries >= len(dead_tiles) > 0
-
-    def test_no_crash_plan_delegates_to_fast_path(self, scene):
-        ranks, image = 16, 64
-        cam = Camera.looking_at_volume((32,) * 3, width=image, height=image)
-        dec = BlockDecomposition((32,) * 3, ranks)
-        sched = schedule_from_geometry(dec, cam, ranks)
-
-        def program(ctx):
-            px = np.full((image, image, 4), 0.03, np.float32)
-            partial = PartialImage((0, 0, image, image), px, float(ctx.rank))
-            return (yield from dfb_compose_failover(ctx, partial, sched, RENDER_S))
-
-        res = MPIWorld.for_cores(ranks).run(program, fault=FaultPlan(drop_prob=0.0, seed=1))
-        rects = [rect for v in res.values if v for rect, _ in v]
-        check_exact_cover(rects, image, image)
-        assert res.fault is not None and res.fault.crashes == 0

@@ -7,11 +7,13 @@ adopted strips — tile the image exactly (full union, zero overlap).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.compositing.dfb import dfb_compose_failover
 from repro.compositing.directsend import (
-    COMPOSITE_TAG,
     assemble_tiles,
     direct_send_compose_failover,
 )
@@ -25,6 +27,7 @@ from repro.fault.failover import (
 )
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
+from repro.render.image import PartialImage
 from repro.vmpi.runner import MPIWorld
 
 
@@ -77,31 +80,67 @@ class TestConservationProperty:
         assert a == b
 
 
-class TestPixelFailover:
-    def test_small_world_recovers_full_canvas(self):
-        """Real pixels: crash two compositors, canvas stays fully owned."""
-        from repro.render.image import PartialImage
+#: The small crash scenario, captured against the pre-refactor source:
+#: backend -> (canvas sha256, messages, bytes_sent, elapsed_s,
+#: messages_lost, mttr_s).  Direct-send batches its fan-out at t=0, so
+#: 33 pieces die with their compositors; DFB streams under a 10 ms
+#: march, learns of the crash first, and never posts them.
+FAILOVER_PINS = {
+    "directsend": (
+        "543aa2b7a854dfd8e06326347b97b5397345c421fb9fb3b8c0c2559172797ab6",
+        205, 467968, 0.0012755341176470586, 33, 0.0008801700490196074,
+    ),
+    "dfb": (
+        "543aa2b7a854dfd8e06326347b97b5397345c421fb9fb3b8c0c2559172797ab6",
+        172, 332800, 0.010933143529411755, 0, 0.01048436014705882,
+    ),
+}
 
-        ranks, image = 16, 64
-        sched = _schedule(ranks, 32, image)
+DFB_RENDER_S = 0.01  # a real march time, so the crash lands mid-stream
+
+FAILOVER_COMPOSERS = {
+    "directsend": direct_send_compose_failover,
+    "dfb": lambda ctx, partial, sched: dfb_compose_failover(
+        ctx, partial, sched, DFB_RENDER_S
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(FAILOVER_PINS))
+class TestTileFailover:
+    """Both tile-routed backends share one failover protocol."""
+
+    RANKS, IMAGE = 16, 64
+
+    def _run(self, backend, paint, plan):
+        image = self.IMAGE
+        sched = _schedule(self.RANKS, 32, image)
+        compose = FAILOVER_COMPOSERS[backend]
 
         def program(ctx):
+            px = np.zeros((image, image, 4), np.float32)
+            paint(px, ctx.rank)
+            partial = PartialImage((0, 0, image, image), px, float(ctx.rank))
+            return (yield from compose(ctx, partial, sched))
+
+        return sched, MPIWorld.for_cores(self.RANKS).run(program, fault=plan)
+
+    def test_small_world_recovers_full_canvas(self, backend):
+        """Real pixels: crash one node's compositors, canvas stays fully owned."""
+        image = self.IMAGE
+
+        def paint(px, rank):
             # A solid-colour footprint covering the whole image keeps
             # the geometry trivial while exercising the full protocol.
-            px = np.zeros((image, image, 4), np.float32)
-            px[..., ctx.rank % 3] = 0.05
+            px[..., rank % 3] = 0.05
             px[..., 3] = 0.05
-            partial = PartialImage((0, 0, image, image), px, float(ctx.rank))
-            res = yield from direct_send_compose_failover(ctx, partial, sched)
-            return res
 
         plan = FaultPlan(
             node_crashes=(NodeCrash(1e-5, 0),), detect_s=1e-4, seed=11
         )
-        world = MPIWorld.for_cores(ranks)
-        res = world.run(program, fault=plan)
+        sched, res = self._run(backend, paint, plan)
 
-        # Node 0 in VN mode carries 4 ranks; all must be dead.
+        # One node in VN mode carries 4 ranks; all must be dead.
         dead = {r for r, v in enumerate(res.values) if v is None}
         assert len(dead) == 4
         rects = [rect for v in res.values if v for rect, _ in v]
@@ -110,29 +149,30 @@ class TestPixelFailover:
         assert canvas.shape == (image, image, 4)
         # Survivors' radiance reaches every pixel, so nothing is blank.
         assert float(canvas[..., 3].min()) > 0.0
-        assert res.fault is not None
-        assert res.fault.crashes == 1
+        rep = res.fault
+        assert rep is not None
+        assert rep.crashes == 1
         # Each dead compositor tile yields at least one recovered strip.
         dead_tiles = {t for t in dead if t < sched.num_compositors}
-        assert res.fault.recoveries >= len(dead_tiles) > 0
+        assert rep.recoveries >= len(dead_tiles) > 0
 
-    def test_no_crash_plan_delegates_to_fast_path(self):
-        from repro.render.image import PartialImage
+        sha, messages, nbytes, elapsed_s, lost, mttr_s = FAILOVER_PINS[backend]
+        assert hashlib.sha256(canvas.tobytes()).hexdigest() == sha
+        assert res.messages == messages
+        assert res.bytes_sent == nbytes
+        assert res.elapsed_s == elapsed_s
+        assert rep.dead_ranks == (0, 4, 8, 12)
+        assert rep.messages_lost == lost
+        assert rep.recoveries == 48
+        assert rep.mttr_s == mttr_s
 
-        ranks, image = 16, 64
-        sched = _schedule(ranks, 32, image)
+    def test_no_crash_plan_delegates_to_fast_path(self, backend):
+        def paint(px, rank):
+            px[...] = 0.03
 
-        def program(ctx):
-            px = np.full((image, image, 4), 0.03, np.float32)
-            partial = PartialImage((0, 0, image, image), px, float(ctx.rank))
-            res = yield from direct_send_compose_failover(ctx, partial, sched)
-            return res
-
-        res = world_res = MPIWorld.for_cores(ranks).run(
-            program, fault=FaultPlan(drop_prob=0.0, seed=1)
-        )
-        rects = [rect for v in world_res.values if v for rect, _ in v]
-        check_exact_cover(rects, image, image)
+        _sched, res = self._run(backend, paint, FaultPlan(drop_prob=0.0, seed=1))
+        rects = [rect for v in res.values if v for rect, _ in v]
+        check_exact_cover(rects, self.IMAGE, self.IMAGE)
         assert res.fault is not None and res.fault.crashes == 0
 
 
