@@ -6,21 +6,23 @@
   which renderer sends which footprint piece to which compositor.
   "The number of compositors is known at initialization time, and the
   schedule of messages is built around this number from the beginning."
-* :mod:`repro.compositing.directsend` — direct-send compositing with
-  the paper's key generalization: n renderers, m <= n compositors.
 * :mod:`repro.compositing.policy` — how m is chosen from n, including
   the paper's empirical schedule (1K compositors for 1K-4K renderers,
   2K beyond).
 * :mod:`repro.compositing.backends` — the pluggable backend registry
   every consumer (pipeline, CLI, farm, benches) dispatches through.
-* :mod:`repro.compositing.dfb` — Distributed FrameBuffer: streamed
-  tile routing that overlaps compositing with the ray-march.
-* :mod:`repro.compositing.puzzlepiece` — approximate compositing with
-  a per-pixel ``error_budget``; drops low-contribution pieces.
-* :mod:`repro.compositing.binaryswap` — the binary-swap baseline
-  (Ma et al.), for the ablation benches.
-* :mod:`repro.compositing.radixk` — radix-k rounds (the SC'09
-  follow-on), interpolating binary swap and direct-send.
+
+Two algorithm families sit behind the registry:
+
+* **tile-routed** — :mod:`repro.compositing.directsend`, the paper's
+  direct-send (n renderers, m <= n tile-owning compositors) and the
+  family's shared core.  :mod:`repro.compositing.dfb` changes *when* a
+  piece enters the wire (streamed under the ray-march),
+  :mod:`repro.compositing.puzzlepiece` *whether* it does (dropped under
+  a per-pixel ``error_budget``).
+* **round-based** — :mod:`repro.compositing.radixk`, grouped exchange
+  rounds (the SC'09 follow-on); :mod:`repro.compositing.binaryswap`
+  (Ma et al.) is its k = 2 case.
 * :mod:`repro.compositing.serial` — gather-to-root baseline and the
   correctness oracle.
 """

@@ -1,4 +1,4 @@
-"""The compositing backend registry: one abstraction, six algorithms.
+"""The compositing backend registry: one abstraction, two algorithm families.
 
 Everything that composites a frame — the core pipeline, ``repro render
 --compositor``, the farm's execute backend, and the shootout benches —
@@ -26,8 +26,8 @@ name              exact  failover  notes
                                    tiles overlap compositing with render
 ``puzzlepiece``   no*    no        bounded-error drops; * exact at
                                    ``error_budget=0``; monolithic engine
-``binaryswap``    yes    no        kd-ordered pairwise halving (pow2)
 ``radixk``        yes    no        grouped rounds, radix <= k
+``binaryswap``    yes    no        radix-k with k = 2 (pow2 block grid)
 ``serial``        yes    no        gather-to-root oracle
 ================  =====  ========  ======================================
 """
@@ -39,7 +39,7 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.compositing.binaryswap import binary_swap_compose, binary_swap_gather
+from repro.compositing.binaryswap import check_pow2_grid
 from repro.compositing.dfb import dfb_compose, dfb_compose_failover
 from repro.compositing.directsend import (
     assemble_tiles,
@@ -48,7 +48,12 @@ from repro.compositing.directsend import (
     assemble_final_image,
 )
 from repro.compositing.puzzlepiece import puzzlepiece_compose
-from repro.compositing.radixk import default_radices, radix_k_compose, radix_k_gather
+from repro.compositing.radixk import (
+    check_one_block_per_rank,
+    default_radices,
+    radix_k_compose,
+    radix_k_gather,
+)
 from repro.compositing.schedule import CompositeSchedule
 from repro.compositing.serial import serial_compose
 from repro.render.camera import Camera
@@ -110,13 +115,34 @@ class CompositingBackend:
             )
 
     def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        """One rank's render-charge + compositing phase (a generator)."""
+        """One rank's render-charge + compositing phase (a generator).
+
+        Charges the priced march, runs :meth:`communicate`, and records
+        the ``render``/``composite`` stage spans around them.
+        """
+        tr = ctx.tracer
+        t_io = ctx.now
+        yield from ctx.compute(req.render_seconds)
+        t_render = ctx.now
+        if tr is not None:
+            tr.stage(ctx.rank, "render", t_io, t_render)
+        out = yield from self.communicate(ctx, req)
+        if tr is not None:
+            tr.stage(ctx.rank, "composite", t_render, ctx.now)
+        return out
+
+    def communicate(self, ctx: Any, req: ComposeRequest) -> Generator:
+        """The backend's message pattern, after the march is charged."""
         raise NotImplementedError
 
     def finalize(
         self, values: list[Any], camera: Camera, failover: bool = False
     ) -> tuple[np.ndarray, dict | None]:
         """Per-rank return values -> (frame image, compose stats)."""
+        if failover:
+            # No root gather under a crash plan (rank 0 may be dead):
+            # every survivor returned the regions it owns.
+            return assemble_tiles(values, camera.width, camera.height), None
         return values[0], None
 
 
@@ -126,28 +152,11 @@ class DirectSendBackend(CompositingBackend):
     name = "directsend"
     supports_failover = True
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
+    def communicate(self, ctx: Any, req: ComposeRequest) -> Generator:
         if req.failover:
-            owned = yield from direct_send_compose_failover(ctx, req.partial, req.schedule)
-            if tr is not None:
-                tr.stage(ctx.rank, "composite", t_render, ctx.now)
-            return owned
+            return (yield from direct_send_compose_failover(ctx, req.partial, req.schedule))
         tile = yield from direct_send_compose(ctx, req.partial, req.schedule)
-        final = yield from assemble_final_image(ctx, tile, req.schedule, root=0)
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
-
-    def finalize(self, values, camera, failover=False):
-        if failover:
-            return assemble_tiles(values, camera.width, camera.height), None
-        return values[0], None
+        return (yield from assemble_final_image(ctx, tile, req.schedule, root=0))
 
 
 class DFBBackend(CompositingBackend):
@@ -159,18 +168,8 @@ class DFBBackend(CompositingBackend):
     def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
         # dfb_compose records the stage spans itself: the render stage
         # boundary falls between its interleaved chunks, not here.
-        if req.failover:
-            return (yield from dfb_compose_failover(
-                ctx, req.partial, req.schedule, req.render_seconds
-            ))
-        return (yield from dfb_compose(
-            ctx, req.partial, req.schedule, req.render_seconds
-        ))
-
-    def finalize(self, values, camera, failover=False):
-        if failover:
-            return assemble_tiles(values, camera.width, camera.height), None
-        return values[0], None
+        run = dfb_compose_failover if req.failover else dfb_compose
+        return (yield from run(ctx, req.partial, req.schedule, req.render_seconds))
 
 
 class PuzzlepieceBackend(CompositingBackend):
@@ -181,19 +180,8 @@ class PuzzlepieceBackend(CompositingBackend):
     supports_error_budget = True
     supports_parallel = False  # gi_barrier needs the monolithic engine
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
-        out = yield from puzzlepiece_compose(
-            ctx, req.partial, req.schedule, error_budget=req.error_budget
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return out
+    def communicate(self, ctx: Any, req: ComposeRequest) -> Generator:
+        return (yield from puzzlepiece_compose(ctx, req.partial, req.schedule, req.error_budget))
 
     def finalize(self, values, camera, failover=False):
         image = values[0][0] if values and values[0] is not None else None
@@ -216,52 +204,6 @@ class PuzzlepieceBackend(CompositingBackend):
         }
 
 
-def _check_one_block_per_rank(name: str, nprocs: int, decomposition) -> tuple[int, int, int]:
-    if decomposition is None:
-        raise ConfigError(f"compositor {name!r} needs the block decomposition")
-    bgz, bgy, bgx = decomposition.block_grid
-    if bgz * bgy * bgx != nprocs:
-        raise ConfigError(
-            f"compositor {name!r} needs one block per rank "
-            f"(blocks={bgz * bgy * bgx}, ranks={nprocs})"
-        )
-    return bgz, bgy, bgx
-
-
-class BinarySwapBackend(CompositingBackend):
-    """Binary swap over the kd ordering of the block grid."""
-
-    name = "binaryswap"
-
-    def validate(self, nprocs, decomposition=None, parallel=None,
-                 failover=False, error_budget=0.0):
-        super().validate(nprocs, decomposition, parallel, failover, error_budget)
-        grid = _check_one_block_per_rank(self.name, nprocs, decomposition)
-        for d, extent in zip("zyx", grid):
-            if extent & (extent - 1):
-                raise ConfigError(
-                    f"compositor 'binaryswap' needs a power-of-two block "
-                    f"grid; axis {d} extent is {extent}"
-                )
-
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
-        region, image = yield from binary_swap_compose(
-            ctx, req.partial, req.decomposition, req.camera
-        )
-        final = yield from binary_swap_gather(
-            ctx, region, image, req.camera.width, req.camera.height, root=0
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
-
-
 class RadixKBackend(CompositingBackend):
     """Radix-k rounds along the block grid axes (k = 4 by default)."""
 
@@ -271,26 +213,31 @@ class RadixKBackend(CompositingBackend):
     def validate(self, nprocs, decomposition=None, parallel=None,
                  failover=False, error_budget=0.0):
         super().validate(nprocs, decomposition, parallel, failover, error_budget)
-        grid = _check_one_block_per_rank(self.name, nprocs, decomposition)
+        self.check_grid(
+            check_one_block_per_rank(f"compositor {self.name!r}", nprocs, decomposition)
+        )
+
+    def check_grid(self, grid: tuple[int, int, int]) -> None:
         for extent in grid:
             default_radices(extent, self.k)  # raises ConfigError if unfactorable
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
+    def communicate(self, ctx: Any, req: ComposeRequest) -> Generator:
         region, image = yield from radix_k_compose(
             ctx, req.partial, req.decomposition, req.camera, k=self.k
         )
-        final = yield from radix_k_gather(
+        return (yield from radix_k_gather(
             ctx, region, image, req.camera.width, req.camera.height, root=0
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
+        ))
+
+
+class BinarySwapBackend(RadixKBackend):
+    """Binary swap: radix-2 rounds over a power-of-two block grid."""
+
+    name = "binaryswap"
+    k = 2
+
+    def check_grid(self, grid: tuple[int, int, int]) -> None:
+        check_pow2_grid(grid)
 
 
 class SerialBackend(CompositingBackend):
@@ -298,19 +245,10 @@ class SerialBackend(CompositingBackend):
 
     name = "serial"
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
-        final = yield from serial_compose(
+    def communicate(self, ctx: Any, req: ComposeRequest) -> Generator:
+        return (yield from serial_compose(
             ctx, req.partial, req.camera.width, req.camera.height, root=0
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
+        ))
 
 
 _REGISTRY: dict[str, CompositingBackend] = {}

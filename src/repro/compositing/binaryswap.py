@@ -13,25 +13,30 @@ a regular power-of-two decomposition.
 
 Requires p = number of blocks with a power-of-two block grid in every
 axis, one block per rank (rank == block index).
+
+That kd pairing is radix-k's with every radix equal to 2, so binary swap
+runs as :func:`~repro.compositing.radixk.radix_k_compose` with ``k = 2``;
+only the power-of-two requirement is its own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Sequence
 
-import numpy as np
-
+from repro.compositing.radixk import radix_k_compose
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
-from repro.render.image import PartialImage, blank_image, composite_over, over
+from repro.render.image import PartialImage
 from repro.utils.errors import ConfigError
 
-SWAP_TAG = 7101
-BS_GATHER_TAG = 7102
 
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def check_pow2_grid(block_grid: Sequence[int]) -> None:
+    for d, extent in zip("zyx", block_grid):
+        if extent < 1 or extent & (extent - 1):
+            raise ConfigError(
+                f"binary swap needs a power-of-two block grid; "
+                f"axis {d} extent {extent} is not a power of two"
+            )
 
 
 def binary_swap_compose(
@@ -45,102 +50,5 @@ def binary_swap_compose(
     Every rank returns its owned 1/p of the final image (regions
     partition the canvas).
     """
-    bgz, bgy, bgx = decomposition.block_grid
-    p = ctx.size
-    if bgz * bgy * bgx != p:
-        raise ConfigError(
-            f"binary swap needs one block per rank (blocks={bgz * bgy * bgx}, ranks={p})"
-        )
-    for d, extent in zip("zyx", (bgz, bgy, bgx)):
-        if not _is_pow2(extent):
-            raise ConfigError(f"block grid axis {d} extent {extent} is not a power of two")
-
-    # Start with my partial pasted onto a full transparent canvas.
-    region = (0, 0, camera.width, camera.height)
-    image = composite_over(
-        blank_image(camera.width, camera.height), [] if partial is None else [partial]
-    )
-
-    bx = ctx.rank % bgx
-    by = (ctx.rank // bgx) % bgy
-    bz = ctx.rank // (bgx * bgy)
-    coords = {"z": bz, "y": by, "x": bx}
-    extents = {"z": bgz, "y": bgy, "x": bgx}
-    strides = {"x": 1, "y": bgx, "z": bgx * bgy}
-    # Eye position along each world axis decides front/back per split.
-    eye = {"x": camera.eye[0], "y": camera.eye[1], "z": camera.eye[2]}
-    edges = {
-        "z": decomposition._edges[0],
-        "y": decomposition._edges[1],
-        "x": decomposition._edges[2],
-    }
-
-    split_horizontal = False  # alternate split direction round by round
-    # Pair nearest neighbours first (lowest bit): each round combines
-    # two *adjacent* contiguous slabs, so depth order stays well defined.
-    for axis in ("z", "y", "x"):
-        extent = extents[axis]
-        bit = 1
-        while bit < extent:
-            partner_coord = coords[axis] ^ bit
-            partner = ctx.rank + (partner_coord - coords[axis]) * strides[axis]
-            # The kd split plane between the two halves along this axis.
-            lo_half_hi_edge = float(edges[axis][(coords[axis] | bit) & ~(bit - 1)])
-            i_am_low_side = (coords[axis] & bit) == 0
-            eye_on_low_side = eye[axis] < lo_half_hi_edge
-            i_am_front = i_am_low_side == eye_on_low_side
-
-            keep, send_rect = _split(region, split_horizontal, keep_first=(coords[axis] & bit) == 0)
-            split_horizontal = not split_horizontal
-            mine_to_send = _crop(image, region, send_rect)
-            theirs = yield from ctx.sendrecv(
-                (send_rect, mine_to_send, i_am_front), dest=partner, source=partner, tag=SWAP_TAG
-            )
-            _their_rect, their_img, they_are_front = theirs
-            my_piece = _crop(image, region, keep)
-            if they_are_front == i_am_front:
-                raise ConfigError("binary swap front/back disagreement (bug)")
-            image = over(their_img, my_piece) if they_are_front else over(my_piece, their_img)
-            region = keep
-            bit <<= 1
-    return region, image
-
-
-def _split(region: tuple[int, int, int, int], horizontal: bool, keep_first: bool):
-    """Halve a region; return (kept_rect, sent_rect)."""
-    x0, y0, w, h = region
-    if horizontal or w <= 1:
-        hh = h // 2
-        first = (x0, y0, w, hh)
-        second = (x0, y0 + hh, w, h - hh)
-    else:
-        hw = w // 2
-        first = (x0, y0, hw, h)
-        second = (x0 + hw, y0, w - hw, h)
-    return (first, second) if keep_first else (second, first)
-
-
-def _crop(image: np.ndarray, region: tuple[int, int, int, int], rect: tuple[int, int, int, int]):
-    """Crop a region-local image to a sub-rect (rect within region)."""
-    x0, y0, _w, _h = region
-    rx0, ry0, rw, rh = rect
-    return image[ry0 - y0 : ry0 - y0 + rh, rx0 - x0 : rx0 - x0 + rw].copy()
-
-
-def binary_swap_gather(
-    ctx: Any,
-    region: tuple[int, int, int, int],
-    image: np.ndarray,
-    width: int,
-    height: int,
-    root: int = 0,
-) -> Generator:
-    """Collect the per-rank regions into the full canvas at ``root``."""
-    gathered = yield from ctx.gather((region, image), root=root)
-    if ctx.rank != root:
-        return None
-    canvas = blank_image(width, height)
-    for (x0, y0, w, h), img in gathered:
-        if w and h:
-            canvas[y0 : y0 + h, x0 : x0 + w] = img
-    return canvas
+    check_pow2_grid(decomposition.block_grid)
+    return (yield from radix_k_compose(ctx, partial, decomposition, camera, k=2))

@@ -23,43 +23,73 @@ This implementation reuses the direct-send machinery deliberately:
 * owners blend with the same depth-sorted :func:`composite_over` the
   direct-send compositors use, so the result is pixel-identical.
 
-Failover mirrors :func:`repro.compositing.directsend.
-direct_send_compose_failover`: on compositor crashes the survivors
-re-partition dead tiles into strips with the same deterministic
-:func:`~repro.fault.failover.failover_assignments` map — the DFB
-ownership map is re-written locally, no coordination messages.
+Failover *is* direct-send's: after the streamed fan-out (which skips
+owners already known dead) the shared :func:`~repro.compositing.
+directsend.failover_tail` re-partitions dead tiles into survivor strips
+with the deterministic :func:`~repro.fault.failover.failover_assignments`
+map — the DFB ownership map is re-written locally, no coordination messages.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
-import numpy as np
-
-from repro.compositing.directsend import assemble_final_image
+from repro.compositing.directsend import (
+    assemble_final_image,
+    count_sent,
+    enabled_tracer,
+    failover_tail,
+    piece_pixels,
+    receive_and_blend,
+    scheduled_piece,
+)
 from repro.compositing.schedule import CompositeSchedule
-from repro.render.image import PartialImage, blank_image, composite_over
+from repro.render.image import PartialImage
 
 DFB_TAG = 7401
 #: Failover pieces for dead tile ``t`` travel on ``DFB_FAILOVER_TAG_BASE + t``.
 DFB_FAILOVER_TAG_BASE = 7500
 
 
-def _empty_piece() -> PartialImage:
-    return PartialImage((0, 0, 0, 0), np.zeros((0, 0, 4), np.float32), float("inf"))
-
-
-def _pieces_for(ctx: Any, partial: PartialImage | None, schedule: CompositeSchedule):
-    """(msg, dest, piece) per scheduled outgoing message, schedule order."""
-    out = []
-    for msg in schedule.outgoing(ctx.rank):
-        dest = schedule.compositor_rank(msg.tile)
-        if partial is None:
-            piece = _empty_piece()
-        else:
-            piece = partial.crop(schedule.tiles.tile(msg.tile))
-        out.append((msg, dest, piece))
-    return out
+def _streamed_fanout(
+    ctx: Any, partial: PartialImage | None, schedule: CompositeSchedule,
+    render_seconds: float, is_dead: Callable[[int], bool] | None = None,
+) -> Generator:
+    """DFB's fan-out rule: march in per-piece chunks, post each piece as
+    its chunk completes.  Charges ``render_seconds`` in total, records
+    the ``render`` stage span, and returns the outstanding sends.  The
+    rank's own tile is marched like any other piece but never enters
+    the wire, nor does a piece for an owner ``is_dead`` says is gone.
+    """
+    tr = enabled_tracer(ctx)
+    t_io = ctx.now
+    routed = [
+        (schedule.compositor_rank(m.tile), scheduled_piece(partial, schedule.tiles.tile(m.tile)))
+        for m in schedule.outgoing(ctx.rank)
+    ]
+    total_px = sum(piece_pixels(piece) for _dest, piece in routed)
+    if total_px == 0:
+        # Off-screen block (or an all-empty footprint): nothing to
+        # stream, charge the march in one piece like direct-send does.
+        yield from ctx.compute(render_seconds)
+    reqs = []
+    spent = 0.0
+    for i, (dest, piece) in enumerate(routed):
+        if total_px:
+            if i == len(routed) - 1:
+                chunk = max(0.0, render_seconds - spent)  # absorb rounding
+            else:
+                chunk = render_seconds * (piece_pixels(piece) / total_px)
+            spent += chunk
+            if chunk > 0:
+                yield from ctx.compute(chunk)
+        if dest == ctx.rank or (is_dead is not None and is_dead(dest)):
+            continue
+        count_sent(tr, piece)
+        reqs.append(ctx.isend(piece, dest, tag=DFB_TAG))
+    if ctx.tracer is not None:
+        ctx.tracer.stage(ctx.rank, "render", t_io, ctx.now)
+    return reqs
 
 
 def dfb_compose(
@@ -82,81 +112,14 @@ def dfb_compose(
     rank 0 inside the composite stage, exactly like the direct-send
     pipeline; with it off each owner returns its raw tile.
     """
-    tr = getattr(ctx, "tracer", None)
-    stage_tr = tr
-    if tr is not None and not tr.enabled:
-        tr = None
-
-    t_io = ctx.now
-    routed = _pieces_for(ctx, partial, schedule)
-    total_px = sum(p.rgba.shape[0] * p.rgba.shape[1] for _m, _d, p in routed)
-
-    reqs = []
-    local_piece = None
-    if total_px == 0:
-        # Off-screen block (or an all-empty footprint): nothing to
-        # stream, charge the march in one piece like direct-send does.
-        yield from ctx.compute(render_seconds)
-        for _msg, dest, piece in routed:
-            if dest == ctx.rank:
-                continue
-            if tr is not None:
-                tr.count("compose.pieces_sent")
-                tr.count("compose.pixels_sent", 0)
-            reqs.append(ctx.isend(piece, dest, tag=DFB_TAG))
-    else:
-        spent = 0.0
-        for i, (_msg, dest, piece) in enumerate(routed):
-            px = piece.rgba.shape[0] * piece.rgba.shape[1]
-            if i == len(routed) - 1:
-                chunk = max(0.0, render_seconds - spent)  # absorb rounding
-            else:
-                chunk = render_seconds * (px / total_px)
-            spent += chunk
-            if chunk > 0:
-                yield from ctx.compute(chunk)
-            if dest == ctx.rank:
-                local_piece = piece
-                continue
-            if tr is not None:
-                tr.count("compose.pieces_sent")
-                tr.count("compose.pixels_sent", int(px))
-            reqs.append(ctx.isend(piece, dest, tag=DFB_TAG))
+    reqs = yield from _streamed_fanout(ctx, partial, schedule, render_seconds)
     t_render = ctx.now
-    if stage_tr is not None:
-        stage_tr.stage(ctx.rank, "render", t_io, t_render)
-
-    my_tile = ctx.rank if ctx.rank < schedule.num_compositors else None
-    result = None
-    if my_tile is not None:
-        expected = [m for m in schedule.incoming(my_tile) if m.src != ctx.rank]
-        pieces: list[PartialImage] = []
-        if local_piece is not None:
-            pieces.append(local_piece)
-        elif partial is not None and any(
-            m.src == ctx.rank for m in schedule.incoming(my_tile)
-        ):
-            # Own contribution scheduled but the streaming loop never
-            # reached it (total_px == 0 path keeps no local piece).
-            pieces.append(partial.crop(schedule.tiles.tile(my_tile)))
-        for _ in range(len(expected)):
-            t_wait = ctx.now
-            piece = yield from ctx.recv(tag=DFB_TAG)
-            if tr is not None:
-                tr.span(
-                    ctx.rank, "recv piece", "compose", t_wait, ctx.now,
-                    tile=my_tile,
-                    pixels=int(piece.rgba.shape[0] * piece.rgba.shape[1]),
-                )
-            pieces.append(piece)
-        x0, y0, w, h = schedule.tiles.tile(my_tile)
-        canvas = blank_image(w, h)
-        result = composite_over(canvas, pieces, canvas_origin=(x0, y0))
+    result = yield from receive_and_blend(ctx, partial, schedule, DFB_TAG)
     yield from ctx.waitall(reqs)
     if root_gather:
         result = yield from assemble_final_image(ctx, result, schedule, root=0)
-    if stage_tr is not None:
-        stage_tr.stage(ctx.rank, "composite", t_render, ctx.now)
+    if ctx.tracer is not None:
+        ctx.tracer.stage(ctx.rank, "composite", t_render, ctx.now)
     return result
 
 
@@ -168,118 +131,18 @@ def dfb_compose_failover(
 ) -> Generator:
     """DFB compositing that survives compositor crashes.
 
-    Same four-phase protocol as :func:`direct_send_compose_failover`
-    (streamed sends, quiescence, deterministic local re-partition of
-    dead tiles into survivor strips, probe-guarded receives) with the
-    DFB's chunked render overlap in phase 1.  Returns
-    ``[(rect, image), ...]`` — the regions this rank owns after
+    The four-phase protocol of :func:`~repro.compositing.directsend.
+    failover_tail` with the DFB's chunked render overlap as phase 1.
+    Returns ``[(rect, image), ...]`` — the regions this rank owns after
     failover.
     """
     fault = getattr(ctx, "fault", None)
     if fault is None or not fault.has_crashes:
-        tile = yield from dfb_compose(
-            ctx, partial, schedule, render_seconds, root_gather=False
-        )
-        if tile is None:
-            return []
-        return [(schedule.tiles.tile(ctx.rank), tile)]
-
-    from repro.fault.failover import failover_assignments
-
-    tr = getattr(ctx, "tracer", None)
-    stage_tr = tr
-    if tr is not None and not tr.enabled:
-        tr = None
-    tiles = schedule.tiles
-
-    def piece_for(rect):
-        if partial is None:
-            return _empty_piece()
-        return partial.crop(rect)
-
-    # Phase 1: the streamed, chunked fan-out (skip known-dead owners).
-    t_io = ctx.now
-    routed = _pieces_for(ctx, partial, schedule)
-    total_px = sum(p.rgba.shape[0] * p.rgba.shape[1] for _m, _d, p in routed)
-    reqs = []
-    if total_px == 0:
-        yield from ctx.compute(render_seconds)
-        for _msg, dest, piece in routed:
-            if dest == ctx.rank or fault.is_dead(dest):
-                continue
-            reqs.append(ctx.isend(piece, dest, tag=DFB_TAG))
-    else:
-        spent = 0.0
-        for i, (_msg, dest, piece) in enumerate(routed):
-            px = piece.rgba.shape[0] * piece.rgba.shape[1]
-            chunk = (
-                max(0.0, render_seconds - spent)
-                if i == len(routed) - 1
-                else render_seconds * (px / total_px)
-            )
-            spent += chunk
-            if chunk > 0:
-                yield from ctx.compute(chunk)
-            if dest == ctx.rank or fault.is_dead(dest):
-                continue
-            reqs.append(ctx.isend(piece, dest, tag=DFB_TAG))
-    if stage_tr is not None:
-        stage_tr.stage(ctx.rank, "render", t_io, ctx.now)
+        tile = yield from dfb_compose(ctx, partial, schedule, render_seconds, root_gather=False)
+        return [] if tile is None else [(schedule.tiles.tile(ctx.rank), tile)]
+    reqs = yield from _streamed_fanout(ctx, partial, schedule, render_seconds, fault.is_dead)
     t_render = ctx.now
-
-    # Phase 2: wait out the failure detector; snapshot the dead set.
-    yield fault.quiescent()
-    dead = frozenset(fault.dead_ranks())
-    assignments = failover_assignments(schedule, dead)
-
-    # Phase 3: re-written ownership — contribute to adopted strips.
-    my_tiles = {m.tile for m in schedule.outgoing(ctx.rank)}
-    local_pieces: dict[tuple[int, int, int, int], PartialImage] = {}
-    for owner in sorted(assignments):
-        for t, rect in assignments[owner]:
-            if t not in my_tiles:
-                continue
-            piece = piece_for(rect)
-            if owner == ctx.rank:
-                local_pieces[rect] = piece
-            else:
-                reqs.append(ctx.isend(piece, owner, tag=DFB_FAILOVER_TAG_BASE + t))
-            if tr is not None:
-                tr.count("compose.failover_pieces")
-
-    # Phase 4: receive and composite everything this rank now owns.
-    results: list[tuple[tuple[int, int, int, int], np.ndarray]] = []
-    if ctx.rank < schedule.num_compositors:
-        incoming = schedule.incoming(ctx.rank)
-        pieces: list[PartialImage] = []
-        if partial is not None and any(m.src == ctx.rank for m in incoming):
-            pieces.append(partial.crop(tiles.tile(ctx.rank)))
-        for m in incoming:
-            if m.src == ctx.rank:
-                continue
-            if m.src in dead and not ctx.probe(source=m.src, tag=DFB_TAG):
-                continue  # lost with the sender
-            piece = yield from ctx.recv(source=m.src, tag=DFB_TAG)
-            pieces.append(piece)
-        x0, y0, w, h = tiles.tile(ctx.rank)
-        results.append(
-            ((x0, y0, w, h), composite_over(blank_image(w, h), pieces, canvas_origin=(x0, y0)))
-        )
-    for t, rect in assignments.get(ctx.rank, ()):
-        pieces = []
-        if rect in local_pieces:
-            pieces.append(local_pieces[rect])
-        for m in schedule.incoming(t):
-            if m.src == ctx.rank or m.src in dead:
-                continue
-            piece = yield from ctx.recv(source=m.src, tag=DFB_FAILOVER_TAG_BASE + t)
-            pieces.append(piece)
-        x0, y0, w, h = rect
-        results.append(
-            (rect, composite_over(blank_image(w, h), pieces, canvas_origin=(x0, y0)))
-        )
-        fault.note_recovered(t, t, ctx.now)
-    yield from ctx.waitall(reqs)
-    if stage_tr is not None:
-        stage_tr.stage(ctx.rank, "composite", t_render, ctx.now)
+    results = yield from failover_tail(ctx, partial, schedule, reqs, DFB_TAG, DFB_FAILOVER_TAG_BASE)
+    if ctx.tracer is not None:
+        ctx.tracer.stage(ctx.rank, "composite", t_render, ctx.now)
     return results

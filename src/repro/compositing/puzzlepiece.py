@@ -50,11 +50,15 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
-from repro.compositing.directsend import assemble_final_image
+from repro.compositing.directsend import (
+    assemble_final_image,
+    count_sent,
+    enabled_tracer,
+    receive_and_blend,
+    scheduled_piece,
+)
 from repro.compositing.schedule import CompositeSchedule
-from repro.render.image import PartialImage, blank_image, composite_over
+from repro.render.image import PartialImage
 
 PUZZLE_TAG = 7601
 
@@ -79,17 +83,49 @@ def piece_max_alpha(piece: PartialImage) -> float:
     return float(piece.rgba[..., 3].max())
 
 
+def _budgeted_fanout(
+    ctx: Any, partial: PartialImage | None, schedule: CompositeSchedule, error_budget: float
+) -> tuple[list, dict]:
+    """Puzzlepiece's fan-out rule: one batch of the pieces worth sending;
+    returns the outstanding sends and this rank's drop ledger."""
+    tr = enabled_tracer(ctx)
+    thresholds = puzzle_thresholds(schedule, error_budget)
+    batch: list[tuple[int, Any]] = []
+    dropped: list[tuple[int, float]] = []
+    bytes_saved = 0
+    for msg in schedule.outgoing(ctx.rank):
+        dest = schedule.compositor_rank(msg.tile)
+        if dest == ctx.rank:
+            continue  # the owner crops its own piece when it blends
+        piece = scheduled_piece(partial, schedule.tiles.tile(msg.tile))
+        a_max = piece_max_alpha(piece)
+        if error_budget > 0 and a_max <= thresholds[msg.tile]:
+            dropped.append((msg.tile, 2.0 * a_max))
+            bytes_saved += msg.nbytes
+            if tr is not None:
+                tr.count("compose.pieces_dropped")
+                tr.count("compose.bytes_saved", int(msg.nbytes))
+            continue
+        count_sent(tr, piece)
+        batch.append((dest, piece))
+    reqs = ctx.isend_many(batch, PUZZLE_TAG) if batch else []
+    return reqs, {
+        "pieces_dropped": len(dropped),
+        "bytes_saved": int(bytes_saved),
+        "dropped": dropped,
+    }
+
+
 def puzzlepiece_compose(
     ctx: Any,
     partial: PartialImage | None,
     schedule: CompositeSchedule,
     error_budget: float = 0.0,
-    root_gather: bool = True,
 ) -> Generator:
     """One bounded-error compositing phase.
 
-    Returns ``(frame_or_tile, stats)`` where ``stats`` is this rank's
-    drop ledger::
+    Returns ``(frame, stats)`` — the gathered frame on rank 0 (None
+    elsewhere) and this rank's drop ledger::
 
         {"pieces_dropped": int, "bytes_saved": int,
          "dropped": [(tile, 2 * max_alpha), ...]}
@@ -100,75 +136,23 @@ def puzzlepiece_compose(
     protocol's :meth:`gi_barrier` is not wired under the sharded
     parallel backend.
     """
-    tr = getattr(ctx, "tracer", None)
-    if tr is not None and not tr.enabled:
-        tr = None
-    thresholds = puzzle_thresholds(schedule, error_budget)
-
-    batch: list[tuple[int, Any]] = []
-    dropped: list[tuple[int, float]] = []
-    bytes_saved = 0
-    for msg in schedule.outgoing(ctx.rank):
-        dest = schedule.compositor_rank(msg.tile)
-        if dest == ctx.rank:
-            continue  # own crop handled on the owner branch below
-        if partial is None:
-            piece = PartialImage((0, 0, 0, 0), np.zeros((0, 0, 4), np.float32), float("inf"))
-        else:
-            piece = partial.crop(schedule.tiles.tile(msg.tile))
-        a_max = piece_max_alpha(piece)
-        if error_budget > 0 and a_max <= thresholds[msg.tile]:
-            dropped.append((msg.tile, 2.0 * a_max))
-            bytes_saved += msg.nbytes
-            if tr is not None:
-                tr.count("compose.pieces_dropped")
-                tr.count("compose.bytes_saved", int(msg.nbytes))
-            continue
-        if tr is not None:
-            tr.count("compose.pieces_sent")
-            tr.count("compose.pixels_sent", int(piece.rgba.shape[0] * piece.rgba.shape[1]))
-        batch.append((dest, piece))
-    reqs = ctx.isend_many(batch, PUZZLE_TAG) if batch else []
+    reqs, stats = _budgeted_fanout(ctx, partial, schedule, error_budget)
 
     # Drain protocol: my sends delivered, then everyone's (the
     # global-interrupt barrier), then probe-guarded receives.
     yield from ctx.waitall(reqs)
     yield from ctx.gi_barrier()
 
-    my_tile = ctx.rank if ctx.rank < schedule.num_compositors else None
-    result = None
-    if my_tile is not None:
-        incoming = schedule.incoming(my_tile)
-        pieces: list[PartialImage] = []
-        if partial is not None and any(m.src == ctx.rank for m in incoming):
-            pieces.append(partial.crop(schedule.tiles.tile(my_tile)))
-        # Probe per scheduled source to learn how many pieces exist,
-        # then receive them wildcard so they append in *arrival* order
-        # — the order direct-send's compositors see, which is what
-        # breaks depth ties in composite_over's stable sort.  Keeping
-        # that order is what makes budget = 0 bitwise direct-send.
+    # Owners probe per scheduled source to learn how many pieces exist,
+    # then receive them wildcard so they append in *arrival* order —
+    # the order direct-send's compositors see.  Keeping that order is
+    # what makes budget = 0 bitwise direct-send.
+    present = 0
+    if ctx.rank < schedule.num_compositors:
         present = sum(
-            1
-            for m in incoming
-            if m.src != ctx.rank and ctx.probe(source=m.src, tag=PUZZLE_TAG)
+            m.src != ctx.rank and ctx.probe(source=m.src, tag=PUZZLE_TAG)
+            for m in schedule.incoming(ctx.rank)
         )
-        for _ in range(present):
-            t_wait = ctx.now
-            piece = yield from ctx.recv(tag=PUZZLE_TAG)
-            if tr is not None:
-                tr.span(
-                    ctx.rank, "recv piece", "compose", t_wait, ctx.now,
-                    tile=my_tile,
-                    pixels=int(piece.rgba.shape[0] * piece.rgba.shape[1]),
-                )
-            pieces.append(piece)
-        x0, y0, w, h = schedule.tiles.tile(my_tile)
-        result = composite_over(blank_image(w, h), pieces, canvas_origin=(x0, y0))
-    if root_gather:
-        result = yield from assemble_final_image(ctx, result, schedule, root=0)
-    stats = {
-        "pieces_dropped": len(dropped),
-        "bytes_saved": int(bytes_saved),
-        "dropped": dropped,
-    }
-    return result, stats
+    tile = yield from receive_and_blend(ctx, partial, schedule, PUZZLE_TAG, present)
+    frame = yield from assemble_final_image(ctx, tile, schedule, root=0)
+    return frame, stats

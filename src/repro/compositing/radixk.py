@@ -21,6 +21,7 @@ from typing import Any, Generator, Sequence
 
 import numpy as np
 
+from repro.compositing.directsend import assemble_tiles
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 from repro.render.image import PartialImage, blank_image, composite_over, over
@@ -47,6 +48,20 @@ def default_radices(extent: int, k: int) -> list[int]:
     return out or [1]
 
 
+def check_one_block_per_rank(
+    who: str, nprocs: int, decomposition: BlockDecomposition | None
+) -> tuple[int, int, int]:
+    """The round-based family's precondition (rank == block index)."""
+    if decomposition is None:
+        raise ConfigError(f"{who} needs the block decomposition")
+    bgz, bgy, bgx = decomposition.block_grid
+    if bgz * bgy * bgx != nprocs:
+        raise ConfigError(
+            f"{who} needs one block per rank (blocks={bgz * bgy * bgx}, ranks={nprocs})"
+        )
+    return bgz, bgy, bgx
+
+
 def radix_k_compose(
     ctx: Any,
     partial: PartialImage | None,
@@ -61,12 +76,7 @@ def radix_k_compose(
     omitted axes use :func:`default_radices` with target ``k``.
     Afterwards each rank owns 1/p of the fully composited image.
     """
-    bgz, bgy, bgx = decomposition.block_grid
-    p = ctx.size
-    if bgz * bgy * bgx != p:
-        raise ConfigError(
-            f"radix-k needs one block per rank (blocks={bgz * bgy * bgx}, ranks={p})"
-        )
+    bgz, bgy, bgx = check_one_block_per_rank("radix-k", ctx.size, decomposition)
     extents = {"z": bgz, "y": bgy, "x": bgx}
     plan: dict[str, list[int]] = {}
     for axis, extent in extents.items():
@@ -163,6 +173,7 @@ def _split_k(region: tuple[int, int, int, int], kparts: int, horizontal: bool):
 
 
 def _crop(image: np.ndarray, region: tuple[int, int, int, int], rect: tuple[int, int, int, int]):
+    """Crop a region-local image to a sub-rect (rect within region)."""
     x0, y0, _w, _h = region
     rx0, ry0, rw, rh = rect
     return image[ry0 - y0 : ry0 - y0 + rh, rx0 - x0 : rx0 - x0 + rw].copy()
@@ -178,10 +189,4 @@ def radix_k_gather(
 ) -> Generator:
     """Collect the per-rank regions into the full canvas at ``root``."""
     gathered = yield from ctx.gather((region, image), root=root)
-    if ctx.rank != root:
-        return None
-    canvas = blank_image(width, height)
-    for (x0, y0, w, h), img in gathered:
-        if w and h:
-            canvas[y0 : y0 + h, x0 : x0 + w] = img
-    return canvas
+    return assemble_tiles([gathered], width, height) if ctx.rank == root else None

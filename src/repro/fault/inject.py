@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable
 
-from repro.fault.metrics import FaultReport
+from repro.fault.metrics import FaultReport, fault_report_from_counters
 from repro.fault.plan import FaultPlan
 from repro.obs.tracer import CAT_FAULT
 from repro.sim.events import Future
@@ -88,10 +88,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Arming
 
-    def arm(self, engine, mapping=None, procs=None, board=None) -> None:
+    def arm(self, engine, mapping=None, procs=None, board=None, ranks_on_node=None) -> None:
         """Bind to a run and schedule the plan's crash events.
 
         ``procs`` maps rank -> :class:`~repro.sim.engine.Process`.
+        ``ranks_on_node`` (node -> sorted ranks) defaults to the ranks
+        in ``procs``; a shard that runs only some of the world's ranks
+        passes the global map, so its dead set still covers them all.
         Must be called after ranks are spawned and before ``run()``.
         """
         self._engine = engine
@@ -103,13 +106,12 @@ class FaultInjector:
             # failover-aware code falls through without waiting.
             self._quiescent.resolve(None)
             return
-        by_node: dict[int, list[int]] = {}
-        for r in self._procs:
-            node = int(mapping.node_of(r)) if mapping is not None else int(r)
-            by_node.setdefault(node, []).append(r)
-        for ranks in by_node.values():
-            ranks.sort()
-        self._ranks_on_node = by_node
+        if ranks_on_node is None:
+            ranks_on_node = {}
+            for r in sorted(self._procs):
+                node = int(mapping.node_of(r)) if mapping is not None else int(r)
+                ranks_on_node.setdefault(node, []).append(r)
+        self._ranks_on_node = ranks_on_node
         last = 0.0
         for crash in sorted(self.plan.node_crashes, key=lambda c: (c.time_s, c.node)):
             engine.schedule_at(crash.time_s, partial(self._crash_node, crash.node))
@@ -239,35 +241,23 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Report
 
+    def counters(self) -> dict:
+        """The plain (picklable) tallies a :class:`FaultReport` is built from."""
+        return {
+            "crashes": self.crashes,
+            "crash_time": dict(self._crash_time),
+            "lost": self.lost,
+            "retries": self.retries,
+            "drops": self.drops,
+            "dups": self.dups,
+            "recoveries": list(self._recoveries),
+            "straggler_s": float(sum(self._io_delay.values())),
+        }
+
     def finish(self, t_end: float, nranks: int, total_messages: int = 0) -> FaultReport:
         """Close the books at simulated time ``t_end`` and build the report."""
-        dead = sorted(self._dead_ranks)
-        availability = 1.0
-        if nranks > 0 and t_end > 0:
-            lost_s = sum(
-                max(0.0, t_end - self._crash_time[r]) for r in dead
-            )
-            availability = max(0.0, 1.0 - lost_s / (nranks * t_end))
-        goodput = 1.0
-        if total_messages > 0:
-            goodput = max(0.0, 1.0 - self.lost / total_messages)
-        mttr = (
-            sum(self._recoveries) / len(self._recoveries)
-            if self._recoveries
-            else 0.0
-        )
-        self._report = FaultReport(
-            crashes=self.crashes,
-            dead_ranks=tuple(dead),
-            messages_dropped=self.drops,
-            messages_duplicated=self.dups,
-            retries=self.retries,
-            messages_lost=self.lost,
-            straggler_delay_s=float(sum(self._io_delay.values())),
-            recoveries=len(self._recoveries),
-            mttr_s=mttr,
-            availability=availability,
-            goodput=goodput,
+        self._report = fault_report_from_counters(
+            [self.counters()], t_end, nranks, total_messages
         )
         return self._report
 

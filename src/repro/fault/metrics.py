@@ -60,6 +60,45 @@ class FaultReport:
         }
 
 
+def fault_report_from_counters(
+    shards: list[dict], t_end: float, nranks: int, total_messages: int
+) -> FaultReport:
+    """Close the books at simulated time ``t_end`` from plain counters.
+
+    ``shards`` holds one :meth:`FaultInjector.counters` dict per engine
+    shard — exactly one for the monolithic world.  Structural fields
+    (crashes, crash times and hence the dead set, straggler delays) are
+    identical on every shard — each shard schedules every planned crash
+    and shares the global dead set — so they come from shard 0; volume
+    counters (lost messages, retries, recoveries) are per-shard and sum.
+    """
+    first = shards[0]
+    crash_time = first["crash_time"]
+    dead = sorted(crash_time)
+    lost = sum(s["lost"] for s in shards)
+    recoveries = [r for s in shards for r in s["recoveries"]]
+    availability = 1.0
+    if nranks > 0 and t_end > 0:
+        lost_s = sum(max(0.0, t_end - crash_time[r]) for r in dead)
+        availability = max(0.0, 1.0 - lost_s / (nranks * t_end))
+    goodput = 1.0
+    if total_messages > 0:
+        goodput = max(0.0, 1.0 - lost / total_messages)
+    return FaultReport(
+        crashes=first["crashes"],
+        dead_ranks=tuple(dead),
+        messages_dropped=sum(s["drops"] for s in shards),
+        messages_duplicated=sum(s["dups"] for s in shards),
+        retries=sum(s["retries"] for s in shards),
+        messages_lost=lost,
+        straggler_delay_s=first["straggler_s"],
+        recoveries=len(recoveries),
+        mttr_s=sum(recoveries) / len(recoveries) if recoveries else 0.0,
+        availability=availability,
+        goodput=goodput,
+    )
+
+
 @dataclass
 class FarmFaultStats:
     """Fault accounting for one rendering-service (farm) run.

@@ -113,6 +113,18 @@ class _Delivery:
         self.done.resolve(None)
 
 
+def leak_error(leaked: list[tuple[int, int, int]]) -> CommunicationError:
+    """The end-of-run diagnostic for ``(source, dest, tag)`` envelopes
+    nobody received; names the first 20 so a hung collective can be
+    localized from the message."""
+    shown = ", ".join(f"(src={s}, dst={d}, tag={t})" for s, d, t in leaked[:20])
+    if len(leaked) > 20:
+        shown += f", ... and {len(leaked) - 20} more"
+    return CommunicationError(
+        f"{len(leaked)} messages were delivered but never received: {shown}"
+    )
+
+
 class MessageBoard:
     """Per-rank mailboxes plus the wire (a :class:`DESNetwork`)."""
 

@@ -11,8 +11,7 @@ from repro.network.costs import LinkCostModel
 from repro.network.desnet import DESNetwork
 from repro.network.topology import TorusTopology
 from repro.sim.engine import Engine
-from repro.utils.errors import CommunicationError
-from repro.vmpi.comm import MessageBoard
+from repro.vmpi.comm import MessageBoard, leak_error
 from repro.vmpi.context import RankContext
 
 
@@ -163,15 +162,7 @@ class MPIWorld:
                 elapsed, nranks=len(procs), total_messages=network.messages_sent
             )
         if check_leaks and board.unreceived_count():
-            leaked = board.unreceived_messages()
-            shown = ", ".join(
-                f"(src={s}, dst={d}, tag={t})" for s, d, t in leaked[:20]
-            )
-            if len(leaked) > 20:
-                shown += f", ... and {len(leaked) - 20} more"
-            raise CommunicationError(
-                f"{len(leaked)} messages were delivered but never received: {shown}"
-            )
+            raise leak_error(board.unreceived_messages())
         return WorldResult(
             values=[p.done.value for p in procs],
             elapsed_s=elapsed,

@@ -41,7 +41,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.fault.inject import FaultInjector
-from repro.fault.metrics import FaultReport
+from repro.fault.metrics import fault_report_from_counters
 from repro.fault.plan import FaultPlan
 from repro.network.shardnet import ShardNetwork
 from repro.obs.tracer import Span, Tracer
@@ -61,7 +61,7 @@ from repro.utils.errors import (
     RankFailed,
 )
 from repro.sim.events import Future
-from repro.vmpi.comm import MessageBoard, Request, _Envelope
+from repro.vmpi.comm import MessageBoard, Request, _Envelope, leak_error
 from repro.vmpi.context import RankContext
 from repro.vmpi.payload import payload_nbytes, snapshot
 
@@ -193,14 +193,14 @@ class _ShardRuntime:
         if injector is not None:
             for ctx in self.ctxs:
                 ctx.fault = injector
-            injector.arm(
-                engine, mapping=spec.mapping, procs=self.procs, board=board
-            )
             # The dead set must be global: a record from a crashed rank
             # on a *remote* shard is discarded at delivery here, exactly
             # as the monolithic board would.  Crash events still only
             # kill processes that live on this shard (procs lookup).
-            injector._ranks_on_node = spec.ranks_by_node
+            injector.arm(
+                engine, mapping=spec.mapping, procs=self.procs, board=board,
+                ranks_on_node=spec.ranks_by_node,
+            )
 
     def next_time(self) -> float:
         return self.engine.next_event_time
@@ -224,20 +224,6 @@ class _ShardRuntime:
                    decode_payload(kind, blob))
 
     def finalize(self) -> dict:
-        inj = self.injector
-        fault_state = None
-        if inj is not None:
-            fault_state = {
-                "crashes": inj.crashes,
-                "dead": sorted(inj._dead_ranks),
-                "crash_time": dict(inj._crash_time),
-                "lost": inj.lost,
-                "retries": inj.retries,
-                "drops": inj.drops,
-                "dups": inj.dups,
-                "recoveries": list(inj._recoveries),
-                "straggler_s": float(sum(inj._io_delay.values())),
-            }
         tracer_state = None
         if self.tracer is not None:
             tracer_state = {
@@ -256,7 +242,7 @@ class _ShardRuntime:
             "blocked": [p.name for p in self.procs.values() if not p.finished],
             "unreceived": unreceived,
             "leaks": self.board.unreceived_messages() if unreceived else [],
-            "fault": fault_state,
+            "fault": self.injector.counters() if self.injector is not None else None,
             "tracer": tracer_state,
         }
 
@@ -313,47 +299,6 @@ class _ShardWorker:
 
     def finalize(self) -> list[dict]:
         return [rt.finalize() for rt in self.runtimes]
-
-
-def _merge_fault_report(
-    states: list[dict], t_end: float, nranks: int, total_messages: int
-) -> FaultReport:
-    """Rebuild :meth:`FaultInjector.finish`'s report from shard states.
-
-    Structural fields (crashes, dead set, crash times, straggler
-    delays) are identical on every shard — each shard schedules every
-    planned crash and shares the global dead set — so they come from
-    shard 0; volume counters (lost messages, retries) are per-shard
-    and sum.
-    """
-    first = states[0]
-    lost = sum(s["lost"] for s in states)
-    recoveries: list[float] = []
-    for s in states:
-        recoveries.extend(s["recoveries"])
-    dead = first["dead"]
-    crash_time = first["crash_time"]
-    availability = 1.0
-    if nranks > 0 and t_end > 0:
-        lost_s = sum(max(0.0, t_end - crash_time[r]) for r in dead)
-        availability = max(0.0, 1.0 - lost_s / (nranks * t_end))
-    goodput = 1.0
-    if total_messages > 0:
-        goodput = max(0.0, 1.0 - lost / total_messages)
-    mttr = sum(recoveries) / len(recoveries) if recoveries else 0.0
-    return FaultReport(
-        crashes=first["crashes"],
-        dead_ranks=tuple(dead),
-        messages_dropped=sum(s["drops"] for s in states),
-        messages_duplicated=sum(s["dups"] for s in states),
-        retries=sum(s["retries"] for s in states),
-        messages_lost=lost,
-        straggler_delay_s=first["straggler_s"],
-        recoveries=len(recoveries),
-        mttr_s=mttr,
-        availability=availability,
-        goodput=goodput,
-    )
 
 
 def run_parallel(
@@ -473,18 +418,12 @@ def run_parallel(
 
     report = None
     if plan is not None:
-        report = _merge_fault_report(
+        report = fault_report_from_counters(
             [s["fault"] for s in shards], elapsed, len(which), messages
         )
 
     if check_leaks and any(s["unreceived"] for s in shards):
-        leaked = [leak for s in shards for leak in s["leaks"]]
-        shown = ", ".join(f"(src={s}, dst={d}, tag={t})" for s, d, t in leaked[:20])
-        if len(leaked) > 20:
-            shown += f", ... and {len(leaked) - 20} more"
-        raise CommunicationError(
-            f"{len(leaked)} messages were delivered but never received: {shown}"
-        )
+        raise leak_error([leak for s in shards for leak in s["leaks"]])
 
     values: dict[int, Any] = {}
     compute: dict[int, float] = {}

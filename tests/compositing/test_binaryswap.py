@@ -1,9 +1,10 @@
-"""Binary-swap baseline: matches serial and direct-send."""
+"""Binary-swap baseline: matches serial, and is radix-k with k = 2."""
 
 import numpy as np
 import pytest
 
-from repro.compositing.binaryswap import binary_swap_compose, binary_swap_gather
+from repro.compositing.binaryswap import binary_swap_compose
+from repro.compositing.radixk import radix_k_compose, radix_k_gather
 from repro.compositing.serial import compose_locally
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
@@ -45,11 +46,42 @@ class TestBinarySwap:
         def program(ctx):
             partial = make_partial(ctx.rank, dec, scene)
             region, img = yield from binary_swap_compose(ctx, partial, dec, cam)
-            return (yield from binary_swap_gather(ctx, region, img, W, H, root=0))
+            return (yield from radix_k_gather(ctx, region, img, W, H, root=0))
 
         res = MPIWorld.for_cores(p).run(program)
         ref = compose_locally([make_partial(r, dec, scene) for r in range(p)], W, H)
         assert np.allclose(res[0], ref, atol=1e-5)
+
+
+class TestRadix2Equivalence:
+    """``binary_swap_compose`` and ``radix_k_compose(k=2)`` are one algorithm."""
+
+    @pytest.mark.parametrize("width,height", [(40, 40), (64, 64), (37, 41)])
+    @pytest.mark.parametrize("block_grid", [(2, 2, 2), (2, 4, 2), (1, 2, 4)])
+    def test_same_pixels_and_message_count(self, block_grid, width, height, scene):
+        data, _cam, tf = scene
+        cam = Camera.looking_at_volume(
+            GRID, width=width, height=height, azimuth_deg=50, elevation_deg=10
+        )
+        sized = (data, cam, tf)
+        p = int(np.prod(block_grid))
+        dec = BlockDecomposition(GRID, p, block_grid=block_grid)
+        partials = [make_partial(r, dec, sized) for r in range(p)]
+
+        def run(compose, **kwargs):
+            def program(ctx):
+                region, img = yield from compose(ctx, partials[ctx.rank], dec, cam, **kwargs)
+                return (yield from radix_k_gather(ctx, region, img, width, height, root=0))
+
+            return MPIWorld.for_cores(p).run(program)
+
+        swap = run(binary_swap_compose)
+        radix2 = run(radix_k_compose, k=2)
+        assert np.array_equal(swap[0], radix2[0])
+        assert swap.messages == radix2.messages
+        ref = compose_locally(partials, width, height)
+        assert np.allclose(swap[0], ref, atol=1e-5)
+        assert np.allclose(radix2[0], ref, atol=1e-5)
 
 
 class TestBinarySwapConstraints:

@@ -4,8 +4,9 @@ compositing algorithms, and views, all against the serial oracle."""
 import numpy as np
 import pytest
 
-from repro.compositing.binaryswap import binary_swap_compose, binary_swap_gather
+from repro.compositing.binaryswap import binary_swap_compose
 from repro.compositing.policy import IDENTITY_POLICY, fixed_policy
+from repro.compositing.radixk import radix_k_gather
 from repro.core import ParallelVolumeRenderer
 from repro.data import SupernovaModel, write_vh1_netcdf
 from repro.pio import IOHints, NetCDFHandle
@@ -73,7 +74,7 @@ def test_direct_send_and_binary_swap_agree(model):
     def bs_program(ctx):
         partial = make_partial(ctx.rank)
         region, img = yield from binary_swap_compose(ctx, partial, dec, cam)
-        return (yield from binary_swap_gather(ctx, region, img, 32, 32, root=0))
+        return (yield from radix_k_gather(ctx, region, img, 32, 32, root=0))
 
     bs = MPIWorld.for_cores(8).run(bs_program)[0]
 

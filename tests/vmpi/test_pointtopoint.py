@@ -160,6 +160,25 @@ class TestSendRecv:
         assert "(src=0, dst=1, tag=20)" not in msg
         assert "... and 5 more" in msg
 
+    def test_sharded_world_reports_leaks_identically(self):
+        """One leak formatter: the sharded backend raises the same text."""
+        from repro.sim.parallel import ParallelConfig
+
+        def program(ctx):
+            if ctx.rank == 0:
+                for t in range(21):
+                    yield from ctx.send(t, dest=1, tag=t)
+                yield from ctx.send("last", dest=2, tag=99)
+            return None
+
+        messages = []
+        for kwargs in ({}, {"parallel": ParallelConfig(workers=1)}):
+            with pytest.raises(CommunicationError) as exc:
+                MPIWorld.for_cores(3).run(program, **kwargs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "22 messages" in messages[0] and "... and 2 more" in messages[0]
+
     def test_waitall_returns_payloads(self):
         def program(ctx):
             if ctx.rank == 0:
