@@ -1,7 +1,10 @@
 """Event-driven transport semantics."""
 
+import numpy as np
 import pytest
 
+from repro.fault.inject import FaultInjector
+from repro.fault.plan import FaultPlan, LinkWindow
 from repro.machine.mapping import RankMapping
 from repro.machine.partition import Partition
 from repro.network.costs import LinkCostModel
@@ -94,6 +97,53 @@ class TestTransfer:
             net.transfer(0, dst, 0)
             times.append(_drain(eng))
         assert times[1] == pytest.approx(times[0] + link.hop_latency_s)
+
+
+class TestFaultHooksLeaveTimelineAlone:
+    """The fault hooks sit on the one transfer timeline: with nothing to
+    inject they change no bit, and a drop changes the value, not the time."""
+
+    @staticmethod
+    def _timeline(plan):
+        """(time, value) each of 200 random transfers resolves with,
+        one posted every 3 us, under ``plan`` (None = no injector)."""
+        eng, net = make_net()
+        injector = None
+        if plan is not None:
+            injector = net.fault = FaultInjector(plan)
+            assert injector.net_active
+        nprocs = net.mapping.partition.nprocs
+        rng = np.random.default_rng(11)
+        resolved = {}
+
+        def post(i, src, dst, nbytes):
+            fut = net.transfer(src, dst, nbytes)
+            fut.add_done_callback(lambda v: resolved.setdefault(i, (eng.now, v)))
+
+        for i in range(200):
+            src, dst = (int(r) for r in rng.integers(0, nprocs, size=2))
+            nbytes = int(rng.integers(0, 1 << 16))
+            eng.schedule_at(i * 3e-6, lambda a=(i, src, dst, nbytes): post(*a))
+        eng.run()
+        return [resolved[i] for i in range(200)], net, injector
+
+    def test_window_that_never_opens_is_bitwise_inert(self):
+        clean, clean_net, _ = self._timeline(None)
+        never = FaultPlan(link_windows=(LinkWindow(1.0, 2.0, 0.1),))
+        armed, armed_net, _ = self._timeline(never)
+        assert armed == clean
+        np.testing.assert_array_equal(armed_net._inject_free, clean_net._inject_free)
+        np.testing.assert_array_equal(armed_net._eject_free, clean_net._eject_free)
+        assert armed_net.bytes_sent == clean_net.bytes_sent
+
+    def test_drop_resolves_at_would_be_delivery_time(self):
+        clean, _net, _ = self._timeline(None)
+        lossy, _net, injector = self._timeline(FaultPlan(seed=5, drop_prob=0.3))
+        assert [t for t, _v in lossy] == [t for t, _v in clean]
+        dropped = [v is injector.DROPPED for _t, v in lossy]
+        assert sum(dropped) == injector.drops
+        assert 0 < sum(dropped) < len(dropped)
+        assert all(v is None for (_t, v), d in zip(lossy, dropped) if not d)
 
 
 def _drain(eng: Engine) -> float:

@@ -11,11 +11,14 @@ pin the pickle-free record encoding round trip for every payload kind.
 import numpy as np
 import pytest
 
+from repro.fault.inject import FaultInjector
+from repro.fault.plan import FaultPlan, LinkWindow
 from repro.machine.mapping import RankMapping
 from repro.machine.partition import Partition
 from repro.network.desnet import DESNetwork
 from repro.network.shardnet import ShardNetwork
 from repro.network.topology import TorusTopology
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim import mailbox
 from repro.vmpi.payload import VirtualPayload
@@ -37,27 +40,56 @@ def _single_shard_net(mapping, topo):
 
 
 class TestIntraShardTiming:
-    def test_matches_monolithic_network(self):
-        """One shard owning every node prices sends exactly like the
-        monolithic DESNetwork: same injection and ejection timelines."""
+    STEP = 2e-6  # simulated time between consecutive sends
+
+    def _same_sequence_on_both(self, plan):
+        """Drive one random send sequence, one send every ``STEP``,
+        through a single-shard ShardNetwork and a DESNetwork."""
         part, mapping, topo = _machine()
         shard = _single_shard_net(mapping, topo)
         mono = DESNetwork(Engine(), topo, mapping)
-
+        if plan is not None:
+            shard.fault = FaultInjector(plan)
+            mono.fault = FaultInjector(plan)
+            assert mono.fault.net_active
         rng = np.random.default_rng(42)
-        for _ in range(200):
+        for i in range(400):
             src = int(rng.integers(0, part.nprocs))
             dst = int(rng.integers(0, part.nprocs))
             if src == dst:
                 continue
             nbytes = int(rng.integers(0, 1 << 16))
-            local, _done, deliver, _wire = shard.send(src, dst, nbytes)
+            for net in (shard, mono):
+                # Same clock on both engines; ``mono`` also runs the
+                # delivery events it scheduled itself.
+                net.engine.schedule_at(i * self.STEP, lambda: None)
+                net.engine.run(until=i * self.STEP)
+            local, _done, _deliver, _wire = shard.send(src, dst, nbytes)
             assert local
             mono.transfer(src, dst, nbytes)
-        np.testing.assert_array_equal(shard._inject_free, mono._inject_free)
-        np.testing.assert_array_equal(shard._eject_free, mono._eject_free)
-        assert shard.messages_sent == mono.messages_sent
-        assert shard.bytes_sent == mono.bytes_sent
+        return shard, mono
+
+    def test_matches_monolithic_network(self):
+        """One shard owning every node prices sends exactly like the
+        monolithic DESNetwork: same injection and ejection timelines —
+        fault-free, and with both networks under link windows that are
+        open over the middle of the send sequence only."""
+        step = self.STEP
+        windows = (
+            LinkWindow(100 * step, 260 * step, 0.25),
+            LinkWindow(180 * step, 300 * step, 0.5, src_node=3),
+        )
+        clean = None
+        for plan in (None, FaultPlan(link_windows=windows)):
+            shard, mono = self._same_sequence_on_both(plan)
+            np.testing.assert_array_equal(shard._inject_free, mono._inject_free)
+            np.testing.assert_array_equal(shard._eject_free, mono._eject_free)
+            assert shard.messages_sent == mono.messages_sent
+            assert shard.bytes_sent == mono.bytes_sent
+            if plan is None:
+                clean = mono._inject_free.copy()
+        # The windows did something: ports free later than without them.
+        assert (mono._inject_free > clean).any()
 
     def test_same_node_delivery(self):
         part, mapping, topo = _machine()
@@ -102,6 +134,30 @@ class TestCrossShardTiming:
             # One ulp of slack: ready is computed as arrive - wire.
             assert ready >= np.nextafter(lookahead, 0.0)
             assert done <= ready + wire
+
+    def test_cross_shard_span_ends_at_arrival(self):
+        """The sender cannot see the remote ejection queue, so a traced
+        cross-shard send's span runs to arrival at the destination node:
+        injection done plus the hop latency, exactly."""
+        part, mapping, topo, node_shard, _nets = self._two_shards()
+        tracer = Tracer()
+        net = ShardNetwork(
+            Engine(), topo, mapping, tracer=tracer, node_shard=node_shard, shard_id=0
+        )
+        remote_ranks = [
+            r for r in range(part.nprocs)
+            if node_shard[int(mapping.node_of(r))] == 1
+        ]
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            dst = int(rng.choice(remote_ranks))
+            local, done, _ready, _wire = net.send(0, dst, int(rng.integers(0, 1 << 14)))
+            assert not local
+            span = tracer.spans[-1]
+            hops = int(topo.hop_row(int(mapping.node_of(0)))[int(mapping.node_of(dst))])
+            assert span.args["hops"] == hops and span.args["dst"] == dst
+            assert span.t0 == 0.0
+            assert span.t1 == done + hops * net.link.hop_latency_s
 
     def test_commit_replays_ejection_chain(self):
         """Two records into one destination node serialize on the
