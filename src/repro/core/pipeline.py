@@ -210,19 +210,16 @@ class ParallelVolumeRenderer:
         tracer.begin_frame()
         self.world.tracer = tracer
 
-        # --- Fault layer.  A fresh injector per frame (its counters
-        # and RNG streams are frame-local); the straggler delays are
-        # storage-caused, so they stretch the I/O stage per rank.
-        injector = None
+        # --- Fault layer.  The world builds a fresh injector per frame
+        # from the plan (its counters and RNG streams are frame-local);
+        # the straggler delays are storage-caused, so they stretch the
+        # I/O stage per rank.
         io_delays = None
         failover = False
         max_straggle = 0.0
         if self.fault is not None:
-            from repro.fault.inject import FaultInjector
-
-            injector = FaultInjector(self.fault, tracer=tracer)
-            failover = injector.has_crashes
-            if injector.has_io:
+            failover = bool(self.fault.node_crashes)
+            if self.fault.io_stragglers:
                 io_delays = {s.rank: s.delay_s for s in self.fault.io_stragglers}
                 max_straggle = max(io_delays.values())
                 if log is not None:
@@ -280,7 +277,7 @@ class ParallelVolumeRenderer:
             failover=failover,
             compositor=self.compositor,
             error_budget=error_budget,
-            fault=injector,
+            fault=self.fault,
             parallel=self.parallel,
         )
         # The backend knows how its per-rank return values become the
@@ -308,7 +305,7 @@ class ParallelVolumeRenderer:
             bytes_sent=result.bytes_sent,
             trace=tracer if tracer.enabled else None,
             degraded=degraded,
-            fault=result.fault if injector is not None and injector.active else None,
+            fault=result.fault if self.fault is not None and not self.fault.empty else None,
             compositor=self.compositor,
             compose_stats=compose_stats,
         )

@@ -30,7 +30,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable
 
-from repro.fault.metrics import FaultReport, fault_report_from_counters
 from repro.fault.plan import FaultPlan
 from repro.obs.tracer import CAT_FAULT
 from repro.sim.events import Future
@@ -83,7 +82,6 @@ class FaultInjector:
         self._procs: dict[int, Any] = {}
         self._ranks_on_node: dict[int, list[int]] = {}
         self._quiescent: Future | None = None
-        self._report: FaultReport | None = None
 
     # ------------------------------------------------------------------
     # Arming
@@ -242,7 +240,7 @@ class FaultInjector:
     # Report
 
     def counters(self) -> dict:
-        """The plain (picklable) tallies a :class:`FaultReport` is built from."""
+        """The plain (picklable) tallies a :class:`~repro.fault.metrics.FaultReport` is built from."""
         return {
             "crashes": self.crashes,
             "crash_time": dict(self._crash_time),
@@ -253,15 +251,3 @@ class FaultInjector:
             "recoveries": list(self._recoveries),
             "straggler_s": float(sum(self._io_delay.values())),
         }
-
-    def finish(self, t_end: float, nranks: int, total_messages: int = 0) -> FaultReport:
-        """Close the books at simulated time ``t_end`` and build the report."""
-        self._report = fault_report_from_counters(
-            [self.counters()], t_end, nranks, total_messages
-        )
-        return self._report
-
-    def report(self) -> FaultReport:
-        if self._report is None:
-            raise FaultError("injector run has not finished; no report yet")
-        return self._report

@@ -2,12 +2,15 @@
 
 Each compute node has a serialized injection port and ejection port
 (one message at a time, matching a single torus DMA engine).  A
-message's timeline is::
+message's timeline is the port law, stated once as
+:meth:`DESNetwork.inject` and :meth:`DESNetwork.eject`::
 
+    wire    = nbytes / (effective_bw(nbytes) * link-window factor)
     start   = max(now, src node's injector free time)
-    inject  = sw_overhead + nbytes / effective_bw(nbytes)
-    arrive  = start + inject + hops * hop_latency
-    deliver = max(arrive, dst node's ejector free time) + recv_overhead
+    done    = start + (sw_overhead + wire)        # injector free again
+    arrive  = done + hops * hop_latency
+    ready   = arrive - wire                       # head reaches dst node
+    deliver = max(ready, dst node's ejector free time) + (recv_overhead + wire)
 
 Messages between ranks on the same node skip the wire and pay only
 software overhead.  This transport captures endpoint serialization and
@@ -59,93 +62,78 @@ class DESNetwork:
         self.messages_sent = 0
         self.bytes_sent = 0
 
+    # -- the port law: written once, as its two halves --------------------
+
+    def inject(self, src_node: int, dst_node: int, nbytes: int, now: float,
+               factor: float = 1.0):
+        """Serialize one message through ``src_node``'s injection port.
+
+        Returns ``(done, arrive, wire, hops)``: when the port is free
+        again, when the tail reaches ``dst_node``, the wire occupancy
+        and the hop count.  ``factor`` multiplies the link bandwidth (a
+        fault plan's link windows; the message occupies both ports
+        longer); ``bw * 1.0`` is exact, so the fault-free timeline does
+        not depend on who passes it.  The ejection port serializes on
+        the *head* of the message — callers pass ``arrive - wire`` to
+        :meth:`eject` (``arrive`` itself is returned because
+        ``(arrive - wire) + wire`` is not the same double).
+        """
+        link = self.link
+        wire = 0.0
+        if nbytes:
+            bw = float(link.effective_bandwidth(max(float(nbytes), 1.0)))
+            wire = nbytes / (bw * factor)
+        start = max(now, self._inject_free[src_node])
+        self._inject_free[src_node] = done = start + (link.sw_overhead_s + wire)
+        hops = int(self.topology.hop_row(src_node)[dst_node])
+        return done, done + hops * link.hop_latency_s, wire, hops
+
+    def eject(self, dst_node: int, ready: float, wire: float) -> float:
+        """Serialize one message through ``dst_node``'s ejection port;
+        returns the delivery time.
+
+        The reception port is bandwidth-limited too: a hot-spot
+        receiver drains concurrent senders one at a time (Davis et
+        al.'s hot-spot observation, in miniature).
+        """
+        deliver = max(ready, self._eject_free[dst_node]) + (self.recv_overhead_s + wire)
+        self._eject_free[dst_node] = deliver
+        return deliver
+
     def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Future:
-        """Start a transfer now; the future resolves at delivery time."""
+        """Start a transfer now; the future resolves at delivery time.
+
+        Under a fault injector whose network features are on, link
+        windows divide the wire bandwidth, and a drop decision resolves
+        the future with the injector's ``DROPPED`` sentinel at what
+        would have been delivery time — the sender's reliability layer
+        sees the loss only when the timeout/ack would have fired, as on
+        a real wire.  Without one the path pays a single predicate.
+        """
         if nbytes < 0:
             raise CommunicationError(f"negative message size {nbytes}")
+        now = self.engine.now
+        src_node = int(self.mapping.node_of(src_rank))
+        dst_node = int(self.mapping.node_of(dst_rank))
+        fut = Future(name=f"xfer {src_rank}->{dst_rank} {nbytes}B")
+        self.messages_sent += 1
+        self.bytes_sent += int(nbytes)
+        resolve = fut.resolve
+        factor = 1.0
         fault = self.fault
         if fault is not None and fault.net_active:
-            return self._transfer_faulty(src_rank, dst_rank, nbytes, fault)
-        now = self.engine.now
-        src_node = int(self.mapping.node_of(src_rank))
-        dst_node = int(self.mapping.node_of(dst_rank))
-        fut = Future(name=f"xfer {src_rank}->{dst_rank} {nbytes}B")
-        self.messages_sent += 1
-        self.bytes_sent += int(nbytes)
+            if fault.msg_faults and fault.drop_decision():
+                resolve = partial(fut.resolve, fault.DROPPED)
+            if fault.has_links:
+                factor = fault.link_factor(src_node, dst_node, now)
 
-        tracer = self.tracer
         if src_node == dst_node:
+            hops = 0
             deliver = now + self.link.sw_overhead_s + self.recv_overhead_s
-            if tracer is not None and tracer.enabled:
-                self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                            nbytes, 0, now, deliver)
-            self.engine.schedule_at(deliver, fut.resolve)
-            return fut
-
-        start = max(now, self._inject_free[src_node])
-        wire = 0.0
-        if nbytes:
-            wire = nbytes / float(self.link.effective_bandwidth(max(float(nbytes), 1.0)))
-        inject_busy = self.link.sw_overhead_s + wire
-        self._inject_free[src_node] = start + inject_busy
-        hops = int(self.topology.hop_row(src_node)[dst_node])
-        arrive = start + inject_busy + hops * self.link.hop_latency_s
-        # The destination's reception port is bandwidth-limited too: a
-        # hot-spot receiver drains concurrent senders one at a time
-        # (Davis et al.'s hot-spot observation, in miniature).
-        eject_busy = self.recv_overhead_s + wire
-        deliver = max(arrive - wire, self._eject_free[dst_node]) + eject_busy
-        self._eject_free[dst_node] = deliver
-        if tracer is not None and tracer.enabled:
-            self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                        nbytes, hops, now, deliver)
-        self.engine.schedule_at(deliver, fut.resolve)
-        return fut
-
-    def _transfer_faulty(self, src_rank, dst_rank, nbytes, fault) -> Future:
-        """The :meth:`transfer` timeline with fault hooks applied.
-
-        Link windows divide the wire bandwidth (the message occupies
-        both ports longer), and a drop decision resolves the future
-        with the injector's ``DROPPED`` sentinel at what would have
-        been delivery time — the sender's reliability layer sees the
-        loss only when the timeout/ack would have fired, as on a real
-        wire.  Kept out of :meth:`transfer` so the no-fault hot path
-        pays one predicate, not per-message branching.
-        """
-        now = self.engine.now
-        src_node = int(self.mapping.node_of(src_rank))
-        dst_node = int(self.mapping.node_of(dst_rank))
-        fut = Future(name=f"xfer {src_rank}->{dst_rank} {nbytes}B")
-        self.messages_sent += 1
-        self.bytes_sent += int(nbytes)
-        dropped = fault.msg_faults and fault.drop_decision()
-        resolve = partial(fut.resolve, fault.DROPPED) if dropped else fut.resolve
-
+        else:
+            _done, arrive, wire, hops = self.inject(src_node, dst_node, nbytes, now, factor)
+            deliver = self.eject(dst_node, arrive - wire, wire)
         tracer = self.tracer
-        if src_node == dst_node:
-            deliver = now + self.link.sw_overhead_s + self.recv_overhead_s
-            if tracer is not None and tracer.enabled:
-                self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                            nbytes, 0, now, deliver)
-            self.engine.schedule_at(deliver, resolve)
-            return fut
-
-        factor = 1.0
-        if fault.has_links:
-            factor = fault.link_factor(src_node, dst_node, now)
-        start = max(now, self._inject_free[src_node])
-        wire = 0.0
-        if nbytes:
-            bw = float(self.link.effective_bandwidth(max(float(nbytes), 1.0)))
-            wire = nbytes / (bw * factor)
-        inject_busy = self.link.sw_overhead_s + wire
-        self._inject_free[src_node] = start + inject_busy
-        hops = int(self.topology.hop_row(src_node)[dst_node])
-        arrive = start + inject_busy + hops * self.link.hop_latency_s
-        eject_busy = self.recv_overhead_s + wire
-        deliver = max(arrive - wire, self._eject_free[dst_node]) + eject_busy
-        self._eject_free[dst_node] = deliver
         if tracer is not None and tracer.enabled:
             self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
                         nbytes, hops, now, deliver)

@@ -1,29 +1,29 @@
 """Partition-aware DES transport for the conservative-parallel backend.
 
 A :class:`ShardNetwork` is a :class:`~repro.network.desnet.DESNetwork`
-that knows which contiguous node block its engine shard owns.  The
-timing laws are identical — same injection/ejection serialization,
-same cost model — but the transport returns *times* instead of
+that knows which contiguous node block its engine shard owns.  Pricing
+is the parent's port law — :meth:`~DESNetwork.inject` and
+:meth:`~DESNetwork.eject`, nothing restated here; this module holds
+only what a shard does differently.  It returns *times* instead of
 delivery futures, because send completion and delivery are decoupled
 across shards:
 
 * **Sends complete at injection.**  In the parallel backend *every*
   send's request resolves when the message clears the source node's
-  injection port (eager/buffered semantics, locally computable) —
-  waiting for remote delivery would need information from the future
-  of another shard, destroying the lookahead.
+  injection port (``inject``'s ``done``; eager/buffered semantics,
+  locally computable) — waiting for remote delivery would need
+  information from the future of another shard, destroying the
+  lookahead.
 
-* **Intra-shard messages** are priced exactly like the monolithic
-  network: both ports live on this shard, so the delivery time is
-  final at call time.
+* **Intra-shard messages** have both ports on this shard:
+  ``inject`` then ``eject``, exactly the monolithic timeline, final
+  at call time.
 
 * **Cross-shard messages** are priced up to the wire: the source
   computes ``ready = arrive − wire`` (when the head of the message
   reaches the destination node, which is what the ejection port
   serializes on) and stages an outbox record.  The destination shard
-  replays the ejection-port chaining at ``ready`` via
-  :meth:`commit_remote`, using the same
-  ``deliver = max(ready, eject_free) + recv_overhead + wire`` law.
+  replays ``eject`` at ``ready`` via :meth:`commit_remote`.
 
 Because shards partition *nodes*, a cross-shard message always crosses
 at least one wire hop: its ``ready`` lags the send by at least
@@ -85,47 +85,29 @@ class ShardNetwork(DESNetwork):
         dst_node = int(self.mapping.node_of(dst_rank))
         self.messages_sent += 1
         self.bytes_sent += int(nbytes)
-        link = self.link
-        tracer = self.tracer
 
         if src_node == dst_node:
-            done = now + link.sw_overhead_s
-            deliver = done + self.recv_overhead_s
-            if tracer is not None and tracer.enabled:
-                self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                            nbytes, 0, now, deliver)
-            return True, done, deliver, 0.0
-
-        wire = 0.0
-        if nbytes:
-            bw = float(link.effective_bandwidth(max(float(nbytes), 1.0)))
+            local, wire, hops = True, 0.0, 0
+            done = now + self.link.sw_overhead_s
+            t = span_end = done + self.recv_overhead_s
+        else:
+            factor = 1.0
             fault = self.fault
             if fault is not None and fault.has_links:
-                bw *= fault.link_factor(src_node, dst_node, now)
-            wire = nbytes / bw
-        start = max(now, self._inject_free[src_node])
-        inject_busy = link.sw_overhead_s + wire
-        done = start + inject_busy
-        self._inject_free[src_node] = done
-        hops = int(self.topology.hop_row(src_node)[dst_node])
-        arrive = start + inject_busy + hops * link.hop_latency_s
-
-        if self.node_shard[dst_node] == self.shard_id:
-            eject_busy = self.recv_overhead_s + wire
-            deliver = max(arrive - wire, self._eject_free[dst_node]) + eject_busy
-            self._eject_free[dst_node] = deliver
-            if tracer is not None and tracer.enabled:
-                self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                            nbytes, hops, now, deliver)
-            return True, done, deliver, wire
-
-        ready = arrive - wire
+                factor = fault.link_factor(src_node, dst_node, now)
+            done, arrive, wire, hops = self.inject(src_node, dst_node, nbytes, now, factor)
+            local = bool(self.node_shard[dst_node] == self.shard_id)
+            if local:
+                t = span_end = self.eject(dst_node, arrive - wire, wire)
+            else:
+                # The sender cannot know the remote ejection queue; the
+                # span covers send to arrival at the destination node.
+                t, span_end = arrive - wire, arrive
+        tracer = self.tracer
         if tracer is not None and tracer.enabled:
-            # The sender cannot know the remote ejection queue; the span
-            # covers send to arrival at the destination node.
             self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                        nbytes, hops, now, arrive)
-        return False, done, ready, wire
+                        nbytes, hops, now, span_end)
+        return local, done, t, wire
 
     # -- receiving (destination shard, between windows) ----------------
 
@@ -156,10 +138,7 @@ class ShardNetwork(DESNetwork):
         )
 
     def _commit(self, dst_rank, src_rank, tag, ready, wire, nbytes, payload) -> None:
-        dst_node = int(self.mapping.node_of(dst_rank))
-        eject_busy = self.recv_overhead_s + wire
-        deliver = max(ready, self._eject_free[dst_node]) + eject_busy
-        self._eject_free[dst_node] = deliver
+        deliver = self.eject(int(self.mapping.node_of(dst_rank)), ready, wire)
         self.engine.schedule_at(
             deliver,
             partial(self.deliver_remote, dst_rank, src_rank, tag, nbytes, payload),

@@ -25,9 +25,11 @@ Progress: the shard holding the global minimum always executes at
 least one event per window.
 
 Determinism: window boundaries, record routing, and the canonical
-merge order are all functions of the configuration alone — never of
-the worker count — which is what makes ``workers=N`` bitwise-identical
-to ``workers=1`` (pinned by ``tests/sim/test_parallel.py``).
+merge order are all functions of the program and the machine alone
+(``W`` is computed from the link, the shard count is a constant) —
+never of the worker count — which is what makes ``workers=N``
+bitwise-identical to ``workers=1`` (pinned by
+``tests/sim/test_parallel.py``).
 
 Workers are forked OS processes (records cross in packed byte strings,
 see :mod:`repro.sim.mailbox`); ``workers=1`` runs the same superstep
@@ -51,25 +53,17 @@ _INF = float("inf")
 class ParallelConfig:
     """Selects the parallel DES backend on ``MPIWorld.run`` entry points.
 
-    ``workers``   — OS worker processes (1 = in-process superstep loop).
-    ``shards``    — engine shards; default fixes eight so results never
-                    depend on the worker count (see
-                    :mod:`repro.sim.partition`).
-    ``window_s``  — optional safe-window override; must not exceed the
-                    link-derived lookahead or conservatism is lost.
+    ``workers`` — OS worker processes (1 = in-process superstep loop).
+    Nothing else is configurable: the shard count
+    (:data:`repro.sim.partition.DEFAULT_SHARDS`) and the safe window
+    (the link lookahead) are fixed, so results never depend on it.
     """
 
     workers: int = 1
-    shards: int | None = None
-    window_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.window_s is not None and not self.window_s > 0:
-            raise ConfigError(f"window_s must be > 0, got {self.window_s}")
 
 
 class WorkerFailed(SimulationError):

@@ -2,12 +2,12 @@
 
 The parallel backend (:mod:`repro.sim.parallel`) splits the simulated
 torus into ``num_shards`` contiguous node blocks and runs one engine
-per shard.  The shard count is a property of the *configuration*, not
-of the worker count: results are a deterministic function of
-``(program, machine, shards, window)``, and any number of OS workers
-executing a fixed shard set produces bitwise-identical results.  The
-default of eight shards divides evenly among 1/2/4/8 workers — the
-strong-scaling points BENCH_parallel.json records.
+per shard.  The shard count is a property of the *machine*, not of
+the worker count: results are a deterministic function of
+``(program, machine)``, and any number of OS workers executing the
+fixed shard set produces bitwise-identical results.  Eight shards
+divide evenly among 1/2/4/8 workers — the strong-scaling points
+BENCH_parallel.json records.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.utils.errors import ConfigError
 
-#: Default shard count — fixed so results do not depend on how many
+#: The shard count — fixed so results do not depend on how many
 #: workers happen to run them, and divisible by every worker count the
 #: partition-invariance tests sweep.
 DEFAULT_SHARDS = 8

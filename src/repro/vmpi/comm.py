@@ -154,38 +154,32 @@ class MessageBoard:
 
     # -- sends ----------------------------------------------------------
 
-    def post_send(self, source: int, dest: int, tag: int, payload: Any) -> Request:
-        """Eager buffered send: completes when the wire transfer finishes."""
-        self._check_rank(dest, "dest")
+    def _check_send(self, source: int, dests, tag: int) -> None:
+        """Validate one rank's sends to ``dests``; a crashed rank cannot send."""
         self._check_rank(source, "source")
+        for dest in dests:
+            self._check_rank(dest, "dest")
         if tag < 0:
             raise CommunicationError(f"send tag must be >= 0, got {tag}")
         fault = self.fault
-        if fault is not None and fault.active:
-            return self._post_send_faulty(source, dest, tag, payload, fault)
-        body = snapshot(payload)
-        nbytes = payload_nbytes(body)
-        wire = self.network.transfer(source, dest, nbytes)
-        done = Future(name="send")
-        wire.add_done_callback(_Delivery(self, dest, _Envelope(source, tag, body, nbytes), done))
-        return Request(done, kind="isend")
-
-    def _post_send_faulty(
-        self, source: int, dest: int, tag: int, payload: Any, fault
-    ) -> Request:
-        """:meth:`post_send` under an active fault injector.
-
-        Assigns per-pair sequence numbers when message faults are on
-        (the receiver releases envelopes in sequence order, so drop
-        retries and duplicates never reorder a pair's stream), and may
-        launch a duplicate wire packet of the same envelope.
-        """
-        if fault.is_dead(source):
+        if fault is not None and fault.active and fault.is_dead(source):
             raise RankFailed(source, fault.crash_time_of(source))
+
+    def post_send(self, source: int, dest: int, tag: int, payload: Any) -> Request:
+        """Eager buffered send: completes when the wire transfer finishes.
+
+        When message faults are on, the envelope carries a per-pair
+        sequence number (the receiver releases envelopes in sequence
+        order, so drop retries and duplicates never reorder a pair's
+        stream), and a duplicate wire packet of it may be launched.
+        """
+        self._check_send(source, (dest,), tag)
         body = snapshot(payload)
         nbytes = payload_nbytes(body)
+        fault = self.fault
+        msg_faults = fault is not None and fault.msg_faults
         seq = None
-        if fault.msg_faults:
+        if msg_faults:
             key = (source, dest)
             seq = self._pair_seq.get(key, 0)
             self._pair_seq[key] = seq + 1
@@ -193,7 +187,7 @@ class MessageBoard:
         done = Future(name="send")
         wire = self.network.transfer(source, dest, nbytes)
         wire.add_done_callback(_Delivery(self, dest, env, done))
-        if fault.msg_faults and fault.dup_decision():
+        if msg_faults and fault.dup_decision():
             # Duplicate packet: same envelope (same seq) on its own
             # wire slot; the receiver's sequence filter discards it.
             dup = self.network.transfer(source, dest, nbytes)
@@ -209,22 +203,15 @@ class MessageBoard:
         timeline is computed vectorized; delivery order and times are
         identical to an equivalent sequence of :meth:`post_send` calls.
         """
-        self._check_rank(source, "source")
-        if tag < 0:
-            raise CommunicationError(f"send tag must be >= 0, got {tag}")
-        for dest, _payload in dest_payloads:
-            self._check_rank(dest, "dest")
+        self._check_send(source, (d for d, _p in dest_payloads), tag)
         fault = self.fault
-        if fault is not None and fault.active:
-            if fault.is_dead(source):
-                raise RankFailed(source, fault.crash_time_of(source))
-            if fault.msg_faults:
-                # Sequence numbers and drop/dup draws must follow list
-                # order; take the scalar path per message.
-                return [self.post_send(source, d, tag, p) for d, p in dest_payloads]
-            # Crash/link faults only: the batch wire path is safe (the
-            # network already falls back to scalar under link windows,
-            # and dead endpoints are handled at delivery).
+        if fault is not None and fault.msg_faults:
+            # Sequence numbers and drop/dup draws must follow list
+            # order; take the scalar path per message.  (Crash/link
+            # faults alone keep the batch wire path: the network already
+            # falls back to scalar under link windows, and dead
+            # endpoints are handled at delivery.)
+            return [self.post_send(source, d, tag, p) for d, p in dest_payloads]
         bodies = [snapshot(p) for _d, p in dest_payloads]
         sizes = [payload_nbytes(b) for b in bodies]
         wires = self.network.transfer_many(
@@ -353,11 +340,7 @@ class MessageBoard:
             delay = fault.retry.delay(attempt)
             self.network.engine.schedule(delay, partial(self._retransmit, delivery))
             return
-        if fault.is_dead(dest) or fault.is_dead(env.source):
-            self.lost_messages += 1
-            fault.note_lost()
-            if not delivery.done.done:
-                delivery.done.resolve(None)
+        if self._lost_at_dead_endpoint(dest, env.source, delivery.done):
             return
         if env.seq is not None:
             self._deliver_ordered(dest, env)
@@ -366,15 +349,23 @@ class MessageBoard:
         if not delivery.done.done:
             delivery.done.resolve(None)
 
-    def _retransmit(self, delivery: _Delivery) -> None:
+    def _lost_at_dead_endpoint(self, dest: int, source: int, done: Future | None = None) -> bool:
+        """True when either endpoint has died: the message is discarded
+        and counted lost, and a still-pending send request completes."""
         fault = self.fault
+        if fault is None or not fault.active or not (
+            fault.is_dead(dest) or fault.is_dead(source)
+        ):
+            return False
+        self.lost_messages += 1
+        fault.note_lost()
+        if done is not None and not done.done:
+            done.resolve(None)
+        return True
+
+    def _retransmit(self, delivery: _Delivery) -> None:
         env = delivery.env
-        if fault is None or fault.is_dead(env.source) or fault.is_dead(delivery.dest):
-            self.lost_messages += 1
-            if fault is not None:
-                fault.note_lost()
-            if not delivery.done.done:
-                delivery.done.resolve(None)
+        if self._lost_at_dead_endpoint(delivery.dest, env.source, delivery.done):
             return
         wire = self.network.transfer(env.source, delivery.dest, env.nbytes)
         wire.add_done_callback(delivery)

@@ -10,7 +10,11 @@ from repro.machine.partition import Partition
 from repro.network.costs import LinkCostModel
 from repro.network.desnet import DESNetwork
 from repro.network.topology import TorusTopology
+from repro.fault.inject import FaultInjector
+from repro.fault.metrics import fault_report_from_counters
+from repro.obs.tracer import Span
 from repro.sim.engine import Engine
+from repro.utils.errors import DeadlockError
 from repro.vmpi.comm import MessageBoard, leak_error
 from repro.vmpi.context import RankContext
 
@@ -41,6 +45,123 @@ class WorldResult:
         return len(self.values)
 
 
+class RankRuntime:
+    """One engine and everything bound to it for a set of ranks: the
+    transport, the message board, the fault injector, the rank contexts
+    and their spawned coroutines.
+
+    The monolithic world is one runtime over every rank with
+    ``(DESNetwork, MessageBoard)``; the sharded world
+    (:mod:`repro.vmpi.shardworld`) is one per shard with the shard
+    classes, ``net_kwargs`` carrying what their constructor adds.
+    """
+
+    def __init__(
+        self, world: "MPIWorld", ranks: Sequence[int], program: Callable[..., Any],
+        args: tuple, kwargs: dict, plan, tracer, network_cls, board_cls,
+        ranks_on_node: dict[int, list[int]] | None = None, **net_kwargs: Any,
+    ):
+        self.tracer = tracer
+        self.engine = engine = Engine(tracer=tracer)
+        self.network = net = network_cls(
+            engine, world.topology, world.mapping, world.link,
+            world.recv_overhead_s, tracer=tracer, **net_kwargs,
+        )
+        self.board = board = board_cls(net, world.nprocs)
+        self.ctxs = [
+            RankContext(r, world.nprocs, board, engine, tracer=tracer) for r in ranks
+        ]
+        self.procs = {
+            ctx.rank: engine.spawn(program(ctx, *args, **kwargs), name=f"rank{ctx.rank}")
+            for ctx in self.ctxs
+        }
+        # Nothing has run yet (spawn only queues), so the injector can be
+        # wired in one place, after the processes it may kill exist.
+        self.injector = injector = None if plan is None else FaultInjector(plan, tracer=tracer)
+        if injector is not None:
+            board.fault = injector
+            if injector.net_active:
+                net.fault = injector
+            for ctx in self.ctxs:
+                ctx.fault = injector
+            # ``ranks_on_node`` must cover the whole run, not just these
+            # ranks: a message from a rank that crashed on a *remote*
+            # shard is discarded at delivery here, exactly as the
+            # monolithic board would.  Crash events still only kill
+            # processes that live in this runtime (procs lookup).
+            injector.arm(
+                engine, mapping=world.mapping, procs=self.procs, board=board,
+                ranks_on_node=ranks_on_node,
+            )
+
+    def finalize(self) -> dict:
+        """The run's books as plain (picklable) data, for :func:`collect_result`."""
+        board = self.board
+        return {
+            "values": {r: p.done.value for r, p in self.procs.items()},
+            "compute": {ctx.rank: ctx.compute_seconds for ctx in self.ctxs},
+            "messages": self.network.messages_sent,
+            "bytes": self.network.bytes_sent,
+            "elapsed": self.engine.last_event_time,
+            "blocked": [r for r, p in self.procs.items() if not p.finished],
+            "leaks": board.unreceived_messages() if board.unreceived_count() else [],
+            "fault": self.injector.counters() if self.injector is not None else None,
+            "tracer": self.tracer,
+        }
+
+
+def collect_result(
+    books: list[dict], ranks: Sequence[int], tracer, check_leaks: bool
+) -> WorldResult:
+    """Close a run from its runtimes' :meth:`RankRuntime.finalize` books
+    (one for the monolithic world, one per shard in shard order).
+
+    Spans and counters a runtime recorded on a tracer of its own are
+    folded into the world's ``tracer`` first, so a run that then fails
+    (deadlock, leaked messages) still leaves its trace behind.
+    """
+    for b in books:
+        own = b["tracer"]
+        if own is None or own is tracer:
+            continue
+        for sp in own.spans:
+            tracer.spans.append(
+                Span(sp.rank, sp.name, sp.cat, sp.t0, sp.t1, tracer.frame, sp.args)
+            )
+        for k, v in own.counters.items():
+            tracer.counters[k] = tracer.counters.get(k, 0) + v
+        for k, v in own.link_bytes.items():
+            tracer.link_bytes[k] = tracer.link_bytes.get(k, 0) + v
+
+    blocked = sorted(r for b in books for r in b["blocked"])
+    if blocked:
+        raise DeadlockError([f"rank{r}" for r in blocked])
+    leaks = [leak for b in books for leak in b["leaks"]]
+    if check_leaks and leaks:
+        raise leak_error(leaks)
+
+    elapsed = max((b["elapsed"] for b in books), default=0.0)
+    messages = sum(b["messages"] for b in books)
+    report = None
+    if books[0]["fault"] is not None:
+        report = fault_report_from_counters(
+            [b["fault"] for b in books], elapsed, len(ranks), messages
+        )
+    values: dict[int, Any] = {}
+    compute: dict[int, float] = {}
+    for b in books:
+        values.update(b["values"])
+        compute.update(b["compute"])
+    return WorldResult(
+        values=[values.get(r) for r in ranks],
+        elapsed_s=elapsed,
+        messages=messages,
+        bytes_sent=sum(b["bytes"] for b in books),
+        compute_seconds=[compute.get(r, 0.0) for r in ranks],
+        fault=report,
+    )
+
+
 class MPIWorld:
     """A simulated MPI job on a BG/P partition.
 
@@ -63,8 +184,6 @@ class MPIWorld:
         self.link = link or LinkCostModel()
         self.recv_overhead_s = recv_overhead_s
         self.tracer = tracer  # optional repro.obs.Tracer, shared by every run
-        self.last_network: DESNetwork | None = None
-        self.last_board: MessageBoard | None = None
 
     @classmethod
     def for_cores(
@@ -96,18 +215,17 @@ class MPIWorld:
     ) -> WorldResult:
         """Run ``program`` SPMD on every rank (or the given subset).
 
-        ``fault`` may be a :class:`~repro.fault.FaultPlan` or an
-        already-built :class:`~repro.fault.FaultInjector`; it is wired
-        into the engine, network, and message board for this run.  An
-        *empty* plan is still installed (so its cost is measurable) but
-        every hook short-circuits: results are bitwise identical to
-        ``fault=None``.
+        ``fault`` is a :class:`~repro.fault.FaultPlan`; the run builds
+        its own injector(s) from it and wires them into the engine,
+        network, and message board.  An *empty* plan is still installed
+        (so its cost is measurable) but every hook short-circuits:
+        results are bitwise identical to ``fault=None``.
 
         ``parallel`` (a :class:`~repro.sim.parallel.ParallelConfig`)
         selects the sharded conservative-parallel backend instead of
         the monolithic engine; any worker count produces identical
-        results for a fixed shard count (see
-        :mod:`repro.vmpi.shardworld`).
+        results (see :mod:`repro.vmpi.shardworld` for what that world
+        changes).
         """
         if parallel is not None:
             from repro.vmpi.shardworld import run_parallel
@@ -117,57 +235,10 @@ class MPIWorld:
                 ranks=ranks, check_leaks=check_leaks, fault=fault,
                 config=parallel,
             )
-        engine = Engine(tracer=self.tracer)
-        network = DESNetwork(
-            engine, self.topology, self.mapping, self.link, self.recv_overhead_s,
-            tracer=self.tracer,
-        )
-        board = MessageBoard(network, self.nprocs)
-        self.last_network = network
-        self.last_board = board
-        injector = None
-        if fault is not None:
-            from repro.fault.inject import FaultInjector
-
-            injector = (
-                fault
-                if isinstance(fault, FaultInjector)
-                else FaultInjector(fault, tracer=self.tracer)
-            )
-            board.fault = injector
-            if injector.net_active:
-                network.fault = injector
         which = list(range(self.nprocs)) if ranks is None else list(ranks)
-        ctxs = [
-            RankContext(r, self.nprocs, board, engine, tracer=self.tracer)
-            for r in which
-        ]
-        procs = [
-            engine.spawn(program(ctx, *args, **kwargs), name=f"rank{ctx.rank}")
-            for ctx in ctxs
-        ]
-        if injector is not None:
-            for ctx in ctxs:
-                ctx.fault = injector
-            injector.arm(
-                engine,
-                mapping=self.mapping,
-                procs={ctx.rank: p for ctx, p in zip(ctxs, procs)},
-                board=board,
-            )
-        elapsed = engine.run()
-        report = None
-        if injector is not None:
-            report = injector.finish(
-                elapsed, nranks=len(procs), total_messages=network.messages_sent
-            )
-        if check_leaks and board.unreceived_count():
-            raise leak_error(board.unreceived_messages())
-        return WorldResult(
-            values=[p.done.value for p in procs],
-            elapsed_s=elapsed,
-            messages=network.messages_sent,
-            bytes_sent=network.bytes_sent,
-            compute_seconds=[c.compute_seconds for c in ctxs],
-            fault=report,
+        runtime = RankRuntime(
+            self, which, program, args, kwargs, fault, self.tracer,
+            DESNetwork, MessageBoard,
         )
+        runtime.engine.run()
+        return collect_result([runtime.finalize()], which, self.tracer, check_leaks)

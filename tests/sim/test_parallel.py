@@ -211,15 +211,6 @@ class TestConfigValidation:
                 parallel=ParallelConfig(workers=2),
             )
 
-    def test_window_wider_than_lookahead_rejected(self):
-        world = MPIWorld.for_cores(8)
-        too_wide = world.link.sw_overhead_s + world.link.hop_latency_s
-        with pytest.raises(ConfigError, match="window"):
-            world.run(
-                lambda ctx: iter(()),
-                parallel=ParallelConfig(workers=2, window_s=too_wide * 2),
-            )
-
 
 class TestShardLayout:
     def test_contiguous_covers_all_nodes(self):

@@ -179,6 +179,32 @@ class TestSendRecv:
         assert messages[0] == messages[1]
         assert "22 messages" in messages[0] and "... and 2 more" in messages[0]
 
+    def test_deadlock_names_ranks_in_order_and_keeps_the_trace(self):
+        """Both worlds report a hung run the same way: blocked ranks in
+        rank order, and the spans recorded before the hang survive."""
+        from repro.obs.tracer import Tracer
+        from repro.sim.parallel import ParallelConfig
+        from repro.utils.errors import DeadlockError
+
+        def program(ctx):
+            if ctx.rank % 5 == 0:
+                yield from ctx.recv(source=ANY_SOURCE, tag=9)  # nobody sends tag 9
+            else:
+                yield from ctx.send(ctx.rank, dest=ctx.rank - ctx.rank % 5, tag=1)
+
+        messages, spans = [], []
+        for kwargs in ({}, {"parallel": ParallelConfig(workers=1)}):
+            world = MPIWorld.for_cores(64, tracer=Tracer())
+            with pytest.raises(DeadlockError) as exc:
+                world.run(program, **kwargs)
+            assert exc.value.blocked == [f"rank{r}" for r in range(0, 64, 5)]
+            messages.append(str(exc.value))
+            spans.append(sorted((sp.rank, sp.name) for sp in world.tracer.spans))
+        assert messages[0] == messages[1]
+        assert "rank0, rank5, rank10" in messages[0]
+        assert spans[0] == spans[1]
+        assert sum(name.startswith("msg->") for _r, name in spans[0]) == 51
+
     def test_waitall_returns_payloads(self):
         def program(ctx):
             if ctx.rank == 0:
