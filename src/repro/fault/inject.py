@@ -1,8 +1,8 @@
 """The fault injector: compiles a :class:`FaultPlan` into live behaviour.
 
-One :class:`FaultInjector` is created per run (its counters and RNG
-streams are run-local) and threaded through the stack by
-``MPIWorld.run(fault=...)``:
+``MPIWorld.run(fault=plan)`` builds one :class:`FaultInjector` per rank
+runtime (one for a monolithic run, one per shard otherwise; counters
+and RNG streams are run-local) and threads it through the stack:
 
 * the **engine** gets crash events (``Process.kill`` on every rank of
   the victim node) and the *quiescence* future that resolves once the
