@@ -67,3 +67,47 @@ class TestOrders:
         m = RankMapping(partition)
         with pytest.raises(ConfigError):
             m.rank_of(np.array([99, 0, 0, 0]))
+
+
+#: The node-id table every world routes through: (nodes, ppn).
+NODE_TABLE_PARTITIONS = [(8, 1), (64, 2), (32, 4), (512, 4)]
+
+
+class TestNodeOf:
+    """``node_of`` is a pure function of ``(partition, order)``; both
+    DES worlds resolve every message's endpoints through it."""
+
+    @pytest.mark.parametrize("order", MAPPING_ORDERS)
+    @pytest.mark.parametrize("nodes,ppn", NODE_TABLE_PARTITIONS)
+    def test_matches_coords_formula(self, nodes, ppn, order):
+        part = Partition(nodes, processes_per_node=ppn)
+        m = RankMapping(part, order)
+        sx, sy, _sz = part.shape
+        c = m.coords_of(np.arange(m.nprocs))
+        expected = c[:, 0] + sx * (c[:, 1] + sy * c[:, 2])
+        nodes_of = m.node_of(np.arange(m.nprocs))
+        assert np.array_equal(nodes_of, expected)
+        assert set(nodes_of.tolist()) == set(range(nodes))
+        # Every input spelling of one rank agrees with the array form.
+        for r in (0, 1, m.nprocs // 2 + 1, m.nprocs - 1):
+            want = int(expected[r])
+            assert m.node_of(r) == want
+            assert m.node_of(np.int64(r)) == want
+            assert m.node_of(np.array(r)) == want
+            assert np.array_equal(m.node_of([r, 0]), [want, int(expected[0])])
+
+    @pytest.mark.parametrize("order", MAPPING_ORDERS)
+    @pytest.mark.parametrize("nodes,ppn", NODE_TABLE_PARTITIONS)
+    def test_out_of_range_rejected_scalar_and_array(self, nodes, ppn, order):
+        m = RankMapping(Partition(nodes, processes_per_node=ppn), order)
+        for bad in (-1, m.nprocs):
+            with pytest.raises(ConfigError):
+                m.node_of(bad)
+            with pytest.raises(ConfigError):
+                m.node_of(np.int64(bad))
+            with pytest.raises(ConfigError):
+                m.node_of(np.array(bad))
+            with pytest.raises(ConfigError):
+                m.node_of(np.array([0, bad, 1]))
+            with pytest.raises(ConfigError):
+                m.node_of([0, bad])

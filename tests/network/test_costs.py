@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.network.costs import (
     ContentionLaw,
@@ -43,6 +44,16 @@ class TestLinkCostModel:
 
     def test_serialized_time_empty(self):
         assert LinkCostModel().serialized_time(np.array([])) == 0.0
+
+    @given(st.floats(min_value=1.0, max_value=1e12))
+    def test_scalar_equals_array_element_bitwise(self, x):
+        """The per-message (Python float) form and the batch (array)
+        form are the same IEEE double: ``==``, not ``approx`` — the DES
+        prices a message either way and the timelines must not differ."""
+        m = LinkCostModel()
+        assert isinstance(x, float)
+        assert m.eta(x) == m.eta(np.array([x]))[0]
+        assert m.effective_bandwidth(x) == m.effective_bandwidth(np.array([x]))[0]
 
 
 class TestContentionLaw:
