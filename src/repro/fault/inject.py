@@ -107,7 +107,7 @@ class FaultInjector:
         if ranks_on_node is None:
             ranks_on_node = {}
             for r in sorted(self._procs):
-                node = int(mapping.node_of(r)) if mapping is not None else int(r)
+                node = mapping.node_of(r) if mapping is not None else int(r)
                 ranks_on_node.setdefault(node, []).append(r)
         self._ranks_on_node = ranks_on_node
         last = 0.0

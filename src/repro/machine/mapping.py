@@ -18,7 +18,13 @@ MAPPING_ORDERS = ("XYZT", "TXYZ", "ZYXT", "TZYX")
 
 
 class RankMapping:
-    """Vectorized bidirectional rank <-> (x, y, z, t) mapping."""
+    """Vectorized bidirectional rank <-> (x, y, z, t) mapping.
+
+    The rank -> node map is a pure function of ``(partition, order)``,
+    so it is resolved once here: ``node_table`` (read-only ``int64``,
+    one entry per rank) is what :meth:`node_of` indexes.  Both DES
+    worlds look up every message's endpoints through it.
+    """
 
     def __init__(self, partition: Partition, order: str = "XYZT"):
         order = order.upper()
@@ -37,6 +43,10 @@ class RankMapping:
         self.nprocs = stride
         if self.nprocs != partition.nprocs:
             raise ConfigError("mapping does not cover the partition")  # pragma: no cover
+        c = self.coords_of(np.arange(self.nprocs, dtype=np.int64))
+        self.node_table = c[:, 0] + sx * (c[:, 1] + sy * c[:, 2])
+        self.node_table.setflags(write=False)
+        self._node_list: list[int] = self.node_table.tolist()
 
     # -- rank -> coords ------------------------------------------------
 
@@ -70,11 +80,22 @@ class RankMapping:
             r += c[..., i] * self._strides[axis]
         return r
 
-    def node_of(self, ranks: np.ndarray | int) -> np.ndarray:
-        """Linear node index (ignoring core) for each rank."""
-        c = self.coords_of(ranks)
-        sx, sy, _sz = self.partition.shape  # type: ignore[misc]
-        return c[..., 0] + sx * (c[..., 1] + sy * c[..., 2])
+    def node_of(self, ranks: np.ndarray | int) -> np.ndarray | int:
+        """Linear node index (ignoring core) for each rank.
+
+        A Python ``int`` rank gets a Python ``int`` back (the
+        per-message path); anything else is indexed as an array.  Both
+        range-check first: a bare table index would quietly read rank
+        ``-1`` as the last rank.
+        """
+        if isinstance(ranks, int):
+            if 0 <= ranks < self.nprocs:
+                return self._node_list[ranks]
+            raise ConfigError("rank out of range for partition")
+        r = np.asarray(ranks, dtype=np.int64)
+        if np.any((r < 0) | (r >= self.nprocs)):
+            raise ConfigError("rank out of range for partition")
+        return self.node_table[r]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RankMapping {self.order} over {self.partition}>"

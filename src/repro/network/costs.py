@@ -48,7 +48,14 @@ class LinkCostModel:
         check_positive("s_half_bytes", self.s_half_bytes)
 
     def eta(self, nbytes: np.ndarray | float) -> np.ndarray | float:
-        """Bandwidth efficiency for a message size (0, 1)."""
+        """Bandwidth efficiency for a message size (0, 1).
+
+        A Python ``float`` stays one — the DES prices every scalar
+        message through here — and is the same IEEE double as the
+        corresponding element of the array form.
+        """
+        if type(nbytes) is float:
+            return nbytes / (nbytes + self.s_half_bytes)
         s = np.asarray(nbytes, dtype=np.float64)
         out = s / (s + self.s_half_bytes)
         return float(out) if out.ndim == 0 else out

@@ -12,8 +12,9 @@ message's timeline is the port law, stated once as
     ready   = arrive - wire                       # head reaches dst node
     deliver = max(ready, dst node's ejector free time) + (recv_overhead + wire)
 
-Messages between ranks on the same node skip the wire and pay only
-software overhead.  This transport captures endpoint serialization and
+Node ids come from :class:`~repro.machine.mapping.RankMapping`'s
+rank -> node table.  Messages between ranks on the same node skip the
+wire and pay only software overhead.  This transport captures endpoint serialization and
 per-hop latency; phase-scale congestion (the Fig. 3/4 collapse) is the
 analytic model's job, at scales the DES does not run at.
 """
@@ -35,7 +36,14 @@ from repro.utils.validation import check_non_negative
 
 
 class DESNetwork:
-    """Torus transport bound to a DES engine and a rank mapping."""
+    """Torus transport bound to a DES engine and a rank mapping.
+
+    :meth:`transfer_then` (one message) and :meth:`transfer_many_then`
+    (one rank's batch, vectorized) price messages and schedule the
+    caller's delivery callables — one engine event per message,
+    nothing else allocated.  :meth:`transfer` / :meth:`transfer_many`
+    are the Future-returning adapters over them.
+    """
 
     def __init__(
         self,
@@ -81,7 +89,7 @@ class DESNetwork:
         link = self.link
         wire = 0.0
         if nbytes:
-            bw = float(link.effective_bandwidth(max(float(nbytes), 1.0)))
+            bw = link.effective_bandwidth(max(float(nbytes), 1.0))
             wire = nbytes / (bw * factor)
         start = max(now, self._inject_free[src_node])
         self._inject_free[src_node] = done = start + (link.sw_overhead_s + wire)
@@ -100,30 +108,29 @@ class DESNetwork:
         self._eject_free[dst_node] = deliver
         return deliver
 
-    def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Future:
-        """Start a transfer now; the future resolves at delivery time.
+    def transfer_then(self, src_rank: int, dst_rank: int, nbytes: int, fn) -> None:
+        """Start a transfer now; the engine calls ``fn()`` at delivery time.
 
         Under a fault injector whose network features are on, link
-        windows divide the wire bandwidth, and a drop decision resolves
-        the future with the injector's ``DROPPED`` sentinel at what
-        would have been delivery time — the sender's reliability layer
-        sees the loss only when the timeout/ack would have fired, as on
-        a real wire.  Without one the path pays a single predicate.
+        windows divide the wire bandwidth, and a drop decision makes
+        the delivery event call ``fn(fault.DROPPED)`` at what would
+        have been delivery time — the sender's reliability layer sees
+        the loss only when the timeout/ack would have fired, as on a
+        real wire.  Without one the path pays a single predicate.
         """
         if nbytes < 0:
             raise CommunicationError(f"negative message size {nbytes}")
         now = self.engine.now
-        src_node = int(self.mapping.node_of(src_rank))
-        dst_node = int(self.mapping.node_of(dst_rank))
-        fut = Future(name=f"xfer {src_rank}->{dst_rank} {nbytes}B")
+        node_of = self.mapping.node_of
+        src_node = node_of(src_rank)
+        dst_node = node_of(dst_rank)
         self.messages_sent += 1
         self.bytes_sent += int(nbytes)
-        resolve = fut.resolve
         factor = 1.0
         fault = self.fault
         if fault is not None and fault.net_active:
             if fault.msg_faults and fault.drop_decision():
-                resolve = partial(fut.resolve, fault.DROPPED)
+                fn = partial(fn, fault.DROPPED)
             if fault.has_links:
                 factor = fault.link_factor(src_node, dst_node, now)
 
@@ -137,38 +144,37 @@ class DESNetwork:
         if tracer is not None and tracer.enabled:
             self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
                         nbytes, hops, now, deliver)
-        self.engine.schedule_at(deliver, resolve)
-        return fut
+        self.engine.schedule_at(deliver, fn)
 
-    def transfer_many(
-        self, src_rank: int, requests: list[tuple[int, int]]
-    ) -> list[Future]:
+    def transfer_many_then(
+        self, src_rank: int, requests: list[tuple[int, int]], fns
+    ) -> None:
         """Start many transfers from one rank now, one per ``(dst_rank,
-        nbytes)`` request, in request order.
+        nbytes)`` request, in request order; ``fns[k]()`` runs when
+        request ``k`` is delivered.
 
         Semantically — and bitwise, in delivered times, byte/message
         counters, and trace spans — identical to calling
-        :meth:`transfer` once per request, but the injection/ejection
-        timelines, hop counts, and bandwidth curve are evaluated
-        vectorized in NumPy.  The injection chain
+        :meth:`transfer_then` once per request, but the
+        injection/ejection timelines, hop counts, and bandwidth curve
+        are evaluated vectorized in NumPy.  The injection chain
         ``free[k] = (...(start + busy[0]) + busy[1]...) + busy[k]`` is a
         ``cumsum`` seeded with the port's current free time, which
         reproduces the sequential left-to-right float additions exactly.
         """
         n = len(requests)
         if n == 0:
-            return []
+            return
         fault = self.fault
-        if fault is not None and fault.net_active:
-            # Per-message fault decisions must happen in request order;
-            # fall back to the scalar path so the counting RNG sees the
-            # same draw sequence as individual sends.
-            return [self.transfer(src_rank, d, b) for d, b in requests]
-        if n == 1:
-            dst, nbytes = requests[0]
-            return [self.transfer(src_rank, dst, nbytes)]
+        if n == 1 or (fault is not None and fault.net_active):
+            # Nothing to vectorize, or per-message fault decisions that
+            # must happen in request order: take the scalar path, so the
+            # counting RNG sees the same draw sequence as individual sends.
+            for (d, b), fn in zip(requests, fns):
+                self.transfer_then(src_rank, d, b, fn)
+            return
         now = self.engine.now
-        src_node = int(self.mapping.node_of(src_rank))
+        src_node = self.mapping.node_of(src_rank)
         dst_ranks = np.fromiter((d for d, _ in requests), dtype=np.int64, count=n)
         nb = np.fromiter((b for _, b in requests), dtype=np.int64, count=n)
         if nb.min() < 0:
@@ -218,18 +224,14 @@ class DESNetwork:
         schedule_at = self.engine.schedule_at
         tracer = self.tracer
         trace_on = tracer is not None and tracer.enabled
-        futs: list[Future] = []
         for k in range(n):
-            fut = Future(name="xfer")
             if trace_on:
                 self._trace(
                     tracer, src_rank, int(dst_ranks[k]), src_node,
                     int(dst_nodes[k]), int(nb[k]), int(hops_all[k]),
                     now, float(deliver[k]),
                 )
-            schedule_at(float(deliver[k]), fut.resolve)
-            futs.append(fut)
-        return futs
+            schedule_at(float(deliver[k]), fns[k])
 
     def _trace(self, tracer, src_rank, dst_rank, src_node, dst_node,
                nbytes, hops, t0, t1) -> None:
@@ -241,6 +243,24 @@ class DESNetwork:
         tracer.count("messages")
         tracer.count("bytes", int(nbytes))
         tracer.link(src_node, dst_node, int(nbytes))
+
+    # -- the Future form: adapters over the one pricing body --------------
+
+    def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Future:
+        """:meth:`transfer_then` with a future that resolves at delivery
+        time (with the injector's ``DROPPED`` sentinel for a dropped
+        packet)."""
+        fut = Future(name="xfer")
+        self.transfer_then(src_rank, dst_rank, nbytes, fut.resolve)
+        return fut
+
+    def transfer_many(
+        self, src_rank: int, requests: list[tuple[int, int]]
+    ) -> list[Future]:
+        """:meth:`transfer_many_then` with one future per request."""
+        futs = [Future(name="xfer") for _ in requests]
+        self.transfer_many_then(src_rank, requests, [f.resolve for f in futs])
+        return futs
 
     def reset_stats(self) -> None:
         self.messages_sent = 0

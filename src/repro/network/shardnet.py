@@ -79,10 +79,13 @@ class ShardNetwork(DESNetwork):
         resolves).  For an intra-shard message (``local`` True) ``t``
         is the final delivery time; for a cross-shard message it is
         the ejection-ready time the destination shard will chain on.
+        Both endpoints are one read each of the rank -> node table
+        (:meth:`RankMapping.node_of`).
         """
         now = self.engine.now
-        src_node = int(self.mapping.node_of(src_rank))
-        dst_node = int(self.mapping.node_of(dst_rank))
+        node_of = self.mapping.node_of
+        src_node = node_of(src_rank)
+        dst_node = node_of(dst_rank)
         self.messages_sent += 1
         self.bytes_sent += int(nbytes)
 
@@ -138,7 +141,7 @@ class ShardNetwork(DESNetwork):
         )
 
     def _commit(self, dst_rank, src_rank, tag, ready, wire, nbytes, payload) -> None:
-        deliver = self.eject(int(self.mapping.node_of(dst_rank)), ready, wire)
+        deliver = self.eject(self.mapping.node_of(dst_rank), ready, wire)
         self.engine.schedule_at(
             deliver,
             partial(self.deliver_remote, dst_rank, src_rank, tag, nbytes, payload),

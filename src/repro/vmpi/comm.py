@@ -90,8 +90,11 @@ class _PendingRecv:
 class _Delivery:
     """Wire-completion callback: lands one envelope in one mailbox.
 
-    A slotted callable instead of a closure — sends are the hottest
-    allocation site in a compositing phase.
+    The network schedules it as the delivery event itself
+    (:meth:`DESNetwork.transfer_then`), so the engine calls it with no
+    argument — or with the injector's ``DROPPED`` sentinel for a
+    dropped packet.  A slotted callable instead of a closure — sends
+    are the hottest allocation site in a compositing phase.
     """
 
     __slots__ = ("board", "dest", "env", "done", "attempt")
@@ -103,7 +106,7 @@ class _Delivery:
         self.done = done
         self.attempt = 0  # retransmission count when faults are active
 
-    def __call__(self, value: Any) -> None:
+    def __call__(self, value: Any = None) -> None:
         board = self.board
         fault = board.fault
         if fault is not None and fault.active:
@@ -185,13 +188,15 @@ class MessageBoard:
             self._pair_seq[key] = seq + 1
         env = _Envelope(source, tag, body, nbytes, seq)
         done = Future(name="send")
-        wire = self.network.transfer(source, dest, nbytes)
-        wire.add_done_callback(_Delivery(self, dest, env, done))
+        transfer_then = self.network.transfer_then
+        transfer_then(source, dest, nbytes, _Delivery(self, dest, env, done))
         if msg_faults and fault.dup_decision():
             # Duplicate packet: same envelope (same seq) on its own
             # wire slot; the receiver's sequence filter discards it.
-            dup = self.network.transfer(source, dest, nbytes)
-            dup.add_done_callback(_Delivery(self, dest, env, Future(name="send-dup")))
+            transfer_then(
+                source, dest, nbytes,
+                _Delivery(self, dest, env, Future(name="send-dup")),
+            )
         return Request(done, kind="isend")
 
     def post_send_many(
@@ -199,7 +204,7 @@ class MessageBoard:
     ) -> list[Request]:
         """Eager sends of many messages with one tag, in list order.
 
-        Uses :meth:`DESNetwork.transfer_many`, so the whole batch's wire
+        Uses :meth:`DESNetwork.transfer_many_then`, so the whole batch's wire
         timeline is computed vectorized; delivery order and times are
         identical to an equivalent sequence of :meth:`post_send` calls.
         """
@@ -212,18 +217,19 @@ class MessageBoard:
             # falls back to scalar under link windows, and dead
             # endpoints are handled at delivery.)
             return [self.post_send(source, d, tag, p) for d, p in dest_payloads]
-        bodies = [snapshot(p) for _d, p in dest_payloads]
-        sizes = [payload_nbytes(b) for b in bodies]
-        wires = self.network.transfer_many(
-            source, [(d, s) for (d, _p), s in zip(dest_payloads, sizes)]
-        )
+        requests = []
+        deliveries = []
         reqs = []
-        for (dest, _p), body, nbytes, wire in zip(dest_payloads, bodies, sizes, wires):
+        for dest, payload in dest_payloads:
+            body = snapshot(payload)
+            nbytes = payload_nbytes(body)
             done = Future(name="send")
-            wire.add_done_callback(
+            requests.append((dest, nbytes))
+            deliveries.append(
                 _Delivery(self, dest, _Envelope(source, tag, body, nbytes), done)
             )
             reqs.append(Request(done, kind="isend"))
+        self.network.transfer_many_then(source, requests, deliveries)
         return reqs
 
     # -- receives ---------------------------------------------------------
@@ -367,8 +373,7 @@ class MessageBoard:
         env = delivery.env
         if self._lost_at_dead_endpoint(delivery.dest, env.source, delivery.done):
             return
-        wire = self.network.transfer(env.source, delivery.dest, env.nbytes)
-        wire.add_done_callback(delivery)
+        self.network.transfer_then(env.source, delivery.dest, env.nbytes, delivery)
 
     def _deliver_ordered(self, dest: int, env: _Envelope) -> None:
         """Release the pair's stream in send order; discard duplicates.

@@ -14,7 +14,7 @@ from repro.fault.inject import FaultInjector
 from repro.fault.metrics import fault_report_from_counters
 from repro.obs.tracer import Span
 from repro.sim.engine import Engine
-from repro.utils.errors import DeadlockError
+from repro.utils.errors import ConfigError, DeadlockError
 from repro.vmpi.comm import MessageBoard, leak_error
 from repro.vmpi.context import RankContext
 
@@ -213,7 +213,8 @@ class MPIWorld:
         parallel: Any = None,
         **kwargs: Any,
     ) -> WorldResult:
-        """Run ``program`` SPMD on every rank (or the given subset).
+        """Run ``program`` SPMD on every rank (or the given subset:
+        ``ranks`` must name existing ranks, each once).
 
         ``fault`` is a :class:`~repro.fault.FaultPlan`; the run builds
         its own injector(s) from it and wires them into the engine,
@@ -227,6 +228,14 @@ class MPIWorld:
         results (see :mod:`repro.vmpi.shardworld` for what that world
         changes).
         """
+        if ranks is not None:
+            seen: set[int] = set()
+            for r in ranks:
+                if not 0 <= r < self.nprocs:
+                    raise ConfigError(f"ranks: rank {r} out of range [0, {self.nprocs})")
+                if r in seen:
+                    raise ConfigError(f"ranks: rank {r} listed more than once")
+                seen.add(r)
         if parallel is not None:
             from repro.vmpi.shardworld import run_parallel
 

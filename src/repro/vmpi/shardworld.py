@@ -101,7 +101,7 @@ class ShardMessageBoard(MessageBoard):
             seq = self._src_seq.get(source, 0)
             self._src_seq[source] = seq + 1
             net.outbox.append(
-                (int(net.node_shard[int(net.mapping.node_of(dest))]),
+                (int(net.node_shard[net.mapping.node_of(dest)]),
                  dest, source, seq, tag, t, wire, nbytes, kind, blob)
             )
         engine.schedule_at(done_t, done.resolve)
@@ -252,18 +252,16 @@ def run_parallel(
 
     nprocs = world.nprocs
     which = list(range(nprocs)) if ranks is None else list(ranks)
-    rank_shard = layout.node_shard[
-        np.asarray(world.mapping.node_of(np.arange(nprocs, dtype=np.int64)))
-    ]
     which_arr = np.asarray(which, dtype=np.int64)
-    shard_of_which = rank_shard[which_arr]
+    node_of_which = world.mapping.node_table[which_arr]
+    shard_of_which = layout.node_shard[node_of_which]
     ranks_by_shard = {
         sid: which_arr[shard_of_which == sid].tolist()
         for sid in range(layout.num_shards)
     }
     ranks_by_node: dict[int, list[int]] = {}
-    for r in which:
-        ranks_by_node.setdefault(int(world.mapping.node_of(r)), []).append(r)
+    for r, node in zip(which, node_of_which.tolist()):
+        ranks_by_node.setdefault(node, []).append(r)
     for rs in ranks_by_node.values():
         rs.sort()
 

@@ -9,6 +9,8 @@ message counters, port free times, and trace spans all identical.
 import numpy as np
 import pytest
 
+from repro.fault.inject import FaultInjector
+from repro.fault.plan import FaultPlan, LinkWindow
 from repro.machine.mapping import RankMapping
 from repro.machine.partition import Partition
 from repro.network.costs import LinkCostModel
@@ -84,6 +86,79 @@ class TestBulkParity:
         _eng, net = make_net()
         with pytest.raises(CommunicationError):
             net.transfer_many(0, [(9, 100), (10, -1)])
+
+
+class TestCallbackAndFutureForms:
+    """``transfer`` / ``transfer_many`` are Future adapters over
+    ``transfer_then`` / ``transfer_many_then``: one pricing body, so the
+    two forms cannot drift — same delivery times in the same order,
+    same port state, counters and trace, same dropped packets."""
+
+    #: The awkward fan-out from rank 0, then an ``n == 1`` batch from
+    #: rank 2 onto a node the first batch already loaded.
+    BATCHES = [(0, REQUESTS), (2, [(9, 512)])]
+
+    def _run(self, future_form, bulk, plan=None):
+        tracer = Tracer()
+        eng, net = make_net(order="TXYZ", tracer=tracer)
+        if plan is not None:
+            net.fault = FaultInjector(plan)
+            assert net.fault.net_active
+        log = []  # (message index, engine.now, value) in callback order
+
+        def landing(k):
+            return lambda value=None: log.append((k, eng.now, value))
+
+        k0 = 0
+        for src, requests in self.BATCHES:
+            fns = [landing(k0 + i) for i in range(len(requests))]
+            k0 += len(requests)
+            if future_form:
+                if bulk:
+                    futs = net.transfer_many(src, requests)
+                else:
+                    futs = [net.transfer(src, d, b) for d, b in requests]
+                for fut, fn in zip(futs, fns):
+                    fut.add_done_callback(fn)
+            elif bulk:
+                net.transfer_many_then(src, requests, fns)
+            else:
+                for (d, b), fn in zip(requests, fns):
+                    net.transfer_then(src, d, b, fn)
+        eng.run()
+        spans = [(s.rank, s.name, s.cat, s.t0, s.t1, s.args) for s in tracer.spans]
+        state = (
+            net._inject_free.tolist(), net._eject_free.tolist(),
+            net.messages_sent, net.bytes_sent,
+            spans, tracer.counters, tracer.link_bytes,
+        )
+        return log, state
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_same_callbacks_same_state(self, bulk):
+        log_cb, state_cb = self._run(future_form=False, bulk=bulk)
+        log_fut, state_fut = self._run(future_form=True, bulk=bulk)
+        n = sum(len(reqs) for _src, reqs in self.BATCHES)
+        assert sorted(k for k, _t, _v in log_cb) == list(range(n))
+        assert all(v is None for _k, _t, v in log_cb)
+        assert log_cb == log_fut  # (index, time) in firing order; == on floats
+        assert state_cb == state_fut
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_same_drops_under_net_faults(self, bulk):
+        plan = FaultPlan(
+            seed=5, drop_prob=0.4,
+            link_windows=(LinkWindow(0.0, 1.0, 0.5),),
+        )
+        log_cb, state_cb = self._run(False, bulk, plan)
+        log_fut, state_fut = self._run(True, bulk, plan)
+        dropped = [k for k, _t, v in log_cb if v is FaultInjector.DROPPED]
+        assert dropped and len(dropped) < len(log_cb)  # some of each
+        assert all(v is None or v is FaultInjector.DROPPED for _k, _t, v in log_cb)
+        assert log_cb == log_fut
+        assert state_cb == state_fut
+        # The window slowed the wire: not the fault-free timeline.
+        assert state_cb[0] != self._run(False, bulk)[1][0]
 
 
 class TestEndpointSerialization:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.errors import CommunicationError
+from repro.sim.parallel import ParallelConfig
+from repro.utils.errors import CommunicationError, ConfigError
 from repro.vmpi import ANY_SOURCE, ANY_TAG, MPIWorld
 
 
@@ -216,6 +217,39 @@ class TestSendRecv:
 
         res = run(4, program)
         assert res[0] == [1, 4, 9]
+
+
+class TestRanksSubset:
+    """``run(ranks=...)`` names existing ranks, each once — checked once,
+    before either world is built."""
+
+    @pytest.mark.parametrize(
+        "ranks,text",
+        [
+            ([64], "ranks: rank 64 out of range [0, 64)"),
+            ([-1, 0], "ranks: rank -1 out of range [0, 64)"),
+            ([0, 0], "ranks: rank 0 listed more than once"),
+        ],
+    )
+    def test_bad_ranks_rejected_identically_by_both_worlds(self, ranks, text):
+        def program(ctx):
+            yield from ctx.compute(1e-6)
+            return ctx.rank
+
+        world = MPIWorld.for_cores(64)
+        for kwargs in ({}, {"parallel": ParallelConfig(workers=1)}):
+            with pytest.raises(ConfigError) as exc:
+                world.run(program, ranks=ranks, **kwargs)
+            assert str(exc.value) == text
+
+    def test_valid_subset_runs_on_both_worlds(self):
+        def program(ctx):
+            yield from ctx.compute(1e-6)
+            return ctx.rank
+
+        world = MPIWorld.for_cores(64)
+        for kwargs in ({}, {"parallel": ParallelConfig(workers=1)}):
+            assert world.run(program, ranks=[63, 5], **kwargs).values == [63, 5]
 
 
 class TestTiming:
