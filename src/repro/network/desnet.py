@@ -14,9 +14,10 @@ message's timeline is the port law, stated once as
 
 Node ids come from :class:`~repro.machine.mapping.RankMapping`'s
 rank -> node table.  Messages between ranks on the same node skip the
-wire and pay only software overhead.  This transport captures endpoint serialization and
-per-hop latency; phase-scale congestion (the Fig. 3/4 collapse) is the
-analytic model's job, at scales the DES does not run at.
+wire and pay only software overhead.  This transport captures endpoint
+serialization and per-hop latency; phase-scale congestion (the Fig. 3/4
+collapse) is the analytic model's job, at scales the DES does not run
+at.
 """
 
 from __future__ import annotations

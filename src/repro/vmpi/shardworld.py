@@ -250,10 +250,9 @@ def run_parallel(
         for s in group:
             worker_of_shard[s] = w
 
-    nprocs = world.nprocs
-    which = list(range(nprocs)) if ranks is None else list(ranks)
+    which = list(range(world.nprocs)) if ranks is None else list(ranks)
     which_arr = np.asarray(which, dtype=np.int64)
-    node_of_which = world.mapping.node_table[which_arr]
+    node_of_which = world.mapping.node_of(which_arr)
     shard_of_which = layout.node_shard[node_of_which]
     ranks_by_shard = {
         sid: which_arr[shard_of_which == sid].tolist()
