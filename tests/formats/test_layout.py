@@ -118,3 +118,64 @@ class TestSubarrayRuns:
             assert stats.run_bytes == runs[0][1]
             assert stats.first_offset == runs[0][0]
             assert stats.last_end == runs[-1][0] + runs[-1][1]
+
+
+def _maximal_runs(byte_ids: np.ndarray, group_ids: np.ndarray) -> list[tuple[int, int]]:
+    """(first, length) of each stretch of consecutive ids inside one group."""
+    if byte_ids.size == 0:
+        return []
+    breaks = np.flatnonzero((np.diff(byte_ids) != 1) | (np.diff(group_ids) != 0)) + 1
+    firsts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [byte_ids.size]))
+    return [(int(byte_ids[a]), int(b - a)) for a, b in zip(firsts, ends)]
+
+
+def layout_case():
+    """(shape, start, count) in 1-4 dims, biased to empty and full cover."""
+    dim = st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.one_of(
+            st.just((n, 0, n)),
+            st.integers(min_value=0, max_value=n - 1).flatmap(
+                lambda s: st.integers(min_value=0, max_value=n - s).map(lambda c: (n, s, c))
+            ),
+        )
+    )
+    return st.lists(dim, min_size=1, max_size=4).map(
+        lambda dims: tuple(tuple(d[i] for d in dims) for i in range(3))
+    )
+
+
+class TestRunsAndLayoutsAgainstBruteForce:
+    """Enumerate every byte, slice, regroup and map by hand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layout_case(),
+        st.sampled_from([1, 2, 4]),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_runs_then_file_ranges(self, case, itemsize, begin, slab, pad):
+        shape, start, count = case
+        nbytes = int(np.prod(shape)) * itemsize
+        ids = np.arange(nbytes).reshape(shape + (itemsize,))
+        ids = ids[tuple(slice(s, s + c) for s, c in zip(start, count))].ravel()
+        runs = list(subarray_runs(shape, start, count, itemsize))
+        assert runs == _maximal_runs(ids, np.zeros_like(ids))
+        assert all(type(v) is int for run in runs for v in run)
+
+        contiguous = ContiguousLayout(begin=begin, nbytes=nbytes)
+        got = [r for off, ln in runs for r in contiguous.file_ranges(off, ln)]
+        assert got == [(begin + off, ln) for off, ln in runs]
+
+        # Slabs unrelated to the rows: runs cross them wherever they fall,
+        # and a piece never continues past a slab even when pad == 0.
+        stride = slab + pad
+        record = RecordLayout(begin, slab, stride, num_records=-(-nbytes // slab))
+        got = [r for off, ln in runs for r in record.file_ranges(off, ln)]
+        run_of_byte = np.repeat(np.arange(len(runs)), [ln for _off, ln in runs])
+        rec, within = np.divmod(ids, slab)
+        file_ids = begin + rec * stride + within
+        assert got == _maximal_runs(file_ids, run_of_byte * (nbytes + 1) + rec)
+        assert sum(ln for _off, ln in got) == ids.size
