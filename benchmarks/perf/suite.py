@@ -183,7 +183,7 @@ def bench_composite(repeats: int = 5) -> dict:
 def bench_two_phase_plan(repeats: int = 5) -> dict:
     """Two-phase collective read planning for a 128^3 netCDF variable."""
     from repro.pio.hints import IOHints
-    from repro.pio.twophase import merge_intervals, plan_two_phase
+    from repro.pio.twophase import plan_two_phase
     from repro.render.decomposition import BlockDecomposition
 
     n = 128
@@ -203,7 +203,7 @@ def bench_two_phase_plan(repeats: int = 5) -> dict:
     file_size = n * n * n * itemsize
 
     def plan():
-        return plan_two_phase(merge_intervals(intervals), hints, file_size)
+        return plan_two_phase(intervals, hints, file_size)
 
     seconds, plan_result = _timeit(plan, repeats)
     return {
@@ -212,6 +212,39 @@ def bench_two_phase_plan(repeats: int = 5) -> dict:
         "config": {"grid": n, "nprocs": nprocs, "cb_nodes": 32},
         "seconds": seconds,
         "physical_accesses": int(plan_result.num_accesses),
+    }
+
+
+def bench_collective_read_blocks(repeats: int = 5) -> dict:
+    """The whole I/O stage: one 128^3 VH-1 record variable read by 512 ranks.
+
+    Timed region = what every functional frame runs first: per-rank
+    byte ranges, the two-phase plan, the physical reads, phase-2
+    assembly and decode.  The file (five interleaved variables, 42 MB)
+    is built once, untimed.
+    """
+    from repro.data import SupernovaModel, write_vh1_netcdf
+    from repro.pio import IOHints, NetCDFHandle, collective_read_blocks
+    from repro.render.decomposition import BlockDecomposition
+
+    n = 128
+    nprocs = 512
+    grid = (n, n, n)
+    handle = NetCDFHandle(write_vh1_netcdf(SupernovaModel(grid, seed=11, time=0.5)), "vx")
+    blocks = [(b.start, b.count) for b in BlockDecomposition(grid, nprocs).blocks()]
+    hints = IOHints()
+
+    seconds, (_arrays, report) = _timeit(
+        lambda: collective_read_blocks(handle, blocks, hints), repeats
+    )
+    return {
+        "name": "collective_read_blocks_128",
+        "guard": True,
+        "config": {"grid": n, "nprocs": nprocs, "variables": 5},
+        "seconds": seconds,
+        "physical_accesses": int(report.num_accesses),
+        "density": report.density,
+        "read_MBps": report.requested_bytes / seconds / 1e6,
     }
 
 
@@ -250,7 +283,13 @@ def bench_engine_events(repeats: int = 5) -> dict:
 
 
 def bench_frame_plan_cache(repeats: int = 3) -> dict:
-    """End-to-end frames against one renderer: cold plan vs cached plan."""
+    """End-to-end frames against one renderer: cold plan vs cached plan.
+
+    Recorded, not guarded: warm/cold is 1.03x on this frame (planning is
+    a few percent of it), so a regression in the plan cache cannot move
+    this number past any tolerance — the e2e benchmark's
+    ``core.plan.cold_s`` / ``warm_s`` probes measure the cache itself.
+    """
     from repro.core.pipeline import ParallelVolumeRenderer
     from repro.data import SupernovaModel, write_vh1_netcdf
     from repro.pio import NetCDFHandle
@@ -273,7 +312,8 @@ def bench_frame_plan_cache(repeats: int = 3) -> dict:
     warm_seconds, _ = _timeit(lambda: renderer.render_frame(handle), repeats)
     return {
         "name": "frame_plan_cache",
-        "guard": True,
+        "guard": False,
+        "note": "warm/cold 1.03x: does not discriminate; see core.plan.* in benchmarks/e2e",
         "config": {"grid": grid[0], "cores": 16, "image": 128},
         "seconds": warm_seconds,
         "cold_seconds": cold_seconds,
@@ -287,6 +327,7 @@ BENCHMARKS = {
     "render_kernel_reference": (bench_render_kernel_reference, "BENCH_render.json"),
     "composite_over": (bench_composite, "BENCH_render.json"),
     "two_phase_plan": (bench_two_phase_plan, "BENCH_pipeline.json"),
+    "collective_read_blocks_128": (bench_collective_read_blocks, "BENCH_pipeline.json"),
     "engine_events": (bench_engine_events, "BENCH_pipeline.json"),
     "frame_plan_cache": (bench_frame_plan_cache, "BENCH_pipeline.json"),
 }

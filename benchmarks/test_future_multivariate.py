@@ -22,7 +22,7 @@ from repro.data import SupernovaModel
 from repro.model.pipeline import VH1_VARIABLES, _build_handle
 from repro.pio import plan_read_blocks
 from repro.pio.reader import IOReport
-from repro.pio.twophase import merge_intervals, plan_two_phase
+from repro.pio.twophase import plan_two_phase
 from repro.render import Camera, TransferFunction
 from repro.render.multivariate import MultivariateTransfer, render_multivar_serial
 
@@ -56,7 +56,7 @@ def test_future_multivariate(benchmark, results_dir, fm_1120):
         v = nc.variable(name)
         needed.extend(v.layout.covering_intervals())
         useful += v.layout.nbytes
-    combined_plan = plan_two_phase(merge_intervals(needed), hints, nc.store.size())
+    combined_plan = plan_two_phase(needed, hints, nc.store.size())
     combined = IOReport(combined_plan, useful, 1, nc.header_bytes, CORES, nc.store.size())
 
     from repro.machine.partition import Partition

@@ -19,6 +19,7 @@ from repro.formats.layout import (
     ContiguousLayout,
     RecordLayout,
     VariableLayout,
+    subarray_run_offsets,
     subarray_runs,
     subarray_run_stats,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "ContiguousLayout",
     "RecordLayout",
     "VariableLayout",
+    "subarray_run_offsets",
     "subarray_runs",
     "subarray_run_stats",
     "NetCDFWriter",

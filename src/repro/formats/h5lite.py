@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.formats.layout import ContiguousLayout, subarray_runs
+from repro.formats.layout import ContiguousLayout, range_pairs, read_ranges
 from repro.storage.store import ByteStore, MemoryStore
 from repro.utils.errors import FormatError
 
@@ -220,17 +220,14 @@ class H5LiteFile:
     def read_subarray(self, name: str, start: Sequence[int], count: Sequence[int]) -> np.ndarray:
         ds = self.dataset(name)
         dt = np.dtype(ds.dtype)
-        chunks = [
-            self.store.read(ds.data_offset + off, n)
-            for off, n in subarray_runs(ds.shape, start, count, dt.itemsize)
-        ]
-        arr = np.frombuffer(b"".join(chunks), dtype=dt).astype(dt.newbyteorder("="))
+        ranges = ds.layout.subarray_file_ranges(ds.shape, start, count, dt.itemsize)
+        arr = np.frombuffer(read_ranges(self.store, *ranges), dtype=dt).astype(dt.newbyteorder("="))
         return arr.reshape(tuple(int(c) for c in count))
 
     def subarray_file_ranges(
         self, name: str, start: Sequence[int], count: Sequence[int]
     ) -> Iterator[tuple[int, int]]:
         ds = self.dataset(name)
-        dt = np.dtype(ds.dtype)
-        for off, n in subarray_runs(ds.shape, start, count, dt.itemsize):
-            yield (ds.data_offset + off, n)
+        return range_pairs(
+            *ds.layout.subarray_file_ranges(ds.shape, start, count, np.dtype(ds.dtype).itemsize)
+        )

@@ -33,7 +33,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.formats.layout import ContiguousLayout, RecordLayout, VariableLayout, subarray_runs
+from repro.formats.layout import ContiguousLayout, RecordLayout, VariableLayout, range_pairs, read_ranges
 from repro.storage.store import ByteStore, MemoryStore
 from repro.utils.errors import FormatError
 
@@ -690,11 +690,8 @@ class NetCDFFile:
         """Read a hyperslab of a variable into a native-endian array."""
         v = self.variable(name)
         assert v.layout is not None
-        chunks = []
-        for var_off, length in subarray_runs(v.shape, start, count, v.itemsize):
-            for file_off, n in v.layout.file_ranges(var_off, length):
-                chunks.append(self.store.read(file_off, n))
-        raw = b"".join(chunks)
+        ranges = v.layout.subarray_file_ranges(v.shape, start, count, v.itemsize)
+        raw = read_ranges(self.store, *ranges)
         arr = np.frombuffer(raw, dtype=v.dtype).astype(v.dtype.newbyteorder("="))
         return arr.reshape(tuple(int(c) for c in count))
 
@@ -704,8 +701,7 @@ class NetCDFFile:
         """File (offset, length) ranges a hyperslab read must touch."""
         v = self.variable(name)
         assert v.layout is not None
-        for var_off, length in subarray_runs(v.shape, start, count, v.itemsize):
-            yield from v.layout.file_ranges(var_off, length)
+        return range_pairs(*v.layout.subarray_file_ranges(v.shape, start, count, v.itemsize))
 
     # -- introspection (Fig. 8) -----------------------------------------------
 

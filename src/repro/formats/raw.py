@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.formats.layout import ContiguousLayout, subarray_runs
+from repro.formats.layout import ContiguousLayout, range_pairs, read_ranges
 from repro.storage.store import ByteStore, MemoryStore, VirtualStore
 from repro.utils.errors import FormatError
 from repro.utils.validation import check_shape3
@@ -64,11 +64,8 @@ class RawVolume:
     # -- reads -------------------------------------------------------------
 
     def read_subarray(self, start: Sequence[int], count: Sequence[int]) -> np.ndarray:
-        chunks = [
-            self.store.read(off, n)
-            for off, n in subarray_runs(self.shape, start, count, self.itemsize)
-        ]
-        arr = np.frombuffer(b"".join(chunks), dtype=self.dtype)
+        ranges = self.layout.subarray_file_ranges(self.shape, start, count, self.itemsize)
+        arr = np.frombuffer(read_ranges(self.store, *ranges), dtype=self.dtype)
         return arr.astype(self.dtype.newbyteorder("=")).reshape(tuple(int(c) for c in count))
 
     def read_all(self) -> np.ndarray:
@@ -78,4 +75,6 @@ class RawVolume:
         self, start: Sequence[int], count: Sequence[int]
     ) -> Iterator[tuple[int, int]]:
         """(offset, length) file ranges for a hyperslab (begin is 0)."""
-        yield from subarray_runs(self.shape, start, count, self.itemsize)
+        return range_pairs(
+            *self.layout.subarray_file_ranges(self.shape, start, count, self.itemsize)
+        )

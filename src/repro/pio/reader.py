@@ -16,11 +16,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.formats.h5lite import H5LiteFile
+from repro.formats.layout import RangeArrays, VariableLayout, range_pairs
 from repro.formats.netcdf import NetCDFFile
 from repro.formats.raw import RawVolume
 from repro.pio.hints import IOHints
-from repro.pio.twophase import Interval, TwoPhasePlan, TwoPhaseReader, merge_intervals
+from repro.pio.twophase import Interval, TwoPhasePlan, TwoPhaseReader
 from repro.storage.accesslog import AccessLog
+from repro.storage.store import ByteStore
 from repro.storage.stripedfs import StripeConfig, StripedFile
 from repro.utils.errors import FormatError
 
@@ -28,11 +30,15 @@ Block = tuple[Sequence[int], Sequence[int]]  # (start, count)
 
 
 class DatasetHandle:
-    """Uniform view of one variable in one file."""
+    """Uniform view of one variable in one file: a format's handle names
+    the variable, its ``layout`` and the ``store`` holding the file; the
+    range queries are the same for every format."""
 
     name: str
     shape: tuple[int, ...]
     dtype: np.dtype
+    layout: VariableLayout
+    store: ByteStore
 
     @property
     def itemsize(self) -> int:
@@ -43,14 +49,19 @@ class DatasetHandle:
         return int(np.prod(self.shape)) * self.itemsize
 
     def file_size(self) -> int:
-        raise NotImplementedError
+        return self.store.size()
+
+    def subarray_file_ranges(self, start: Sequence[int], count: Sequence[int]) -> RangeArrays:
+        """A block's file ``(offsets, lengths)`` int64 arrays, in subarray order."""
+        return self.layout.subarray_file_ranges(self.shape, start, count, self.itemsize)
 
     def subarray_ranges(self, start: Sequence[int], count: Sequence[int]) -> Iterator[Interval]:
-        raise NotImplementedError
+        """The same ranges as a one-shot iterator of ``(offset, length)`` tuples."""
+        return range_pairs(*self.subarray_file_ranges(start, count))
 
     def covering_intervals(self) -> list[Interval]:
         """Contiguous file intervals holding any of the variable's bytes."""
-        raise NotImplementedError
+        return self.layout.covering_intervals()
 
     def meta_ranges(self) -> list[Interval]:
         """Small metadata reads each process performs at open time."""
@@ -69,15 +80,8 @@ class RawHandle(DatasetHandle):
         self.name = name
         self.shape = volume.shape
         self.dtype = volume.dtype
-
-    def file_size(self) -> int:
-        return self.volume.store.size()
-
-    def subarray_ranges(self, start: Sequence[int], count: Sequence[int]) -> Iterator[Interval]:
-        yield from self.volume.subarray_file_ranges(start, count)
-
-    def covering_intervals(self) -> list[Interval]:
-        return self.volume.layout.covering_intervals()
+        self.layout = volume.layout
+        self.store = volume.store
 
     def decode(self, raw: bytes, count: Sequence[int]) -> np.ndarray:
         arr = np.frombuffer(raw, dtype=self.dtype).astype(self.dtype.newbyteorder("="))
@@ -93,16 +97,9 @@ class NetCDFHandle(DatasetHandle):
         self.name = varname
         self.shape = self.var.shape
         self.dtype = np.dtype(self.var.dtype.newbyteorder("="))
-
-    def file_size(self) -> int:
-        return self.ncfile.store.size()
-
-    def subarray_ranges(self, start: Sequence[int], count: Sequence[int]) -> Iterator[Interval]:
-        yield from self.ncfile.subarray_file_ranges(self.name, start, count)
-
-    def covering_intervals(self) -> list[Interval]:
         assert self.var.layout is not None
-        return self.var.layout.covering_intervals()
+        self.layout = self.var.layout
+        self.store = ncfile.store
 
     def meta_ranges(self) -> list[Interval]:
         # Every process parses the header once.
@@ -115,8 +112,7 @@ class NetCDFHandle(DatasetHandle):
     @property
     def record_bytes(self) -> int:
         """One record slab of this variable — the paper's tuning unit."""
-        assert self.var.layout is not None
-        slab = getattr(self.var.layout, "slab_bytes", None)
+        slab = getattr(self.layout, "slab_bytes", None)
         if slab is None:
             raise FormatError(f"variable {self.name!r} is not a record variable")
         return int(slab)
@@ -131,15 +127,8 @@ class H5LiteHandle(DatasetHandle):
         self.name = dsname
         self.shape = self.ds.shape
         self.dtype = np.dtype(np.dtype(self.ds.dtype).newbyteorder("="))
-
-    def file_size(self) -> int:
-        return self.h5file.store.size()
-
-    def subarray_ranges(self, start: Sequence[int], count: Sequence[int]) -> Iterator[Interval]:
-        yield from self.h5file.subarray_file_ranges(self.name, start, count)
-
-    def covering_intervals(self) -> list[Interval]:
-        return self.ds.layout.covering_intervals()
+        self.layout = self.ds.layout
+        self.store = h5file.store
 
     def meta_ranges(self) -> list[Interval]:
         return self.h5file.metadata_accesses(self.name)
@@ -202,11 +191,9 @@ class AsyncBlockRead:
         self.blocks = [(tuple(s), tuple(c)) for s, c in blocks]
         hints = hints or IOHints()
         log = log if log is not None else AccessLog()
-        striped = StripedFile(_store_of(handle), stripe, name=handle.name)
+        striped = StripedFile(handle.store, stripe, name=handle.name)
         reader = TwoPhaseReader(striped, hints, log)
-        per_rank_ranges = [
-            list(handle.subarray_ranges(start, count)) for start, count in blocks
-        ]
+        per_rank_ranges = [handle.subarray_file_ranges(start, count) for start, count in blocks]
         meta = handle.meta_ranges()
         for _rank in range(len(blocks)):
             for off, ln in meta:
@@ -214,7 +201,7 @@ class AsyncBlockRead:
         self._pending = reader.begin_collective_read(per_rank_ranges)
         self.report = IOReport(
             plan=self._pending.plan,
-            requested_bytes=sum(sum(l for _, l in r) for r in per_rank_ranges),
+            requested_bytes=sum(int(lengths.sum()) for _offsets, lengths in per_rank_ranges),
             meta_accesses_per_proc=len(meta),
             meta_bytes_per_proc=sum(l for _, l in meta),
             nprocs=len(blocks),
@@ -290,24 +277,19 @@ def collective_read_blocks_multi(
         raise FormatError("need at least one variable handle")
     hints = hints or IOHints()
     log = log if log is not None else AccessLog()
-    store = _store_of(handles[0])
+    store = handles[0].store
     for h in handles[1:]:
-        if _store_of(h) is not store:
+        if h.store is not store:
             raise FormatError("all variables must live in the same file")
     striped = StripedFile(store, stripe, name=handles[0].name)
     reader = TwoPhaseReader(striped, hints, log)
 
-    per_rank_ranges: list[list[Interval]] = []
+    per_rank_ranges: list[RangeArrays] = []
     per_rank_splits: list[list[int]] = []  # bytes per variable, in order
     for start, count in blocks:
-        ranges: list[Interval] = []
-        splits: list[int] = []
-        for h in handles:
-            var_ranges = list(h.subarray_ranges(start, count))
-            ranges.extend(var_ranges)
-            splits.append(sum(l for _o, l in var_ranges))
-        per_rank_ranges.append(ranges)
-        per_rank_splits.append(splits)
+        var_ranges = [h.subarray_file_ranges(start, count) for h in handles]
+        per_rank_ranges.append(tuple(np.concatenate(column) for column in zip(*var_ranges)))
+        per_rank_splits.append([int(lengths.sum()) for _offsets, lengths in var_ranges])
     meta: list[Interval] = []
     seen: set[Interval] = set()
     for h in handles:
@@ -352,8 +334,7 @@ def plan_read_blocks(
     from repro.pio.twophase import plan_two_phase
 
     hints = hints or IOHints()
-    needed = merge_intervals(handle.covering_intervals())
-    plan = plan_two_phase(needed, hints, handle.file_size())
+    plan = plan_two_phase(handle.covering_intervals(), hints, handle.file_size())
     meta = handle.meta_ranges()
     return IOReport(
         plan=plan,
@@ -365,11 +346,6 @@ def plan_read_blocks(
     )
 
 
-def _store_of(handle: DatasetHandle):
-    if isinstance(handle, RawHandle):
-        return handle.volume.store
-    if isinstance(handle, NetCDFHandle):
-        return handle.ncfile.store
-    if isinstance(handle, H5LiteHandle):
-        return handle.h5file.store
-    raise FormatError(f"unknown handle type {type(handle).__name__}")
+def _store_of(handle: DatasetHandle) -> ByteStore:
+    """``handle.store``, for callers that predate the attribute."""
+    return handle.store

@@ -25,30 +25,49 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.formats.layout import RangeArrays, ReadBuffers
 from repro.pio.hints import IOHints
 from repro.storage.accesslog import AccessLog
 from repro.storage.stripedfs import StripedFile
 from repro.utils.errors import StorageError
 
 Interval = tuple[int, int]  # (offset, length)
+#: Byte ranges as callers spell them: an iterable of (offset, length) pairs,
+#: one-shot iterators included, or the handles' (offsets, lengths) int64 arrays.
+Ranges = Iterable[Interval] | RangeArrays
 
 
-def merge_intervals(intervals: Iterable[Interval], min_gap: int = 1) -> list[Interval]:
+def range_arrays(ranges: Ranges) -> RangeArrays:
+    """``ranges`` as ``(offsets, lengths)`` int64 arrays; walks an iterable once."""
+    if isinstance(ranges, tuple) and len(ranges) == 2 and isinstance(ranges[0], np.ndarray):
+        return ranges
+    pairs = np.array(list(ranges), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def merge_intervals(intervals: Ranges, min_gap: int = 1) -> list[Interval]:
     """Sort and merge intervals; gaps smaller than ``min_gap`` coalesce.
 
-    ``min_gap=1`` merges only touching/overlapping intervals.
+    ``min_gap=1`` merges only touching/overlapping intervals.  Empty
+    intervals are dropped; a negative offset is a :class:`StorageError`.
+    One stable sort and a running maximum of ends over int64 arrays; the
+    (short) result is Python-int tuples, which is what plans are made of.
     """
-    items = sorted((int(o), int(l)) for o, l in intervals if l > 0)
-    out: list[Interval] = []
-    for off, length in items:
-        if off < 0:
-            raise StorageError(f"negative interval offset {off}")
-        if out and off <= out[-1][0] + out[-1][1] + min_gap - 1:
-            prev_off, prev_len = out[-1]
-            out[-1] = (prev_off, max(prev_off + prev_len, off + length) - prev_off)
-        else:
-            out.append((off, length))
-    return out
+    offsets, lengths = range_arrays(intervals)
+    keep = lengths > 0
+    order = np.argsort(offsets[keep], kind="stable")
+    starts = offsets[keep][order]
+    if starts.size == 0:
+        return []
+    if starts[0] < 0:
+        raise StorageError(f"negative interval offset {int(starts[0])}")
+    reach = np.maximum.accumulate(starts + lengths[keep][order])
+    opens = np.ones(starts.size, dtype=bool)  # interval starts a new merged one
+    opens[1:] = starts[1:] > reach[:-1] + (min_gap - 1)
+    closes = np.ones(starts.size, dtype=bool)
+    closes[:-1] = opens[1:]
+    starts = starts[opens]
+    return list(zip(starts.tolist(), (reach[closes] - starts).tolist()))
 
 
 @dataclass(frozen=True)
@@ -100,7 +119,7 @@ class TwoPhasePlan:
 
 
 def plan_two_phase(
-    needed: Sequence[Interval],
+    needed: Ranges,
     hints: IOHints,
     file_size: int | None = None,
 ) -> TwoPhasePlan:
@@ -179,7 +198,7 @@ def _domain_accesses(
 
 
 def plan_data_sieving(
-    ranges: Sequence[Interval],
+    ranges: Ranges,
     hints: IOHints,
 ) -> TwoPhasePlan:
     """Independent-read plan: data sieving over one process's ranges.
@@ -189,6 +208,7 @@ def plan_data_sieving(
     included — unless the hole between two ranges exceeds the buffer,
     in which case the span splits.
     """
+    ranges = range_arrays(ranges)
     needed = merge_intervals(ranges, min_gap=hints.ind_rd_buffer_size)
     requested = sum(l for _, l in merge_intervals(ranges))
     accesses: list[PlannedAccess] = []
@@ -219,11 +239,10 @@ def _covered_bytes(
 
 
 def _pieces_within(
-    pieces: list[tuple[int, bytes]], lo: int, length: int
+    pieces: list[tuple[int, bytes]], starts: Sequence[int], lo: int, length: int
 ) -> list[tuple[int, bytes]]:
     """Write pieces intersecting [lo, lo+length), by binary search."""
     hi = lo + length
-    starts = [p[0] for p in pieces]
     i = max(bisect_right(starts, lo) - 1, 0)
     out = []
     while i < len(pieces) and pieces[i][0] < hi:
@@ -245,12 +264,17 @@ class PendingCollectiveRead:
     The physical reads and their log records happen at :meth:`issue`
     time, in plan order, so the byte stream and the access log are
     bitwise identical to the sequential path.
+
+    Each rank's :data:`Ranges` are normalised to int64 arrays once,
+    here; the plan comes from their concatenation and :meth:`wait` cuts
+    each rank's bytes out of the read buffers with one ``gather``.
     """
 
-    def __init__(self, reader: "TwoPhaseReader", per_rank_ranges: Sequence[Sequence[Interval]]):
+    def __init__(self, reader: "TwoPhaseReader", per_rank_ranges: Sequence[Ranges]):
         self._reader = reader
-        self._per_rank_ranges = [list(r) for r in per_rank_ranges]
-        all_ranges = [r for ranges in per_rank_ranges for r in ranges]
+        self._per_rank_ranges = [range_arrays(r) for r in per_rank_ranges]
+        # With no ranks this is (), an empty iterable of pairs.
+        all_ranges = tuple(np.concatenate(column) for column in zip(*self._per_rank_ranges))
         self.plan = plan_two_phase(all_ranges, reader.hints, reader.file.size())
         self._buffers: list[tuple[int, bytes]] | None = None
         self._result: list[bytes] | None = None
@@ -268,7 +292,6 @@ class PendingCollectiveRead:
                 data = reader.file.read(a.offset, a.length)
                 reader.log.record(a.offset, a.length, kind="read", actor=a.aggregator)
                 buffers.append((a.offset, data))
-            buffers.sort(key=lambda t: t[0])
             self._buffers = buffers
         return self
 
@@ -277,16 +300,9 @@ class PendingCollectiveRead:
         if self._result is None:
             self.issue()
             assert self._buffers is not None
-            starts = [b[0] for b in self._buffers]
-            out: list[bytes] = []
-            for ranges in self._per_rank_ranges:
-                parts = [
-                    TwoPhaseReader._extract(self._buffers, starts, off, length)
-                    for off, length in ranges
-                ]
-                out.append(b"".join(parts))
-            self._result = out
+            buffers = ReadBuffers(self._buffers)
             self._buffers = []  # release the window buffers
+            self._result = [buffers.gather(*ranges) for ranges in self._per_rank_ranges]
         return self._result, self.plan
 
 
@@ -298,15 +314,11 @@ class TwoPhaseReader:
         self.hints = hints or IOHints()
         self.log = log if log is not None else AccessLog()
 
-    def begin_collective_read(
-        self, per_rank_ranges: Sequence[Sequence[Interval]]
-    ) -> PendingCollectiveRead:
+    def begin_collective_read(self, per_rank_ranges: Sequence[Ranges]) -> PendingCollectiveRead:
         """Plan a collective read without touching storage yet."""
         return PendingCollectiveRead(self, per_rank_ranges)
 
-    def collective_read(
-        self, per_rank_ranges: Sequence[Sequence[Interval]]
-    ) -> tuple[list[bytes], TwoPhasePlan]:
+    def collective_read(self, per_rank_ranges: Sequence[Ranges]) -> tuple[list[bytes], TwoPhasePlan]:
         """Phase 1: aggregators read; phase 2: assemble per-rank bytes.
 
         Returns each rank's requested bytes concatenated in its own
@@ -314,18 +326,16 @@ class TwoPhaseReader:
         """
         return self.begin_collective_read(per_rank_ranges).issue().wait()
 
-    def independent_read(self, ranges: Sequence[Interval], rank: int = 0) -> tuple[bytes, TwoPhasePlan]:
+    def independent_read(self, ranges: Ranges, rank: int = 0) -> tuple[bytes, TwoPhasePlan]:
         """One process's data-sieving read (no aggregation)."""
+        ranges = range_arrays(ranges)
         plan = plan_data_sieving(ranges, self.hints)
         buffers: list[tuple[int, bytes]] = []
         for a in plan.accesses:
             data = self.file.read(a.offset, a.length)
             self.log.record(a.offset, a.length, kind="read", actor=rank)
             buffers.append((a.offset, data))
-        buffers.sort(key=lambda t: t[0])
-        starts = [b[0] for b in buffers]
-        parts = [self._extract(buffers, starts, off, length) for off, length in ranges]
-        return b"".join(parts), plan
+        return ReadBuffers(buffers).gather(*ranges), plan
 
     def collective_write(
         self,
@@ -354,9 +364,9 @@ class TwoPhaseReader:
                 raise StorageError(
                     f"overlapping collective writes at offset {pieces[i][0]}"
                 )
-        intervals = [(off, len(data)) for off, data in pieces]
-        plan = plan_two_phase(intervals, self.hints, file_size=None)
-        needed = merge_intervals(intervals)
+        piece_starts = [off for off, _data in pieces]
+        plan = plan_two_phase([(off, len(d)) for off, d in pieces], self.hints, file_size=None)
+        needed = plan.needed_intervals
         starts = [off for off, _l in needed]
         file_end = self.file.size()
         for a in plan.accesses:
@@ -368,28 +378,10 @@ class TwoPhaseReader:
                 avail = min(a.length, file_end - a.offset)
                 window[:avail] = self.file.read(a.offset, avail)
                 self.log.record(a.offset, avail, kind="read", actor=a.aggregator)
-            for off, data in _pieces_within(pieces, a.offset, a.length):
+            for off, data in _pieces_within(pieces, piece_starts, a.offset, a.length):
                 lo = max(off, a.offset)
                 hi = min(off + len(data), a.offset + a.length)
                 window[lo - a.offset : hi - a.offset] = data[lo - off : hi - off]
             self.file.write(a.offset, bytes(window))
             self.log.record(a.offset, a.length, kind="write", actor=a.aggregator)
         return plan
-
-    @staticmethod
-    def _extract(buffers: list[tuple[int, bytes]], starts: list[int], off: int, length: int) -> bytes:
-        """Copy [off, off+length) out of the read buffers (may span several)."""
-        parts: list[bytes] = []
-        pos = off
-        end = off + length
-        while pos < end:
-            i = bisect_right(starts, pos) - 1
-            if i < 0:
-                raise StorageError(f"requested byte {pos} was not covered by any physical read")
-            b_off, b_data = buffers[i]
-            if pos >= b_off + len(b_data):
-                raise StorageError(f"requested byte {pos} falls in a hole between physical reads")
-            take = min(end, b_off + len(b_data)) - pos
-            parts.append(b_data[pos - b_off : pos - b_off + take])
-            pos += take
-        return b"".join(parts)

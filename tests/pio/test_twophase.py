@@ -238,3 +238,83 @@ class TestCollectiveWrite:
         reader = self._reader()
         plan = reader.collective_write([[], [(5, b"")]])
         assert plan.num_accesses == 0
+
+
+class TestRangeSpellings:
+    """Pairs, one-shot iterators and int64 arrays all mean the same ranges."""
+
+    DATA = bytes(range(256)) * 8
+    PAIRS = [(700, 30), (10, 20), (10, 0), (100, 50), (120, 40)]
+
+    def _reader(self):
+        hints = IOHints(cb_buffer_size=128, cb_nodes=2, ind_rd_buffer_size=64)
+        return TwoPhaseReader(StripedFile(MemoryStore(self.DATA)), hints)
+
+    def _spellings(self):
+        pairs = np.array(self.PAIRS, dtype=np.int64)
+        yield list(self.PAIRS)
+        yield iter(self.PAIRS)
+        yield (off_len for off_len in self.PAIRS)
+        yield (pairs[:, 0].copy(), pairs[:, 1].copy())
+
+    def test_merge_intervals(self):
+        for ranges in self._spellings():
+            merged = merge_intervals(ranges)
+            assert merged == [(10, 20), (100, 60), (700, 30)]
+            assert all(type(v) is int for iv in merged for v in iv)
+
+    def test_plans(self):
+        hints = self._reader().hints
+        want_cb = plan_two_phase(self.PAIRS, hints)
+        want_ds = plan_data_sieving(self.PAIRS, hints)
+        assert want_ds.requested_bytes == 110
+        for ranges in self._spellings():
+            assert plan_two_phase(ranges, hints) == want_cb
+        for ranges in self._spellings():
+            assert plan_data_sieving(ranges, hints) == want_ds
+
+    def test_reads(self):
+        want = b"".join(self.DATA[o : o + n] for o, n in self.PAIRS)
+        for ranges in self._spellings():
+            out, plan = self._reader().collective_read([ranges])
+            assert out == [want] and plan.requested_bytes == 110
+        for ranges in self._spellings():
+            out, _plan = self._reader().independent_read(ranges)
+            assert out == want
+
+    def test_one_shot_subarray_ranges_are_planned(self):
+        """``subarray_ranges`` returns an iterator; walking it twice used to
+        plan nothing and fail later with 'not covered by any physical read'."""
+        from repro.data import SupernovaModel, write_vh1_netcdf
+        from repro.pio import NetCDFHandle
+
+        model = SupernovaModel((8, 8, 8), seed=3)
+        ncfile = write_vh1_netcdf(model)
+        handle = NetCDFHandle(ncfile, "vx")
+        ranges = handle.subarray_ranges((2, 1, 0), (3, 4, 8))
+        assert iter(ranges) is ranges  # one-shot, as documented
+        reader = TwoPhaseReader(StripedFile(ncfile.store), IOHints(cb_buffer_size=512))
+        (raw,), plan = reader.collective_read([ranges])
+        assert plan.requested_bytes == 3 * 4 * 8 * 4
+        assert np.array_equal(handle.decode(raw, (3, 4, 8)), model.field("vx")[2:5, 1:5, :])
+
+    def test_empty_requests_need_no_reads(self):
+        out, plan = self._reader().collective_read([[(5, 0)], [], iter(())])
+        assert out == [b"", b"", b""] and plan.num_accesses == 0
+        assert self._reader().collective_read([]) == ([], plan)
+        assert self._reader().independent_read([(900, 0)])[0] == b""
+
+
+class TestCollectiveWriteScaling:
+    def test_many_pieces_many_windows(self):
+        """Each window looks its pieces up by bisection over one shared index."""
+        pieces = [(37 * k, bytes([k % 251]) * 29) for k in range(400)]
+        reader = TwoPhaseReader(
+            StripedFile(MemoryStore(b"\xff" * 15000)), IOHints(cb_buffer_size=64, cb_nodes=3)
+        )
+        plan = reader.collective_write([pieces[r::4] for r in range(4)])
+        assert plan.num_accesses > 200
+        raw = reader.file.store.getvalue()
+        for off, data in pieces:
+            assert raw[off : off + 29] == data
+            assert raw[off + 29 : off + 37] == b"\xff" * 8
