@@ -76,7 +76,9 @@ class VariableLayout:
         """(file_offset, length) tuples covering [var_offset, var_offset+length)."""
         return range_pairs(*self.map_runs(np.array([var_offset], dtype=np.int64), length))
 
-    def subarray_file_ranges(self, shape, start, count, itemsize: int) -> RangeArrays:
+    def subarray_file_ranges(
+        self, shape: Sequence[int], start: Sequence[int], count: Sequence[int], itemsize: int
+    ) -> RangeArrays:
         """File ``(offsets, lengths)`` a hyperslab read must touch, in row-major order."""
         return self.map_runs(*subarray_run_offsets(shape, start, count, itemsize))
 

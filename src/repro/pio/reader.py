@@ -30,9 +30,11 @@ Block = tuple[Sequence[int], Sequence[int]]  # (start, count)
 
 
 class DatasetHandle:
-    """Uniform view of one variable in one file: a format's handle names
-    the variable, its ``layout`` and the ``store`` holding the file; the
-    range queries are the same for every format."""
+    """Uniform view of one variable in one file.
+
+    A format's handle names the variable, its ``layout`` and the
+    ``store`` holding the file; the range queries are shared.
+    """
 
     name: str
     shape: tuple[int, ...]
