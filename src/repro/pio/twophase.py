@@ -55,13 +55,14 @@ def merge_intervals(intervals: Ranges, min_gap: int = 1) -> list[Interval]:
     """
     offsets, lengths = range_arrays(intervals)
     keep = lengths > 0
-    order = np.argsort(offsets[keep], kind="stable")
-    starts = offsets[keep][order]
+    offsets, lengths = offsets[keep], lengths[keep]
+    order = np.argsort(offsets, kind="stable")
+    starts = offsets[order]
     if starts.size == 0:
         return []
     if starts[0] < 0:
         raise StorageError(f"negative interval offset {int(starts[0])}")
-    reach = np.maximum.accumulate(starts + lengths[keep][order])
+    reach = np.maximum.accumulate(starts + lengths[order])
     opens = np.ones(starts.size, dtype=bool)  # interval starts a new merged one
     opens[1:] = starts[1:] > reach[:-1] + (min_gap - 1)
     closes = np.ones(starts.size, dtype=bool)
