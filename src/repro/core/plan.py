@@ -156,10 +156,12 @@ class FramePlanCache:
             ghost_specs = None
             read_blocks = [(b.start, b.count) for b in blocks]
         schedule = schedule_from_geometry(decomposition, camera, num_compositors)
-        ray_plans = []
-        for b in blocks:
-            lo, hi = block_world_bounds(b, grid)
-            ray_plans.append(build_ray_plan(camera, lo, hi, step))
+        # Footprints overlap several times over: generate each pixel's
+        # ray once for the frame and let every block slice it.
+        framed = camera.with_frame_rays()
+        ray_plans = [
+            build_ray_plan(framed, *block_world_bounds(b, grid), step) for b in blocks
+        ]
         return FramePlan(
             key=key,
             decomposition=decomposition,

@@ -21,7 +21,6 @@ from repro.render.raycast import (
     RayPlan,
     build_ray_plan,
     render_block,
-    render_block_reference,
     render_volume_serial,
 )
 from repro.render.multivariate import (
@@ -48,6 +47,5 @@ __all__ = [
     "RayPlan",
     "build_ray_plan",
     "render_block",
-    "render_block_reference",
     "render_volume_serial",
 ]

@@ -7,6 +7,8 @@ is the lower-left corner; rays pass through pixel centres.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.utils.errors import ConfigError
@@ -66,6 +68,7 @@ class Camera:
             self._half_h = float(np.tan(np.radians(self.fov_deg) / 2.0))
         self._half_w = self._half_h * self.width / self.height
         self._plan_key: tuple | None = None
+        self._frame_rays: tuple[np.ndarray, np.ndarray] | None = None
 
     def scaled(self, factor: float) -> "Camera":
         """The same view rendered at ``factor`` times the resolution.
@@ -159,6 +162,33 @@ class Camera:
         d = d / np.linalg.norm(d, axis=-1, keepdims=True)
         origins = np.broadcast_to(self.eye, d.shape)
         return origins, d
+
+    def rays_for_rect(
+        self, rect: tuple[int, int, int, int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rays through every pixel of ``rect`` = (x0, y0, w, h), shaped
+        (h, w, 3); views into the frame's ray table when this camera
+        carries one (see :meth:`with_frame_rays`)."""
+        x0, y0, w, h = rect
+        if self._frame_rays is not None:
+            origins, dirs = self._frame_rays
+            return origins[y0 : y0 + h, x0 : x0 + w], dirs[y0 : y0 + h, x0 : x0 + w]
+        px, py = np.meshgrid(np.arange(x0, x0 + w), np.arange(y0, y0 + h))
+        return self.rays_for_pixels(px, py)
+
+    def with_frame_rays(self) -> "Camera":
+        """This camera plus the ray of every image pixel, computed once.
+
+        Block footprints overlap several times over, so whoever builds
+        ray geometry for many blocks of one frame asks through the
+        returned copy and gets slices of one table.  A ray depends on
+        its own pixel only, so a slice is bit-identical to rays
+        generated for that rectangle alone.  The table lives as long as
+        the copy does; the camera itself stays table-free.
+        """
+        cam = copy.copy(self)
+        cam._frame_rays = self.rays_for_rect((0, 0, self.width, self.height))
+        return cam
 
     # -- projection ---------------------------------------------------------
 

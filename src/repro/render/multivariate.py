@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.image import PartialImage
-from repro.render.raycast import ray_box_intersect
+from repro.render.raycast import check_step, ray_box_intersect
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -66,8 +66,7 @@ def render_block_multivar(
     Both blocks must describe the same region (same start/count); they
     may carry different ghost extents.
     """
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    check_step(step)
     if primary.start != modulator.start or primary.count != modulator.count:
         raise ConfigError("primary and modulator blocks must cover the same region")
     lo = primary.world_lo
@@ -75,9 +74,8 @@ def render_block_multivar(
     rect = camera.footprint(lo, hi)
     if rect is None:
         return None
-    x0, y0, w, h = rect
-    px, py = np.meshgrid(np.arange(x0, x0 + w), np.arange(y0, y0 + h))
-    origins, dirs = camera.rays_for_pixels(px, py)
+    _x0, _y0, w, h = rect
+    origins, dirs = camera.rays_for_rect(rect)
     t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
     hit = t_exit > t_enter
     if not np.any(hit):

@@ -7,17 +7,23 @@ belongs to exactly one block (the one whose [t_enter, t_exit) interval
 contains it) and block-parallel rendering is exactly equivalent to
 serial rendering.
 
-The production kernel (:func:`render_block`) marches with *active-ray
+The kernel (:func:`render_block`) marches with *active-ray
 compaction*: rays that survive footprint clipping are gathered into a
-dense working set, samples are taken in chunked batches (many sample
+dense working set, samples are taken in chunked windows (many sample
 indices per NumPy call instead of one Python iteration per global
 sample index), and rays that terminate — early-termination opacity or
 block exit — are periodically compacted out of the working set.  The
 global sample alignment is what makes this safe: compaction only
-changes *which rays* participate in a batch, never *where* any ray is
-sampled, so the compacted kernel computes the same integral as the
-plain per-sample loop (retained as :func:`render_block_reference`, the
-correctness oracle and the benchmark baseline).
+changes *which rays* participate in a window, never *where* any ray is
+sampled, so the kernel computes the same integral as a plain
+per-sample loop (the oracle of ``tests/render``).
+
+A window is *ragged*: rays leave the block after different numbers of
+samples, so positions, trilinear values and transfer-function bins are
+computed only for the (ray, sample) pairs that exist, as flat
+ray-major vectors.  Only the bins are then scattered into the padded
+``(rays, window)`` rectangle the front-to-back accumulation runs on;
+slots no ray owns hold the march table's all-zero row.
 
 The per-block ray geometry (footprint, ray origins/directions, entry
 and exit sample indices) depends only on the camera, the block's world
@@ -29,12 +35,13 @@ cache in :mod:`repro.core.plan`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.render.camera import Camera
-from repro.render.image import PartialImage, Rect
+from repro.render.image import PartialImage, Rect, blank_image, composite_over
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -64,9 +71,19 @@ def ray_box_intersect(
         outside = par & ((origins < lo) | (origins > hi))
         tmin = np.where(par, np.where(outside, np.inf, -np.inf), tmin)
         tmax = np.where(par, np.where(outside, -np.inf, np.inf), tmax)
-    t_enter = np.maximum(tmin.max(axis=-1), 0.0)
-    t_exit = tmax.min(axis=-1)
+    # Pairwise over the three slabs: a length-3 ``.max(axis=-1)``
+    # costs ~20x more in reduction set-up and returns the same values.
+    t_enter = np.maximum(
+        np.maximum(np.maximum(tmin[..., 0], tmin[..., 1]), tmin[..., 2]), 0.0
+    )
+    t_exit = np.minimum(np.minimum(tmax[..., 0], tmax[..., 1]), tmax[..., 2])
     return t_enter, t_exit
+
+
+def check_step(step: float) -> None:
+    """Reject a sampling distance no march can use (<= 0, NaN, inf)."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ConfigError(f"step must be positive and finite, got {step}")
 
 
 @dataclass(frozen=True)
@@ -106,16 +123,13 @@ def build_ray_plan(
     Everything here depends only on the camera, the box, and the step,
     so frame-plan caches may reuse the result across time steps.
     """
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    check_step(step)
     lo = np.asarray(world_lo, dtype=np.float64)
     hi = np.asarray(world_hi, dtype=np.float64)
     rect = camera.footprint(lo, hi)
     if rect is None:
         return None
-    x0, y0, w, h = rect
-    px, py = np.meshgrid(np.arange(x0, x0 + w), np.arange(y0, y0 + h))
-    origins, dirs = camera.rays_for_pixels(px, py)
+    origins, dirs = camera.rays_for_rect(rect)
     t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
     hit = t_exit > t_enter
     if not np.any(hit):
@@ -161,12 +175,16 @@ def render_block(
     Returns None when the block is entirely off screen or contributes
     no samples.  ``step`` is the global sampling distance in voxels
     (world units); all blocks of a frame must use the same value.
-    ``plan`` may carry precomputed ray geometry (from
-    :func:`build_ray_plan` with the same camera/block/step); passing
-    it skips the per-frame geometry setup entirely.
+    ``early_termination`` in (0, 1] is the opacity at which a ray stops
+    (1.0 never stops).  ``plan`` may carry precomputed ray geometry
+    (from :func:`build_ray_plan` with the same camera/block/step);
+    passing it skips the per-frame geometry setup entirely.
     """
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    check_step(step)
+    if not 0.0 < early_termination <= 1.0:  # also rejects NaN
+        raise ConfigError(
+            f"early_termination must be in (0, 1], got {early_termination}"
+        )
     if plan is None:
         plan = build_ray_plan(camera, block.world_lo, block.world_hi, step)
     elif plan.step != step:
@@ -178,21 +196,26 @@ def render_block(
     x0, y0, w, h = plan.rect
 
     # Dense working set over surviving rays.  Every ray marches at its
-    # own pace: ``cur`` is its next global sample index, so a batch
-    # computes exactly each live ray's next window of samples — no
+    # own pace: ``cur`` is its next global sample index, so a window
+    # computes exactly each live ray's next run of samples — no
     # pre-entry or post-exit waste.  Finished rays (past their exit
     # index or below the termination threshold) are compacted out.
     pix = plan.pix
-    origins = plan.origins.astype(np.float32)
-    dirs = plan.dirs.astype(np.float32)
+    # Rows ox, oy, oz, dx, dy, dz: one contiguous float32 vector per
+    # coordinate, compacted together.
+    geom = np.ascontiguousarray(
+        np.concatenate([plan.origins, plan.dirs], axis=1).T, dtype=np.float32
+    )
     k_hi = plan.k_hi
     cur = plan.k_lo.copy()
     threshold = np.float32(1.0 - early_termination)
     step32 = np.float32(step)
     # Per-bin marching table: rows are (alpha * rgb, alpha) with the
     # step folded into alpha, so the inner loop needs no exp and no
-    # per-sample colour multiply.
+    # per-sample colour multiply.  Its last row is the all-zero
+    # fragment of an unowned slot.
     march = tf.march_table(step)
+    pad = march.shape[0] - 1
     trans = np.ones(pix.size, dtype=np.float32)
     color = np.zeros((pix.size, 3), dtype=np.float32)
     out_trans = np.ones(h * w, dtype=np.float32)
@@ -200,20 +223,29 @@ def render_block(
     samples = 0
 
     while pix.size:
+        n = pix.size
         c = min(
-            max(_TARGET_BATCH // pix.size, _MIN_CHUNK),
+            max(_TARGET_BATCH // n, _MIN_CHUNK),
             _MAX_CHUNK,
             int((k_hi - cur).max()),
         )
-        kk = cur[:, None] + np.arange(c, dtype=np.int64)[None, :]  # (n, c)
-        valid = kk < k_hi[:, None]
+        # The ragged sample list, ray-major: ray r owns cnt[r] >= 1
+        # entries; entry j of its run is global sample cur[r] + j and
+        # lands in slot r*c + j of the padded window.
+        cnt = np.minimum(k_hi - cur, c)
+        ends = np.cumsum(cnt)
+        seq = np.arange(ends[-1])
+        starts = ends - cnt
+        kk = np.repeat(cur - starts, cnt) + seq
+        slot = np.repeat(np.arange(0, n * c, c) - starts, cnt) + seq
         t = (kk.astype(np.float32) + np.float32(0.5)) * step32
-        pts = origins[:, None, :] + t[..., None] * dirs[:, None, :]
-        values = block.sample_world_f32(pts)
-        frag = march[tf._bin_index(values)]  # (n, c, 4): alpha*rgb, alpha
-        alpha = frag[..., 3]
-        alpha[~valid] = 0.0
-        one_minus = 1.0 - alpha
+        ox, oy, oz, dx, dy, dz = np.repeat(geom, cnt, axis=1)
+        values = block.sample_axes_f32(ox + t * dx, oy + t * dy, oz + t * dz)
+        padded = np.full(n * c, pad, dtype=np.intp)
+        padded[slot] = tf.bin_index(values)
+        frag = march.take(padded, axis=0).reshape(n, c, 4)  # alpha*rgb, alpha
+        valid = (padded != pad).reshape(n, c)
+        one_minus = 1.0 - frag[..., 3]
         # Transmittance entering each sample of the window; a sample
         # applies while the ray stays above the termination threshold.
         # Termination is absorbing (alpha only reduces transmittance),
@@ -221,13 +253,12 @@ def render_block(
         # the sequential per-sample check.
         t_before = np.empty_like(one_minus)
         t_before[:, 0] = trans
-        if c > 1:
-            t_before[:, 1:] = trans[:, None] * np.cumprod(one_minus[:, :-1], axis=1)
+        t_before[:, 1:] = trans[:, None] * np.cumprod(one_minus[:, :-1], axis=1)
         applied = valid & (t_before > threshold)
         samples += int(np.count_nonzero(applied))
         weight = np.where(applied, t_before, np.float32(0.0))
         color += (weight[:, None, :] @ frag[..., :3])[:, 0, :]
-        trans = trans * np.prod(np.where(applied, one_minus, np.float32(1.0)), axis=1)
+        trans = trans * np.multiply.reduce(one_minus, axis=1, where=applied)
         cur = cur + c
         finished = (cur >= k_hi) | (trans <= threshold)
         if np.any(finished):
@@ -235,8 +266,7 @@ def render_block(
             out_color[pix[finished]] = color[finished]
             keep = ~finished
             pix = pix[keep]
-            origins = origins[keep]
-            dirs = dirs[keep]
+            geom = geom[:, keep]
             k_hi = k_hi[keep]
             cur = cur[keep]
             trans = trans[keep]
@@ -248,65 +278,6 @@ def render_block(
         [out_color.reshape(h, w, 3), alpha_total.reshape(h, w, 1)], axis=-1
     )
     return PartialImage(plan.rect, rgba, depth=plan.depth, samples=samples)
-
-
-def render_block_reference(
-    camera: Camera,
-    block: VolumeBlock,
-    tf: TransferFunction,
-    step: float = 1.0,
-    early_termination: float = 0.999,
-) -> PartialImage | None:
-    """The plain per-sample kernel: one Python iteration per global
-    sample index, full-footprint masks, float64 accumulation.
-
-    Retained as the correctness oracle for the compacted kernel (the
-    property tests assert equivalence to float tolerance) and as the
-    baseline the perf benchmarks measure speedup against.
-    """
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
-    lo = block.world_lo
-    hi = block.world_hi
-    rect = camera.footprint(lo, hi)
-    if rect is None:
-        return None
-    x0, y0, w, h = rect
-    px, py = np.meshgrid(np.arange(x0, x0 + w), np.arange(y0, y0 + h))
-    origins, dirs = camera.rays_for_pixels(px, py)
-    t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
-    hit = t_exit > t_enter
-    if not np.any(hit):
-        return None
-    # Globally aligned sample indices: sample k sits at (k + 1/2) step.
-    k_lo = np.where(hit, np.ceil(t_enter / step - 0.5), 0).astype(np.int64)
-    k_hi = np.where(hit, np.ceil(t_exit / step - 0.5), 0).astype(np.int64)  # exclusive
-    k_min = int(k_lo[hit].min())
-    k_max = int(k_hi[hit].max())
-    color = np.zeros((h, w, 3), dtype=np.float64)
-    transmittance = np.ones((h, w), dtype=np.float64)
-    samples = 0
-    for k in range(k_min, k_max):
-        active = hit & (k >= k_lo) & (k < k_hi) & (transmittance > 1.0 - early_termination)
-        n_active = int(np.count_nonzero(active))
-        if not n_active:
-            continue
-        samples += n_active
-        t = (k + 0.5) * step
-        pts = origins[active] + t * dirs[active]
-        values = block.sample_world(pts)
-        rgb, extinction = tf.sample(values)
-        alpha = 1.0 - np.exp(-extinction * step)
-        contrib = transmittance[active] * alpha
-        color[active] += contrib[:, None] * rgb
-        transmittance[active] *= 1.0 - alpha
-    alpha_total = 1.0 - transmittance
-    if not np.any(alpha_total > 0):
-        return None
-    rgba = np.concatenate([color, alpha_total[..., None]], axis=-1).astype(np.float32)
-    return PartialImage(
-        rect, rgba, depth=camera.depth_of(block.world_center), samples=samples
-    )
 
 
 def render_volume_serial(
@@ -321,8 +292,6 @@ def render_volume_serial(
     Returns a premultiplied RGBA canvas (height, width, 4).  The
     parallel pipeline's output must match this to float tolerance.
     """
-    from repro.render.image import blank_image, composite_over
-
     block = VolumeBlock.whole(data)
     partial = render_block(camera, block, tf, step, early_termination)
     canvas = blank_image(camera.width, camera.height)

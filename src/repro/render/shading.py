@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.image import PartialImage
-from repro.render.raycast import ray_box_intersect
+from repro.render.raycast import check_step, ray_box_intersect
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -63,8 +63,7 @@ def render_block_shaded(
     Requires ghost >= ``gradient_h`` for exact block-parallel ==
     serial agreement.
     """
-    if step <= 0:
-        raise ConfigError(f"step must be positive, got {step}")
+    check_step(step)
     light = np.asarray(
         light_dir if light_dir is not None else -camera.forward, dtype=np.float64
     )
@@ -78,9 +77,8 @@ def render_block_shaded(
     rect = camera.footprint(lo, hi)
     if rect is None:
         return None
-    x0, y0, w, h = rect
-    px, py = np.meshgrid(np.arange(x0, x0 + w), np.arange(y0, y0 + h))
-    origins, dirs = camera.rays_for_pixels(px, py)
+    _x0, _y0, w, h = rect
+    origins, dirs = camera.rays_for_rect(rect)
     t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
     hit = t_exit > t_enter
     if not np.any(hit):

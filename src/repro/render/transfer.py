@@ -46,23 +46,28 @@ class TransferFunction:
         self._lut = np.stack(
             [np.interp(xs, pts[:, 0], pts[:, 1 + c]) for c in range(4)], axis=1
         )
-        self._lut32 = self._lut.astype(np.float32)
         self._march_tables: dict[float, np.ndarray] = {}
 
-    def _bin_index(self, values: np.ndarray) -> np.ndarray:
+    def bin_index(self, values: np.ndarray) -> np.ndarray:
+        """Lookup-table bin (0..1023) of each raw scalar value.
+
+        float32 inputs stay float32 (the ray march feeds float32
+        samples; the bin resolution, 1/1024, is far coarser than
+        float32 rounding).  NaN/inf data (failed simulations happen)
+        never poisons the cast: ``fmax``/``fmin`` ignore NaN and clamp
+        before the integer conversion, so NaN and -inf land in bin 0
+        and +inf in bin 1023.  The clamp-then-cast order also defines
+        the one case a cast-then-clip leaves to the C compiler — a
+        finite value scaled beyond the int64 range — as the nearer end
+        bin.
+        """
         v = np.asarray(values)
-        # Keep float32 inputs in float32: the hot path feeds float32
-        # samples and the bin resolution (1/1024) is far coarser than
-        # float32 rounding.
         dtype = np.float32 if v.dtype == np.float32 else np.float64
         v = (v - dtype(self.vmin)) * dtype(1.0 / (self.vmax - self.vmin))
-        # NaN/inf data (failed simulations happen) maps to the low end
-        # rather than poisoning the cast.
-        v = np.nan_to_num(v, nan=0.0, posinf=1.0, neginf=0.0)
-        return np.clip((v * dtype(1023.0)).astype(np.int64), 0, 1023)
+        return np.fmin(np.fmax(v * dtype(1023.0), 0), 1023).astype(np.intp)
 
     def march_table(self, step: float) -> np.ndarray:
-        """Per-bin marching table for a given step: (1024, 4) float32.
+        """Per-bin marching table for a given step: (1025, 4) float32.
 
         Column 0-2 hold the premultiplied per-sample contribution
         ``alpha * rgb``; column 3 holds ``alpha = 1 - exp(-extinction
@@ -70,27 +75,24 @@ class TransferFunction:
         march into two gathers — no per-sample exp — while computing
         exactly the same alpha a per-sample evaluation would (alpha
         depends on the value only through its bin).
+
+        The last row (index 1024, one past the bins) is all zero: the
+        fragment of a window slot no ray owns, so padding needs no
+        masking pass after the gather.
         """
         tbl = self._march_tables.get(float(step))
         if tbl is None:
             alpha = 1.0 - np.exp(-self._lut[:, 3] * self.max_extinction * float(step))
-            tbl = np.concatenate(
-                [self._lut[:, :3] * alpha[:, None], alpha[:, None]], axis=1
-            ).astype(np.float32)
+            tbl = np.zeros((self._lut.shape[0] + 1, 4), dtype=np.float32)
+            tbl[:-1, :3] = self._lut[:, :3] * alpha[:, None]
+            tbl[:-1, 3] = alpha
             self._march_tables[float(step)] = tbl
         return tbl
 
     def sample(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map raw scalar values -> (rgb (..., 3), extinction (...,))."""
-        rgba = self._lut[self._bin_index(values)]
+        rgba = self._lut[self.bin_index(values)]
         return rgba[..., :3], rgba[..., 3] * self.max_extinction
-
-    def sample_f32(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`sample` but float32 outputs, for the float32 ray
-        march.  Bin selection is identical to :meth:`sample`; only the
-        looked-up table is single precision."""
-        rgba = self._lut32[self._bin_index(values)]
-        return rgba[..., :3], rgba[..., 3] * np.float32(self.max_extinction)
 
     @classmethod
     def grayscale_ramp(cls, vmin: float = 0.0, vmax: float = 1.0) -> "TransferFunction":

@@ -131,41 +131,43 @@ class VolumeBlock:
         c1 = c10 * (1 - fy) + c11 * fy
         return c0 * (1 - fz) + c1 * fz
 
-    def sample_world_f32(self, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation in float32 with fused flat gathers.
+    def sample_axes_f32(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Trilinear interpolation in float32 at world points given as
+        three flat float32 coordinate vectors.
 
-        The hot-path variant of :meth:`sample_world`: weights are kept
-        single precision and the eight corner reads share one
-        precomputed flat base index.  Values agree with
-        :meth:`sample_world` to float32 rounding (the interpolant is
-        continuous, so a weight landing on the other side of a voxel
-        boundary changes nothing discontinuously).
+        The ray caster's sampler: one contiguous vector per axis (no
+        strided ``p[..., k]`` reads), weights kept single precision and
+        the eight corner reads sharing one flat base index.  The
+        fractional part is taken in float32, which is exact — ``iz`` is
+        a float32 and ``z0 <= iz`` an integer, so ``iz - z0`` lies on
+        ``iz``'s own ulp grid — and therefore equals the same
+        subtraction done in float64 and rounded back.  Values agree
+        with :meth:`sample_world` to float32 rounding.
         """
         nz, ny, nx = self.data.shape
         if min(nz, ny, nx) < 2:
             # Degenerate axes need the clamped corner logic.
-            return self.sample_world(points).astype(np.float32)
-        p = np.asarray(points)
-        if p.dtype != np.float32:
-            p = p.astype(np.float32)
-        iz = np.clip(p[..., 2] - np.float32(self.start[0] - self.ghost_lo[0]), 0.0, nz - 1.0)
-        iy = np.clip(p[..., 1] - np.float32(self.start[1] - self.ghost_lo[1]), 0.0, ny - 1.0)
-        ix = np.clip(p[..., 0] - np.float32(self.start[2] - self.ghost_lo[2]), 0.0, nx - 1.0)
-        z0 = np.minimum(iz.astype(np.int64), nz - 2)
-        y0 = np.minimum(iy.astype(np.int64), ny - 2)
-        x0 = np.minimum(ix.astype(np.int64), nx - 2)
-        fz = (iz - z0).astype(np.float32)
-        fy = (iy - y0).astype(np.float32)
-        fx = (ix - x0).astype(np.float32)
+            return self.sample_world(np.stack([x, y, z], axis=-1)).astype(np.float32)
+        iz = np.clip(z - np.float32(self.start[0] - self.ghost_lo[0]), 0.0, nz - 1.0)
+        iy = np.clip(y - np.float32(self.start[1] - self.ghost_lo[1]), 0.0, ny - 1.0)
+        ix = np.clip(x - np.float32(self.start[2] - self.ghost_lo[2]), 0.0, nx - 1.0)
+        z0 = np.minimum(iz.astype(np.intp), nz - 2)
+        y0 = np.minimum(iy.astype(np.intp), ny - 2)
+        x0 = np.minimum(ix.astype(np.intp), nx - 2)
+        fz = iz - z0.astype(np.float32)
+        fy = iy - y0.astype(np.float32)
+        fx = ix - x0.astype(np.float32)
+        gx = 1 - fx
+        gy = 1 - fy
         flat = self.data.reshape(-1)
         base = (z0 * ny + y0) * nx + x0
-        c00 = flat[base] * (1 - fx) + flat[base + 1] * fx
+        c00 = flat[base] * gx + flat[base + 1] * fx
         base += nx
-        c01 = flat[base] * (1 - fx) + flat[base + 1] * fx
+        c01 = flat[base] * gx + flat[base + 1] * fx
         base += ny * nx - nx
-        c10 = flat[base] * (1 - fx) + flat[base + 1] * fx
+        c10 = flat[base] * gx + flat[base + 1] * fx
         base += nx
-        c11 = flat[base] * (1 - fx) + flat[base + 1] * fx
-        c0 = c00 * (1 - fy) + c01 * fy
-        c1 = c10 * (1 - fy) + c11 * fy
+        c11 = flat[base] * gx + flat[base + 1] * fx
+        c0 = c00 * gy + c01 * fy
+        c1 = c10 * gy + c11 * fy
         return c0 * (1 - fz) + c1 * fz

@@ -1,8 +1,9 @@
 """Property tests: the compacted kernel against the reference kernel.
 
 :func:`render_block` marches with active-ray compaction, chunked
-batches, and float32 accumulation; :func:`render_block_reference` is
-the plain per-sample-index float64 loop it replaced.  Global sample
+batches, and float32 accumulation; ``render_block_reference`` (kept
+beside these tests in ``_kernels.py``) is the plain per-sample-index
+float64 loop it replaced.  Global sample
 alignment guarantees both compute the same integral; these tests pin
 that equivalence across random cameras, block shapes, steps, and
 early-termination thresholds.
@@ -11,13 +12,9 @@ early-termination thresholds.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from _kernels import render_block_reference
 from repro.render.camera import Camera
-from repro.render.raycast import (
-    build_ray_plan,
-    ray_box_intersect,
-    render_block,
-    render_block_reference,
-)
+from repro.render.raycast import build_ray_plan, ray_box_intersect, render_block
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 
