@@ -18,12 +18,11 @@ entry is appended to its baseline file and reported with a
 "new baseline recorded" line, so adding a benchmark and running the
 guard is enough to seed its baseline.
 
-``--update`` instead regenerates the baselines in full (including the
-slow reference kernel); with ``--only`` it re-baselines just the named
-kernels, leaving every other committed entry untouched.  ``--only``
-restricts the guard to the named kernels — the CI ``des-scale-smoke``
-/ ``parallel-des-smoke`` jobs use it to run single benchmarks under
-their wall-clock budgets.  Names are validated against the full
+``--update`` instead regenerates the baselines in full; with
+``--only`` it re-baselines just the named kernels, leaving every other
+committed entry untouched.  ``--only`` restricts the guard to the
+named kernels — the CI ``des-scale-smoke`` / ``parallel-des-smoke``
+jobs use it to run single benchmarks under their wall-clock budgets.  Names are validated against the full
 registry; ``--list`` prints it (with each kernel's baseline file,
 guard flag, and committed seconds) and exits.
 ``--profile`` runs each selected benchmark under :mod:`cProfile` and
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
         guarded = [n for n in guarded if n in only]
         new_names = [n for n in new_names if n in only]
         # Names with a committed baseline that is not normally guarded
-        # (guard: false reference kernels): an explicit request runs
+        # (guard: false entries): an explicit request runs
         # them and compares against their committed entry anyway.
         extra = [
             n for n in args.only

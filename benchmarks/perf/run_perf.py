@@ -5,8 +5,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_perf.py
         [--out DIR] [--files BENCH_des.json ...] [--names NAME ...]
 
-Runs every benchmark (including the slow pre-PR reference kernel),
-computes the render-kernel speedup and the equivalence check, and
+Runs every benchmark, computes the render equivalence check, and
 writes ``BENCH_render.json``, ``BENCH_pipeline.json`` and
 ``BENCH_des.json`` to the repo root (or ``--out``).  ``--files``
 regenerates only the named baseline files, leaving the others
@@ -48,21 +47,13 @@ def collect(names=None, repeats_override=None, files=None) -> dict[str, list[dic
     return by_file
 
 
-def _render_meta(entries: list[dict]) -> dict:
-    """The render baseline's meta block: kernel speedup + equivalence."""
+def _render_meta() -> dict:
+    """The render baseline's meta block: the equivalence check."""
     from benchmarks.perf.suite import render_equivalence_maxdiff
 
-    by_name = {e["name"]: e for e in entries}
-    speedup = (
-        by_name["render_kernel_reference"]["seconds"]
-        / by_name["render_kernel_compacted"]["seconds"]
-    )
     maxdiff = render_equivalence_maxdiff()
-    print(f"render kernel speedup: {speedup:.2f}x, equivalence maxdiff {maxdiff:.2e}")
-    return {
-        "render_kernel_speedup": speedup,
-        "serial_equivalence_maxdiff": maxdiff,
-    }
+    print(f"render equivalence maxdiff {maxdiff:.2e}")
+    return {"serial_equivalence_maxdiff": maxdiff}
 
 
 def _des_meta(entries: list[dict], root: pathlib.Path) -> dict:
@@ -167,7 +158,7 @@ def main(argv=None) -> int:
             )
             return 2
 
-    print("perf baseline run (includes the slow reference kernel)")
+    print("perf baseline run")
     by_file = collect(
         names=set(args.names) if args.names else None,
         files=set(args.files) if args.files else None,
@@ -179,7 +170,7 @@ def main(argv=None) -> int:
             # Partial re-baseline: merge the fresh entries into the
             # committed file, keeping everything else (entries not
             # re-run, and any derived meta — a partial run cannot
-            # recompute cross-entry metrics like the kernel speedup).
+            # recompute cross-entry metrics).
             if path.exists():
                 doc = json.loads(path.read_text())
             else:
@@ -202,7 +193,7 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
         }
         if filename == "BENCH_render.json":
-            meta.update(_render_meta(entries))
+            meta.update(_render_meta())
         elif filename == "BENCH_des.json":
             meta.update(_des_meta(entries, out))
         elif filename == "BENCH_parallel.json":

@@ -6,9 +6,8 @@ Every benchmark is a function ``bench_*(repeats) -> dict`` returning::
      "guard": bool, ...extra metrics...}
 
 ``guard: True`` entries are re-run and compared by the regression
-check; ``guard: False`` entries (the pre-PR reference kernel) are
-recorded once as the speedup baseline but too slow to re-time on every
-guard run.
+check; ``guard: False`` entries are recorded once (too slow, or too
+noisy to discriminate) and not re-timed on every guard run.
 
 Workloads are deterministic (fixed seeds, synthetic fields) so the
 committed numbers are reproducible on the machine that wrote them.
@@ -102,7 +101,8 @@ def _render_setup(n: int = RENDER_GRID, image: int = RENDER_IMAGE):
 
 
 def bench_render_kernel(repeats: int = 3) -> dict:
-    """The compacted ray-marching kernel (the PR's tentpole)."""
+    """The ray-marching kernel on one whole volume: ~150K rays in
+    4-sample windows, almost no padding."""
     from repro.render.raycast import render_block
 
     block, camera, tf = _render_setup()
@@ -119,21 +119,55 @@ def bench_render_kernel(repeats: int = 3) -> dict:
     }
 
 
-def bench_render_kernel_reference(repeats: int = 1) -> dict:
-    """The pre-PR per-sample-index kernel (speedup baseline)."""
-    from repro.render.raycast import render_block_reference
+def bench_render_blocks_64(repeats: int = 5) -> dict:
+    """The e2e frame's render stage: 64^3 in 64 ghosted blocks, 256^2.
 
-    block, camera, tf = _render_setup()
-    seconds, partial = _timeit(
-        lambda: render_block_reference(camera, block, tf, step=RENDER_STEP), repeats
+    Cold ray plans (one frame ray table, 64 footprints) plus one
+    ``render_block`` per block.  Every block is a single window whose
+    rays leave after 1..~28 samples, so about half of the padded
+    window's slots belong to no ray — the case the whole-volume entry
+    above (no padding) cannot see.
+    """
+    from repro.core.plan import block_world_bounds
+    from repro.data.synthetic import SupernovaModel
+    from repro.render.camera import Camera
+    from repro.render.decomposition import BlockDecomposition
+    from repro.render.raycast import build_ray_plan, render_block
+    from repro.render.transfer import TransferFunction
+    from repro.render.volume import VolumeBlock
+
+    grid = (64, 64, 64)
+    field = SupernovaModel(grid, seed=3, time=0.5).field("vx")
+    camera = Camera.looking_at_volume(
+        grid, width=256, height=256, azimuth_deg=33.0, elevation_deg=21.0
     )
+    tf = TransferFunction.supernova()
+    blocks = []
+    for b in BlockDecomposition(grid, 64).blocks():
+        rs, rc, ghost_lo = b.ghost_read(grid, 1)
+        data = field[rs[0]:rs[0] + rc[0], rs[1]:rs[1] + rc[1], rs[2]:rs[2] + rc[2]]
+        blocks.append(
+            (block_world_bounds(b, grid), VolumeBlock(data, grid, b.start, b.count, ghost_lo))
+        )
+
+    def frame():
+        framed = camera.with_frame_rays()
+        samples = 0
+        for (lo, hi), vb in blocks:
+            plan = build_ray_plan(framed, lo, hi, RENDER_STEP)
+            partial = render_block(camera, vb, tf, RENDER_STEP, plan=plan)
+            if partial is not None:
+                samples += partial.samples
+        return samples
+
+    seconds, samples = _timeit(frame, repeats)
     return {
-        "name": "render_kernel_reference",
-        "guard": False,
-        "config": {"grid": RENDER_GRID, "image": RENDER_IMAGE, "step": RENDER_STEP},
+        "name": "render_blocks_64",
+        "guard": True,
+        "config": {"grid": 64, "blocks": 64, "ghost": 1, "image": 256, "step": RENDER_STEP},
         "seconds": seconds,
-        "samples": int(partial.samples),
-        "samples_per_second": partial.samples / seconds,
+        "samples": int(samples),
+        "samples_per_second": samples / seconds,
     }
 
 
@@ -324,7 +358,7 @@ def bench_frame_plan_cache(repeats: int = 3) -> dict:
 #: name -> (function, which baseline file it belongs to)
 BENCHMARKS = {
     "render_kernel_compacted": (bench_render_kernel, "BENCH_render.json"),
-    "render_kernel_reference": (bench_render_kernel_reference, "BENCH_render.json"),
+    "render_blocks_64": (bench_render_blocks_64, "BENCH_render.json"),
     "composite_over": (bench_composite, "BENCH_render.json"),
     "two_phase_plan": (bench_two_phase_plan, "BENCH_pipeline.json"),
     "collective_read_blocks_128": (bench_collective_read_blocks, "BENCH_pipeline.json"),

@@ -163,9 +163,7 @@ class Camera:
         origins = np.broadcast_to(self.eye, d.shape)
         return origins, d
 
-    def rays_for_rect(
-        self, rect: tuple[int, int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def rays_for_rect(self, rect: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Rays through every pixel of ``rect`` = (x0, y0, w, h), shaped
         (h, w, 3); views into the frame's ray table when this camera
         carries one (see :meth:`with_frame_rays`)."""

@@ -182,9 +182,7 @@ def render_block(
     """
     check_step(step)
     if not 0.0 < early_termination <= 1.0:  # also rejects NaN
-        raise ConfigError(
-            f"early_termination must be in (0, 1], got {early_termination}"
-        )
+        raise ConfigError(f"early_termination must be in (0, 1], got {early_termination}")
     if plan is None:
         plan = build_ray_plan(camera, block.world_lo, block.world_hi, step)
     elif plan.step != step:

@@ -15,6 +15,19 @@ from repro.utils.errors import ConfigError
 from repro.utils.validation import check_shape3
 
 
+def _cell(coord: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower cell index, float32 weight of the upper cell) along one
+    axis of ``n >= 2`` voxels whose index 0 sits at world ``first``.
+
+    The weight is exact: ``i0 <= i`` is an integer, so ``i - i0`` lies
+    on the float32 ``i``'s own ulp grid — the same number a float64
+    subtraction rounded back to float32 gives.
+    """
+    i = np.clip(coord - np.float32(first), 0.0, n - 1.0)
+    i0 = np.minimum(i.astype(np.intp), n - 2)
+    return i0, i - i0.astype(np.float32)
+
+
 class VolumeBlock:
     """One block of a scalar volume, possibly with ghost layers."""
 
@@ -137,26 +150,16 @@ class VolumeBlock:
 
         The ray caster's sampler: one contiguous vector per axis (no
         strided ``p[..., k]`` reads), weights kept single precision and
-        the eight corner reads sharing one flat base index.  The
-        fractional part is taken in float32, which is exact — ``iz`` is
-        a float32 and ``z0 <= iz`` an integer, so ``iz - z0`` lies on
-        ``iz``'s own ulp grid — and therefore equals the same
-        subtraction done in float64 and rounded back.  Values agree
-        with :meth:`sample_world` to float32 rounding.
+        the eight corner reads sharing one flat base index.  Values
+        agree with :meth:`sample_world` to float32 rounding.
         """
         nz, ny, nx = self.data.shape
         if min(nz, ny, nx) < 2:
             # Degenerate axes need the clamped corner logic.
             return self.sample_world(np.stack([x, y, z], axis=-1)).astype(np.float32)
-        iz = np.clip(z - np.float32(self.start[0] - self.ghost_lo[0]), 0.0, nz - 1.0)
-        iy = np.clip(y - np.float32(self.start[1] - self.ghost_lo[1]), 0.0, ny - 1.0)
-        ix = np.clip(x - np.float32(self.start[2] - self.ghost_lo[2]), 0.0, nx - 1.0)
-        z0 = np.minimum(iz.astype(np.intp), nz - 2)
-        y0 = np.minimum(iy.astype(np.intp), ny - 2)
-        x0 = np.minimum(ix.astype(np.intp), nx - 2)
-        fz = iz - z0.astype(np.float32)
-        fy = iy - y0.astype(np.float32)
-        fx = ix - x0.astype(np.float32)
+        z0, fz = _cell(z, self.start[0] - self.ghost_lo[0], nz)
+        y0, fy = _cell(y, self.start[1] - self.ghost_lo[1], ny)
+        x0, fx = _cell(x, self.start[2] - self.ghost_lo[2], nx)
         gx = 1 - fx
         gy = 1 - fy
         flat = self.data.reshape(-1)
