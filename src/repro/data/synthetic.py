@@ -16,7 +16,6 @@ need; no astrophysics is claimed.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.errors import ConfigError
 from repro.utils.validation import check_shape3
@@ -47,6 +46,10 @@ class SupernovaModel:
 
     def _turbulence(self, channel: int, smooth_vox: float) -> np.ndarray:
         """Band-limited noise: white noise, Gaussian smoothed, normalized."""
+        # Here, not at module top: `import repro` must not pay scipy's
+        # ~0.3 s and ~30 MB for commands that never build a dataset.
+        from scipy import ndimage
+
         rng = np.random.default_rng(self.seed * 7 + channel)
         noise = rng.standard_normal(self.grid_shape)
         smooth = ndimage.gaussian_filter(noise, sigma=smooth_vox, mode="nearest")

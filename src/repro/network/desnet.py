@@ -41,9 +41,10 @@ class DESNetwork:
 
     :meth:`transfer_then` (one message) and :meth:`transfer_many_then`
     (one rank's batch, vectorized) price messages and schedule the
-    caller's delivery callables — one engine event per message,
-    nothing else allocated.  :meth:`transfer` / :meth:`transfer_many`
-    are the Future-returning adapters over them.
+    caller's delivery callables — one engine event per message and
+    nothing else allocated, a batch in one engine call.
+    :meth:`transfer` / :meth:`transfer_many` are the Future-returning
+    adapters over them.
     """
 
     def __init__(
@@ -176,8 +177,7 @@ class DESNetwork:
             return
         now = self.engine.now
         src_node = self.mapping.node_of(src_rank)
-        dst_ranks = np.fromiter((d for d, _ in requests), dtype=np.int64, count=n)
-        nb = np.fromiter((b for _, b in requests), dtype=np.int64, count=n)
+        dst_ranks, nb = np.array(requests, dtype=np.int64).T
         if nb.min() < 0:
             raise CommunicationError(f"negative message size {int(nb.min())}")
         dst_nodes = self.mapping.node_of(dst_ranks)
@@ -206,8 +206,7 @@ class DESNetwork:
             ready = arrive - wire
             eject_busy = self.recv_overhead_s + wire
             eject_free = self._eject_free
-            uniq = np.unique(dn)
-            if uniq.size == dn.size:
+            if len(set(dn.tolist())) == dn.size:
                 # Distinct receivers: no intra-batch ejector chaining.
                 d = np.maximum(ready, eject_free[dn]) + eject_busy
                 eject_free[dn] = d
@@ -222,17 +221,16 @@ class DESNetwork:
                     eject_free[node] = t
             deliver[idx] = d
 
-        schedule_at = self.engine.schedule_at
+        times = deliver.tolist()
         tracer = self.tracer
-        trace_on = tracer is not None and tracer.enabled
-        for k in range(n):
-            if trace_on:
-                self._trace(
-                    tracer, src_rank, int(dst_ranks[k]), src_node,
-                    int(dst_nodes[k]), int(nb[k]), int(hops_all[k]),
-                    now, float(deliver[k]),
-                )
-            schedule_at(float(deliver[k]), fns[k])
+        if tracer is not None and tracer.enabled:
+            for dst_rank, dst_node, nbytes, hops, t1 in zip(
+                dst_ranks.tolist(), dst_nodes.tolist(), nb.tolist(),
+                hops_all.tolist(), times,
+            ):
+                self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
+                            nbytes, hops, now, t1)
+        self.engine.schedule_many_at(times, fns)
 
     def _trace(self, tracer, src_rank, dst_rank, src_node, dst_node,
                nbytes, hops, t0, t1) -> None:

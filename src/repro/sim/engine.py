@@ -41,6 +41,7 @@ from repro.utils.errors import DeadlockError, SimulationError
 Yieldable = Any  # Delay | float | Future | AllOf
 
 _INF = float("inf")
+_FUTURE_SUBCLASSES = Future.subclasses
 _EV_NEW = Event.__new__
 _EV_FILL = list.__init__  # fills [time, priority, seq, fn] in one C call
 
@@ -78,8 +79,22 @@ class Process:
         return self._finished
 
     def __call__(self, value: Any) -> None:
-        """Future-resolution entry point: requeue at the current time."""
-        self.engine._resume(self, value)
+        """Requeue at the current time with ``value`` — the entry point
+        for future resolution, zero delays and spawning.
+
+        While the run loop is live this goes through the ready deque —
+        no Event, no closure — at the exact ``(now, 0, seq)`` position
+        a zero-delay schedule would have taken.  Outside the loop it
+        falls back to a queued event.
+        """
+        eng = self.engine
+        if eng._running:
+            eng._seq = seq = eng._seq + 1
+            eng._ready.append((seq, self, value))
+        elif value is None:
+            eng.schedule(0.0, self._step_none)
+        else:
+            eng.schedule(0.0, partial(self._step, value))
 
     def kill(self) -> None:
         """Terminate the process from outside (fault injection).
@@ -131,15 +146,17 @@ class Process:
             self.waiting_on = yielded
             seconds = yielded.seconds
             if seconds == 0.0 and eng._running:
-                eng._resume(self, None)
+                self(None)
             else:
                 eng._schedule_step(seconds, self)
-        elif cls is Future:
+        elif cls is Future or cls in _FUTURE_SUBCLASSES:
             self.waiting_on = yielded
             if yielded.done:
-                # Resume via the engine so simultaneous resumptions keep
-                # deterministic seq ordering rather than deep recursion.
-                eng._resume(self, yielded.value)
+                # Requeue rather than step: simultaneous resumptions keep
+                # deterministic seq ordering and the stack stays flat.
+                self(yielded.value)
+            elif yielded._callbacks is None:
+                yielded._callbacks = [self]
             else:
                 yielded._callbacks.append(self)
         elif cls is AllOf:
@@ -147,17 +164,6 @@ class Process:
             self._wait_all(yielded)
         elif isinstance(yielded, (int, float)):
             self._dispatch(Delay(float(yielded)))
-        elif isinstance(yielded, (Delay, Future, AllOf)):  # subclasses
-            self.waiting_on = yielded
-            if isinstance(yielded, Delay):
-                eng._schedule_step(yielded.seconds, self)
-            elif isinstance(yielded, Future):
-                if yielded.done:
-                    eng._resume(self, yielded.value)
-                else:
-                    yielded.add_done_callback(self)
-            else:
-                self._wait_all(yielded)
         else:
             self._finished = True
             err = SimulationError(
@@ -167,17 +173,16 @@ class Process:
             raise err
 
     def _wait_all(self, group: AllOf) -> None:
-        eng = self.engine
         futures = group.futures
         if not futures:
-            eng._resume(self, [])
+            self([])
             return
         remaining = [len(futures)]
 
         def one_done(_value: Any) -> None:
             remaining[0] -= 1
             if remaining[0] == 0:
-                eng._resume(self, [f.value for f in futures])
+                self([f.value for f in futures])
 
         for f in futures:
             f.add_done_callback(one_done)
@@ -238,8 +243,8 @@ class Engine:
 
     def schedule(self, delay: float, fn: Callable[[], None], priority: int = 0) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
+        if not (0 <= delay < _INF):
+            raise SimulationError(f"cannot schedule: negative or non-finite delay {delay!r}")
         t = self.now + delay
         self._seq = seq = self._seq + 1
         ev = _EV_NEW(self._ev_cls)
@@ -251,9 +256,9 @@ class Engine:
 
     def schedule_at(self, time: float, fn: Callable[[], None], priority: int = 0) -> Event:
         """Schedule ``fn`` at an absolute simulated time."""
-        if time < self.now:
+        if not (self.now <= time < _INF):
             raise SimulationError(
-                f"cannot schedule at t={time!r} before now={self.now!r}"
+                f"cannot schedule at t={time!r}: not in [now={self.now!r}, inf)"
             )
         self._seq = seq = self._seq + 1
         ev = _EV_NEW(self._ev_cls)
@@ -262,6 +267,29 @@ class Engine:
         if time < self._inc_min_t:
             self._inc_min_t = time
         return ev
+
+    def schedule_many_at(self, times: list[float], fns: list[Callable]) -> list[Event]:
+        """:meth:`schedule_at` for a batch: the entries and consecutive
+        sequence numbers of the loop, in one call.  A bad time raises
+        before anything is queued or numbered."""
+        now = self.now
+        seq = self._seq
+        cls = self._ev_cls
+        batch = []
+        for time, fn in zip(times, fns):
+            if not (now <= time < _INF):
+                raise SimulationError(
+                    f"cannot schedule at t={time!r}: not in [now={now!r}, inf)"
+                )
+            seq += 1
+            ev = _EV_NEW(cls)
+            _EV_FILL(ev, (time, 0, seq, fn))
+            batch.append(ev)
+        if batch:
+            self._seq = seq
+            self._incoming.extend(batch)
+            self._inc_min_t = min(self._inc_min_t, min(times))
+        return batch
 
     def _schedule_step(self, delay: float, proc: Process) -> None:
         """Queue ``proc._step(None)`` after ``delay`` — the Delay resume
@@ -274,22 +302,6 @@ class Engine:
         self._inc_append(ev)
         if t < self._inc_min_t:
             self._inc_min_t = t
-
-    def _resume(self, proc: Process, value: Any) -> None:
-        """Requeue ``proc`` at the current time with ``value``.
-
-        While the run loop is live this goes through the ready deque —
-        no Event, no closure — at the exact ``(now, 0, seq)`` position
-        a zero-delay schedule would have taken.  Outside the loop it
-        falls back to a queued event.
-        """
-        if self._running:
-            self._seq = seq = self._seq + 1
-            self._ready.append((seq, proc, value))
-        elif value is None:
-            self.schedule(0.0, proc._step_none)
-        else:
-            self.schedule(0.0, partial(proc._step, value))
 
     def _note_cancelled(self) -> None:
         """Keep the live cancelled count; compact when they dominate.
@@ -338,7 +350,7 @@ class Engine:
         """Register a coroutine process and start it at the current time."""
         proc = Process(self, gen, name or f"proc{len(self._processes)}")
         self._processes.append(proc)
-        self._resume(proc, None)
+        proc(None)
         return proc
 
     def spawn_all(self, gens: Iterable[Generator], prefix: str = "rank") -> list[Process]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Iterable
 
 from repro.utils.errors import SimulationError
@@ -79,15 +80,24 @@ class Future:
     objects directly (a process is callable: calling it requeues it on
     its engine).  Mixing the two keeps one registration order, so a
     future with both plain callbacks and waiting processes fires them
-    exactly in the order they subscribed.
+    exactly in the order they subscribed.  The first subscriber
+    allocates the list: most futures resolve before anyone waits.
     """
 
     __slots__ = ("done", "value", "_callbacks", "name")
 
+    #: Every subclass, so :meth:`Process._dispatch` routes one by a set
+    #: lookup on its exact class instead of an ``isinstance`` walk.
+    subclasses: set[type] = set()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        Future.subclasses.add(cls)
+
     def __init__(self, name: str = ""):
         self.done = False
         self.value: Any = None
-        self._callbacks: list[Callable[[Any], None]] = []
+        self._callbacks: list[Callable[[Any], None]] | None = None
         self.name = name
 
     def resolve(self, value: Any = None) -> None:
@@ -98,7 +108,7 @@ class Future:
         self.value = value
         callbacks = self._callbacks
         if callbacks:
-            self._callbacks = []
+            self._callbacks = None
             for cb in callbacks:
                 cb(value)
 
@@ -106,6 +116,8 @@ class Future:
         """Call ``cb(value)`` when resolved (immediately if already done)."""
         if self.done:
             cb(self.value)
+        elif self._callbacks is None:
+            self._callbacks = [cb]
         else:
             self._callbacks.append(cb)
 
@@ -120,8 +132,8 @@ class Delay:
     __slots__ = ("seconds",)
 
     def __init__(self, seconds: float):
-        if seconds < 0:
-            raise SimulationError(f"cannot delay by negative time {seconds!r}")
+        if not (0 <= seconds < inf):
+            raise SimulationError(f"cannot delay by negative or non-finite time {seconds!r}")
         self.seconds = float(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

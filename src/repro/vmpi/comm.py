@@ -19,21 +19,19 @@ scan-in-order semantics exactly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 from repro.network.desnet import DESNetwork
 from repro.sim.events import Future
 from repro.utils.errors import CommunicationError, RankFailed
-from repro.vmpi.payload import payload_nbytes, snapshot
+from repro.vmpi.payload import VirtualPayload, payload_nbytes, snapshot
 
 ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(NamedTuple):
     """Receive status: who sent the matched message, with which tag."""
 
     source: int
@@ -41,70 +39,56 @@ class Status:
     nbytes: int
 
 
-class Request:
-    """Handle for a non-blocking operation; ``yield req.future`` to wait.
+class Request(Future):
+    """Handle for a non-blocking operation; ``yield req`` to wait.
 
-    For receives, the future's value is ``(payload, Status)``.  For
-    sends it is ``None``.
+    The request *is* its completion future (``req.future`` is ``req``).
+    For receives the value is ``(payload, Status)``; for sends, None.
     """
 
-    __slots__ = ("future", "kind")
+    __slots__ = ()
+    kind = ""  # "isend" / "irecv", on the two subclasses
 
-    def __init__(self, future: Future, kind: str):
-        self.future = future
-        self.kind = kind
+    @property
+    def future(self) -> "Request":
+        return self
 
     @property
     def complete(self) -> bool:
-        return self.future.done
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.future.done else "pending"
-        return f"<Request {self.kind} {state}>"
+        return self.done
 
 
-class _Envelope:
-    __slots__ = ("source", "tag", "payload", "nbytes", "seq")
+class _Send(Request):
+    """One message, from ``isend`` to ``recv``, as one object.
 
-    def __init__(
-        self, source: int, tag: int, payload: Any, nbytes: int, seq: int | None = None
-    ):
+    It is the send request handed to the program, the envelope that
+    waits in the destination mailbox, and the callable the network
+    schedules as the delivery event (the engine calls it with no
+    argument, or with the injector's ``DROPPED`` sentinel for a dropped
+    packet) — sends are the hottest allocation site in a compositing
+    phase.  ``seq`` is the per-(source, dest) sequence number, assigned
+    only when message faults are active (drop retry / dup suppression);
+    a duplicate wire packet is a second record sharing body and
+    ``seq``.  ``attempt`` counts retransmissions.
+    """
+
+    __slots__ = ("board", "source", "dest", "tag", "payload", "nbytes", "seq", "attempt")
+    kind = "isend"
+    name = "send"  # shadows the inherited slot: nothing stored per message
+
+    def __init__(self, board: "MessageBoard", source: int, dest: int, tag: int,
+                 payload: Any, nbytes: int, seq: int | None = None):
+        self.done = False
+        self.value = None
+        self._callbacks = None
+        self.board = board
         self.source = source
+        self.dest = dest
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
-        # Per-(source, dest) sequence number; assigned only when
-        # message faults are active (drop retry / dup suppression).
         self.seq = seq
-
-
-class _PendingRecv:
-    __slots__ = ("source", "tag", "future")
-
-    def __init__(self, source: int, tag: int, future: Future):
-        self.source = source
-        self.tag = tag
-        self.future = future
-
-
-class _Delivery:
-    """Wire-completion callback: lands one envelope in one mailbox.
-
-    The network schedules it as the delivery event itself
-    (:meth:`DESNetwork.transfer_then`), so the engine calls it with no
-    argument — or with the injector's ``DROPPED`` sentinel for a
-    dropped packet.  A slotted callable instead of a closure — sends
-    are the hottest allocation site in a compositing phase.
-    """
-
-    __slots__ = ("board", "dest", "env", "done", "attempt")
-
-    def __init__(self, board: "MessageBoard", dest: int, env: _Envelope, done: Future):
-        self.board = board
-        self.dest = dest
-        self.env = env
-        self.done = done
-        self.attempt = 0  # retransmission count when faults are active
+        self.attempt = 0
 
     def __call__(self, value: Any = None) -> None:
         board = self.board
@@ -112,8 +96,30 @@ class _Delivery:
         if fault is not None and fault.active:
             board._deliver_faulty(self, value)
             return
-        board._deliver(self.dest, self.env)
-        self.done.resolve(None)
+        board._deliver(self)
+        self.resolve(None)
+
+    def hand_to(self, recv: "_Recv") -> None:
+        """Complete ``recv`` with this message and let go of the body:
+        the sender's request list must not pin delivered payloads."""
+        recv.resolve((self.payload, Status(self.source, self.tag, self.nbytes)))
+        self.payload = None
+
+
+class _Recv(Request):
+    """A receive request; until matched it is also the entry waiting in
+    its rank's pending-receive deque."""
+
+    __slots__ = ("source", "tag")
+    kind = "irecv"
+    name = "recv"
+
+    def __init__(self, source: int, tag: int):
+        self.done = False
+        self.value = None
+        self._callbacks = None
+        self.source = source
+        self.tag = tag
 
 
 def leak_error(leaked: list[tuple[int, int, int]]) -> CommunicationError:
@@ -140,9 +146,9 @@ class MessageBoard:
     def __init__(self, network: DESNetwork, nprocs: int):
         self.network = network
         self.nprocs = int(nprocs)
-        # tag -> deque[(arrival_stamp, _Envelope)], per rank.
+        # tag -> deque[(arrival_stamp, _Send)], per rank.
         self._mailbox: list[dict[int, deque]] = [{} for _ in range(nprocs)]
-        # tag (or ANY_TAG) -> deque[(post_stamp, _PendingRecv)], per rank.
+        # tag (or ANY_TAG) -> deque[(post_stamp, _Recv)], per rank.
         self._pending: list[dict[int, deque]] = [{} for _ in range(nprocs)]
         self._stamp = 0  # shared arrival/posting order counter
         self._unreceived = 0  # live count of parked envelopes
@@ -152,7 +158,7 @@ class MessageBoard:
         self.fault = None
         self._pair_seq: dict[tuple[int, int], int] = {}
         self._next_deliver: dict[tuple[int, int], int] = {}
-        self._holdback: dict[tuple[int, int], dict[int, _Envelope]] = {}
+        self._holdback: dict[tuple[int, int], dict[int, _Send]] = {}
         self.lost_messages = 0  # discarded at a dead endpoint
 
     # -- sends ----------------------------------------------------------
@@ -171,8 +177,8 @@ class MessageBoard:
     def post_send(self, source: int, dest: int, tag: int, payload: Any) -> Request:
         """Eager buffered send: completes when the wire transfer finishes.
 
-        When message faults are on, the envelope carries a per-pair
-        sequence number (the receiver releases envelopes in sequence
+        When message faults are on, the record carries a per-pair
+        sequence number (the receiver releases messages in sequence
         order, so drop retries and duplicates never reorder a pair's
         stream), and a duplicate wire packet of it may be launched.
         """
@@ -186,29 +192,27 @@ class MessageBoard:
             key = (source, dest)
             seq = self._pair_seq.get(key, 0)
             self._pair_seq[key] = seq + 1
-        env = _Envelope(source, tag, body, nbytes, seq)
-        done = Future(name="send")
+        rec = _Send(self, source, dest, tag, body, nbytes, seq)
         transfer_then = self.network.transfer_then
-        transfer_then(source, dest, nbytes, _Delivery(self, dest, env, done))
+        transfer_then(source, dest, nbytes, rec)
         if msg_faults and fault.dup_decision():
-            # Duplicate packet: same envelope (same seq) on its own
-            # wire slot; the receiver's sequence filter discards it.
+            # Duplicate packet: same body and seq on its own wire slot;
+            # the receiver's sequence filter discards it.
             transfer_then(
-                source, dest, nbytes,
-                _Delivery(self, dest, env, Future(name="send-dup")),
+                source, dest, nbytes, _Send(self, source, dest, tag, body, nbytes, seq)
             )
-        return Request(done, kind="isend")
+        return rec
 
-    def post_send_many(
-        self, source: int, dest_payloads: list[tuple[int, Any]], tag: int
-    ) -> list[Request]:
-        """Eager sends of many messages with one tag, in list order.
+    def post_send_many(self, source: int, dest_payloads: Iterable, tag: int) -> list[Request]:
+        """Eager sends of many ``(dest, payload)`` with one tag, in order.
 
         Uses :meth:`DESNetwork.transfer_many_then`, so the whole batch's wire
         timeline is computed vectorized; delivery order and times are
         identical to an equivalent sequence of :meth:`post_send` calls.
+        ``dest_payloads`` is read once (it may be a ``zip`` or a
+        generator), and every destination is validated before anything
+        reaches the network.
         """
-        self._check_send(source, (d for d, _p in dest_payloads), tag)
         fault = self.fault
         if fault is not None and fault.msg_faults:
             # Sequence numbers and drop/dup draws must follow list
@@ -216,58 +220,61 @@ class MessageBoard:
             # faults alone keep the batch wire path: the network already
             # falls back to scalar under link windows, and dead
             # endpoints are handled at delivery.)
-            return [self.post_send(source, d, tag, p) for d, p in dest_payloads]
+            batch = list(dest_payloads)
+            self._check_send(source, (d for d, _p in batch), tag)
+            return [self.post_send(source, d, tag, p) for d, p in batch]
+        self._check_send(source, (), tag)
+        nprocs = self.nprocs
         requests = []
-        deliveries = []
-        reqs = []
-        for dest, payload in dest_payloads:
-            body = snapshot(payload)
-            nbytes = payload_nbytes(body)
-            done = Future(name="send")
+        recs = []
+        for dest, body in dest_payloads:
+            if not (0 <= dest < nprocs):
+                self._check_rank(dest, "dest")
+            if body.__class__ is VirtualPayload:
+                nbytes = body.nbytes  # snapshot / payload_nbytes are identity / this read
+            else:
+                body = snapshot(body)
+                nbytes = payload_nbytes(body)
             requests.append((dest, nbytes))
-            deliveries.append(
-                _Delivery(self, dest, _Envelope(source, tag, body, nbytes), done)
-            )
-            reqs.append(Request(done, kind="isend"))
-        self.network.transfer_many_then(source, requests, deliveries)
-        return reqs
+            recs.append(_Send(self, source, dest, tag, body, nbytes))
+        self.network.transfer_many_then(source, requests, recs)
+        return recs
 
     # -- receives ---------------------------------------------------------
 
     def post_recv(self, rank: int, source: int, tag: int) -> Request:
-        """Post a receive; matches an already-arrived or future envelope."""
-        self._check_rank(rank, "rank")
-        if source != ANY_SOURCE:
+        """Post a receive; matches an already-arrived or future message."""
+        nprocs = self.nprocs
+        if not (0 <= rank < nprocs and (source == ANY_SOURCE or 0 <= source < nprocs)):
+            self._check_rank(rank, "rank")
             self._check_rank(source, "source")
-        fut = Future(name="recv")
-        env = self._match_mailbox(rank, source, tag)
-        if env is not None:
-            fut.resolve((env.payload, Status(env.source, env.tag, env.nbytes)))
+        req = _Recv(source, tag)
+        rec = self._match_mailbox(rank, source, tag) if self._mailbox[rank] else None
+        if rec is not None:
+            rec.hand_to(req)
         else:
             self._stamp = stamp = self._stamp + 1
             pend = self._pending[rank]
             dq = pend.get(tag)
             if dq is None:
                 dq = pend[tag] = deque()
-            dq.append((stamp, _PendingRecv(source, tag, fut)))
-        return Request(fut, kind="irecv")
+            dq.append((stamp, req))
+        return req
 
     def _match_mailbox(self, rank: int, source: int, tag: int):
-        """Pop and return the earliest-arrived matching envelope, if any."""
+        """Pop and return the earliest-arrived matching message, if any."""
         box = self._mailbox[rank]
-        if not box:
-            return None
         if tag != ANY_TAG:
             dq = box.get(tag)
             if not dq:
                 return None
             if source == ANY_SOURCE:
-                env = dq.popleft()[1]
+                rec = dq.popleft()[1]
             else:
                 hit = None
                 for i, (_stamp, e) in enumerate(dq):
                     if e.source == source:
-                        hit, env = i, e
+                        hit, rec = i, e
                         break
                 if hit is None:
                     return None
@@ -275,14 +282,14 @@ class MessageBoard:
             if not dq:
                 del box[tag]
             self._unreceived -= 1
-            return env
+            return rec
         # Wildcard tag: earliest arrival stamp across every tag's deque.
-        best_stamp = best_tag = best_i = best_env = None
+        best_stamp = best_tag = best_i = best_rec = None
         for t, dq in box.items():
             for i, (stamp, e) in enumerate(dq):
                 if source == ANY_SOURCE or e.source == source:
                     if best_stamp is None or stamp < best_stamp:
-                        best_stamp, best_tag, best_i, best_env = stamp, t, i, e
+                        best_stamp, best_tag, best_i, best_rec = stamp, t, i, e
                     break
         if best_stamp is None:
             return None
@@ -291,41 +298,53 @@ class MessageBoard:
         if not dq:
             del box[best_tag]
         self._unreceived -= 1
-        return best_env
+        return best_rec
 
-    def _deliver(self, dest: int, env: _Envelope) -> None:
-        pend = self._pending[dest]
+    def _deliver(self, rec: _Send) -> None:
+        """Hand ``rec`` to the earliest-posted matching receive, or park it."""
+        tag = rec.tag
+        pend = self._pending[rec.dest]
         if pend:
-            # Earliest-posted matching receive: candidates live in the
-            # exact-tag deque and the wildcard-tag deque.
-            best = None  # (stamp, deque, index, tag_key)
-            for key in (env.tag, ANY_TAG):
-                dq = pend.get(key)
-                if not dq:
-                    continue
-                for i, (stamp, pr) in enumerate(dq):
-                    if pr.source == ANY_SOURCE or pr.source == env.source:
+            dq = pend.get(tag)
+            if dq and ANY_TAG not in pend:
+                # No wildcard-tag receive is posted, so the earliest
+                # match can only be in this deque — and it is the head
+                # whenever the head accepts the source.
+                head = dq[0][1]
+                if head.source == ANY_SOURCE or head.source == rec.source:
+                    dq.popleft()
+                    if not dq:
+                        del pend[tag]
+                    rec.hand_to(head)
+                    return
+            # General case: candidates live in the exact-tag deque and
+            # the wildcard-tag deque; the lower posting stamp wins.
+            best = None  # (stamp, tag_key, index, receive)
+            for key in (tag, ANY_TAG):
+                for i, (stamp, pr) in enumerate(pend.get(key, ())):
+                    if pr.source == ANY_SOURCE or pr.source == rec.source:
                         if best is None or stamp < best[0]:
-                            best = (stamp, dq, i, key, pr)
+                            best = (stamp, key, i, pr)
                         break
             if best is not None:
-                _stamp, dq, i, key, pr = best
+                _stamp, key, i, pr = best
+                dq = pend[key]
                 del dq[i]
                 if not dq:
                     del pend[key]
-                pr.future.resolve((env.payload, Status(env.source, env.tag, env.nbytes)))
+                rec.hand_to(pr)
                 return
         self._stamp = stamp = self._stamp + 1
-        box = self._mailbox[dest]
-        dq = box.get(env.tag)
+        box = self._mailbox[rec.dest]
+        dq = box.get(tag)
         if dq is None:
-            dq = box[env.tag] = deque()
-        dq.append((stamp, env))
+            dq = box[tag] = deque()
+        dq.append((stamp, rec))
         self._unreceived += 1
 
     # -- fault handling ---------------------------------------------------
 
-    def _deliver_faulty(self, delivery: _Delivery, value: Any) -> None:
+    def _deliver_faulty(self, rec: _Send, value: Any) -> None:
         """Wire completion under an active fault injector.
 
         Three outcomes: a dropped packet is retransmitted after
@@ -333,49 +352,45 @@ class MessageBoard:
         whose source or destination has died is discarded and counted
         lost (the crash tears down the NIC, so in-flight traffic dies
         with the node — which also makes post-quiescence ``probe``
-        results stable); otherwise the envelope lands, in sequence
-        order when message faults are on.
+        results stable); otherwise the message lands, in sequence
+        order when message faults are on.  Landed or lost, a
+        still-pending send request completes.
         """
         fault = self.fault
-        env = delivery.env
-        dest = delivery.dest
         if value is fault.DROPPED:
-            attempt = delivery.attempt
-            delivery.attempt = attempt + 1
+            attempt = rec.attempt
+            rec.attempt = attempt + 1
             fault.note_retry()
             delay = fault.retry.delay(attempt)
-            self.network.engine.schedule(delay, partial(self._retransmit, delivery))
+            self.network.engine.schedule(delay, partial(self._retransmit, rec))
             return
-        if self._lost_at_dead_endpoint(dest, env.source, delivery.done):
-            return
-        if env.seq is not None:
-            self._deliver_ordered(dest, env)
-        else:
-            self._deliver(dest, env)
-        if not delivery.done.done:
-            delivery.done.resolve(None)
+        if not self._lost_at_dead_endpoint(rec):
+            if rec.seq is not None:
+                self._deliver_ordered(rec)
+            else:
+                self._deliver(rec)
+        if not rec.done:
+            rec.resolve(None)
 
-    def _lost_at_dead_endpoint(self, dest: int, source: int, done: Future | None = None) -> bool:
+    def _lost_at_dead_endpoint(self, rec: _Send) -> bool:
         """True when either endpoint has died: the message is discarded
-        and counted lost, and a still-pending send request completes."""
+        and counted lost."""
         fault = self.fault
         if fault is None or not fault.active or not (
-            fault.is_dead(dest) or fault.is_dead(source)
+            fault.is_dead(rec.dest) or fault.is_dead(rec.source)
         ):
             return False
         self.lost_messages += 1
         fault.note_lost()
-        if done is not None and not done.done:
-            done.resolve(None)
         return True
 
-    def _retransmit(self, delivery: _Delivery) -> None:
-        env = delivery.env
-        if self._lost_at_dead_endpoint(delivery.dest, env.source, delivery.done):
-            return
-        self.network.transfer_then(env.source, delivery.dest, env.nbytes, delivery)
+    def _retransmit(self, rec: _Send) -> None:
+        if not self._lost_at_dead_endpoint(rec):
+            self.network.transfer_then(rec.source, rec.dest, rec.nbytes, rec)
+        elif not rec.done:
+            rec.resolve(None)
 
-    def _deliver_ordered(self, dest: int, env: _Envelope) -> None:
+    def _deliver_ordered(self, rec: _Send) -> None:
         """Release the pair's stream in send order; discard duplicates.
 
         A retried drop can overtake a later send, and a duplicate can
@@ -383,25 +398,25 @@ class MessageBoard:
         arrivals back and drops already-delivered sequence numbers, so
         the application observes exactly the posted order.
         """
-        key = (env.source, dest)
+        key = (rec.source, rec.dest)
         nxt = self._next_deliver.get(key, 0)
-        seq = env.seq
+        seq = rec.seq
         if seq < nxt:
             return  # duplicate of an already-delivered message
         if seq > nxt:
-            self._holdback.setdefault(key, {})[seq] = env
+            self._holdback.setdefault(key, {})[seq] = rec
             return
-        self._deliver(dest, env)
+        self._deliver(rec)
         nxt += 1
         hb = self._holdback.get(key)
         if hb:
             while nxt in hb:
-                self._deliver(dest, hb.pop(nxt))
+                self._deliver(hb.pop(nxt))
                 nxt += 1
         self._next_deliver[key] = nxt
 
     def probe(self, rank: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-destructive: has a matching envelope already arrived?
+        """Non-destructive: has a matching message already arrived?
 
         Used by failover code to distinguish "the dead sender's piece
         landed before the crash" from "lost with the sender" without
@@ -409,18 +424,10 @@ class MessageBoard:
         """
         self._check_rank(rank, "rank")
         box = self._mailbox[rank]
-        if tag != ANY_TAG:
-            dq = box.get(tag)
-            if not dq:
-                return False
-            if source == ANY_SOURCE:
-                return True
-            return any(e.source == source for _stamp, e in dq)
-        for dq in box.values():
-            for _stamp, e in dq:
-                if source == ANY_SOURCE or e.source == source:
-                    return True
-        return False
+        deques = box.values() if tag == ANY_TAG else (box.get(tag, ()),)
+        return any(
+            source == ANY_SOURCE or e.source == source for dq in deques for _stamp, e in dq
+        )
 
     def purge_ranks(self, ranks) -> int:
         """Drop a dead rank's parked envelopes and pending receives.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Generator, Iterable
 
 from repro.sim.engine import Engine
@@ -9,6 +10,14 @@ from repro.sim.events import AllOf, Delay
 from repro.utils.errors import CommunicationError
 from repro.vmpi import collectives
 from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, MessageBoard, Request, Status
+
+
+def _payload_of(value: Any) -> Any:
+    """A receive's ``(payload, Status)`` value as its payload; a send's
+    None (or anything else) as it is."""
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], Status):
+        return value[0]
+    return value
 
 
 class RankContext:
@@ -45,8 +54,8 @@ class RankContext:
 
     def compute(self, seconds: float) -> Generator:
         """Occupy this rank's core for ``seconds`` of local computation."""
-        if seconds < 0:
-            raise CommunicationError(f"negative compute time {seconds!r}")
+        if not (0 <= seconds < inf):
+            raise CommunicationError(f"negative or non-finite compute time {seconds!r}")
         self.compute_seconds += seconds
         yield Delay(seconds)
 
@@ -56,8 +65,9 @@ class RankContext:
         """Non-blocking send (eager buffered)."""
         return self.board.post_send(self.rank, dest, tag, data)
 
-    def isend_many(self, dest_payloads: list[tuple[int, Any]], tag: int = 0) -> list[Request]:
-        """Non-blocking sends of a whole batch, in list order.
+    def isend_many(self, dest_payloads: Iterable, tag: int = 0) -> list[Request]:
+        """Non-blocking sends of a whole batch of ``(dest, payload)``
+        pairs, in order (any iterable, read once).
 
         Equivalent to ``[self.isend(p, d, tag) for d, p in dest_payloads]``
         but the wire timeline is computed vectorized (one NumPy pass for
@@ -67,7 +77,7 @@ class RankContext:
         return self.board.post_send_many(self.rank, dest_payloads, tag)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; the request future yields (payload, Status)."""
+        """Non-blocking receive; the request yields (payload, Status)."""
         return self.board.post_recv(self.rank, source, tag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
@@ -76,46 +86,34 @@ class RankContext:
 
     def send(self, data: Any, dest: int, tag: int = 0) -> Generator:
         """Blocking send: returns when the message is delivered."""
-        req = self.isend(data, dest, tag)
-        yield req.future
-        return None
+        yield self.board.post_send(self.rank, dest, tag, data)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Blocking receive: returns the payload."""
-        payload, _status = yield self.irecv(source, tag).future
+        payload, _status = yield self.board.post_recv(self.rank, source, tag)
         return payload
 
     def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """Blocking receive returning ``(payload, Status)``."""
-        payload, status = yield self.irecv(source, tag).future
-        return payload, status
+        return (yield self.board.post_recv(self.rank, source, tag))
 
     def sendrecv(
         self, data: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
     ) -> Generator:
         """Simultaneous send and receive (deadlock-free pairwise swap)."""
-        req = self.isend(data, dest, tag)
-        payload, _status = yield self.irecv(source, tag).future
-        yield req.future
+        board = self.board
+        req = board.post_send(self.rank, dest, tag, data)
+        payload, _status = yield board.post_recv(self.rank, source, tag)
+        yield req
         return payload
 
     def wait(self, req: Request) -> Generator:
         """Wait for one request; returns its payload for receives."""
-        value = yield req.future
-        if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], Status):
-            return value[0]
-        return value
+        return _payload_of((yield req))
 
     def waitall(self, reqs: Iterable[Request]) -> Generator:
         """Wait for every request; returns the list of receive payloads."""
-        values = yield AllOf([r.future for r in reqs])
-        out = []
-        for v in values:
-            if isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], Status):
-                out.append(v[0])
-            else:
-                out.append(v)
-        return out
+        return [v if v is None else _payload_of(v) for v in (yield AllOf(reqs))]
 
     # -- collectives ---------------------------------------------------------
 

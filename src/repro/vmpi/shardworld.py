@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,9 +57,8 @@ from repro.sim.mailbox import (
 )
 from repro.sim.parallel import ParallelConfig, run_supersteps
 from repro.sim.partition import ShardLayout
-from repro.sim.events import Future
 from repro.utils.errors import ConfigError
-from repro.vmpi.comm import MessageBoard, Request, _Envelope
+from repro.vmpi.comm import MessageBoard, Request, _Send
 from repro.vmpi.payload import payload_nbytes, snapshot
 from repro.vmpi.runner import RankRuntime, collect_result
 
@@ -88,14 +87,14 @@ class ShardMessageBoard(MessageBoard):
         self._check_send(source, (dest,), tag)
         net: ShardNetwork = self.network
         engine = net.engine
-        done = Future(name="send")
         body = snapshot(payload)
         nbytes = payload_nbytes(body)
         local, done_t, t, wire = net.send(source, dest, nbytes)
+        # The record lands here as the envelope; a cross-shard one is
+        # the request only (the destination shard builds its own).
+        rec = _Send(self, source, dest, tag, body if local else None, nbytes)
         if local:
-            engine.schedule_at(
-                t, partial(self._land, dest, _Envelope(source, tag, body, nbytes))
-            )
+            engine.schedule_at(t, partial(self._land, rec))
         else:
             kind, blob = encode_payload(body)
             seq = self._src_seq.get(source, 0)
@@ -104,12 +103,10 @@ class ShardMessageBoard(MessageBoard):
                 (int(net.node_shard[net.mapping.node_of(dest)]),
                  dest, source, seq, tag, t, wire, nbytes, kind, blob)
             )
-        engine.schedule_at(done_t, done.resolve)
-        return Request(done, kind="isend")
+        engine.schedule_at(done_t, rec.resolve)
+        return rec
 
-    def post_send_many(
-        self, source: int, dest_payloads: list[tuple[int, Any]], tag: int
-    ) -> list[Request]:
+    def post_send_many(self, source: int, dest_payloads: Iterable, tag: int) -> list[Request]:
         # Scalar per message: the shard path returns times, not futures,
         # so the batch is already allocation-light; request order gives
         # the same injection chain the vectorized monolithic path prices.
@@ -117,12 +114,12 @@ class ShardMessageBoard(MessageBoard):
 
     # -- delivery ------------------------------------------------------
 
-    def _land(self, dest: int, env: _Envelope) -> None:
-        if not self._lost_at_dead_endpoint(dest, env.source):
-            self._deliver(dest, env)
+    def _land(self, rec: _Send) -> None:
+        if not self._lost_at_dead_endpoint(rec):
+            self._deliver(rec)
 
     def _land_remote(self, dest: int, source: int, tag: int, nbytes: int, payload) -> None:
-        self._land(dest, _Envelope(source, tag, payload, nbytes))
+        self._land(_Send(self, source, dest, tag, payload, nbytes))
 
 
 @dataclass

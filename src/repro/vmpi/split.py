@@ -107,16 +107,14 @@ class SubContext:
         return self.parent.irecv(psource, ptag)
 
     def send(self, data: Any, dest: int, tag: int = 0) -> Generator:
-        req = self.isend(data, dest, tag)
-        yield req.future
-        return None
+        yield self.isend(data, dest, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        payload, _status = yield self.irecv(source, tag).future
+        payload, _status = yield self.irecv(source, tag)
         return payload
 
     def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
-        payload, status = yield self.irecv(source, tag).future
+        payload, status = yield self.irecv(source, tag)
         translated = Status(
             source=self._from_parent(status.source),
             tag=status.tag - self._tag_base,
@@ -126,8 +124,8 @@ class SubContext:
 
     def sendrecv(self, data: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0) -> Generator:
         req = self.isend(data, dest, tag)
-        payload, _status = yield self.irecv(source, tag).future
-        yield req.future
+        payload, _status = yield self.irecv(source, tag)
+        yield req
         return payload
 
     def wait(self, req: Request) -> Generator:

@@ -45,6 +45,34 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             eng.run()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        # nan < 0 is False: it used to be queued, ran between 1.0 and
+        # 0.5 and took the clock backwards; inf is the sharded world's
+        # "drained" sentinel.
+        eng = Engine()
+        eng.schedule(1.0, lambda: None)
+        for call in (
+            lambda: eng.schedule(bad, lambda: None),
+            lambda: eng.schedule_at(bad, lambda: None),
+            lambda: eng.schedule_many_at([0.5, bad], [lambda: None] * 2),
+        ):
+            with pytest.raises(SimulationError, match=repr(bad)):
+                call()
+        eng.schedule(0.5, lambda: None)
+        assert eng.pending_events == 2
+        assert eng.run() == 1.0
+
+    def test_process_yielding_nan_is_rejected(self):
+        eng = Engine()
+
+        def proc():
+            yield float("nan")
+
+        eng.spawn(proc())
+        with pytest.raises(SimulationError, match="nan"):
+            eng.run()
+
     def test_cancelled_events_are_skipped(self):
         eng = Engine()
         fired = []
@@ -94,6 +122,50 @@ class TestScheduling:
         eng.run()
         assert times == sorted(times)
         assert len(times) == len(delays)
+
+
+class TestScheduleMany:
+    """``schedule_many_at`` is the ``schedule_at`` loop, in one call."""
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=20),
+        st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=5),
+    )
+    def test_same_entries_as_the_loop(self, times, before):
+        def entries(bulk):
+            eng = Engine()
+            for t in before:  # the batch starts from an arbitrary seq / min time
+                eng.schedule_at(t, lambda: None)
+            fns = [lambda k=k: fired.append(k) for k in range(len(times))]
+            if bulk:
+                events = eng.schedule_many_at(times, fns)
+            else:
+                events = [eng.schedule_at(t, fn) for t, fn in zip(times, fns)]
+            keys = [(ev.time, ev.priority, ev.seq) for ev in events]
+            state = (eng._seq, eng._inc_min_t, eng.pending_events)
+            fired = []
+            eng.run()
+            return keys, state, fired, eng.now
+
+        assert entries(bulk=True) == entries(bulk=False)
+
+    def test_past_time_raises_and_leaks_nothing(self):
+        eng = Engine()
+        eng.schedule(2.0, lambda: eng.schedule_many_at([3.0, 1.0, 4.0], [lambda: None] * 3))
+        with pytest.raises(SimulationError, match="t=1.0"):
+            eng.run()
+        # Neither the valid 3.0 before the bad entry nor a sequence
+        # number was kept: the next event is numbered as if never called.
+        assert eng.pending_events == 0
+        assert eng.schedule_at(5.0, lambda: None).seq == 2
+
+    def test_events_are_cancellable(self):
+        eng = Engine()
+        fired = []
+        events = eng.schedule_many_at([1.0, 2.0], [lambda: fired.append(1), lambda: fired.append(2)])
+        events[0].cancel()
+        eng.run()
+        assert fired == [2]
 
 
 class TestProcesses:

@@ -65,10 +65,44 @@ class TestFuture:
         assert order == [1, 2]
 
 
+    def test_callback_list_is_allocated_by_the_first_subscriber(self):
+        f = Future()
+        assert f._callbacks is None
+        f.resolve(1)
+        assert f._callbacks is None
+        seen = []
+        f.add_done_callback(seen.append)  # already done: fires, stores nothing
+        assert seen == [1] and f._callbacks is None
+
+    def test_subclasses_register_for_dispatch(self):
+        class Ticket(Future):
+            __slots__ = ()
+
+        assert Ticket in Future.subclasses
+        from repro.sim.engine import Engine
+
+        eng = Engine()
+        ticket = Ticket()
+
+        def waiter():
+            return (yield ticket)
+
+        proc = eng.spawn(waiter())
+        eng.schedule(1.0, lambda: ticket.resolve("go"))
+        eng.run()
+        assert proc.done.value == "go"
+        Future.subclasses.discard(Ticket)
+
+
 class TestDelay:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError, match="negative"):
             Delay(-0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, bad):
+        with pytest.raises(SimulationError, match=repr(bad)):
+            Delay(bad)
 
     def test_zero_delay_allowed(self):
         assert Delay(0.0).seconds == 0.0

@@ -1,5 +1,9 @@
 """The package's front door: top-level imports and versioning."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
@@ -26,3 +30,11 @@ class TestPublicAPI:
     def test_model_entry_point(self):
         fm = repro.FrameModel(repro.DATASETS["1120"])
         assert fm.estimate(64).total_s > 0
+
+    def test_import_does_not_load_scipy(self):
+        """scipy (~0.3 s, ~30 MB) is for dataset synthesis only; the
+        package and its CLI must import without it."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = "import sys, repro, repro.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -15,7 +15,7 @@ from repro.network.desnet import DESNetwork
 from repro.network.topology import TorusTopology
 from repro.sim.engine import Engine
 from repro.utils.errors import CommunicationError
-from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, MessageBoard
+from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, MessageBoard, Status, _Send
 
 
 def make_board(nprocs=8):
@@ -108,3 +108,95 @@ class TestMatchingSemantics:
         assert got == list(range(len(sends)))
         assert board.unreceived_count() == 0
         assert board.pending_recv_count() == 0
+
+
+def _accepts(want_source, want_tag, source, tag):
+    return want_source in (ANY_SOURCE, source) and want_tag in (ANY_TAG, tag)
+
+
+class TestMatcherAgainstListScan:
+    """The tag-indexed deques, their stamps and ``_deliver``'s head-pop
+    shortcut against the definition: a delivery goes to the
+    earliest-posted receive that accepts it, a receive takes the
+    earliest-arrived parked message it accepts."""
+
+    RANK = 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),  # True: post a receive; False: a message lands
+                st.sampled_from([ANY_SOURCE, 0, 1, 2]),
+                st.sampled_from([ANY_TAG, 0, 1, 2]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_random_interleavings(self, ops):
+        _eng, board = make_board()
+        parked = []  # (message id, source, tag), arrival order
+        waiting = []  # (receive id, source, tag), posting order
+        expect = {}  # receive id -> message id
+        reqs = []
+        for n, (is_recv, source, tag) in enumerate(ops):
+            if is_recv:
+                reqs.append(board.post_recv(self.RANK, source, tag))
+                rid = len(reqs) - 1
+                hit = next((m for m in parked if _accepts(source, tag, m[1], m[2])), None)
+                if hit is None:
+                    waiting.append((rid, source, tag))
+                else:
+                    parked.remove(hit)
+                    expect[rid] = hit[0]
+            else:
+                source, tag = max(source, 0), max(tag, 0)  # a message names both
+                board._deliver(_Send(board, source, self.RANK, tag, n, 8 + n))
+                hit = next((r for r in waiting if _accepts(r[1], r[2], source, tag)), None)
+                if hit is None:
+                    parked.append((n, source, tag))
+                else:
+                    waiting.remove(hit)
+                    expect[hit[0]] = n
+        got = {rid: req.value[0] for rid, req in enumerate(reqs) if req.complete}
+        assert got == expect
+        for rid, n in expect.items():
+            _is_recv, source, tag = ops[n]
+            assert reqs[rid].value[1] == Status(max(source, 0), max(tag, 0), 8 + n)
+        assert board.unreceived_count() == len(parked)
+        assert board.pending_recv_count() == len(waiting)
+        assert board.unreceived_messages() == [(s, self.RANK, t) for _n, s, t in parked]
+
+
+class TestOneRecordPerMessage:
+    def test_request_is_its_own_future(self):
+        eng, board = make_board()
+        send = board.post_send(0, 1, tag=2, payload="x")
+        recv = board.post_recv(1, source=0, tag=2)
+        assert send.future is send and recv.future is recv
+        assert (send.kind, recv.kind) == ("isend", "irecv")
+        assert not send.complete and not recv.complete
+        eng.run()
+        assert send.complete and send.value is None
+        assert recv.value == ("x", Status(source=0, tag=2, nbytes=17))
+
+    @pytest.mark.parametrize("recv_first", [True, False])
+    def test_matched_send_lets_go_of_the_body(self, recv_first):
+        # The sender keeps its requests until waitall; they must not pin
+        # every delivered payload until then.
+        eng, board = make_board()
+        body = np.arange(64)
+        if recv_first:
+            board.post_recv(1, source=0, tag=2)
+        send = board.post_send(0, 1, tag=2, payload=body)
+        eng.run()
+        if not recv_first:
+            assert send.payload is not None  # parked: the mailbox owns it
+            board.post_recv(1, source=0, tag=2)
+        assert send.payload is None
+
+    def test_status_is_an_immutable_record(self):
+        st_ = Status(source=3, tag=4, nbytes=5)
+        assert repr(st_) == "Status(source=3, tag=4, nbytes=5)"
+        with pytest.raises(AttributeError):
+            st_.tag = 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim.parallel import ParallelConfig
 from repro.utils.errors import CommunicationError, ConfigError
-from repro.vmpi import ANY_SOURCE, ANY_TAG, MPIWorld
+from repro.vmpi import ANY_SOURCE, ANY_TAG, MPIWorld, VirtualPayload
 
 
 def run(nprocs, program, **kwargs):
@@ -219,6 +219,54 @@ class TestSendRecv:
         assert res[0] == [1, 4, 9]
 
 
+class TestIsendManyReadsItsBatchOnce:
+    """``isend_many`` takes any iterable of ``(dest, payload)``: the
+    monolithic board used to validate a ``zip`` or generator to
+    exhaustion and then send nothing, leaving the receivers to deadlock
+    while the sharded board worked."""
+
+    SHAPES = {
+        "list": lambda dests, items: list(zip(dests, items)),
+        "zip": zip,
+        "generator": lambda dests, items: ((d, p) for d, p in zip(dests, items)),
+    }
+
+    @pytest.mark.parametrize("parallel", [None, ParallelConfig(workers=1)])
+    def test_same_requests_messages_and_bytes(self, parallel):
+        def program(ctx, shape):
+            nreq = 0
+            if ctx.rank == 0:
+                dests = list(range(1, ctx.size))
+                items = [VirtualPayload(100 * d) for d in dests]
+                reqs = ctx.isend_many(shape(dests, items), tag=4)
+                nreq = len(reqs)
+                yield from ctx.waitall(reqs)
+            else:
+                yield from ctx.recv(source=0, tag=4)
+            return nreq
+
+        runs = {
+            name: MPIWorld.for_cores(8).run(program, shape, parallel=parallel)
+            for name, shape in self.SHAPES.items()
+        }
+        for res in runs.values():
+            assert (res[0], res.messages, res.bytes_sent) == (7, 7, 2800)
+            assert res.elapsed_s == runs["list"].elapsed_s
+
+    def test_bad_destination_sends_nothing(self):
+        def program(ctx):
+            if ctx.rank == 0:
+                ctx.isend_many(zip([1, 99], [b"a", b"b"]), tag=4)
+            yield from ctx.compute(1e-6)
+
+        from repro.obs.tracer import Tracer
+
+        world = MPIWorld.for_cores(4, tracer=Tracer(enabled=True))
+        with pytest.raises(CommunicationError, match="dest rank 99"):
+            world.run(program)
+        assert not world.tracer.spans
+
+
 class TestRanksSubset:
     """``run(ranks=...)`` names existing ranks, each once — checked once,
     before either world is built."""
@@ -263,6 +311,17 @@ class TestTiming:
 
         res = run(2, program)
         assert res.elapsed_s > 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_compute_rejects_negative_and_non_finite_times(self, bad):
+        # compute(nan) used to be accepted: elapsed_s and every rank's
+        # clock came back nan.
+        def program(ctx):
+            yield from ctx.compute(bad)
+            return ctx.now
+
+        with pytest.raises(CommunicationError, match=repr(bad)):
+            run(4, program)
 
     def test_compute_advances_local_clock(self):
         def program(ctx):
