@@ -231,7 +231,7 @@ class MessageBoard:
             if not (0 <= dest < nprocs):
                 self._check_rank(dest, "dest")
             if body.__class__ is VirtualPayload:
-                nbytes = body.nbytes  # snapshot / payload_nbytes are identity / this read
+                nbytes = body.nbytes  # snapshot() is identity for it, payload_nbytes() this read
             else:
                 body = snapshot(body)
                 nbytes = payload_nbytes(body)

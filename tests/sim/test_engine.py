@@ -162,7 +162,9 @@ class TestScheduleMany:
     def test_events_are_cancellable(self):
         eng = Engine()
         fired = []
-        events = eng.schedule_many_at([1.0, 2.0], [lambda: fired.append(1), lambda: fired.append(2)])
+        events = eng.schedule_many_at(
+            [1.0, 2.0], [lambda: fired.append(1), lambda: fired.append(2)]
+        )
         events[0].cancel()
         eng.run()
         assert fired == [2]
