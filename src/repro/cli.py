@@ -266,22 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         "farm", help="run a rendering-service traffic scenario"
     )
     p_farm.add_argument(
-        "--scenario", default=None,
-        help="JSON scenario spec (default: the built-in capacity scenario)",
-    )
-    p_farm.add_argument(
-        "--selftest", action="store_true",
-        help="run the fast functional miniature and check service invariants",
-    )
-    p_farm.add_argument(
-        "--edge-selftest", action="store_true",
-        help="run the service-tier miniature (coalescing, edge caches, "
-        "admission, autoscaling) and check its accounting",
-    )
-    p_farm.add_argument(
-        "--interactive-selftest", action="store_true",
-        help="run the progressive-refinement miniature (ladder "
-        "cancellation, coarse-level caching, TTFP accounting)",
+        "--scenario", default="default", metavar="NAME|PATH",
+        help="a built-in scenario (default, flash, or the execute-mode "
+        "miniatures selftest, edge-selftest, interactive-selftest) or a "
+        "JSON scenario spec; every run balances its books and exits 2 "
+        "on a violation (default: the capacity study)",
     )
     p_farm.add_argument(
         "--json", action="store_true",
@@ -315,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON chaos spec (scenario, sweep, repair_s, max_crashes, seed)",
     )
     p_chaos.add_argument(
-        "--scenario", default=None, choices=("selftest", "default", "interactive"),
-        help="built-in base scenario (default selftest; ignored with --spec)",
+        "--scenario", default=None, metavar="NAME",
+        help="built-in base scenario, as named by `repro farm --scenario` "
+        "(default selftest; overrides the spec)",
     )
     p_chaos.add_argument(
         "--sweep", nargs="+", type=float, metavar="RATE", default=None,
@@ -520,7 +510,7 @@ def cmd_progressive(args: argparse.Namespace) -> int:
     from repro.data import SupernovaModel, extract_variable_raw
     from repro.obs import Tracer
     from repro.pio import IOHints, RawHandle
-    from repro.progressive import ProgressiveRenderer, ProgressiveSession
+    from repro.progressive import ProgressiveRenderer
     from repro.render import Camera, TransferFunction
     from repro.utils.units import fmt_time
     from repro.vmpi import MPIWorld, ParallelConfig
@@ -539,12 +529,9 @@ def cmd_progressive(args: argparse.Namespace) -> int:
     )
     tracer = Tracer(enabled=True) if args.trace_out else None
     progressive = ProgressiveRenderer(renderer, levels=args.levels, tracer=tracer)
-    if args.cancel_after is not None:
-        result = ProgressiveSession(progressive).run(
-            handle, field=volume, cancel_after_s=args.cancel_after
-        )
-    else:
-        result = progressive.render_ladder(handle, field=volume)
+    result = progressive.render_ladder(
+        handle, field=volume, cancel_after_s=args.cancel_after
+    )
 
     failures = result.accounting_failures()
     if args.check:
@@ -754,39 +741,13 @@ def cmd_farm(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.farm import (
-        FarmScenario,
-        default_scenario,
-        run_edge_selftest,
-        run_interactive_selftest,
-        run_selftest,
-    )
+    from repro.farm import BUILTIN_SCENARIOS, FarmScenario, check
 
-    if args.selftest or args.edge_selftest or args.interactive_selftest:
-        if args.interactive_selftest:
-            runner, label = run_interactive_selftest, "interactive selftest"
-        elif args.edge_selftest:
-            runner, label = run_edge_selftest, "edge selftest"
-        else:
-            runner, label = run_selftest, "selftest"
-        result, failures = runner()
-        for failure in failures:
-            print(f"{label} FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return 2
-        if args.trace_out:
-            from repro.obs import write_chrome_trace
-
-            write_chrome_trace(result.trace, args.trace_out)
-        print(result.report())
-        print(f"\nfarm {label} ok: {len(result.records)} requests, "
-              f"all service invariants hold")
-        return 0
-
-    if args.scenario:
-        scenario = FarmScenario.from_file(args.scenario)
+    builtin = BUILTIN_SCENARIOS.get(args.scenario)
+    if builtin is not None:
+        scenario, expects = builtin.build(), builtin.expects
     else:
-        scenario = default_scenario()
+        scenario, expects = FarmScenario.from_file(args.scenario), ()
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -799,6 +760,11 @@ def cmd_farm(args: argparse.Namespace) -> int:
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     result = scenario.run()
+    failures = check(result, scenario, expects)
+    for failure in failures:
+        print(f"farm {args.scenario} FAILED: {failure}", file=sys.stderr)
+    if failures:
+        return 2
     if args.trace_out:
         from repro.obs import write_chrome_trace
 
@@ -808,8 +774,10 @@ def cmd_farm(args: argparse.Namespace) -> int:
         print()
     else:
         print(result.report())
+        print(f"\nfarm {args.scenario} ok: {len(result.records)} requests, "
+              f"all service invariants hold")
         if args.trace_out:
-            print(f"\ntrace: {args.trace_out} "
+            print(f"trace: {args.trace_out} "
                   f"(load in chrome://tracing or ui.perfetto.dev)")
     return 0
 

@@ -18,7 +18,7 @@ Typical use::
     print(result.report())          # p50/p95/p99, SLO, utilization...
     result.summary()                # the same as JSON
 
-or from the shell: ``python -m repro farm [--scenario spec.json]``.
+or from the shell: ``python -m repro farm [--scenario NAME|spec.json]``.
 """
 
 from repro.farm.admission import TierSpec, TokenBucketAdmission, admission_from_dict
@@ -35,14 +35,13 @@ from repro.farm.edge import EdgeCache, EdgeConfig
 from repro.farm.request import FrameRequest, RequestRecord
 from repro.farm.result import FarmResult
 from repro.farm.scenario import (
+    BUILTIN_SCENARIOS,
     FarmScenario,
+    check,
     default_scenario,
     edge_selftest_scenario,
     flash_scenario,
     interactive_selftest_scenario,
-    run_edge_selftest,
-    run_interactive_selftest,
-    run_selftest,
     selftest_scenario,
 )
 from repro.farm.service import RenderFarm
@@ -77,9 +76,8 @@ __all__ = [
     "selftest_scenario",
     "edge_selftest_scenario",
     "interactive_selftest_scenario",
-    "run_selftest",
-    "run_edge_selftest",
-    "run_interactive_selftest",
+    "BUILTIN_SCENARIOS",
+    "check",
     "ProgressivePayload",
     "RenderFarm",
     "SessionSpec",

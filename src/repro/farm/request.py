@@ -146,6 +146,11 @@ class RequestRecord:
     coarse_hit: bool = False  # a cached coarse level served the first pixel
 
     @property
+    def rendered(self) -> bool:
+        """Cost a render and a partition of its own: not cached, coalesced or shed."""
+        return not (self.cache_hit or self.edge_hit or self.coalesced or self.rejected)
+
+    @property
     def queue_s(self) -> float:
         return self.t_hold - self.t_arrive
 

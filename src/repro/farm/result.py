@@ -21,9 +21,12 @@ service tier promises —
   ``alloc`` span count (plus crash retries' ``killed`` spans);
 * every served request has exactly one ``queue`` and one ``serve``
   span; edge hits, coalesced waiters, and rejections each have their
-  zero-length marker span.
+  zero-length marker span;
+* a request served without a render consumed no service time, every
+  served request carries a payload, and no first pixel is later than
+  its frame.
 
-The selftests and ``tests/farm/test_edge.py`` run these on every
+``repro farm`` and ``tests/farm/test_edge.py`` run these on every
 scenario they touch.
 """
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.farm.backends import CampaignPayload, ProgressivePayload
 from repro.farm.request import RequestRecord
 from repro.farm.workload import SessionSpec
 from repro.fault.metrics import FarmFaultStats
@@ -141,7 +145,7 @@ class FarmResult:
     @property
     def rendered(self) -> int:
         """Requests that actually cost a render and a partition."""
-        return len(self.records) - self.cache_hits - self.edge_hits - self.coalesced
+        return sum(r.rendered for r in self.records)
 
     @property
     def arrivals(self) -> int:
@@ -153,14 +157,16 @@ class FarmResult:
         return len(self.rejected) / self.arrivals if self.arrivals else 0.0
 
     @property
+    def held_node_s(self) -> float:
+        """Node-seconds provisioned (the whole machine with no pool policy)."""
+        if self.provisioned_node_s is None:
+            return self.total_nodes * self.makespan_s
+        return self.provisioned_node_s
+
+    @property
     def node_hours(self) -> float:
         """Node-hours actually provisioned (the bill, not the machine)."""
-        held = (
-            self.total_nodes * self.makespan_s
-            if self.provisioned_node_s is None
-            else self.provisioned_node_s
-        )
-        return held / 3600.0
+        return self.held_node_s / 3600.0
 
     @property
     def throughput_rps(self) -> float:
@@ -204,7 +210,7 @@ class FarmResult:
         depths = set()
         for r in recs:
             p = r.payload
-            if p is not None and hasattr(p, "overlap_saved_s"):
+            if isinstance(p, CampaignPayload):
                 saved += float(p.overlap_saved_s)
                 depths.add(int(p.prefetch_depth))
         return {
@@ -226,6 +232,10 @@ class FarmResult:
         """Served progressive-ladder jobs (one record = one ladder)."""
         return [r for r in self.records if r.request.is_progressive]
 
+    def _rendered_ladders(self) -> list[RequestRecord]:
+        """Ladders that ran on the machine, so carry their own render clock."""
+        return [r for r in self.progressive_records() if r.rendered and r.payload is not None]
+
     def progressive_stats(self) -> dict | None:
         """TTFP and cancellation accounting for the interactive tier.
 
@@ -239,10 +249,7 @@ class FarmResult:
         recs = self.progressive_records()
         if not recs:
             return None
-        rendered = [
-            r for r in recs
-            if not (r.cache_hit or r.edge_hit or r.coalesced) and r.payload is not None
-        ]
+        rendered = self._rendered_ladders()
         ttfps = np.array([r.ttfp_s for r in recs], dtype=np.float64)
         payload_ttfp = [float(r.payload.ttfp_s) for r in rendered]
         payload_full = [float(r.payload.sequential_full_s) for r in rendered]
@@ -294,19 +301,16 @@ class FarmResult:
         fault_section = (
             {"faults": self.faults.summary()} if self.faults is not None else {}
         )
-        extra = {}
-        campaigns = self.campaign_stats()
-        if campaigns is not None:
-            extra["campaigns"] = campaigns
-        progressive = self.progressive_stats()
-        if progressive is not None:
-            extra["progressive"] = progressive
-        if self.edge is not None:
-            extra["edge"] = self.edge
-        if self.admission is not None:
+        tiers = {  # each section appears only when its tier ran
+            "campaigns": self.campaign_stats(),
+            "progressive": self.progressive_stats(),
+            "edge": self.edge,
+            "admission": self.admission,
+            "autoscale": self.autoscale,
+        }
+        extra = {name: section for name, section in tiers.items() if section is not None}
+        if "admission" in extra:
             extra["admission"] = {**self.admission, "shed_rate": self.shed_rate}
-        if self.autoscale is not None:
-            extra["autoscale"] = self.autoscale
         return {
             "backend": self.backend,
             "requests": len(self.records),
@@ -329,11 +333,7 @@ class FarmResult:
                 "total_nodes": self.total_nodes,
                 "utilization": self.utilization,
                 "backfilled": self.backfilled,
-                "provisioned_node_s": (
-                    self.total_nodes * self.makespan_s
-                    if self.provisioned_node_s is None
-                    else self.provisioned_node_s
-                ),
+                "provisioned_node_s": self.held_node_s,
                 "node_hours": self.node_hours,
             },
             "service": {
@@ -376,10 +376,19 @@ class FarmResult:
             )
         if any(not r.rejected for r in self.rejected):
             fails.append("rejected list holds a record not flagged rejected")
-        if any(r.rejected or r.cache_hit and r.edge_hit for r in self.records):
+        one_ending = self.rendered + self.cache_hits + self.edge_hits + self.coalesced
+        if any(r.rejected for r in self.records) or one_ending != served:
             fails.append("served records must not be rejected or double-flagged")
-        if self.rendered < 0:
-            fails.append(f"negative render count {self.rendered}")
+        if any(r.t_done < r.t_arrive for r in self.records):
+            fails.append("a request completed before it arrived")
+        if not 0.0 <= self.utilization <= 1.0 + 1e-9:
+            fails.append(f"utilization {self.utilization} outside [0, 1]")
+        if any(not r.rendered and r.serve_s != 0.0 for r in self.records):
+            fails.append("a cache hit, edge hit or coalesced request consumed service time")
+        if any(r.payload is None for r in self.records):
+            fails.append("a served request carries no payload")
+        if any(r.ttfp_s > r.latency_s + 1e-9 for r in self.records):
+            fails.append("time to first pixel exceeded end-to-end latency")
 
         if self.result_cache_enabled:
             if self.result_cache_hits != submit_hits:
@@ -419,7 +428,7 @@ class FarmResult:
             p = r.payload
             if p is None:
                 continue  # shed before service; nothing was promised
-            if not hasattr(p, "frames"):
+            if not isinstance(p, CampaignPayload):
                 fails.append(
                     f"campaign {r.request.rid} delivered a non-campaign "
                     f"payload {type(p).__name__}"
@@ -448,14 +457,16 @@ class FarmResult:
                     f"ladder {rid} first pixel at {r.t_first_pixel:.6f} outside "
                     f"[{r.t_arrive:.6f}, {r.t_done:.6f}]"
                 )
-            if p is None or r.cache_hit or r.edge_hit or r.coalesced:
+            if p is None or not r.rendered:
                 continue  # served without a render; no ladder clock to check
-            if not hasattr(p, "level_end_s"):
+            if not isinstance(p, ProgressivePayload):
                 fails.append(
                     f"ladder {rid} delivered a non-progressive payload "
                     f"{type(p).__name__}"
                 )
                 continue
+            if r.t_first_pixel is None:
+                fails.append(f"rendered ladder {rid} recorded no first-pixel time")
             if int(p.levels) != int(r.request.levels):
                 fails.append(
                     f"ladder {rid} asked for {r.request.levels} levels, "
@@ -479,10 +490,7 @@ class FarmResult:
                         f"{r.levels_total} levels without a camera move"
                     )
         if self.faults is None:
-            prog_rendered = [
-                r for r in self.progressive_records()
-                if not (r.cache_hit or r.edge_hit or r.coalesced) and r.payload is not None
-            ]
+            prog_rendered = self._rendered_ladders()
             want_levels = sum(r.levels_done for r in prog_rendered)
             if self.levels_published != want_levels:
                 fails.append(

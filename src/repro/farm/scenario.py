@@ -29,20 +29,23 @@ in one declarative record::
       ]
     }
 
-Unknown keys are rejected (a typoed knob should fail loudly, not
-silently run the default).  :func:`default_scenario` is the committed
-capacity-study traffic (≥200 requests, ≥4 sessions);
-:func:`flash_scenario` is the flash-crowd capacity study (edge tier +
-admission + autoscaling against diurnal base load); ``--selftest``
-uses :func:`selftest_scenario` and ``--edge-selftest``
-:func:`edge_selftest_scenario`, both seconds-fast miniatures.
+Unknown keys and wrongly typed values are rejected with their key path
+(a typoed knob should fail loudly, not silently run the default or die
+mid-run).  :data:`BUILTIN_SCENARIOS` names the committed traffic —
+``repro farm --scenario`` takes one of these names or a JSON path:
+``default`` is the capacity study (≥200 requests, ≥4 sessions),
+``flash`` the flash-crowd study (edge tier + admission + autoscaling
+against diurnal base load), and ``selftest`` / ``edge-selftest`` /
+``interactive-selftest`` are seconds-fast execute-mode miniatures that
+also list the counters their traffic must move.  :func:`check` is what
+"the books balance" means for any of them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.farm.admission import admission_from_dict, check_admission_spec
 from repro.farm.allocator import SizePolicy
@@ -56,12 +59,8 @@ from repro.fault.plan import FarmFaults
 from repro.machine.specs import BGP_ALCF
 from repro.obs.tracer import Tracer
 from repro.utils.errors import ConfigError
-from repro.utils.validation import check_spec_keys
+from repro.utils.validation import check_spec_fields, check_spec_keys
 
-_SESSION_FIELDS = {f.name for f in dataclasses.fields(SessionSpec)}
-_POLICY_FIELDS = {f.name for f in dataclasses.fields(SizePolicy)}
-_FAULT_FIELDS = {f.name for f in dataclasses.fields(FarmFaults)}
-_EDGE_FIELDS = {f.name for f in dataclasses.fields(EdgeConfig)}
 #: Keyword arguments each backend constructor accepts; validated here so
 #: a typoed option fails at spec load, not deep inside backend_for().
 _BACKEND_OPTIONS = {
@@ -125,27 +124,21 @@ class FarmScenario:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FarmScenario":
-        check_spec_keys(spec, (f.name for f in dataclasses.fields(cls)), path="scenario")
-        spec = dict(spec)
+        spec = dict(check_spec_fields(spec, cls, path="scenario"))
         raw_sessions = spec.pop("sessions", None)
         if not raw_sessions:
             raise ConfigError("scenario needs a non-empty 'sessions' list")
         sessions = tuple(_session_from_dict(i, s) for i, s in enumerate(raw_sessions))
-        policy = spec.pop("size_policy", None)
-        if policy is not None:
-            policy = SizePolicy(**check_spec_keys(policy, _POLICY_FIELDS, path="size_policy"))
-        fault = spec.pop("fault", None)
-        if fault is not None:
-            fault = FarmFaults(**check_spec_keys(fault, _FAULT_FIELDS, path="fault"))
-        edge = spec.pop("edge", None)
-        if edge is not None:
-            edge = EdgeConfig(**check_spec_keys(edge, _EDGE_FIELDS, path="edge"))
-        admission = spec.pop("admission", None)
-        if admission is not None:
-            admission = check_admission_spec(admission)
-        autoscale = spec.pop("autoscale", None)
-        if autoscale is not None:
-            autoscale = check_autoscale_spec(autoscale)
+        # A null block is an absent one: the field's default stands.
+        blocks = {"size_policy": SizePolicy, "fault": FarmFaults, "edge": EdgeConfig}
+        for key, block in blocks.items():
+            raw = spec.pop(key, None)
+            if raw is not None:
+                spec[key] = block(**check_spec_fields(raw, block, path=key))
+        policies = {"admission": check_admission_spec, "autoscale": check_autoscale_spec}
+        for key, validate in policies.items():
+            if spec.get(key) is not None:
+                validate(spec[key])
         options = spec.get("backend_options")
         if options is not None:
             mode = spec.get("mode", "model")
@@ -172,15 +165,7 @@ class FarmScenario:
                     "backend_options.error_budget needs an approximate "
                     "compositor; set \"compositor\": \"puzzlepiece\""
                 )
-        return cls(
-            sessions=sessions,
-            size_policy=policy or SizePolicy(),
-            fault=fault,
-            edge=edge,
-            admission=admission,
-            autoscale=autoscale,
-            **spec,
-        )
+        return cls(sessions=sessions, **spec)
 
     @classmethod
     def from_file(cls, path: str) -> "FarmScenario":
@@ -193,8 +178,7 @@ class FarmScenario:
 
 
 def _session_from_dict(index: int, spec: dict) -> SessionSpec:
-    check_spec_keys(spec, _SESSION_FIELDS, path=f"sessions[{index}]")
-    spec = dict(spec)
+    spec = dict(check_spec_fields(spec, SessionSpec, path=f"sessions[{index}]"))
     spec.setdefault("name", f"session{index}")
     if "variables" in spec:
         spec["variables"] = tuple(spec["variables"])
@@ -359,41 +343,6 @@ def selftest_scenario(seed: int = 7) -> FarmScenario:
     )
 
 
-def run_selftest() -> tuple[FarmResult, list[str]]:
-    """Run the miniature scenario and check the service invariants.
-
-    Returns the result plus a list of failure descriptions (empty on
-    success) — the CLI turns them into exit status for CI.
-    """
-    from repro.obs.tracer import CAT_FARM
-
-    result = selftest_scenario().run()
-    failures: list[str] = []
-    n = len(result.records)
-    if n != selftest_scenario().workload().total_requests:
-        failures.append(f"expected every request completed, got {n}")
-    if not all(r.t_done >= r.t_arrive for r in result.records):
-        failures.append("a request completed before it arrived")
-    spans = [s for s in (result.trace.spans if result.trace else []) if s.cat == CAT_FARM]
-    queues = sum(1 for s in spans if s.name == "queue")
-    serves = sum(1 for s in spans if s.name == "serve")
-    allocs = sum(1 for s in spans if s.name == "alloc")
-    if queues != n or serves != n:
-        failures.append(f"span reconciliation: {queues} queue / {serves} serve spans for {n} requests")
-    if allocs != result.rendered:
-        failures.append(f"{allocs} alloc spans but {result.rendered} rendered requests")
-    if result.cache_hits + result.coalesced == 0:
-        failures.append("selftest traffic revisits frames; expected cache hits or coalesces")
-    if any(r.cache_hit and r.serve_s != 0.0 for r in result.records):
-        failures.append("a cache hit consumed simulated service time")
-    if not (0.0 < result.utilization <= 1.0):
-        failures.append(f"utilization {result.utilization} outside (0, 1]")
-    if "attainment" not in result.summary()["slo"]:
-        failures.append("summary lacks SLO attainment")
-    failures.extend(result.accounting_failures())
-    return result, failures
-
-
 def interactive_selftest_scenario(seed: int = 13) -> FarmScenario:
     """A seconds-fast functional miniature of the progressive tier.
 
@@ -432,47 +381,6 @@ def interactive_selftest_scenario(seed: int = 13) -> FarmScenario:
         result_cache_entries=64,
         size_policy=SizePolicy(min_nodes=16, max_nodes=16),
     )
-
-
-def run_interactive_selftest() -> tuple[FarmResult, list[str]]:
-    """Run the progressive miniature and check the ladder invariants.
-
-    Returns the result plus failure descriptions (empty on success) —
-    the CLI's ``--interactive-selftest`` turns them into exit status
-    for CI.
-    """
-    scenario = interactive_selftest_scenario()
-    result = scenario.run()
-    failures: list[str] = []
-    total = scenario.workload().total_requests
-    if result.arrivals != total:
-        failures.append(f"expected {total} arrivals accounted, got {result.arrivals}")
-    stats = result.progressive_stats()
-    if stats is None:
-        failures.append("interactive workload produced no progressive records")
-        return result, failures
-    if stats["cancelled"] == 0:
-        failures.append("fidgety viewer dwells inside the ladder; expected cancellations")
-    if result.cancelled_node_s <= 0:
-        failures.append("cancelled ladders reclaimed no node-seconds")
-    if stats["coarse_hits"] == 0:
-        failures.append(
-            "revisits of truncated ladders should coarse-hit their cached levels"
-        )
-    if not any(r.cache_hit for r in result.progressive_records()):
-        failures.append("patient viewer revisits a completed ladder; expected a cache hit")
-    if stats["levels_published"] == 0:
-        failures.append("no ladder levels were published")
-    rendered = [
-        r for r in result.progressive_records()
-        if not (r.cache_hit or r.edge_hit) and r.payload is not None
-    ]
-    if any(r.t_first_pixel is None for r in rendered):
-        failures.append("a rendered ladder recorded no first-pixel time")
-    if any(r.ttfp_s > r.latency_s + 1e-9 for r in result.records):
-        failures.append("time to first pixel exceeded end-to-end latency")
-    failures.extend(result.accounting_failures())
-    return result, failures
 
 
 def edge_selftest_scenario(seed: int = 11) -> FarmScenario:
@@ -517,31 +425,59 @@ def edge_selftest_scenario(seed: int = 11) -> FarmScenario:
     )
 
 
-def run_edge_selftest() -> tuple[FarmResult, list[str]]:
-    """Run the edge-tier miniature and check the service-tier invariants.
+@dataclass(frozen=True)
+class BuiltinScenario:
+    """A named scenario, and — as data — the ``summary()`` counters its
+    traffic is built to make non-zero (dotted paths; ``a|b`` needs
+    either).  The studies list none: their numbers are the result."""
 
-    Returns the result plus failure descriptions (empty on success) —
-    the CLI's ``--edge-selftest`` turns them into exit status for CI.
-    """
-    scenario = edge_selftest_scenario()
-    result = scenario.run()
-    failures: list[str] = []
+    build: Callable[[], FarmScenario]
+    expects: tuple[str, ...] = ()
+
+
+#: The one name table: ``repro farm --scenario``, ``repro chaos
+#: --scenario`` and chaos specs all resolve names here.
+BUILTIN_SCENARIOS: dict[str, BuiltinScenario] = {
+    "default": BuiltinScenario(default_scenario),
+    "flash": BuiltinScenario(flash_scenario),
+    "selftest": BuiltinScenario(
+        selftest_scenario, ("service.cache_hits|service.coalesced",)
+    ),
+    "edge-selftest": BuiltinScenario(
+        edge_selftest_scenario,
+        ("service.coalesced", "service.edge_hits", "rejected", "autoscale.scale_events"),
+    ),
+    "interactive-selftest": BuiltinScenario(
+        interactive_selftest_scenario,
+        (
+            "progressive.cancelled", "progressive.cancelled_node_s",
+            "progressive.coarse_hits", "service.cache_hits",
+            "progressive.levels_published",
+        ),
+    ),
+}
+
+
+def check(result: FarmResult, scenario: FarmScenario, expects: tuple[str, ...] = ()) -> list[str]:
+    """Everything wrong with a finished run, human-readable; empty when
+    the books balance: every arrival accounted for, every identity of
+    :meth:`FarmResult.accounting_failures`, every counter in ``expects``
+    moved."""
+    failures = []
     total = scenario.workload().total_requests
     if result.arrivals != total:
         failures.append(f"expected {total} arrivals accounted, got {result.arrivals}")
-    if result.coalesced == 0:
-        failures.append("flash crowd of identical frames; expected coalesced requests")
-    if result.edge_hits == 0:
-        failures.append("repeat traffic per region; expected edge hits")
-    if not result.rejected:
-        failures.append("token-bucketed flash tier; expected shed requests")
-    if result.rendered >= result.arrivals:
-        failures.append("service tier deduplicated nothing")
-    if any(r.payload is None for r in result.records):
-        failures.append("a served request carries no payload")
-    if result.autoscale is None or result.autoscale["min_provisioned"] < 16:
-        failures.append("autoscale pool summary missing or below min_nodes")
-    if result.provisioned_node_s is None or result.provisioned_node_s <= 0:
-        failures.append("provisioned node-seconds not integrated")
     failures.extend(result.accounting_failures())
-    return result, failures
+    summary = result.summary() if expects else {}
+    for counters in expects:
+        if not any(_lookup(summary, path) for path in counters.split("|")):
+            failures.append(f"the traffic is built to move {counters}; it stayed 0")
+    return failures
+
+
+def _lookup(summary: dict, path: str):
+    """``summary["a"]["b"]`` for ``"a.b"``; ``None`` where a section is absent."""
+    node = summary
+    for key in path.split("."):
+        node = node.get(key) if isinstance(node, dict) else None
+    return node

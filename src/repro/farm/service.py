@@ -1,10 +1,17 @@
 """`RenderFarm`: the rendering service on the simulated machine.
 
-The farm runs every moving part — session arrival processes, the
-partition scheduler, and job completions — as coroutines on one
-:class:`repro.sim.Engine`, so queueing delay, allocation overhead,
-service time, and machine utilization all share a single simulated
-clock (the same clock semantics as the frame pipeline itself).
+The farm runs every moving part on one :class:`repro.sim.Engine` —
+session arrival processes as coroutines, dispatch passes and job
+deliveries as events — so queueing delay, allocation overhead, service
+time, and machine utilization all share a single simulated clock (the
+same clock semantics as the frame pipeline itself).
+
+Every request ends one of two ways: *served now* without a partition
+(:meth:`RenderFarm._serve_now` — an edge hit, an origin hit or in-queue
+promotion, a coalesced waiter, a shed request: one body, different
+data), or as a :class:`_Job` that holds nodes until its last pending
+delivery fires.  A frame, a campaign, a ladder and a crashed job are
+shapes of that job, not paths of their own.
 
 A request moves through the **service tier** before it ever sees the
 scheduler, in strict order:
@@ -66,11 +73,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.farm.admission import TokenBucketAdmission
 from repro.farm.allocator import NodeAllocator, SizePolicy
-from repro.farm.backends import ServiceBackend
+from repro.farm.backends import ProgressivePayload, ServiceBackend
 from repro.farm.cache import FrameResultCache
 from repro.farm.edge import EdgeCache
 from repro.farm.request import FrameRequest, RequestRecord
@@ -104,24 +112,25 @@ class _Job:
     ``service_s``/``payload`` stay ``None`` until the job is *priced*
     (the backend render), which happens at start — never at arrival —
     so cache promotions and coalesced completions cost zero renders.
-    ``waiters`` are the coalesced duplicates riding on this render.
+    ``waiters`` are the coalesced duplicates riding on this render; a
+    started job ends at ``record.t_done``.
     """
 
     record: RequestRecord
     nodes: int
     done: Future
+    key: tuple  # the request's frame_key, computed once at submit
     service_s: float | None = None
     payload: Any = None
     waiters: list[tuple[RequestRecord, Future]] = field(default_factory=list)
-    t_end: float = 0.0
-    backfilled: bool = field(default=False)
-    finish_ev: Any = field(default=None, repr=False)  # cancellable on node crash
-    # Progressive ladders: per-level publish events (cancellable on a
-    # camera move or node crash), the pending move event, and whether a
-    # move already truncated this ladder.
-    level_evs: list = field(default_factory=list, repr=False)
-    move_ev: Any = field(default=None, repr=False)
-    truncated: bool = False
+    backfilled: bool = False
+    log_i: int = -1  # this boot's row in RenderFarm.allocation_log
+    # Pending deliveries while the job holds nodes: one publish event
+    # per coarse ladder level, then the finish.  A fired event leaves
+    # the list (slot nulled / list emptied), so whatever is still here
+    # is cancellable on a camera move or node crash.
+    events: list = field(default_factory=list, repr=False)
+    move_ev: Any = field(default=None, repr=False)  # the viewer's pending camera move
 
     @property
     def request(self) -> FrameRequest:
@@ -157,7 +166,9 @@ class RenderFarm:
         self.backfill = bool(backfill)
         self.alloc_overhead_s = float(alloc_overhead_s)
         self.slo_s = float(slo_s)
-        self.tracer = tracer or Tracer(enabled=True)
+        # ``is None``, not ``or``: an empty Tracer is falsy (len 0) but
+        # still the caller's live sink.
+        self.tracer = tracer if tracer is not None else Tracer(enabled=True)
         self.coalesce = bool(coalesce)
         self.edge = edge
         self.admission = admission
@@ -177,10 +188,10 @@ class RenderFarm:
         self._running: dict[str, _Job] = {}
         self._inflight: dict[tuple, _Job] = {}  # frame_key -> primary job
         self._coalesced = 0
+        self._lane = {spec.name: i for i, spec in enumerate(workload.sessions)}
         self._total = workload.total_requests
         self._completed = 0
-        self._wake: Future | None = None
-        self._pending_kick = False
+        self._dispatch_due = False  # a dispatch pass is scheduled or running
         self._util_node_s = 0.0
         self._busy_nodes = 0
         self._ran = False
@@ -207,8 +218,6 @@ class RenderFarm:
         self._fault_rng = None
         self._crash_ev = None
         self._crashes = 0
-        self._killed_rids: set[str] = set()
-        self._requeues = 0
         self._wasted_node_s = 0.0
         self._quarantined: dict[int, tuple[float, Any]] = {}  # node -> (t0, release ev)
         self._quarantined_node_s = 0.0
@@ -223,13 +232,8 @@ class RenderFarm:
         if self.autoscaler is not None:
             self._setup_autoscale()
         for spec in self.workload.sessions:
-            program = (
-                self._closed_session(spec)
-                if spec.arrival == "closed"
-                else self._open_session(spec)
-            )
-            self.engine.spawn(program, name=f"session.{spec.name}")
-        self.engine.spawn(self._scheduler(), name="farm.scheduler")
+            self.engine.spawn(self._session(spec), name=f"session.{spec.name}")
+        self._kick()
         if self.faults is not None:
             self._fault_rng = substream(self.workload.seed, "farm", "fault")
             self._schedule_next_crash()
@@ -279,31 +283,24 @@ class RenderFarm:
 
     # -- session processes --------------------------------------------
 
-    def _open_session(self, spec: SessionSpec):
-        gaps = spec.interarrivals(self.workload.seed)
-        dwells = spec.dwell_times(self.workload.seed)
+    def _session(self, spec: SessionSpec):
+        """One tenant; only a closed one waits for its frame (and thinks)."""
+        closed = spec.arrival == "closed"
+        seed = self.workload.seed
+        gaps = spec.think_times(seed) if closed else spec.interarrivals(seed)
+        dwells = spec.dwell_times(seed)
         if spec.start_s > 0:
             yield float(spec.start_s)
         for i in range(spec.submissions):
-            yield float(gaps[i])
-            self._submit(spec.request(i, cancel_after_s=self._dwell(dwells, i)))
-
-    def _closed_session(self, spec: SessionSpec):
-        thinks = spec.think_times(self.workload.seed)
-        dwells = spec.dwell_times(self.workload.seed)
-        if spec.start_s > 0:
-            yield float(spec.start_s)
-        for i in range(spec.submissions):
-            done = self._submit(spec.request(i, cancel_after_s=self._dwell(dwells, i)))
-            yield done
-            if thinks[i] > 0:
-                yield float(thinks[i])
-
-    @staticmethod
-    def _dwell(dwells, i: int) -> float | None:
-        """The i-th camera-move dwell, or None for a patient viewer."""
-        d = float(dwells[i])
-        return d if d > 0 else None
+            dwell = float(dwells[i])  # 0: a patient viewer, no camera move
+            request = spec.request(i, cancel_after_s=dwell if dwell > 0 else None)
+            if closed:
+                yield self._submit(request)
+                if gaps[i] > 0:
+                    yield float(gaps[i])
+            else:
+                yield float(gaps[i])
+                self._submit(request)
 
     # -- the service tier: edge -> origin -> coalesce -> admit --------
 
@@ -316,14 +313,22 @@ class RenderFarm:
         if self.edge is not None:
             payload = self.edge.lookup(request.region, key, now)
             if payload is not None:
+                # Served in-region: the origin never sees a warm edge hit.
                 self.records.append(record)
-                self._complete_from_edge(record, done, payload)
+                self._serve_now(
+                    record, done, payload, "edge_hit", "edge",
+                    ("edge-hit", CAT_EDGE), region=request.region,
+                )
+                self._kick()
                 return done
 
         payload = self.result_cache.lookup(key)
         if payload is not None:
+            # The frame was just delivered to this region: warm its edge.
             self.records.append(record)
-            self._complete_from_cache(record, done, payload)
+            self._fill_edge(request, key, payload)
+            self._serve_now(record, done, payload, "cache_hit", "cached")
+            self._kick()
             return done
 
         if request.is_progressive:
@@ -346,11 +351,12 @@ class RenderFarm:
                     record.t_first_pixel = now
                     break
 
-        if self.coalesce and not request.is_progressive:
-            # Progressive ladders are excluded from single-flight: a
-            # primary whose viewer moves the camera truncates its
-            # ladder, and handing waiters a partial ladder would break
-            # the coalescing contract (same key => same full payload).
+        # Progressive ladders are excluded from single-flight: a
+        # primary whose viewer moves the camera truncates its ladder,
+        # and handing waiters a partial ladder would break the
+        # coalescing contract (same key => same full payload).
+        single_flight = self.coalesce and not request.is_progressive
+        if single_flight:
             primary = self._inflight.get(key)
             if primary is not None:
                 self.records.append(record)
@@ -369,65 +375,58 @@ class RenderFarm:
         # Only NEW render work spends an admission token: everything
         # above served the request without touching the machine.
         if self.admission is not None and not self.admission.admit(request.tier, now):
-            self._reject(record, done, now)
+            # Shed by admission control: accounted, never served — no
+            # queue/serve pair, and nothing was freed, so no dispatch.
+            self.rejected.append(record)
+            self._serve_now(
+                record, done, None, "rejected", None,
+                ("reject", CAT_ADMIT), tier=request.tier,
+            )
             return done
 
         self.records.append(record)
-        job = _Job(record=record, nodes=nodes, done=done)
-        if self.coalesce and not request.is_progressive:
+        job = _Job(record=record, nodes=nodes, done=done, key=key)
+        if single_flight:
             self._inflight[key] = job
         self._queue.append(job)
         self._kick()
         return done
 
-    def _complete_from_cache(
-        self, record: RequestRecord, done: Future, payload: Any, promoted: bool = False
+    def _serve_now(
+        self, record: RequestRecord, done: Future, payload: Any, flag: str,
+        tag: str | None, marker: tuple[str, str] | None = None, **marker_args: Any,
     ) -> None:
-        """A warm result-cache hit: done *now*, in zero service time."""
+        """Finish a request that never holds a partition: done *now*.
+
+        ``flag`` is the record attribute that says how it ended; ``tag``
+        labels the ``serve`` span of the ``queue``/``serve`` pair
+        (``None``: never served, no pair); ``marker`` is the ``(name,
+        category)`` of the zero-length span that reconciles with the
+        flag's counter.  Whatever else differs between the endings — an
+        edge fill, whether a dispatch pass is due — is the caller's line.
+        """
         now = self.engine.now
         record.t_hold = record.t_serve = record.t_done = now
-        record.cache_hit = True
-        record.promoted = promoted
+        setattr(record, flag, True)
         record.payload = payload
+        if tag is not None:
+            self._span(record, "queue", CAT_FARM, record.t_arrive, now)
+            self._span(record, "serve", CAT_FARM, now, now, **{tag: True})
+        if marker is not None:
+            self._span(record, *marker, now, now, **marker_args)
+        self._note_completed()
+        done.resolve(record)
+
+    def _span(
+        self, record: RequestRecord, name: str, cat: str, t0: float, t1: float, **args: Any
+    ) -> None:
+        """One span on the request's session lane, tagged with its rid."""
+        request = record.request
+        self.tracer.span(self._lane[request.session], name, cat, t0, t1, req=request.rid, **args)
+
+    def _fill_edge(self, request: FrameRequest, key: tuple, payload: Any) -> None:
         if self.edge is not None:
-            # The frame was just delivered to this region: warm its edge.
-            self.edge.fill(record.request.region, record.request.frame_key, payload, now)
-        rank = self.workload.session_index(record.request.session)
-        self.tracer.span(rank, "queue", CAT_FARM, record.t_arrive, now, req=record.request.rid)
-        self.tracer.span(rank, "serve", CAT_FARM, now, now, req=record.request.rid, cached=True)
-        self._note_completed()
-        done.resolve(record)
-        self._kick()
-
-    def _complete_from_edge(self, record: RequestRecord, done: Future, payload: Any) -> None:
-        """A warm edge hit: served in-region, the origin never sees it."""
-        now = self.engine.now
-        record.t_hold = record.t_serve = record.t_done = now
-        record.edge_hit = True
-        record.payload = payload
-        rank = self.workload.session_index(record.request.session)
-        rid = record.request.rid
-        self.tracer.span(rank, "queue", CAT_FARM, record.t_arrive, now, req=rid)
-        self.tracer.span(rank, "serve", CAT_FARM, now, now, req=rid, edge=True)
-        self.tracer.span(
-            rank, "edge-hit", CAT_EDGE, now, now, req=rid, region=record.request.region
-        )
-        self._note_completed()
-        done.resolve(record)
-        self._kick()
-
-    def _reject(self, record: RequestRecord, done: Future, now: float) -> None:
-        """Shed by admission control: accounted, never served."""
-        record.t_hold = record.t_serve = record.t_done = now
-        record.rejected = True
-        self.rejected.append(record)
-        rank = self.workload.session_index(record.request.session)
-        self.tracer.span(
-            rank, "reject", CAT_ADMIT, now, now,
-            req=record.request.rid, tier=record.request.tier,
-        )
-        self._note_completed()
-        done.resolve(record)
+            self.edge.fill(request.region, key, payload, self.engine.now)
 
     def _resolve_waiters(self, job: _Job, payload: Any) -> None:
         """Complete every coalesced duplicate riding on ``job``, now.
@@ -436,63 +435,56 @@ class RenderFarm:
         *same payload object* the primary delivered — the single-flight
         contract the edge tests pin by identity.
         """
-        if not job.waiters:
-            return
-        now = self.engine.now
         for wrecord, wdone in job.waiters:
-            wrecord.t_hold = wrecord.t_serve = wrecord.t_done = now
-            wrecord.payload = payload
-            rank = self.workload.session_index(wrecord.request.session)
-            rid = wrecord.request.rid
-            self.tracer.span(rank, "queue", CAT_FARM, wrecord.t_arrive, now, req=rid)
-            self.tracer.span(rank, "serve", CAT_FARM, now, now, req=rid, coalesced=True)
-            self.tracer.span(rank, "coalesced", CAT_EDGE, now, now, req=rid)
-            if self.edge is not None:
-                self.edge.fill(wrecord.request.region, wrecord.request.frame_key, payload, now)
-            self._note_completed()
-            wdone.resolve(wrecord)
+            self._fill_edge(wrecord.request, job.key, payload)
+            self._serve_now(
+                wrecord, wdone, payload, "coalesced", "coalesced", ("coalesced", CAT_EDGE)
+            )
         job.waiters = []
 
     # -- the scheduler ------------------------------------------------
 
     def _kick(self) -> None:
-        if self._wake is not None and not self._wake.done:
-            self._wake.resolve()
-        else:
-            self._pending_kick = True
+        """Run a dispatch pass at this instant, after the current event.
+        One pass serves every kick raised before it ends, also those
+        raised inside it: a second pass would find free nodes only
+        shrunk, caches probed, prices memoised, reservations written."""
+        if not self._dispatch_due:
+            self._dispatch_due = True
+            self.engine.schedule(0.0, self._run_dispatch)
 
-    def _scheduler(self):
-        while self._completed < self._total:
-            self._dispatch()
-            if self._completed >= self._total and not self._queue:
-                break
-            if self._pending_kick:
-                self._pending_kick = False
-                continue
-            self._wake = Future(name="farm.wake")
-            yield self._wake
-            self._wake = None
+    def _run_dispatch(self) -> None:
+        self._dispatch()
+        self._dispatch_due = False
 
     def _dispatch(self) -> None:
-        q = self._queue
-        while q:
-            head = q[0]
-            if self._dispatch_cached(head):
-                q.popleft()
+        """One pass over the queue: FCFS until a job does not fit, then
+        EASY backfill behind that blocked head."""
+        now = self.engine.now
+        shadow = None  # the blocked head's earliest start, once a head blocked
+        for job in list(self._queue):
+            if self._dispatch_cached(job):
+                self._queue.remove(job)
                 continue
-            interval = self.allocator.alloc(head.nodes)
+            if shadow is not None and (
+                now + (self.alloc_overhead_s + self._price(job)) > shadow + 1e-12
+            ):
+                continue  # would overrun the head job's reservation
+            interval = self.allocator.alloc(job.nodes)
             if interval is not None:
-                q.popleft()
-                self._start(head, interval)
-                continue
-            # Head blocked: reserve its earliest possible start, then
-            # let later jobs backfill without touching that reservation.
-            shadow = self._shadow_time(head)
-            if head.record.reserved_start is None and math.isfinite(shadow):
-                head.record.reserved_start = shadow
-            if self.backfill:
-                self._backfill_behind(head, shadow)
-            return
+                self._queue.remove(job)
+                if shadow is not None:
+                    job.backfilled = True
+                    self.backfilled += 1
+                self._start(job, interval)
+            elif shadow is None:
+                # Head blocked: reserve its earliest possible start, then
+                # let later jobs backfill without touching that reservation.
+                shadow = self._shadow_time(job)
+                if job.record.reserved_start is None and math.isfinite(shadow):
+                    job.record.reserved_start = shadow
+                if not self.backfill:
+                    return
 
     def _dispatch_cached(self, job: _Job) -> bool:
         """Complete a queued job whose frame got cached while it waited.
@@ -503,47 +495,31 @@ class RenderFarm:
         cache level would break ``cache_hits == lookup_hits +
         promotions``.
         """
-        payload = self.result_cache.touch(job.request.frame_key)
+        payload = self.result_cache.touch(job.key)
         if payload is None:
             return False
         self.promotions += 1
-        if self._inflight.get(job.request.frame_key) is job:
-            del self._inflight[job.request.frame_key]
-        self._complete_from_cache(job.record, job.done, payload, promoted=True)
+        job.record.promoted = True
+        if self._inflight.get(job.key) is job:
+            del self._inflight[job.key]
+        self._fill_edge(job.request, job.key, payload)
+        self._serve_now(job.record, job.done, payload, "cache_hit", "cached")
         self._resolve_waiters(job, payload)
         return True
-
-    def _backfill_behind(self, head: _Job, shadow: float) -> None:
-        now = self.engine.now
-        for job in list(self._queue)[1:]:
-            if self._dispatch_cached(job):
-                self._queue.remove(job)
-                continue
-            hold_s = self.alloc_overhead_s + self._price(job)
-            if now + hold_s > shadow + 1e-12:
-                continue  # would overrun the head job's reservation
-            interval = self.allocator.alloc(job.nodes)
-            if interval is not None:
-                self._queue.remove(job)
-                job.backfilled = True
-                self.backfilled += 1
-                self._start(job, interval)
 
     def _shadow_time(self, job: _Job) -> float:
         """Earliest time ``job`` fits, replaying running jobs' releases."""
         ghost = self.allocator.clone()
-        when = self.engine.now
-        for other in sorted(self._running.values(), key=lambda j: (j.t_end, j.record.interval)):
+        for other in sorted(
+            self._running.values(), key=lambda j: (j.record.t_done, j.record.interval)
+        ):
             ghost.free(other.record.interval)  # type: ignore[arg-type]
-            when = other.t_end
             if ghost.fits(job.nodes):
-                return when
-        if not ghost.fits(job.nodes):
-            # Even the drained pool is too small (autoscale fence or
-            # quarantine): no reservation to protect, so backfill runs
-            # free until the pool grows.
-            return math.inf
-        return when
+                return other.record.t_done
+        # Even the drained pool is too small (autoscale fence or
+        # quarantine): no reservation to protect, so backfill runs
+        # free until the pool grows.
+        return math.inf
 
     # -- job lifecycle ------------------------------------------------
 
@@ -569,14 +545,32 @@ class RenderFarm:
         record.t_done = record.t_serve + service_s
         record.nodes = job.nodes
         record.interval = interval
-        job.t_end = record.t_done
         self._running[job.request.rid] = job
         self._busy_nodes += job.nodes
         self._util_node_s += job.nodes * (record.t_done - now)
+        job.log_i = len(self.allocation_log)
         self.allocation_log.append((job.request.rid, interval, now, record.t_done))
-        job.finish_ev = self.engine.schedule_at(record.t_done, lambda j=job: self._finish(j))
-        if job.request.is_progressive and hasattr(job.payload, "level_end_s"):
+        job.events = [self.engine.schedule_at(record.t_done, partial(self._finish, job))]
+        if job.request.is_progressive and isinstance(job.payload, ProgressivePayload):
             self._schedule_ladder(job)
+
+    def _release(self, job: _Job) -> None:
+        """Hand the job's partition back: free, un-run, un-busy."""
+        self.allocator.free(job.record.interval)  # type: ignore[arg-type]
+        self._running.pop(job.request.rid)
+        self._busy_nodes -= job.nodes
+
+    def _stop_at(self, job: _Job, t: float) -> float:
+        """The job ends at ``t``, before the planned end: un-credit (and
+        return) the unserved node-seconds and truncate the boot's
+        allocation-log row, so the no-overlap invariant holds when the
+        nodes are reused early."""
+        unserved = job.nodes * (job.record.t_done - t)
+        self._util_node_s -= unserved
+        job.record.t_done = t
+        rid, interval, t_hold, _ = self.allocation_log[job.log_i]
+        self.allocation_log[job.log_i] = (rid, interval, t_hold, t)
+        return unserved
 
     # -- progressive ladders ------------------------------------------
 
@@ -596,10 +590,10 @@ class RenderFarm:
         record.t_first_pixel = (
             tfp if record.t_first_pixel is None else min(record.t_first_pixel, tfp)
         )
-        job.level_evs = [
+        job.events[:0] = [
             self.engine.schedule_at(
                 record.t_serve + payload.level_end_s[lvl],
-                lambda j=job, l=lvl: self._publish_level(j, l),
+                partial(self._publish_level, job, lvl),
             )
             for lvl in range(payload.levels - 1)
         ]
@@ -607,9 +601,19 @@ class RenderFarm:
         if cancel is not None:
             t_move = record.t_serve + float(cancel)
             if t_move < record.t_done - 1e-12:
-                job.move_ev = self.engine.schedule_at(
-                    t_move, lambda j=job: self._camera_move(j)
-                )
+                job.move_ev = self.engine.schedule_at(t_move, partial(self._camera_move, job))
+
+    def _level_span(self, job: _Job, lvl: int) -> None:
+        """Level ``lvl`` is delivered *now*: its span and its counters."""
+        record = job.record
+        payload = job.payload
+        prev_end = 0.0 if lvl == 0 else payload.level_end_s[lvl - 1]
+        self._span(
+            record, "level", CAT_PROGRESSIVE, record.t_serve + prev_end, self.engine.now,
+            level=lvl, edge=payload.edges[lvl],
+        )
+        record.levels_done += 1
+        self._levels_published += 1
 
     def _publish_level(self, job: _Job, lvl: int) -> None:
         """A coarse level landed: show it and cache it under its own key.
@@ -618,28 +622,18 @@ class RenderFarm:
         never touch the hit/miss books) — publishing is a side effect
         of this render, not a cache transaction of any request.
         """
-        now = self.engine.now
-        record = job.record
         payload = job.payload
-        job.level_evs[lvl] = None
-        record.levels_done += 1
-        self._levels_published += 1
-        prev_end = 0.0 if lvl == 0 else payload.level_end_s[lvl - 1]
-        rank = self.workload.session_index(record.request.session)
-        self.tracer.span(
-            rank, "level", CAT_PROGRESSIVE, record.t_serve + prev_end, now,
-            req=record.request.rid, level=lvl, edge=payload.edges[lvl],
-        )
+        job.events[lvl] = None
+        self._level_span(job, lvl)
         preview = {
             "level": lvl,
             "of": payload.levels,
             "edge": payload.edges[lvl],
             "payload": payload,
         }
-        lk = record.request.level_key(lvl)
+        lk = job.request.level_key(lvl)
         self.result_cache.store(lk, preview)
-        if self.edge is not None:
-            self.edge.fill(record.request.region, lk, preview, now)
+        self._fill_edge(job.request, lk, preview)
 
     def _camera_move(self, job: _Job) -> None:
         """The viewer moved: truncate the ladder, reclaim the remainder.
@@ -651,83 +645,50 @@ class RenderFarm:
         """
         now = self.engine.now
         record = job.record
-        payload = job.payload
         job.move_ev = None
         rel = now - record.t_serve
-        ends = payload.level_end_s
+        ends = job.payload.level_end_s
         idx = next((i for i, e in enumerate(ends) if e > rel + 1e-12), len(ends) - 1)
         new_end = record.t_serve + ends[idx]
         if new_end >= record.t_done - 1e-12:
             return  # mid-final-level: the ladder finishes anyway
-        for lvl in range(idx + 1, payload.levels - 1):
-            ev = job.level_evs[lvl]
+        for ev in job.events[idx + 1:]:
             if ev is not None:
                 ev.cancel()
-                job.level_evs[lvl] = None
-        job.finish_ev.cancel()
-        reclaimed = job.nodes * (record.t_done - new_end)
-        self._util_node_s -= reclaimed
-        self._cancelled_node_s += reclaimed
+        self._cancelled_node_s += self._stop_at(job, new_end)
         self._ladders_cancelled += 1
         record.ladder_cancelled = True
-        record.t_done = new_end
-        job.t_end = new_end
-        job.truncated = True
-        # Truncate this boot's allocation-log entry so the no-overlap
-        # invariant holds when the reclaimed nodes are reused early.
-        rid = record.request.rid
-        for i in range(len(self.allocation_log) - 1, -1, -1):
-            rid_i, interval_i, t0_i, _ = self.allocation_log[i]
-            if rid_i == rid:
-                self.allocation_log[i] = (rid_i, interval_i, t0_i, new_end)
-                break
-        job.finish_ev = self.engine.schedule_at(new_end, lambda j=job: self._finish(j))
-        rank = self.workload.session_index(record.request.session)
-        self.tracer.span(
-            rank, "ladder-cancelled", CAT_PROGRESSIVE, now, now,
-            req=rid, completes=idx + 1, of=payload.levels,
+        job.events[idx + 1:] = [self.engine.schedule_at(new_end, partial(self._finish, job))]
+        self._span(
+            record, "ladder-cancelled", CAT_PROGRESSIVE, now, now,
+            completes=idx + 1, of=job.payload.levels,
         )
 
     def _finish(self, job: _Job) -> None:
         record = job.record
-        self.allocator.free(record.interval)  # type: ignore[arg-type]
-        self._running.pop(job.request.rid)
-        self._busy_nodes -= job.nodes
-        rank = self.workload.session_index(record.request.session)
-        rid = record.request.rid
-        self.tracer.span(rank, "queue", CAT_FARM, record.t_arrive, record.t_hold, req=rid)
-        self.tracer.span(
-            rank, "alloc", CAT_FARM, record.t_hold, record.t_serve,
-            req=rid, nodes=job.nodes,
-        )
-        self.tracer.span(
-            rank, "serve", CAT_FARM, record.t_serve, record.t_done,
-            req=rid, nodes=job.nodes, backfilled=job.backfilled,
+        job.events = []  # the last delivery just fired; also unties job <-> event
+        self._release(job)
+        self._span(record, "queue", CAT_FARM, record.t_arrive, record.t_hold)
+        self._span(record, "alloc", CAT_FARM, record.t_hold, record.t_serve, nodes=job.nodes)
+        self._span(
+            record, "serve", CAT_FARM, record.t_serve, record.t_done,
+            nodes=job.nodes, backfilled=job.backfilled,
         )
         record.payload = job.payload
-        if job.request.is_progressive and not job.truncated:
-            # The final (full-res) level is delivered by the job's own
-            # finish; give it the same per-level span the coarse ones
-            # got so span counts reconcile with levels delivered.
-            p = job.payload
-            self.tracer.span(
-                rank, "level", CAT_PROGRESSIVE,
-                record.t_serve + p.level_end_s[-2], record.t_done,
-                req=rid, level=p.levels - 1, edge=p.edges[-1],
-            )
-            record.levels_done += 1
-            self._levels_published += 1
-        if not job.truncated:
+        if self._inflight.get(job.key) is job:
+            del self._inflight[job.key]
+        if not record.ladder_cancelled:
+            if job.request.is_progressive:
+                # The final (full-res) level is delivered by the job's
+                # own finish; give it the same per-level span the coarse
+                # ones got so span counts reconcile with levels
+                # delivered.
+                self._level_span(job, job.payload.levels - 1)
             # A truncated ladder is a *partial* payload: never cache it
             # under the full frame_key (its published coarse levels
             # stay under their own level keys).
-            self.result_cache.store(record.request.frame_key, job.payload)
-        if self._inflight.get(record.request.frame_key) is job:
-            del self._inflight[record.request.frame_key]
-        if self.edge is not None and not job.truncated:
-            self.edge.fill(
-                record.request.region, record.request.frame_key, job.payload, self.engine.now
-            )
+            self.result_cache.store(job.key, job.payload)
+            self._fill_edge(job.request, job.key, job.payload)
         self._note_completed()
         job.done.resolve(record)
         self._resolve_waiters(job, job.payload)
@@ -830,7 +791,7 @@ class RenderFarm:
             return
         gap = float(self._fault_rng.exponential(1.0 / rate_hz))
         victim = int(self._fault_rng.integers(self.allocator.total_nodes))
-        self._crash_ev = self.engine.schedule(gap, lambda v=victim: self._crash_node(v))
+        self._crash_ev = self.engine.schedule(gap, partial(self._crash_node, victim))
 
     def _crash_node(self, node: int) -> None:
         self._crash_ev = None
@@ -854,51 +815,33 @@ class RenderFarm:
 
     def _kill_job(self, job: _Job, node: int, now: float) -> None:
         record = job.record
-        rid = job.request.rid
-        job.finish_ev.cancel()
-        job.finish_ev = None
-        # A ladder dies with its partition: cancel its pending level
-        # and move events and reset the per-request ladder books (the
-        # requeue re-renders the whole ladder; global counters keep
-        # history, which is why their identities are fault-free only).
-        for ev in job.level_evs:
+        # The job dies with its partition: cancel every pending
+        # delivery and the pending camera move, and reset the
+        # per-request ladder books (the requeue re-renders the whole
+        # ladder; global counters keep history, which is why their
+        # identities are fault-free only).
+        for ev in job.events:
             if ev is not None:
                 ev.cancel()
-        job.level_evs = []
+        job.events = []
         if job.move_ev is not None:
             job.move_ev.cancel()
             job.move_ev = None
-        job.truncated = False
         record.levels_done = 0
         record.ladder_cancelled = False
-        self._running.pop(rid)
-        self._busy_nodes -= job.nodes
-        self.allocator.free(record.interval)  # type: ignore[arg-type]
+        self._release(job)
         # Roll back the utilization credited for the unserved remainder
         # and charge the partial work that just evaporated.
-        self._util_node_s -= job.nodes * (job.t_end - now)
+        self._stop_at(job, now)
         self._wasted_node_s += job.nodes * (now - record.t_hold)
-        # Truncate this boot's allocation-log entry at the kill time so
-        # the no-overlap invariant keeps holding when the freed nodes
-        # are reallocated before the planned end.
-        for i in range(len(self.allocation_log) - 1, -1, -1):
-            rid_i, interval_i, t0_i, _ = self.allocation_log[i]
-            if rid_i == rid:
-                self.allocation_log[i] = (rid_i, interval_i, t0_i, now)
-                break
-        self._killed_rids.add(rid)
-        self._requeues += 1
         record.retries += 1
         if record.t_first_fail is None:
             record.t_first_fail = now
         record.interval = None
         record.reserved_start = None  # void: the machine changed under it
         job.backfilled = False
-        job.t_end = 0.0
-        rank = self.workload.session_index(record.request.session)
-        self.tracer.span(
-            rank, "killed", CAT_FAULT, record.t_hold, now,
-            req=rid, node=node, retry=record.retries,
+        self._span(
+            record, "killed", CAT_FAULT, record.t_hold, now, node=node, retry=record.retries
         )
         # The job requeues ONCE, waiters still attached; its _inflight
         # entry stays, so new duplicates keep coalescing onto it.
@@ -916,40 +859,36 @@ class RenderFarm:
             # fence; skip rather than corrupt the free list.  (Running
             # jobs were handled by _kill_job.)
             return
-        ev = self.engine.schedule(
-            self.faults.repair_s, lambda n=node: self._release_node(n)
-        )
+        ev = self.engine.schedule(self.faults.repair_s, partial(self._release_node, node))
         self._quarantined[node] = (now, ev)
 
-    def _release_node(self, node: int) -> None:
-        t0, _ = self._quarantined.pop(node)
+    def _release_node(self, node: int, repaired: bool = True) -> None:
+        """Close ``node``'s quarantine: repaired (the pool grew, so
+        dispatch), or the run is over and the repair is called off."""
+        t0, ev = self._quarantined.pop(node)
         now = self.engine.now
+        if not repaired:
+            ev.cancel()
         self.allocator.free((node, node + 1))
         self._quarantined_node_s += now - t0
         self.tracer.span(MACHINE_LANE, f"quarantine node {node}", CAT_FAULT, t0, now, node=node)
-        self._kick()
+        if repaired:
+            self._kick()
 
     def _teardown_faults(self) -> None:
         """All requests done: cancel pending fault events so the engine
         stops at the true makespan, and close the quarantine ledger."""
-        now = self.engine.now
         if self._crash_ev is not None:
             self._crash_ev.cancel()
             self._crash_ev = None
-        for node, (t0, ev) in sorted(self._quarantined.items()):
-            ev.cancel()
-            self.allocator.free((node, node + 1))
-            self._quarantined_node_s += now - t0
-            self.tracer.span(
-                MACHINE_LANE, f"quarantine node {node}", CAT_FAULT, t0, now, node=node
-            )
-        self._quarantined.clear()
+        for node in sorted(self._quarantined):
+            self._release_node(node, repaired=False)
 
     def _build_fault_stats(self, makespan: float) -> FarmFaultStats:
         stats = FarmFaultStats(
             crashes=self._crashes,
-            jobs_killed=len(self._killed_rids),
-            retries=self._requeues,
+            jobs_killed=sum(r.retries > 0 for r in self.records),
+            retries=sum(r.retries for r in self.records),
             quarantined_node_s=self._quarantined_node_s,
             wasted_node_s=self._wasted_node_s,
             mttr_samples=[

@@ -19,20 +19,20 @@ and the farm's failure process draws from ``substream(seed, "farm",
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 from repro.farm.result import FarmResult
-from repro.farm.scenario import (
-    FarmScenario,
-    default_scenario,
-    interactive_selftest_scenario,
-    selftest_scenario,
-)
+from repro.farm.scenario import BUILTIN_SCENARIOS, FarmScenario
 from repro.fault.plan import FarmFaults
 from repro.utils.errors import ConfigError
-from repro.utils.validation import check_spec_keys
+from repro.utils.validation import check_spec_fields
 
-_CHAOS_KEYS = {"scenario", "sweep", "repair_s", "max_crashes", "seed"}
+_CHAOS_SCHEMA = {
+    "scenario": str | dict | None,  # a BUILTIN_SCENARIOS name or an inline scenario
+    "sweep": tuple[float, ...],
+    "repair_s": float,
+    "max_crashes": int,
+    "seed": int | None,
+}
 
 #: CI-speed default: the functional selftest miniature under no faults,
 #: a gentle rate, and a harsh one.  Rates are crashes per node-hour.
@@ -40,41 +40,37 @@ DEFAULT_SWEEP = (0.0, 5.0, 20.0)
 DEFAULT_REPAIR_S = 5.0
 
 
-def _resolve_scenario(base: Any) -> tuple[str, FarmScenario]:
-    if base == "selftest" or base is None:
-        return "selftest", selftest_scenario()
-    if base == "default":
-        return "default", default_scenario()
-    if base == "interactive":
-        return "interactive", interactive_selftest_scenario()
-    if isinstance(base, dict):
-        return "custom", FarmScenario.from_dict(base)
-    raise ConfigError(
-        f"chaos.scenario must be 'selftest', 'default', 'interactive', "
-        f"or a scenario object, got {base!r}"
-    )
-
-
 def run_chaos(spec: dict) -> tuple[dict, FarmResult]:
     """Run the sweep described by ``spec``; return (report, last result).
 
-    ``spec`` keys (all optional): ``scenario`` ("selftest", "default",
-    or an inline farm-scenario object), ``sweep`` (list of crash rates
-    per node-hour), ``repair_s``, ``max_crashes``, ``seed``.  Unknown
-    keys fail with their full path, same as ``repro farm`` specs.
+    ``spec`` keys (all optional): ``scenario`` (a name from
+    :data:`~repro.farm.scenario.BUILTIN_SCENARIOS`, default
+    ``"selftest"``, or an inline farm-scenario object), ``sweep`` (list
+    of crash rates per node-hour), ``repair_s``, ``max_crashes``,
+    ``seed``.  Unknown keys and wrongly typed values fail with their
+    full path, same as ``repro farm`` specs.
 
     The second return value is the highest-rate arm's
     :class:`~repro.farm.result.FarmResult`, so callers can export its
     trace (the arm where the fault spans are actually interesting).
     """
-    check_spec_keys(spec, _CHAOS_KEYS, path="chaos")
-    name, scenario = _resolve_scenario(spec.get("scenario"))
+    check_spec_fields(spec, _CHAOS_SCHEMA, path="chaos")
+    name = "selftest" if spec.get("scenario") is None else spec["scenario"]
+    if isinstance(name, dict):
+        name, scenario = "custom", FarmScenario.from_dict(name)
+    elif name in BUILTIN_SCENARIOS:
+        scenario = BUILTIN_SCENARIOS[name].build()
+    else:
+        raise ConfigError(
+            f"chaos.scenario must be one of {sorted(BUILTIN_SCENARIOS)} "
+            f"or a scenario object, got {name!r}"
+        )
     if spec.get("seed") is not None:
-        scenario = dataclasses.replace(scenario, seed=int(spec["seed"]))
+        scenario = dataclasses.replace(scenario, seed=spec["seed"])
     repair_s = float(spec.get("repair_s", DEFAULT_REPAIR_S))
-    max_crashes = int(spec.get("max_crashes", 100_000))
-    sweep = spec.get("sweep", list(DEFAULT_SWEEP))
-    if not isinstance(sweep, (list, tuple)) or not sweep:
+    max_crashes = spec.get("max_crashes", 100_000)
+    sweep = spec.get("sweep", DEFAULT_SWEEP)
+    if not sweep:
         raise ConfigError("chaos.sweep must be a non-empty list of crash rates")
 
     entries: list[dict] = []

@@ -3,10 +3,10 @@
 One request becomes a coarse-to-fine *resolution ladder* of real
 DES-priced frames — time to first pixel drops by the cube of the
 coarsest scale while the final level stays bitwise identical to a
-direct full-resolution render.  :class:`ProgressiveSession` adds the
-interactive semantics (camera moves cancel un-started levels); the
-farm tier wires the same ladder into the service simulation as the
-``interactive`` session kind.
+direct full-resolution render.  ``render_ladder(cancel_after_s=...)``
+is the interactive semantics (a camera move cancels the un-started
+levels); the farm tier wires the same ladder into the service
+simulation as the ``interactive`` session kind.
 """
 
 from repro.progressive.ladder import (
@@ -22,13 +22,11 @@ from repro.progressive.renderer import (
     ProgressiveRenderer,
     ProgressiveResult,
 )
-from repro.progressive.session import ProgressiveSession
 
 __all__ = [
     "LevelFrame",
     "ProgressiveRenderer",
     "ProgressiveResult",
-    "ProgressiveSession",
     "build_pyramid",
     "check_ladder_fits",
     "ladder_edges",

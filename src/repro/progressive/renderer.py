@@ -183,9 +183,8 @@ class ProgressiveRenderer:
 
     Wraps an existing :class:`ParallelVolumeRenderer`; every level is
     a real ``render_frame`` on that renderer's world, plan cache, and
-    compositing backend.  ``render_ladder`` runs the whole ladder;
-    :class:`~repro.progressive.session.ProgressiveSession` drives the
-    same levels lazily on a DES engine with camera-move cancellation.
+    compositing backend.  ``render_ladder`` runs the ladder, up to the
+    viewer's camera move if there is one.
     """
 
     def __init__(
@@ -298,13 +297,29 @@ class ProgressiveRenderer:
     # -- the whole ladder ---------------------------------------------
 
     def render_ladder(
-        self, handle: DatasetHandle, field: np.ndarray | None = None
+        self, handle: DatasetHandle, field: np.ndarray | None = None,
+        cancel_after_s: float | None = None,
     ) -> ProgressiveResult:
-        """Render every level back to back (no cancellation process)."""
+        """Render the levels back to back, coarse to fine.
+
+        ``cancel_after_s`` is when, on the ladder's clock, the viewer
+        moves the camera (``None``: never).  The level in flight
+        completes — preempting mid-composite would tear a frame — and
+        un-started ones never render: level ``k > 0`` starts only if
+        the move is later than level ``k - 1``'s delivery (a tie goes to
+        the move).  So the coarsest level is always delivered, and a
+        move during the final level cancels nothing.
+        """
+        if cancel_after_s is not None and cancel_after_s < 0:
+            raise ConfigError(f"cancel_after_s must be >= 0, got {cancel_after_s!r}")
         plan = self.prepare(handle, field)
         levels: list[LevelFrame] = []
         t = 0.0
+        cancelled = False
         for k, f in enumerate(plan.scales):
+            if k and cancel_after_s is not None and cancel_after_s <= t:
+                cancelled = True
+                break
             frame, camera = self.render_level(plan, k)
             dur = frame.timing.total_s
             lf = LevelFrame(
@@ -319,5 +334,7 @@ class ProgressiveRenderer:
             levels_planned=plan.levels_planned,
             nodes=self.renderer.world.nprocs,
             truncated=plan.truncated,
+            cancelled=cancelled,
+            cancel_after_s=cancel_after_s,
             trace=self.tracer,
         )

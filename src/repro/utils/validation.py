@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import dataclasses
+import types
+import typing
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.utils.errors import ConfigError
 
@@ -54,6 +57,47 @@ def check_spec_keys(spec: object, allowed: Iterable[str], path: str = "") -> dic
             f"unknown key{plural} {shown}; allowed keys: {sorted(allowed_set)}"
         )
     return spec
+
+
+def _fits(value: object, hint: Any) -> bool:
+    """Whether a JSON ``value`` can stand for the annotation ``hint``.
+    ``bool`` is an ``int`` in Python but not in a spec: ``"requests":
+    true`` is a mistake, not a 1."""
+    if hint is int or hint is float:
+        numbers = (int, float) if hint is float else int
+        return isinstance(value, numbers) and not isinstance(value, bool)
+    if hint in (str, bool, dict, type(None)):
+        return isinstance(value, hint)
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, option) for option in typing.get_args(hint))
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    return True  # a nested object: its own loader validates it
+
+
+def check_spec_fields(spec: object, schema: Any, path: str = "") -> dict:
+    """:func:`check_spec_keys`, plus every scalar value against its type.
+
+    ``schema`` is the dataclass the spec will be splatted into, or a
+    ``{key: annotation}`` mapping; ``int`` / ``float`` / ``str`` /
+    ``bool`` / ``dict``, their unions and homogeneous tuples (JSON
+    lists) are judged.  A mismatch is a :class:`ConfigError` with the
+    key path — ``sessions[0].requests must be int, got 'x'`` — at load,
+    not a ``TypeError`` from whatever first touches the value mid-run.
+    """
+    hints: Mapping[str, Any] = (
+        typing.get_type_hints(schema) if dataclasses.is_dataclass(schema) else schema
+    )
+    check_spec_keys(spec, hints, path)
+    for key, value in spec.items():  # type: ignore[union-attr]
+        hint = hints[key]
+        if not _fits(value, hint):
+            where = f"{path}.{key}" if path else str(key)
+            wanted = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{where} must be {wanted}, got {value!r}")
+    return spec  # type: ignore[return-value]
 
 
 def check_shape3(name: str, shape: Sequence[int]) -> tuple[int, int, int]:

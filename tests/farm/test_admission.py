@@ -20,6 +20,7 @@ Pinned properties:
 import pytest
 
 from repro.farm import (
+    FarmScenario,
     ReactiveAutoscaler,
     RenderFarm,
     SessionSpec,
@@ -30,6 +31,7 @@ from repro.farm import (
     Workload,
     admission_from_dict,
     autoscale_from_dict,
+    check,
 )
 from repro.farm.admission import check_admission_spec
 from repro.farm.autoscale import check_autoscale_spec
@@ -134,6 +136,24 @@ class TestFarmAdmission:
         assert len(result.rejected) == 0
         assert result.coalesced == 11
         assert farm.admission.total_admitted == 1
+
+    def test_run_ending_on_a_shed_request_finishes(self):
+        """The last completion of the run is a rejection: nothing may be
+        left waiting for a dispatch that a shed request never triggers
+        (the scheduler used to be a coroutine, and this deadlocked)."""
+        scenario = FarmScenario(
+            sessions=(
+                SessionSpec(name="a", kind="orbit", arrival="open", requests=3,
+                            rate_hz=0.001, cores=256, tier="free"),
+            ),
+            seed=1, mode="model", total_nodes=2048,
+            admission={"tiers": {"free": {"rate_hz": 1e-9, "burst": 1}}},
+            size_policy=SizePolicy(min_nodes=64, max_nodes=64),
+        )
+        result = scenario.run()
+        assert (result.arrivals, len(result.records), len(result.rejected)) == (3, 1, 2)
+        assert result.records[-1].t_done < result.rejected[-1].t_done
+        assert check(result, scenario) == []
 
     def test_summary_reconciles_per_tier(self):
         farm, result = self.shed_farm()

@@ -5,10 +5,11 @@ import pathlib
 import pytest
 
 from repro.farm import (
+    BUILTIN_SCENARIOS,
     FarmScenario,
     SessionSpec,
     SizePolicy,
-    run_interactive_selftest,
+    check,
 )
 from repro.farm.request import FrameRequest
 from repro.utils.errors import ConfigError
@@ -129,8 +130,10 @@ class TestNodeSecondsReclaim:
 
 class TestSelftest:
     def test_interactive_selftest_invariants_hold(self):
-        result, failures = run_interactive_selftest()
-        assert failures == []
+        builtin = BUILTIN_SCENARIOS["interactive-selftest"]
+        scenario = builtin.build()
+        result = scenario.run()
+        assert check(result, scenario, builtin.expects) == []
         stats = result.progressive_stats()
         assert stats["cancelled"] > 0
         assert stats["coarse_hits"] > 0

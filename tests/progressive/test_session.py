@@ -1,9 +1,9 @@
-"""ProgressiveSession: camera-move cancellation on the DES engine."""
+"""Camera-move cancellation: ``render_ladder(cancel_after_s=...)``."""
 
 import numpy as np
 import pytest
 
-from repro.progressive import ProgressiveRenderer, ProgressiveSession
+from repro.progressive import ProgressiveRenderer
 
 from tests.progressive.test_renderer import make_renderer
 
@@ -17,8 +17,8 @@ def reference_ladder():
 
 def run_session(cancel_after_s):
     renderer, handle, field = make_renderer()
-    session = ProgressiveSession(ProgressiveRenderer(renderer, levels=3))
-    return session.run(handle, field=field, cancel_after_s=cancel_after_s)
+    ladder = ProgressiveRenderer(renderer, levels=3)
+    return ladder.render_ladder(handle, field=field, cancel_after_s=cancel_after_s)
 
 
 class TestCancellation:
@@ -50,8 +50,7 @@ class TestCancellation:
         assert result.accounting_failures() == []
 
     def test_move_at_level_boundary_beats_the_next_level(self, reference_ladder):
-        """A move scheduled at exactly a level's end time wins the
-        engine's deterministic tie (it was scheduled first), so the
+        """A move at exactly a level's end time wins the tie, so the
         next level never starts."""
         result = run_session(reference_ladder.levels[0].t_done_s)
         assert len(result.levels) == 1
@@ -67,8 +66,8 @@ class TestCancellation:
         assert result.accounting_failures() == []
 
     def test_delivered_levels_match_the_eager_ladder(self, reference_ladder):
-        """The session renders the same frames on the same clock as
-        render_ladder — cancellation only removes the tail."""
+        """An interrupted ladder renders the same frames on the same
+        clock as a patient one — cancellation only removes the tail."""
         ends = [lf.t_done_s for lf in reference_ladder.levels]
         result = run_session((ends[0] + ends[1]) / 2)
         for got, want in zip(result.levels, reference_ladder.levels):

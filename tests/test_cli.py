@@ -165,7 +165,7 @@ class TestCLI:
         assert "utilization" in text and "SLO" in text
 
     def test_farm_selftest(self, capsys):
-        rc = main(["farm", "--selftest"])
+        rc = main(["farm", "--scenario", "selftest"])
         assert rc == 0
         text = capsys.readouterr().out
         assert "farm selftest ok" in text
@@ -175,7 +175,7 @@ class TestCLI:
 
         trace_out = tmp_path / "farm-trace.json"
         rc = main([
-            "farm", "--selftest", "--trace-out", str(trace_out),
+            "farm", "--scenario", "selftest", "--trace-out", str(trace_out),
         ])
         assert rc == 0
         doc = json.loads(trace_out.read_text())
@@ -188,6 +188,46 @@ class TestCLI:
         rc = main(["farm", "--scenario", str(path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_farm_wrongly_typed_value_returns_2_with_key_path(self, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text('{"sessions": [{"name": "a", "requests": "x"}]}')
+        rc = main(["farm", "--scenario", str(path)])
+        assert rc == 2
+        assert "sessions[0].requests" in capsys.readouterr().err
+
+    def test_farm_run_ending_on_a_shed_request_returns_0(self, tmp_path, capsys):
+        import json
+
+        spec = {
+            "seed": 1, "mode": "model", "total_nodes": 2048,
+            "admission": {"tiers": {"free": {"rate_hz": 1e-9, "burst": 1}}},
+            "size_policy": {"min_nodes": 64, "max_nodes": 64},
+            "sessions": [
+                {"name": "a", "kind": "orbit", "arrival": "open", "requests": 3,
+                 "rate_hz": 0.001, "cores": 256, "tier": "free"},
+            ],
+        }
+        path = tmp_path / "shed.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["farm", "--scenario", str(path), "--json"])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["arrivals"], summary["requests"], summary["rejected"]) == (3, 1, 2)
+
+    def test_farm_unbalanced_books_return_2(self, capsys, monkeypatch):
+        """Every run is checked, not only the miniatures: a violated
+        identity is exit 2 with the violation on stderr."""
+        from repro.farm import FarmResult
+
+        monkeypatch.setattr(
+            FarmResult, "accounting_failures", lambda self: ["books cooked"]
+        )
+        rc = main(["farm", "--scenario", "flash", "--json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "farm flash FAILED: books cooked" in captured.err
+        assert captured.out == ""
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -241,9 +281,9 @@ class TestProgressiveCLI:
         assert (tmp_path / "ladder_L1.ppm").read_bytes().startswith(b"P6\n16 16\n")
 
     def test_farm_interactive_selftest(self, capsys):
-        rc = main(["farm", "--interactive-selftest"])
+        rc = main(["farm", "--scenario", "interactive-selftest"])
         assert rc == 0
-        assert "farm interactive selftest ok" in capsys.readouterr().out
+        assert "farm interactive-selftest ok" in capsys.readouterr().out
 
 
 class TestInsituCLI:
