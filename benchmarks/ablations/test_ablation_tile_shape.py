@@ -8,7 +8,8 @@ strips, inflating message counts and shrinking messages at scale.
 from benchmarks.conftest import write_result
 
 from repro.analysis.reports import format_table
-from repro.model.composite import CompositeTimeModel, vectorized_schedule_stats
+from repro.compositing.schedule import schedule_from_geometry
+from repro.model.composite import CompositeTimeModel
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 
@@ -25,8 +26,8 @@ def test_ablation_tile_shape(benchmark, results_dir):
         # m kept <= image height so full-width strips are realizable.
         for cores, m in ((4096, 512), (16384, 1024), (32768, 1024)):
             dec = BlockDecomposition(GRID, cores)
-            tiles = vectorized_schedule_stats(dec, cam, m, strips=False)
-            strips = vectorized_schedule_stats(dec, cam, m, strips=True)
+            tiles = schedule_from_geometry(dec, cam, m, strips=False, cache=False)
+            strips = schedule_from_geometry(dec, cam, m, strips=True, cache=False)
             out.append((cores, m, tiles, strips, model.price(tiles), model.price(strips)))
         return out
 

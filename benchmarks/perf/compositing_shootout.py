@@ -445,7 +445,40 @@ def bench_compositing_shootout_32768(repeats: int = 1) -> dict:
     return _entry(32768, repeats)
 
 
+def bench_schedule_build_8192(repeats: int = 5) -> dict:
+    """Cold ``schedule_from_geometry`` at the paper's 8192-core frame
+    (1120^3 grid, 1600^2 image, m = n): the build every model point and
+    every uncached DES frame pays.  ``first_use_seconds`` is the one-off
+    cost of materialising and grouping the per-message records, which
+    only readers of ``messages`` / ``incoming`` / ``outgoing`` pay."""
+    from benchmarks.perf.suite import _timeit
+    from repro.compositing.schedule import schedule_from_geometry
+    from repro.render.camera import Camera
+    from repro.render.decomposition import BlockDecomposition
+
+    ranks, grid, image = 8192, (1120, 1120, 1120), 1600
+    dec = BlockDecomposition(grid, ranks)
+    cam = Camera.looking_at_volume(grid, width=image, height=image)
+    seconds, schedule = _timeit(
+        lambda: schedule_from_geometry(dec, cam, ranks, cache=False), repeats
+    )
+    t0 = time.perf_counter()
+    schedule.outgoing(0)
+    schedule.incoming(0)
+    first_use = time.perf_counter() - t0
+    return {
+        "name": "schedule_build_8192",
+        "guard": True,
+        "config": {"ranks": ranks, "grid": grid[0], "image": image, "compositors": ranks},
+        "seconds": seconds,
+        "first_use_seconds": first_use,
+        "messages": int(schedule.total_messages),
+        "bytes": int(schedule.total_bytes),
+    }
+
+
 COMPOSITING_BENCHMARKS = {
+    "schedule_build_8192": (bench_schedule_build_8192, "BENCH_compositing.json"),
     "compositing_shootout_2048": (
         bench_compositing_shootout_2048, "BENCH_compositing.json"
     ),

@@ -316,45 +316,6 @@ def bench_engine_events(repeats: int = 5) -> dict:
     }
 
 
-def bench_frame_plan_cache(repeats: int = 3) -> dict:
-    """End-to-end frames against one renderer: cold plan vs cached plan.
-
-    Recorded, not guarded: warm/cold is 1.03x on this frame (planning is
-    a few percent of it), so a regression in the plan cache cannot move
-    this number past any tolerance — the e2e benchmark's
-    ``core.plan.cold_s`` / ``warm_s`` probes measure the cache itself.
-    """
-    from repro.core.pipeline import ParallelVolumeRenderer
-    from repro.data import SupernovaModel, write_vh1_netcdf
-    from repro.pio import NetCDFHandle
-    from repro.render.camera import Camera
-    from repro.render.transfer import TransferFunction
-    from repro.vmpi.runner import MPIWorld
-
-    grid = (48, 48, 48)
-    model = SupernovaModel(grid, seed=11, time=0.6)
-    handle = NetCDFHandle(write_vh1_netcdf(model), "vx")
-    camera = Camera.looking_at_volume(grid, width=128, height=128)
-    tf = TransferFunction.supernova(*model.value_range("vx"))
-
-    def cold():
-        renderer = ParallelVolumeRenderer(MPIWorld.for_cores(16), camera, tf, step=0.8)
-        renderer.render_frame(handle)
-        return renderer
-
-    cold_seconds, renderer = _timeit(cold, repeats)
-    warm_seconds, _ = _timeit(lambda: renderer.render_frame(handle), repeats)
-    return {
-        "name": "frame_plan_cache",
-        "guard": False,
-        "note": "warm/cold 1.03x: does not discriminate; see core.plan.* in benchmarks/e2e",
-        "config": {"grid": grid[0], "cores": 16, "image": 128},
-        "seconds": warm_seconds,
-        "cold_seconds": cold_seconds,
-        "warm_over_cold_speedup": cold_seconds / warm_seconds,
-    }
-
-
 #: name -> (function, which baseline file it belongs to)
 BENCHMARKS = {
     "render_kernel_compacted": (bench_render_kernel, "BENCH_render.json"),
@@ -363,7 +324,6 @@ BENCHMARKS = {
     "two_phase_plan": (bench_two_phase_plan, "BENCH_pipeline.json"),
     "collective_read_blocks_128": (bench_collective_read_blocks, "BENCH_pipeline.json"),
     "engine_events": (bench_engine_events, "BENCH_pipeline.json"),
-    "frame_plan_cache": (bench_frame_plan_cache, "BENCH_pipeline.json"),
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from benchmarks.conftest import write_result
 from repro.analysis.reports import format_table
 from repro.compositing.policy import fixed_policy
-from repro.model.composite import CompositeTimeModel, vectorized_schedule_stats
+from repro.model.composite import CompositeTimeModel
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 from repro.vmpi import MPIWorld, VirtualPayload
@@ -74,7 +74,7 @@ def test_model_vs_des_composite(benchmark, results_dir):
             dec = BlockDecomposition(GRID, nprocs)
             sched = schedule_from_geometry(dec, cam, m)
             des_s = des_composite(nprocs, sched)
-            priced = model.price(vectorized_schedule_stats(dec, cam, m))
+            priced = model.price(sched)
             # The model's setup constant covers schedule construction
             # the DES phase does not perform, and contention is a
             # phase-level law the DES has no counterpart for (zero at
@@ -129,7 +129,7 @@ def test_model_vs_des_composite_2048(benchmark, results_dir):
             dec = BlockDecomposition(GRID_2048, nprocs)
             sched = schedule_from_geometry(dec, cam, m)
             des_s = des_composite(nprocs, sched)
-            priced = model.price(vectorized_schedule_stats(dec, cam, m))
+            priced = model.price(sched)
             model_s = priced.endpoint_s
             rows.append((nprocs, m, des_s, model_s, sched.total_messages))
         return rows
@@ -180,7 +180,7 @@ def test_model_vs_des_composite_32k(benchmark, results_dir):
             dec = BlockDecomposition(GRID_2048, nprocs)
             sched = schedule_from_geometry(dec, cam, m)
             des_s = des_composite(nprocs, sched, parallel=parallel)
-            priced = model.price(vectorized_schedule_stats(dec, cam, m))
+            priced = model.price(sched)
             rows.append(
                 (nprocs, m, des_s, priced.endpoint_s, priced.contention_s,
                  sched.total_messages)

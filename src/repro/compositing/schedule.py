@@ -1,10 +1,16 @@
-"""The static direct-send message schedule.
+"""The static direct-send message schedule — the one every reader shares.
 
 Every rank can compute the full schedule deterministically from the
 block decomposition, the camera, and the tile decomposition — no
-negotiation traffic.  The same schedule drives the functional SPMD
-compositing (real pixels) and the analytic performance model (sizes
-only), which is what makes the two modes comparable.
+negotiation traffic.  :func:`build_schedule` is the only place that
+enumerates block-footprint x tile overlaps; it does so in NumPy and the
+resulting :class:`CompositeSchedule` holds the message list as three
+int64 arrays ``(src, tile, pixels)``.  The analytic model
+(:mod:`repro.model.composite`) prices those arrays directly; the six
+compositing backends, ``insitu`` and :class:`repro.core.plan.FramePlanCache`
+walk the same list through ``messages`` / ``incoming`` / ``outgoing``,
+whose per-message records are built once, on first use.  Same list, same
+order, both worlds — which is what makes the two modes comparable.
 
 Pixel payload sizing: 4 channels x 4-byte float per pixel (premultiplied
 RGBA float32), plus a small envelope per message.
@@ -12,7 +18,9 @@ RGBA float32), plus a small envelope per message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +33,7 @@ BYTES_PER_PIXEL = 16  # 4 x float32, premultiplied RGBA
 MESSAGE_ENVELOPE_BYTES = 64  # rect, depth, tags
 
 
-@dataclass(frozen=True)
-class CompositeMessage:
+class CompositeMessage(NamedTuple):
     """One renderer-to-compositor transfer."""
 
     src: int  # renderer rank
@@ -38,14 +45,33 @@ class CompositeMessage:
         return self.pixels * BYTES_PER_PIXEL + MESSAGE_ENVELOPE_BYTES
 
 
-@dataclass
+def _group(messages: list[CompositeMessage], keys: np.ndarray) -> dict[int, list[CompositeMessage]]:
+    """key -> its messages in schedule order (stable sort + split)."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    ordered = [messages[i] for i in order.tolist()]
+    bounds = starts.tolist() + [len(ordered)]
+    return {k: ordered[a:b] for k, a, b in zip(uniq.tolist(), bounds, bounds[1:])}
+
+
+@dataclass(eq=False)
 class CompositeSchedule:
-    """All messages of one compositing phase, with per-tile indexes."""
+    """All messages of one compositing phase.
+
+    The source of truth is three parallel int64 arrays in schedule
+    order (renderer-major, each renderer's tiles row-major): ``src``,
+    ``tile`` and ``pixels``.  ``messages``, ``incoming`` and
+    ``outgoing`` present the same list as :class:`CompositeMessage`
+    records, materialised and grouped once on first use; a reader that
+    only needs sizes (the model) never creates one.
+    """
 
     num_renderers: int
     num_compositors: int
     tiles: TileDecomposition
-    messages: list[CompositeMessage] = field(default_factory=list)
+    src: np.ndarray  # (M,) renderer rank
+    tile: np.ndarray  # (M,) tile index == compositor slot
+    pixels: np.ndarray  # (M,) overlap area
 
     def __post_init__(self) -> None:
         if self.num_compositors > self.num_renderers:
@@ -53,11 +79,27 @@ class CompositeSchedule:
                 f"m={self.num_compositors} compositors cannot exceed "
                 f"n={self.num_renderers} renderers (compositors render too)"
             )
-        self._by_tile: dict[int, list[CompositeMessage]] = {}
-        self._by_src: dict[int, list[CompositeMessage]] = {}
-        for msg in self.messages:
-            self._by_tile.setdefault(msg.tile, []).append(msg)
-            self._by_src.setdefault(msg.src, []).append(msg)
+        self.src, self.tile, self.pixels = (
+            np.asarray(a, dtype=np.int64) for a in (self.src, self.tile, self.pixels)
+        )
+
+    @cached_property
+    def messages(self) -> list[CompositeMessage]:
+        # One int object per rank, shared by all its messages (tolist()
+        # alone would allocate a fresh one per element).
+        rank = list(range(self.num_renderers)).__getitem__
+        return list(map(
+            CompositeMessage._make,
+            zip(map(rank, self.src.tolist()), map(rank, self.tile.tolist()), self.pixels.tolist()),
+        ))
+
+    @cached_property
+    def _by_tile(self) -> dict[int, list[CompositeMessage]]:
+        return _group(self.messages, self.tile)
+
+    @cached_property
+    def _by_src(self) -> dict[int, list[CompositeMessage]]:
+        return _group(self.messages, self.src)
 
     def incoming(self, tile: int) -> list[CompositeMessage]:
         return self._by_tile.get(tile, [])
@@ -71,39 +113,65 @@ class CompositeSchedule:
             raise ConfigError(f"tile {tile} out of range")
         return tile
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Per-message bytes (payload + envelope), int64."""
+        return self.pixels * BYTES_PER_PIXEL + MESSAGE_ENVELOPE_BYTES
+
     @property
     def total_messages(self) -> int:
-        return len(self.messages)
+        return int(self.pixels.size)
 
     @property
     def total_bytes(self) -> int:
-        return sum(m.nbytes for m in self.messages)
-
-    def message_sizes(self) -> np.ndarray:
-        return np.array([m.nbytes for m in self.messages], dtype=np.int64)
+        return int(self.sizes.sum())
 
     @property
     def mean_message_bytes(self) -> float:
-        return self.total_bytes / self.total_messages if self.messages else 0.0
+        return self.total_bytes / self.total_messages if self.total_messages else 0.0
 
 
 def build_schedule(
-    footprints: list[Rect | None],
+    footprints: Sequence[Rect | None] | np.ndarray,
     tiles: TileDecomposition,
     num_compositors: int,
 ) -> CompositeSchedule:
-    """Schedule from per-renderer footprints (None = block off screen)."""
-    msgs: list[CompositeMessage] = []
-    for src, rect in enumerate(footprints):
-        if rect is None:
-            continue
-        for t in tiles.tiles_overlapping(rect):
-            if t >= num_compositors:
-                raise ConfigError("tile decomposition larger than compositor count")
-            area = tiles.overlap_area(rect, t)
-            if area:
-                msgs.append(CompositeMessage(src, t, area))
-    return CompositeSchedule(len(footprints), num_compositors, tiles, msgs)
+    """Schedule from per-renderer footprints ``(x0, y0, w, h)``.
+
+    ``footprints`` is a sequence of rects (None = block off screen) or
+    an ``(n, 4)`` int array whose off-screen rows have zero area.  Each
+    renderer's tiles are enumerated row-major over its ``searchsorted``
+    tile range — the order every message-order-dependent pin rests on.
+    """
+    if not isinstance(footprints, np.ndarray):
+        footprints = np.array(
+            [r if r is not None else (0, 0, 0, 0) for r in footprints], dtype=np.int64
+        ).reshape(-1, 4)
+    n = len(footprints)
+    x0, y0, w, h = footprints.T
+    x1, y1 = x0 + w, y0 + h
+    xs, ys = tiles._xs, tiles._ys
+    gx, gy = tiles.grid
+    tx0 = np.maximum(np.searchsorted(xs, x0, side="right") - 1, 0)
+    tx1 = np.minimum(np.searchsorted(xs, x1 - 1, side="right") - 1, gx - 1)
+    ty0 = np.maximum(np.searchsorted(ys, y0, side="right") - 1, 0)
+    ty1 = np.minimum(np.searchsorted(ys, y1 - 1, side="right") - 1, gy - 1)
+    ntx = np.where((w > 0) & (h > 0), np.maximum(tx1 - tx0 + 1, 0), 0)
+    k = ntx * np.maximum(ty1 - ty0 + 1, 0)
+    src = np.repeat(np.arange(n), k)
+    within = np.arange(src.size) - np.repeat(np.cumsum(k) - k, k)
+    mty, mtx = np.divmod(within, ntx[src])
+    mtx += tx0[src]
+    mty += ty0[src]
+    area = (
+        np.maximum(np.minimum(x1[src], xs[mtx + 1]) - np.maximum(x0[src], xs[mtx]), 0)
+        * np.maximum(np.minimum(y1[src], ys[mty + 1]) - np.maximum(y0[src], ys[mty]), 0)
+    )
+    keep = area > 0
+    tile = (mty * gx + mtx)[keep]
+    if tile.size and int(tile.max()) >= num_compositors:
+        raise ConfigError("tile decomposition larger than compositor count")
+    return CompositeSchedule(n, num_compositors, tiles, src[keep], tile, area[keep])
 
 
 # Camera + decomposition keyed memoization of the geometric schedule.
@@ -152,20 +220,7 @@ def schedule_from_geometry(
             return hit
         _schedule_cache_stats["misses"] += 1
     tiles = TileDecomposition(camera.width, camera.height, num_compositors, strips=strips)
-    footprints: list[Rect | None] = []
-    for b in decomposition.blocks():
-        z, y, x = b.start
-        gz, gy, gx = decomposition.grid_shape
-        lo = np.array([x, y, z], dtype=np.float64)
-        hi = np.array(
-            [
-                min(x + b.count[2], gx - 1),
-                min(y + b.count[1], gy - 1),
-                min(z + b.count[0], gz - 1),
-            ],
-            dtype=np.float64,
-        )
-        footprints.append(camera.footprint(lo, hi))
+    footprints = camera.footprints(*decomposition.world_bounds())
     schedule = build_schedule(footprints, tiles, num_compositors)
     if cache:
         while len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:

@@ -71,27 +71,3 @@ class TileDecomposition:
 
     def tiles(self) -> list[Rect]:
         return [self.tile(i) for i in range(self.num_tiles)]
-
-    def tiles_overlapping(self, rect: Rect) -> list[int]:
-        """Indices of tiles intersecting a footprint rect."""
-        x0, y0, w, h = rect
-        if w <= 0 or h <= 0:
-            return []
-        gx, gy = self.grid
-        tx0 = int(np.searchsorted(self._xs, x0, side="right")) - 1
-        tx1 = int(np.searchsorted(self._xs, x0 + w - 1, side="right")) - 1
-        ty0 = int(np.searchsorted(self._ys, y0, side="right")) - 1
-        ty1 = int(np.searchsorted(self._ys, y0 + h - 1, side="right")) - 1
-        tx0 = max(tx0, 0)
-        ty0 = max(ty0, 0)
-        tx1 = min(tx1, gx - 1)
-        ty1 = min(ty1, gy - 1)
-        return [ty * gx + tx for ty in range(ty0, ty1 + 1) for tx in range(tx0, tx1 + 1)]
-
-    def overlap_area(self, rect: Rect, tile_index: int) -> int:
-        """Pixels shared by a footprint rect and one tile."""
-        x0, y0, w, h = rect
-        tx0, ty0, tw, th = self.tile(tile_index)
-        ow = min(x0 + w, tx0 + tw) - max(x0, tx0)
-        oh = min(y0 + h, ty0 + th) - max(y0, ty0)
-        return max(ow, 0) * max(oh, 0)

@@ -20,33 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.compositing.schedule import CompositeSchedule, schedule_from_geometry
 from repro.render.camera import Camera
-from repro.render.decomposition import Block3D, BlockDecomposition
+from repro.render.decomposition import BlockDecomposition, block_world_bounds
 from repro.render.raycast import RayPlan, build_ray_plan
-
-
-def block_world_bounds(
-    block: Block3D, grid_shape: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """World (x, y, z) AABB of a block's owned region.
-
-    Matches :attr:`repro.render.volume.VolumeBlock.world_lo` /
-    ``world_hi`` exactly (interior faces end where the neighbour
-    begins; outer faces end at the last voxel), so ray plans built from
-    a bare :class:`Block3D` are valid for the data-bearing block.
-    """
-    z, y, x = block.start
-    cz, cy, cx = block.count
-    gz, gy, gx = grid_shape
-    lo = np.array([x, y, z], dtype=np.float64)
-    hi = np.array(
-        [min(x + cx, gx - 1), min(y + cy, gy - 1), min(z + cz, gz - 1)],
-        dtype=np.float64,
-    )
-    return lo, hi
 
 
 class PlanKey:

@@ -12,7 +12,7 @@ paper-vs-model comparison for every experiment is in EXPERIMENTS.md.
 from repro.model.constants import ModelConstants, DEFAULT_CONSTANTS
 from repro.model.io import IOTimeModel, IOStageResult
 from repro.model.render import RenderTimeModel, RenderStageResult
-from repro.model.composite import CompositeTimeModel, CompositeStageResult, vectorized_schedule_stats
+from repro.model.composite import CompositeTimeModel, CompositeStageResult
 from repro.model.pipeline import FrameModel, FrameEstimate, DATASETS, PaperDataset
 from repro.model.memory import MemoryEstimate, frame_memory, min_cores_in_core
 
@@ -25,7 +25,6 @@ __all__ = [
     "RenderStageResult",
     "CompositeTimeModel",
     "CompositeStageResult",
-    "vectorized_schedule_stats",
     "FrameModel",
     "FrameEstimate",
     "DATASETS",

@@ -1,8 +1,9 @@
 """Direct-send compositing time model.
 
-Builds the *exact* message schedule geometry at paper scale — all
-footprints, tile overlaps, and message sizes, fully vectorized — and
-prices the phase as::
+Prices the *exact* message schedule at paper scale — the same
+:class:`repro.compositing.schedule.CompositeSchedule` the DES and every
+backend run, read through its ``(src, tile, sizes)`` arrays so no
+per-message object is ever built — as::
 
     setup + max(endpoint serialization) + contention(messages)
 
@@ -17,125 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compositing.schedule import BYTES_PER_PIXEL, MESSAGE_ENVELOPE_BYTES
-from repro.compositing.tiles import TileDecomposition
+from repro.compositing.schedule import CompositeSchedule
 from repro.model.constants import DEFAULT_CONSTANTS, ModelConstants
-from repro.render.camera import Camera
-from repro.render.decomposition import BlockDecomposition
 from repro.utils.errors import ConfigError
 from repro.utils.units import fmt_bytes, fmt_time
-
-
-@dataclass
-class ScheduleStats:
-    """Vectorized view of one compositing phase's message schedule."""
-
-    src_block: np.ndarray  # (M,) renderer/block index per message
-    tile: np.ndarray  # (M,) destination tile index per message
-    sizes: np.ndarray  # (M,) message bytes (payload + envelope)
-    num_renderers: int
-    num_compositors: int
-
-    @property
-    def total_messages(self) -> int:
-        return int(self.sizes.size)
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.sizes.sum())
-
-    @property
-    def mean_message_bytes(self) -> float:
-        return float(self.sizes.mean()) if self.sizes.size else 0.0
-
-    @property
-    def payload_bytes(self) -> int:
-        return int(self.total_bytes - MESSAGE_ENVELOPE_BYTES * self.total_messages)
-
-
-def block_footprints(decomposition: BlockDecomposition, camera: Camera) -> np.ndarray:
-    """All block footprint rects (n, 4) [x0, y0, x1, y1), vectorized.
-
-    Off-screen blocks produce empty rects (x1 <= x0).
-    """
-    ez, ey, ex = decomposition._edges
-    gz, gy, gx = decomposition.grid_shape
-    bgz, bgy, bgx = decomposition.block_grid
-    n = decomposition.num_blocks
-    # Per-axis lo/hi world coordinates of each block slot.
-    lox = ex[:-1].astype(np.float64)
-    hix = np.minimum(ex[1:], gx - 1).astype(np.float64)
-    loy = ey[:-1].astype(np.float64)
-    hiy = np.minimum(ey[1:], gy - 1).astype(np.float64)
-    loz = ez[:-1].astype(np.float64)
-    hiz = np.minimum(ez[1:], gz - 1).astype(np.float64)
-    idx = np.arange(n)
-    bx = idx % bgx
-    by = (idx // bgx) % bgy
-    bz = idx // (bgx * bgy)
-    # Eight corners per block: (n, 8, 3).
-    corners = np.empty((n, 8, 3), dtype=np.float64)
-    for ci in range(8):
-        corners[:, ci, 0] = np.where(ci & 1, hix[bx], lox[bx])
-        corners[:, ci, 1] = np.where(ci & 2, hiy[by], loy[by])
-        corners[:, ci, 2] = np.where(ci & 4, hiz[bz], loz[bz])
-    pix = camera.project(corners.reshape(-1, 3)).reshape(n, 8, 2)
-    if np.any(np.isnan(pix)):
-        raise ConfigError("blocks project behind the camera; move the eye back")
-    x0 = np.clip(np.floor(pix[:, :, 0].min(axis=1)).astype(np.int64), 0, camera.width)
-    x1 = np.clip(np.ceil(pix[:, :, 0].max(axis=1)).astype(np.int64) + 1, 0, camera.width)
-    y0 = np.clip(np.floor(pix[:, :, 1].min(axis=1)).astype(np.int64), 0, camera.height)
-    y1 = np.clip(np.ceil(pix[:, :, 1].max(axis=1)).astype(np.int64) + 1, 0, camera.height)
-    return np.stack([x0, y0, x1, y1], axis=1)
-
-
-def vectorized_schedule_stats(
-    decomposition: BlockDecomposition,
-    camera: Camera,
-    num_compositors: int,
-    strips: bool = False,
-) -> ScheduleStats:
-    """The direct-send schedule's message list, at any scale.
-
-    Mirrors :func:`repro.compositing.schedule.schedule_from_geometry`
-    exactly (the consistency test compares them), but in NumPy.
-    """
-    tiles = TileDecomposition(camera.width, camera.height, num_compositors, strips=strips)
-    rects = block_footprints(decomposition, camera)
-    xs = tiles._xs
-    ys = tiles._ys
-    gx, _gy = tiles.grid
-    x0, y0, x1, y1 = rects.T
-    nonempty = (x1 > x0) & (y1 > y0)
-    tx0 = np.maximum(np.searchsorted(xs, x0, side="right") - 1, 0)
-    tx1 = np.minimum(np.searchsorted(xs, x1 - 1, side="right") - 1, gx - 1)
-    ty0 = np.maximum(np.searchsorted(ys, y0, side="right") - 1, 0)
-    ty1 = np.minimum(np.searchsorted(ys, y1 - 1, side="right") - 1, tiles.grid[1] - 1)
-    ntx = np.where(nonempty, tx1 - tx0 + 1, 0)
-    nty = np.where(nonempty, ty1 - ty0 + 1, 0)
-    k = ntx * nty
-    total = int(k.sum())
-    if total == 0:
-        return ScheduleStats(
-            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64),
-            decomposition.num_blocks, num_compositors,
-        )
-    src = np.repeat(np.arange(decomposition.num_blocks), k)
-    within = np.arange(total) - np.repeat(np.cumsum(k) - k, k)
-    mtx = tx0[src] + within % np.maximum(ntx[src], 1)
-    mty = ty0[src] + within // np.maximum(ntx[src], 1)
-    tile_idx = mty * gx + mtx
-    ow = np.minimum(x1[src], xs[mtx + 1]) - np.maximum(x0[src], xs[mtx])
-    oh = np.minimum(y1[src], ys[mty + 1]) - np.maximum(y0[src], ys[mty])
-    area = np.maximum(ow, 0) * np.maximum(oh, 0)
-    keep = area > 0
-    return ScheduleStats(
-        src_block=src[keep],
-        tile=tile_idx[keep],
-        sizes=(area[keep] * BYTES_PER_PIXEL + MESSAGE_ENVELOPE_BYTES).astype(np.int64),
-        num_renderers=decomposition.num_blocks,
-        num_compositors=num_compositors,
-    )
 
 
 @dataclass(frozen=True)
@@ -162,52 +48,6 @@ class CompositeStageResult:
         )
 
 
-def binary_swap_cost(
-    nprocs: int,
-    image_bytes: int,
-    constants: ModelConstants = DEFAULT_CONSTANTS,
-) -> CompositeStageResult:
-    """Analytic cost of binary-swap compositing (the Ma et al. baseline).
-
-    log2(p) rounds; in round k every rank exchanges image_bytes / 2^(k+1)
-    with its partner.  Each round is a synchronized phase, so the phase
-    costs add; the contention law applies per round (p simultaneous
-    messages of the round's size).
-    """
-    if nprocs < 1 or (nprocs & (nprocs - 1)):
-        raise ConfigError(f"binary swap needs a power-of-two process count, got {nprocs}")
-    c = constants.composite
-    link = c.link
-    total = c.setup_s
-    num_messages = 0
-    total_bytes = 0
-    contention_total = 0.0
-    endpoint_total = 0.0
-    rounds = int(np.log2(nprocs)) if nprocs > 1 else 0
-    for k in range(rounds):
-        size = max(image_bytes >> (k + 1), 1)
-        sizes = np.full(nprocs, size, dtype=np.int64)
-        per_msg = link.sw_overhead_s + size / float(
-            link.effective_bandwidth(max(float(size), 1.0))
-        )
-        cont = c.contention.phase_delay(sizes)
-        total += per_msg + cont
-        endpoint_total += per_msg
-        contention_total += cont
-        num_messages += nprocs
-        total_bytes += nprocs * size
-    return CompositeStageResult(
-        seconds=total,
-        num_messages=num_messages,
-        total_bytes=total_bytes,
-        mean_message_bytes=total_bytes / num_messages if num_messages else 0.0,
-        setup_s=c.setup_s,
-        endpoint_s=endpoint_total,
-        contention_s=contention_total,
-        num_compositors=nprocs,
-    )
-
-
 def radix_k_cost(
     radices: Sequence[int],
     image_bytes: int,
@@ -217,8 +57,9 @@ def radix_k_cost(
 
     The process count is ``prod(radices)``.  In round i every rank
     sends k_i - 1 pieces of (current region)/k_i and the region shrinks
-    k_i-fold, so k = 2 everywhere reprices binary swap and one round of
-    k = p is the dense exchange limit.
+    k_i-fold; each round is a synchronized phase, so the phase costs add
+    and the contention law applies per round.  k = 2 everywhere is
+    binary swap and one round of k = p is the dense exchange limit.
     """
     nprocs = int(np.prod(radices)) if len(radices) else 1
     if nprocs < 1:
@@ -262,36 +103,45 @@ def radix_k_cost(
     )
 
 
+def binary_swap_cost(
+    nprocs: int,
+    image_bytes: int,
+    constants: ModelConstants = DEFAULT_CONSTANTS,
+) -> CompositeStageResult:
+    """Analytic cost of binary-swap compositing (the Ma et al. baseline):
+    the radix-2 case of :func:`radix_k_cost`, log2(p) synchronized
+    rounds in which every rank exchanges half its current region."""
+    if nprocs < 1 or (nprocs & (nprocs - 1)):
+        raise ConfigError(f"binary swap needs a power-of-two process count, got {nprocs}")
+    return radix_k_cost((2,) * (nprocs.bit_length() - 1), image_bytes, constants)
+
+
 class CompositeTimeModel:
-    """Prices one direct-send phase from its schedule statistics."""
+    """Prices one direct-send phase from its schedule's message arrays."""
 
     def __init__(self, constants: ModelConstants = DEFAULT_CONSTANTS):
         self.c = constants.composite
 
-    def price(self, stats: ScheduleStats) -> CompositeStageResult:
+    def price(self, schedule: CompositeSchedule) -> CompositeStageResult:
         link = self.c.link
-        sizes = stats.sizes.astype(np.float64)
-        if sizes.size == 0:
-            return CompositeStageResult(
-                self.c.setup_s, 0, 0, 0.0, self.c.setup_s, 0.0, 0.0, stats.num_compositors
-            )
+        sizes = schedule.sizes.astype(np.float64)
         per_msg = link.sw_overhead_s + sizes / link.effective_bandwidth(np.maximum(sizes, 1.0))
         # Busiest endpoints: serialized receive at a compositor and
         # serialized send at a renderer.
-        recv_time = np.zeros(stats.num_compositors, dtype=np.float64)
-        np.add.at(recv_time, stats.tile, per_msg)
-        send_time = np.zeros(stats.num_renderers, dtype=np.float64)
-        np.add.at(send_time, stats.src_block, per_msg)
+        recv_time = np.zeros(schedule.num_compositors, dtype=np.float64)
+        np.add.at(recv_time, schedule.tile, per_msg)
+        send_time = np.zeros(schedule.num_renderers, dtype=np.float64)
+        np.add.at(send_time, schedule.src, per_msg)
         endpoint = float(max(recv_time.max(initial=0.0), send_time.max(initial=0.0)))
-        contention = self.c.contention.phase_delay(stats.sizes)
+        contention = self.c.contention.phase_delay(schedule.sizes)
         total = self.c.setup_s + endpoint + contention
         return CompositeStageResult(
             seconds=total,
-            num_messages=stats.total_messages,
-            total_bytes=stats.total_bytes,
-            mean_message_bytes=stats.mean_message_bytes,
+            num_messages=schedule.total_messages,
+            total_bytes=schedule.total_bytes,
+            mean_message_bytes=schedule.mean_message_bytes,
             setup_s=self.c.setup_s,
             endpoint_s=endpoint,
             contention_s=contention,
-            num_compositors=stats.num_compositors,
+            num_compositors=schedule.num_compositors,
         )

@@ -15,15 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from repro.compositing.policy import IDENTITY_POLICY, PAPER_POLICY, CompositorPolicy
+from repro.compositing.schedule import schedule_from_geometry
 from repro.formats.h5lite import H5LiteWriter
 from repro.formats.netcdf import NetCDFWriter
 from repro.formats.raw import RawVolume
 from repro.machine.partition import Partition
-from repro.model.composite import (
-    CompositeStageResult,
-    CompositeTimeModel,
-    vectorized_schedule_stats,
-)
+from repro.model.composite import CompositeStageResult, CompositeTimeModel
 from repro.model.constants import DEFAULT_CONSTANTS, ModelConstants
 from repro.model.io import IOStageResult, IOTimeModel
 from repro.model.render import RenderStageResult, RenderTimeModel
@@ -170,8 +167,10 @@ class FrameModel:
     ) -> CompositeStageResult:
         m = policy.compositors_for(cores)
         decomposition = BlockDecomposition(self.dataset.grid_shape, cores)
-        stats = vectorized_schedule_stats(decomposition, self.camera(), m, strips=strips)
-        return self.composite_model.price(stats)
+        schedule = schedule_from_geometry(
+            decomposition, self.camera(), m, strips=strips, cache=False
+        )
+        return self.composite_model.price(schedule)
 
     # -- frames ------------------------------------------------------------
 

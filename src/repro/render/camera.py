@@ -211,29 +211,33 @@ class Camera:
         py = (v / self._half_h + 1.0) / 2.0 * self.height - 0.5
         return np.stack([px, py], axis=-1)
 
-    def footprint(self, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, int, int] | None:
-        """Pixel bbox (x0, y0, w, h) of a world-space AABB, clipped.
+    def footprints(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Clipped pixel bboxes of n world-space AABBs (corners ``(n, 3)``):
+        ``(n, 4)`` int64 rows ``(x0, y0, w, h)``.
 
-        Returns None when the box projects entirely off screen.
+        A box entirely off screen gets zero width and height; one that
+        reaches behind the eye conservatively covers the whole frame.
         """
-        corners = np.array(
-            [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-        )
-        pix = self.project(corners)
-        if np.any(np.isnan(pix)):
-            # Conservative: box reaches behind the camera.
-            return (0, 0, self.width, self.height)
-        x0 = int(np.floor(pix[:, 0].min()))
-        x1 = int(np.ceil(pix[:, 0].max()))
-        y0 = int(np.floor(pix[:, 1].min()))
-        y1 = int(np.ceil(pix[:, 1].max()))
-        x0 = max(x0, 0)
-        y0 = max(y0, 0)
-        x1 = min(x1 + 1, self.width)
-        y1 = min(y1 + 1, self.height)
-        if x1 <= x0 or y1 <= y0:
-            return None
-        return (x0, y0, x1 - x0, y1 - y0)
+        # Corner ci takes hi on world axis a where bit a of ci is set.
+        upper = (np.arange(8)[:, None] >> np.arange(3) & 1).astype(bool)
+        corners = np.where(upper, hi[:, None, :], lo[:, None, :])
+        pix = self.project(corners.reshape(-1, 3)).reshape(-1, 8, 2)
+        behind = np.isnan(pix).any(axis=(1, 2))[:, None]
+        p0 = np.where(behind, -np.inf, np.floor(pix.min(axis=1)))
+        p1 = np.where(behind, np.inf, np.ceil(pix.max(axis=1)) + 1.0)
+        # Clip as floats: a corner just in front of the eye projects
+        # far outside what int64 holds.
+        frame = (self.width, self.height)
+        p0 = np.clip(p0, 0, frame).astype(np.int64)
+        p1 = np.clip(p1, 0, frame).astype(np.int64)
+        size = np.where((p1 > p0).all(axis=1, keepdims=True), p1 - p0, 0)
+        return np.concatenate([p0, size], axis=1)
+
+    def footprint(self, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, int, int] | None:
+        """Pixel bbox (x0, y0, w, h) of one world-space AABB, clipped;
+        None when the box projects entirely off screen."""
+        x0, y0, w, h = self.footprints(np.asarray(lo)[None], np.asarray(hi)[None])[0].tolist()
+        return (x0, y0, w, h) if w else None
 
     def depth_of(self, point: np.ndarray) -> float:
         """The compositing sort key: eye distance (perspective) or

@@ -53,6 +53,24 @@ class Block3D:
         return tuple(read_start), tuple(read_count), tuple(ghost_lo)  # type: ignore[return-value]
 
 
+def block_world_bounds(block, grid_shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """World (x, y, z) AABB of the owned region of ``block`` — a
+    :class:`Block3D` or anything else with (z, y, x) ``start`` / ``count``.
+
+    Interior faces end where the neighbour begins, so ray segments
+    partition exactly; outer faces end at the last voxel.
+    """
+    z, y, x = block.start
+    cz, cy, cx = block.count
+    gz, gy, gx = grid_shape
+    lo = np.array([x, y, z], dtype=np.float64)
+    hi = np.array(
+        [min(x + cx, gx - 1), min(y + cy, gy - 1), min(z + cz, gz - 1)],
+        dtype=np.float64,
+    )
+    return lo, hi
+
+
 def factor3(n: int) -> tuple[int, int, int]:
     """Split ``n`` into three factors as close to cubic as possible."""
     dims = [1, 1, 1]
@@ -126,16 +144,24 @@ class BlockDecomposition:
             raise ConfigError(f"rank {rank} out of range for {nprocs} processes")
         return [self.block(i) for i in range(rank, self.num_blocks, nprocs)]
 
+    def world_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`block_world_bounds` of every block at once: ``(lo, hi)``,
+        each ``(num_blocks, 3)`` float64 in world (x, y, z)."""
+        bgz, bgy, bgx = self.block_grid
+        idx = np.arange(self.num_blocks)
+        slots = (idx % bgx, (idx // bgx) % bgy, idx // (bgx * bgy))
+        lo = np.empty((self.num_blocks, 3), dtype=np.float64)
+        hi = np.empty_like(lo)
+        for world, slot in enumerate(slots):
+            edges = self._edges[2 - world]  # edges and grid_shape are (z, y, x)
+            lo[:, world] = edges[:-1][slot]
+            hi[:, world] = np.minimum(edges[1:], self.grid_shape[2 - world] - 1)[slot]
+        return lo, hi
+
     def centers(self) -> np.ndarray:
         """World (x, y, z) centres of all blocks, shape (num_blocks, 3)."""
-        out = np.empty((self.num_blocks, 3), dtype=np.float64)
-        for b in self.blocks():
-            z, y, x = b.start
-            cz, cy, cx = b.count
-            gz, gy, gx = self.grid_shape
-            hi = (min(x + cx, gx - 1), min(y + cy, gy - 1), min(z + cz, gz - 1))
-            out[b.index] = ((x + hi[0]) / 2.0, (y + hi[1]) / 2.0, (z + hi[2]) / 2.0)
-        return out
+        lo, hi = self.world_bounds()
+        return (lo + hi) / 2.0
 
     def visibility_order(self, eye: np.ndarray) -> np.ndarray:
         """Block indices sorted front to back by centre distance from the eye.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.render.decomposition import block_world_bounds
 from repro.utils.errors import ConfigError
 from repro.utils.validation import check_shape3
 
@@ -77,28 +78,17 @@ class VolumeBlock:
     @property
     def world_lo(self) -> np.ndarray:
         """Lower corner of the owned region in world (x, y, z)."""
-        z, y, x = self.start
-        return np.array([x, y, z], dtype=np.float64)
+        return block_world_bounds(self, self.grid_shape)[0]
 
     @property
     def world_hi(self) -> np.ndarray:
-        """Upper corner of the owned region (the last owned voxel position).
-
-        At the volume's outer surface the block extends to the final
-        voxel; interior faces end where the neighbour begins, so ray
-        segments partition exactly.
-        """
-        z, y, x = self.start
-        cz, cy, cx = self.count
-        gz, gy, gx = self.grid_shape
-        return np.array(
-            [min(x + cx, gx - 1), min(y + cy, gy - 1), min(z + cz, gz - 1)],
-            dtype=np.float64,
-        )
+        """Upper corner of the owned region (the last owned voxel position)."""
+        return block_world_bounds(self, self.grid_shape)[1]
 
     @property
     def world_center(self) -> np.ndarray:
-        return (self.world_lo + self.world_hi) / 2.0
+        lo, hi = block_world_bounds(self, self.grid_shape)
+        return (lo + hi) / 2.0
 
     # -- sampling -------------------------------------------------------------
 

@@ -43,7 +43,7 @@ class TestBuildSchedule:
     def test_m_greater_than_n_rejected(self):
         tiles = TileDecomposition(10, 10, 4)
         with pytest.raises(ConfigError, match="cannot exceed"):
-            CompositeSchedule(2, 4, tiles, [])
+            CompositeSchedule(2, 4, tiles, [], [], [])
 
     def test_compositor_rank_is_tile_index(self):
         tiles = TileDecomposition(10, 10, 2)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compositing.schedule import build_schedule
 from repro.compositing.tiles import TileDecomposition, factor2
 from repro.utils.errors import ConfigError
+
+
+def overlaps(tiles, rect):
+    """{tile: shared pixels} for one footprint rect, in schedule order."""
+    sched = build_schedule([rect] + [None] * (tiles.num_tiles - 1), tiles, tiles.num_tiles)
+    return dict(zip(sched.tile.tolist(), sched.pixels.tolist()))
 
 
 class TestFactor2:
@@ -44,26 +51,28 @@ class TestTileDecomposition:
         assert tiles.grid == (1, 8)
         assert all(t[2] == 64 for t in tiles.tiles())  # full-width strips
 
+    # Which tiles a footprint rect overlaps, and by how much, is
+    # answered by the one enumerator: build_schedule.
+
     def test_overlapping_tiles_found(self):
         tiles = TileDecomposition(100, 100, 4)  # 2x2 grid of 50x50
-        assert tiles.tiles_overlapping((40, 40, 20, 20)) == [0, 1, 2, 3]
-        assert tiles.tiles_overlapping((0, 0, 10, 10)) == [0]
-        assert tiles.tiles_overlapping((60, 10, 10, 10)) == [1]
+        assert overlaps(tiles, (40, 40, 20, 20)) == {0: 100, 1: 100, 2: 100, 3: 100}
+        assert list(overlaps(tiles, (40, 40, 20, 20))) == [0, 1, 2, 3]
+        assert list(overlaps(tiles, (0, 0, 10, 10))) == [0]
+        assert list(overlaps(tiles, (60, 10, 10, 10))) == [1]
 
     def test_empty_rect_overlaps_nothing(self):
         tiles = TileDecomposition(100, 100, 4)
-        assert tiles.tiles_overlapping((10, 10, 0, 5)) == []
+        assert overlaps(tiles, (10, 10, 0, 5)) == {}
 
     def test_overlap_area(self):
         tiles = TileDecomposition(100, 100, 4)
-        assert tiles.overlap_area((40, 40, 20, 20), 0) == 100
-        assert tiles.overlap_area((0, 0, 10, 10), 3) == 0
+        assert overlaps(tiles, (40, 40, 20, 20))[0] == 100
+        assert 3 not in overlaps(tiles, (0, 0, 10, 10))
 
     def test_overlap_areas_sum_to_rect(self):
         tiles = TileDecomposition(120, 80, 12)
-        rect = (13, 7, 55, 41)
-        total = sum(tiles.overlap_area(rect, t) for t in tiles.tiles_overlapping(rect))
-        assert total == 55 * 41
+        assert sum(overlaps(tiles, (13, 7, 55, 41)).values()) == 55 * 41
 
     def test_too_many_tiles_rejected(self):
         with pytest.raises(ConfigError):

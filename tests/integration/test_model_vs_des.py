@@ -12,7 +12,7 @@ import pytest
 from repro.compositing.directsend import direct_send_compose
 from repro.compositing.policy import fixed_policy
 from repro.compositing.schedule import schedule_from_geometry
-from repro.model.composite import CompositeTimeModel, vectorized_schedule_stats
+from repro.model.composite import CompositeTimeModel
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 from repro.render.image import PartialImage
@@ -62,15 +62,6 @@ class TestScheduleConsistency:
         self_sends = sum(1 for msg in sched.messages if msg.src == msg.tile)
         assert messages == sched.total_messages - self_sends
 
-    @pytest.mark.parametrize("nprocs,m", [(27, 27), (27, 9), (64, 16)])
-    def test_vectorized_equals_object_schedule(self, scene, nprocs, m):
-        _data, cam, _tf = scene
-        dec = BlockDecomposition(GRID, nprocs)
-        functional = schedule_from_geometry(dec, cam, m)
-        vectorized = vectorized_schedule_stats(dec, cam, m)
-        assert vectorized.total_messages == functional.total_messages
-        assert vectorized.total_bytes == functional.total_bytes
-
 
 class TestOrderingConsistency:
     def test_model_and_des_agree_on_bytes_moved(self, scene):
@@ -79,7 +70,7 @@ class TestOrderingConsistency:
         model = CompositeTimeModel()
         dec = BlockDecomposition(GRID, 16)
         priced = {
-            m: model.price(vectorized_schedule_stats(dec, cam, m)) for m in (16, 4)
+            m: model.price(schedule_from_geometry(dec, cam, m)) for m in (16, 4)
         }
         assert priced[4].total_bytes < priced[16].total_bytes
 

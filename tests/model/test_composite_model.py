@@ -1,42 +1,26 @@
-"""Composite model: vectorized schedule vs the functional one, and the
-contention behaviours behind Figs. 3-4."""
+"""Composite model: the all-block footprint pass against one box at a
+time, and the contention behaviours behind Figs. 3-4.  (Message-for-message equality
+of the schedule with its brute-force oracle lives in
+``tests/compositing/test_schedule_oracle.py``.)"""
 
 import numpy as np
 import pytest
 
 from repro.compositing.policy import IDENTITY_POLICY, PAPER_POLICY
-from repro.compositing.schedule import schedule_from_geometry
-from repro.model.composite import (
-    CompositeTimeModel,
-    block_footprints,
-    vectorized_schedule_stats,
-)
+from repro.compositing.schedule import CompositeSchedule
+from repro.compositing.tiles import TileDecomposition
+from repro.model.composite import CompositeTimeModel
 from repro.model.pipeline import DATASETS, FrameModel
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 
 
 class TestVectorizedScheduleConsistency:
-    @pytest.mark.parametrize("n,m", [(8, 8), (27, 27), (27, 9), (64, 16)])
-    def test_matches_functional_schedule(self, n, m):
-        """The NumPy schedule and the object schedule are the same thing."""
-        grid = (32, 32, 32)
-        cam = Camera.looking_at_volume(grid, width=96, height=96)
-        dec = BlockDecomposition(grid, n)
-        functional = schedule_from_geometry(dec, cam, m)
-        vectorized = vectorized_schedule_stats(dec, cam, m)
-        assert vectorized.total_messages == functional.total_messages
-        assert vectorized.total_bytes == functional.total_bytes
-        # Per-source message multisets agree.
-        f_by_src = np.bincount([msg.src for msg in functional.messages], minlength=n)
-        v_by_src = np.bincount(vectorized.src_block, minlength=n)
-        assert np.array_equal(f_by_src, v_by_src)
-
     def test_footprints_match_camera(self):
         grid = (16, 16, 16)
         cam = Camera.looking_at_volume(grid, width=64, height=48)
         dec = BlockDecomposition(grid, 8)
-        rects = block_footprints(dec, cam)
+        rects = cam.footprints(*dec.world_bounds())
         for b in dec.blocks():
             z, y, x = b.start
             lo = np.array([x, y, z], dtype=float)
@@ -49,8 +33,7 @@ class TestVectorizedScheduleConsistency:
                 dtype=float,
             )
             expected = cam.footprint(lo, hi)
-            x0, y0, x1, y1 = rects[b.index]
-            assert expected == (x0, y0, x1 - x0, y1 - y0)
+            assert expected == tuple(rects[b.index])
 
 
 class TestContentionBehaviours:
@@ -102,21 +85,5 @@ class TestContentionBehaviours:
 
     def test_empty_schedule_priced_as_setup(self):
         m = CompositeTimeModel()
-        from repro.model.composite import ScheduleStats
-
-        stats = ScheduleStats(
-            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), 4, 2
-        )
-        assert m.price(stats).seconds == m.c.setup_s
-
-
-class TestStripsConsistency:
-    def test_strips_vectorized_matches_functional(self):
-        """The strips tile mode agrees between the two schedule builders."""
-        grid = (32, 32, 32)
-        cam = Camera.looking_at_volume(grid, width=96, height=96)
-        dec = BlockDecomposition(grid, 27)
-        functional = schedule_from_geometry(dec, cam, 9, strips=True)
-        vectorized = vectorized_schedule_stats(dec, cam, 9, strips=True)
-        assert vectorized.total_messages == functional.total_messages
-        assert vectorized.total_bytes == functional.total_bytes
+        empty = CompositeSchedule(4, 2, TileDecomposition(8, 8, 2), [], [], [])
+        assert m.price(empty).seconds == m.c.setup_s
