@@ -282,40 +282,6 @@ def bench_collective_read_blocks(repeats: int = 5) -> dict:
     }
 
 
-def bench_engine_events(repeats: int = 5) -> dict:
-    """DES engine throughput: schedule/run 200k events, 25% cancelled."""
-    from repro.sim.engine import Engine
-
-    n_events = 200_000
-
-    def run():
-        eng = Engine()
-        executed = [0]
-
-        def tick():
-            executed[0] += 1
-
-        events = [
-            eng.schedule(float(i % 977) * 1e-6, tick) for i in range(n_events)
-        ]
-        for ev in events[::4]:
-            ev.cancel()
-        eng.run()
-        return executed[0]
-
-    seconds, best, executed = _timeit_stats(run, repeats)
-    return {
-        "name": "engine_events",
-        "guard": True,
-        "config": {"events": n_events, "cancel_fraction": 0.25},
-        "seconds": seconds,
-        "events_per_second": n_events / seconds,
-        "best_seconds": best,
-        "peak_events_per_second": n_events / best,
-        "executed": int(executed),
-    }
-
-
 #: name -> (function, which baseline file it belongs to)
 BENCHMARKS = {
     "render_kernel_compacted": (bench_render_kernel, "BENCH_render.json"),
@@ -323,7 +289,6 @@ BENCHMARKS = {
     "composite_over": (bench_composite, "BENCH_render.json"),
     "two_phase_plan": (bench_two_phase_plan, "BENCH_pipeline.json"),
     "collective_read_blocks_128": (bench_collective_read_blocks, "BENCH_pipeline.json"),
-    "engine_events": (bench_engine_events, "BENCH_pipeline.json"),
 }
 
 

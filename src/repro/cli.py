@@ -42,6 +42,8 @@ from repro.utils.errors import ReproError
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.compositing.backends import backend_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -73,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_render.add_argument(
         "--compositor", default="directsend",
-        choices=("directsend", "dfb", "puzzlepiece", "binaryswap", "radixk", "serial"),
+        choices=backend_names(),
         help="compositing backend (default directsend; see repro.compositing.backends)",
     )
     p_render.add_argument(
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ts.add_argument(
         "--compositor", default="directsend",
-        choices=("directsend", "dfb", "puzzlepiece", "binaryswap", "radixk", "serial"),
+        choices=backend_names(),
         help="compositing backend (default directsend)",
     )
     p_ts.add_argument(
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prog.add_argument(
         "--compositor", default="directsend",
-        choices=("directsend", "dfb", "puzzlepiece", "binaryswap", "radixk", "serial"),
+        choices=backend_names(),
         help="compositing backend (default directsend)",
     )
     p_prog.add_argument(

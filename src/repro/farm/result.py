@@ -5,11 +5,12 @@ ledger records plus the derived fleet metrics — latency percentiles
 (p50/p95/p99), SLO attainment (overall and per session, honoring
 per-session SLO overrides), machine utilization, throughput, and the
 cache/edge/admission/autoscale tiers' statistics.  ``summary()`` is the
-JSON the CLI emits; ``report()`` is the human table.
+JSON the CLI emits, its optional sections built from one table;
+``report()`` is the human table, rendered from one ``summary()``.
 
 Accounting is *honest by construction* and checkable after the fact:
-:meth:`FarmResult.accounting_failures` verifies every identity the
-service tier promises —
+:meth:`FarmResult.accounting_failures` states every identity the
+service tier promises as :mod:`repro.obs.books` rows and span counts —
 
 * request conservation: every arrival is exactly one of served
   (``records``) or shed (``rejected``);
@@ -24,10 +25,12 @@ service tier promises —
   zero-length marker span;
 * a request served without a render consumed no service time, every
   served request carries a payload, and no first pixel is later than
-  its frame.
+  its frame;
+* campaign and ladder payloads match their requests, and the ladder
+  counters match the ladder records.
 
-``repro farm`` and ``tests/farm/test_edge.py`` run these on every
-scenario they touch.
+``repro farm`` runs these on every scenario; ``tests/obs/test_identities.py``
+breaks each one.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.farm.backends import CampaignPayload, ProgressivePayload
 from repro.farm.request import RequestRecord
 from repro.farm.workload import SessionSpec
 from repro.fault.metrics import FarmFaultStats
+from repro.obs.books import row_failures, span_count_failures
 from repro.obs.tracer import Tracer
 from repro.utils.units import fmt_time
 
@@ -298,25 +302,24 @@ class FarmResult:
                 ),
                 "cache_hits": sum(r.cache_hit for r in recs),
             }
-        fault_section = (
-            {"faults": self.faults.summary()} if self.faults is not None else {}
-        )
-        tiers = {  # each section appears only when its tier ran
+        sections = {  # each optional section appears only when its tier ran
+            "faults": None if self.faults is None else self.faults.summary(),
             "campaigns": self.campaign_stats(),
             "progressive": self.progressive_stats(),
             "edge": self.edge,
-            "admission": self.admission,
+            "admission": (
+                None if self.admission is None else {**self.admission, "shed_rate": self.shed_rate}
+            ),
             "autoscale": self.autoscale,
         }
-        extra = {name: section for name, section in tiers.items() if section is not None}
-        if "admission" in extra:
-            extra["admission"] = {**self.admission, "shed_rate": self.shed_rate}
+        ran = {name: section for name, section in sections.items() if section is not None}
+        faults = {"faults": ran.pop("faults")} if "faults" in ran else {}
         return {
             "backend": self.backend,
             "requests": len(self.records),
             "arrivals": self.arrivals,
             "rejected": len(self.rejected),
-            **fault_section,
+            **faults,
             "sessions": len(self.sessions),
             "makespan_s": self.makespan_s,
             "throughput_rps": self.throughput_rps,
@@ -353,7 +356,7 @@ class FarmResult:
                 "plan_hits": self.plan_hits,
                 "plan_misses": self.plan_misses,
             },
-            **extra,
+            **ran,
             "per_session": per_session,
         }
 
@@ -362,261 +365,164 @@ class FarmResult:
     def accounting_failures(self) -> list[str]:
         """Every violated service-tier identity, as human-readable strings.
 
-        Empty means the books balance.  The selftests assert exactly
-        that; tests use the strings as failure messages.
+        Empty means the books balance.  Each identity is a
+        :mod:`repro.obs.books` row or span count.
         """
-        fails = []
-        served = len(self.records)
+        recs, served, enabled = self.records, len(self.records), self.result_cache_enabled
+        util, shed = self.utilization, len(self.rejected)
+        endings = self.rendered + self.cache_hits + self.edge_hits + self.coalesced
         submit_hits = self.cache_hits - self.promotions
-
-        if self.coalesced != self.coalesced_requests:
-            fails.append(
-                f"coalesced records {self.coalesced} != coalesced counter "
-                f"{self.coalesced_requests}"
-            )
-        if any(not r.rejected for r in self.rejected):
-            fails.append("rejected list holds a record not flagged rejected")
-        one_ending = self.rendered + self.cache_hits + self.edge_hits + self.coalesced
-        if any(r.rejected for r in self.records) or one_ending != served:
-            fails.append("served records must not be rejected or double-flagged")
-        if any(r.t_done < r.t_arrive for r in self.records):
-            fails.append("a request completed before it arrived")
-        if not 0.0 <= self.utilization <= 1.0 + 1e-9:
-            fails.append(f"utilization {self.utilization} outside [0, 1]")
-        if any(not r.rendered and r.serve_s != 0.0 for r in self.records):
-            fails.append("a cache hit, edge hit or coalesced request consumed service time")
-        if any(r.payload is None for r in self.records):
-            fails.append("a served request carries no payload")
-        if any(r.ttfp_s > r.latency_s + 1e-9 for r in self.records):
-            fails.append("time to first pixel exceeded end-to-end latency")
-
-        if self.result_cache_enabled:
-            if self.result_cache_hits != submit_hits:
-                fails.append(
-                    f"lookup hits {self.result_cache_hits} != submit-time hits "
-                    f"{submit_hits} (cache_hits {self.cache_hits} - promotions "
-                    f"{self.promotions})"
-                )
-            expected_misses = self.arrivals - self.edge_hits - submit_hits
-            if self.result_cache_misses != expected_misses:
-                fails.append(
-                    f"lookup misses {self.result_cache_misses} != arrivals "
-                    f"{self.arrivals} - edge hits {self.edge_hits} - submit-time "
-                    f"hits {submit_hits} = {expected_misses}"
-                )
-        else:
-            if self.result_cache_hits or self.result_cache_misses:
-                fails.append(
-                    f"disabled cache reported {self.result_cache_hits} hits / "
-                    f"{self.result_cache_misses} misses (must be 0/0)"
-                )
-            if self.cache_hits:
-                fails.append(f"disabled cache served {self.cache_hits} hits")
-
-        if self.edge is not None and self.edge["hits"] != self.edge_hits:
-            fails.append(
-                f"edge cache hits {self.edge['hits']} != edge-hit records "
-                f"{self.edge_hits}"
-            )
-        if self.admission is not None and self.admission["rejected"] != len(self.rejected):
-            fails.append(
-                f"admission rejected {self.admission['rejected']} != rejected "
-                f"records {len(self.rejected)}"
-            )
+        lookups = (self.result_cache_hits, self.result_cache_misses)
+        want = (submit_hits, self.arrivals - self.edge_hits - submit_hits) if enabled else (0, 0)
+        rows = [
+            ("coalesced records vs counter", self.coalesced, self.coalesced_requests),
+            ("shed records not flagged rejected", sum(not r.rejected for r in self.rejected), 0),
+            ("served records flagged rejected", sum(r.rejected for r in recs), 0),
+            ("served records, one ending each", endings, served),
+            ("records done before arrival", sum(r.t_done < r.t_arrive for r in recs), 0),
+            (f"utilization {util} in [0, 1]", 0 <= util <= 1 + 1e-9, True),
+            ("unrendered but serviced", sum(r.serve_s != 0 for r in recs if not r.rendered), 0),
+            ("records without a payload", sum(r.payload is None for r in recs), 0),
+            ("first pixel after the frame", sum(r.ttfp_s > r.latency_s + 1e-9 for r in recs), 0),
+            ("result-cache lookups (hits, misses)", lookups, want),
+            ("hits from a disabled result cache", 0 if enabled else self.cache_hits, 0),
+        ]
+        if self.edge is not None:
+            rows.append(("edge cache hits vs records", self.edge["hits"], self.edge_hits))
+        if self.admission is not None:
+            rows.append(("admission rejections vs records", self.admission["rejected"], shed))
 
         for r in self.campaign_records():
-            p = r.payload
+            p, rid = r.payload, r.request.rid
             if p is None:
                 continue  # shed before service; nothing was promised
             if not isinstance(p, CampaignPayload):
-                fails.append(
-                    f"campaign {r.request.rid} delivered a non-campaign "
-                    f"payload {type(p).__name__}"
-                )
+                rows.append((f"campaign {rid} payload", type(p).__name__, "CampaignPayload"))
                 continue
-            if int(p.frames) != int(r.request.frames):
-                fails.append(
-                    f"campaign {r.request.rid} asked for {r.request.frames} "
-                    f"frames, payload carries {p.frames}"
-                )
-            if p.overlap_saved_s < -1e-9:
-                fails.append(
-                    f"campaign {r.request.rid} pipelined makespan "
-                    f"{p.makespan_s:.6f}s exceeds its sequential time "
-                    f"{p.sequential_s:.6f}s"
-                )
+            rows += [
+                (f"campaign {rid} frames", int(p.frames), int(r.request.frames)),
+                (f"campaign {rid} makespan within sequential", p.overlap_saved_s >= -1e-9, True),
+            ]
 
         eps = 1e-6
         for r in self.progressive_records():
-            p = r.payload
-            rid = r.request.rid
-            if r.t_first_pixel is not None and not (
-                r.t_arrive - eps <= r.t_first_pixel <= r.t_done + eps
-            ):
-                fails.append(
-                    f"ladder {rid} first pixel at {r.t_first_pixel:.6f} outside "
-                    f"[{r.t_arrive:.6f}, {r.t_done:.6f}]"
-                )
+            p, rid, first = r.payload, r.request.rid, r.t_first_pixel
+            if first is not None:
+                inside = r.t_arrive - eps <= first <= r.t_done + eps
+                rows.append((f"ladder {rid} first pixel in [arrival, done]", inside, True))
             if p is None or not r.rendered:
                 continue  # served without a render; no ladder clock to check
             if not isinstance(p, ProgressivePayload):
-                fails.append(
-                    f"ladder {rid} delivered a non-progressive payload "
-                    f"{type(p).__name__}"
-                )
+                rows.append((f"ladder {rid} payload", type(p).__name__, "ProgressivePayload"))
                 continue
-            if r.t_first_pixel is None:
-                fails.append(f"rendered ladder {rid} recorded no first-pixel time")
-            if int(p.levels) != int(r.request.levels):
-                fails.append(
-                    f"ladder {rid} asked for {r.request.levels} levels, "
-                    f"payload carries {p.levels}"
-                )
-            if any(b <= a for a, b in zip(p.level_end_s, p.level_end_s[1:])):
-                fails.append(f"ladder {rid} level clock is not strictly increasing")
-            if p.ttfp_s > p.total_s + eps:
-                fails.append(
-                    f"ladder {rid} TTFP {p.ttfp_s:.6f}s exceeds its total "
-                    f"{p.total_s:.6f}s"
-                )
-            if self.faults is None:
-                if r.ladder_cancelled and r.levels_done >= r.levels_total:
-                    fails.append(
-                        f"cancelled ladder {rid} delivered all {r.levels_total} levels"
-                    )
-                if not r.ladder_cancelled and r.levels_done != r.levels_total:
-                    fails.append(
-                        f"ladder {rid} delivered {r.levels_done} of "
-                        f"{r.levels_total} levels without a camera move"
-                    )
-        if self.faults is None:
-            prog_rendered = self._rendered_ladders()
-            want_levels = sum(r.levels_done for r in prog_rendered)
-            if self.levels_published != want_levels:
-                fails.append(
-                    f"levels_published {self.levels_published} != levels delivered "
-                    f"by rendered ladders {want_levels}"
-                )
-            want_cancels = sum(r.ladder_cancelled for r in prog_rendered)
-            if self.ladders_cancelled != want_cancels:
-                fails.append(
-                    f"ladders_cancelled {self.ladders_cancelled} != cancelled "
-                    f"records {want_cancels}"
-                )
-            want_reclaimed = sum(
-                r.nodes * (float(r.payload.total_s) - r.serve_s)
-                for r in prog_rendered
-                if r.ladder_cancelled
-            )
-            if abs(self.cancelled_node_s - want_reclaimed) > 1e-6:
-                fails.append(
-                    f"cancelled_node_s {self.cancelled_node_s:.6f} != "
-                    f"sum of truncated remainders {want_reclaimed:.6f}"
-                )
-
-        if self.trace is not None and self.trace.enabled:
-            names: dict[str, int] = {}
-            for span in self.trace.spans:
-                names[span.name] = names.get(span.name, 0) + 1
-            retries = sum(r.retries for r in self.records)
-            checks = [
-                ("queue", served),
-                ("serve", served),
-                ("alloc", self.rendered),  # one per finished render
-                ("killed", retries),  # crash retries re-finish, no extra alloc span
-                ("edge-hit", self.edge_hits),
-                ("coalesced", self.coalesced),
-                ("reject", len(self.rejected)),
-                # Ladder spans are emitted by the same code paths that
-                # bump the counters, so these reconcile even under
-                # faults (killed ladders' published spans stay, and so
-                # does their count).
-                ("level", self.levels_published),
-                ("ladder-cancelled", self.ladders_cancelled),
+            clock = p.level_end_s
+            rows += [
+                (f"rendered ladder {rid} recorded a first pixel", first is not None, True),
+                (f"ladder {rid} levels", int(p.levels), int(r.request.levels)),
+                (f"ladder {rid} clock rising", all(a < b for a, b in zip(clock, clock[1:])), True),
+                (f"ladder {rid} TTFP within total", p.ttfp_s <= p.total_s + eps, True),
             ]
-            for name, want in checks:
-                got = names.get(name, 0)
-                if got != want:
-                    fails.append(f"{got} {name!r} spans, expected {want}")
-        return fails
+            if self.faults is None:
+                rows.append(
+                    (f"cancelled ladder {rid} cut short", r.levels_done < r.levels_total, True)
+                    if r.ladder_cancelled
+                    else (f"ladder {rid} levels delivered", r.levels_done, r.levels_total)
+                )
+        if self.faults is None:
+            ladders = self._rendered_ladders()
+            cut = [r for r in ladders if r.ladder_cancelled]
+            reclaimed = sum(r.nodes * (float(r.payload.total_s) - r.serve_s) for r in cut)
+            rows += [
+                ("levels published vs delivered", self.levels_published,
+                 sum(r.levels_done for r in ladders)),
+                ("ladders cancelled vs records", self.ladders_cancelled, len(cut)),
+                ("cancelled node-s vs cut remainders", self.cancelled_node_s, reclaimed, 1e-6),
+            ]
+
+        spans = {
+            "queue": served,
+            "serve": served,
+            "alloc": self.rendered,  # one per finished render; crash retries
+            "killed": sum(r.retries for r in recs),  # re-finish, no extra alloc span
+            "edge-hit": self.edge_hits,
+            "coalesced": self.coalesced,
+            "reject": shed,
+            # Ladder spans are emitted by the same code paths that bump
+            # the counters, so these reconcile even under faults (killed
+            # ladders' published spans stay, and so does their count).
+            "level": self.levels_published,
+            "ladder-cancelled": self.ladders_cancelled,
+        }
+        return row_failures(rows) + span_count_failures(self.trace, spans)
 
     def report(self) -> str:
-        """Human-readable scenario report (what ``repro farm`` prints)."""
+        """Human-readable scenario report (what ``repro farm`` prints):
+        a rendering of one :meth:`summary`, so the two cannot disagree."""
+        s = self.summary()
+        lat, m, svc, cache = s["latency_s"], s["machine"], s["service"], s["cache"]
         lines = [
-            f"farm scenario: {len(self.records)} requests from "
-            f"{len(self.sessions)} sessions ({self.backend} backend), "
-            f"{self.total_nodes}-node machine",
-            f"  makespan     {fmt_time(self.makespan_s):>10}   "
-            f"throughput {self.throughput_rps:.3f} req/s",
-            f"  latency      p50 {fmt_time(self.p50_s)}, p95 {fmt_time(self.p95_s)}, "
-            f"p99 {fmt_time(self.p99_s)} (mean queue {fmt_time(self.mean_queue_s)})",
-            f"  SLO          {100.0 * self.slo_attainment:.1f}% within "
-            f"{fmt_time(self.slo_s)}",
-            f"  utilization  {100.0 * self.utilization:.1f}% of node-seconds, "
-            f"{self.backfilled} jobs backfilled, {self.node_hours:.1f} node-hours held",
-            f"  service      {self.rendered} rendered, {self.coalesced} coalesced, "
-            f"{self.edge_hits} edge hits, {self.cache_hits} cache hits "
-            f"({self.promotions} promoted in queue)",
-            f"  caches       result {self.cache_hits}/{len(self.records)} hits "
-            f"({100.0 * self.cache_hit_rate:.1f}%), plan {self.plan_hits} hits / "
-            f"{self.plan_misses} misses",
+            f"farm scenario: {s['requests']} requests from {s['sessions']} sessions "
+            f"({s['backend']} backend), {m['total_nodes']}-node machine",
+            f"  makespan     {fmt_time(s['makespan_s']):>10}   "
+            f"throughput {s['throughput_rps']:.3f} req/s",
+            f"  latency      p50 {fmt_time(lat['p50'])}, p95 {fmt_time(lat['p95'])}, "
+            f"p99 {fmt_time(lat['p99'])} (mean queue {fmt_time(s['mean_queue_s'])})",
+            f"  SLO          {100.0 * s['slo']['attainment']:.1f}% within "
+            f"{fmt_time(s['slo']['target_s'])}",
+            f"  utilization  {100.0 * m['utilization']:.1f}% of node-seconds, "
+            f"{m['backfilled']} jobs backfilled, {m['node_hours']:.1f} node-hours held",
+            f"  service      {svc['rendered']} rendered, {svc['coalesced']} coalesced, "
+            f"{svc['edge_hits']} edge hits, {svc['cache_hits']} cache hits "
+            f"({svc['promotions']} promoted in queue)",
+            f"  caches       result {cache['result_hits']}/{s['requests']} hits "
+            f"({100.0 * cache['result_hit_rate']:.1f}%), plan {cache['plan_hits']} hits / "
+            f"{cache['plan_misses']} misses",
         ]
-        campaigns = self.campaign_stats()
-        if campaigns is not None:
-            lines.append(
-                f"  campaigns    {campaigns['campaigns']} jobs / "
-                f"{campaigns['frames']} frames, "
-                f"{campaigns['frames_per_s']['mean']:.3f} frames/s mean, "
-                f"overlap saved {fmt_time(campaigns['overlap_saved_s'])}"
-            )
-        progressive = self.progressive_stats()
-        if progressive is not None:
-            lines.append(
-                f"  progressive  {progressive['ladders']} ladders "
-                f"({progressive['levels_published']} levels), TTFP mean "
-                f"{fmt_time(progressive['ttfp_s']['mean'])} "
-                f"({progressive['ttfp_speedup']:.1f}x vs full-res), "
-                f"{progressive['cancelled']} cancelled reclaiming "
-                f"{progressive['cancelled_node_s']:.0f} node-s, "
-                f"{progressive['coarse_hits']} coarse hits"
-            )
-        if self.edge is not None:
-            lines.append(
-                f"  edge         {self.edge['hits']} hits / {self.edge['misses']} "
-                f"misses across {len(self.edge['per_region'])} regions, "
-                f"{self.edge['expired']} expired, {self.edge['invalidated']} invalidated"
-            )
-        if self.admission is not None:
-            lines.append(
-                f"  admission    {self.admission['admitted']} admitted, "
-                f"{len(self.rejected)} shed ({100.0 * self.shed_rate:.1f}% of "
-                f"{self.arrivals} arrivals)"
-            )
-        if self.autoscale is not None:
-            a = self.autoscale
-            lines.append(
-                f"  autoscale    {a['policy']}: {a['scale_events']} resizes, pool "
-                f"{a['min_provisioned']}-{a['max_provisioned']} nodes"
-            )
-        if self.faults is not None:
-            f = self.faults
-            lines.append(
-                f"  faults       {f.crashes} crashes, {f.jobs_killed} jobs killed "
-                f"({f.retries} requeues), availability "
-                f"{100.0 * f.availability:.2f}%, goodput {100.0 * f.goodput:.2f}%, "
-                f"MTTR {fmt_time(f.mttr_s)}"
-            )
+        lines += [line(s[name], s) for name, line in _SECTION_LINES.items() if name in s]
         lines += [
             "",
             f"  {'session':<12} {'kind':<9} {'req':>5} {'p50':>10} {'p95':>10} "
             f"{'SLO%':>7} {'hits':>5}",
         ]
-        per_session = self.summary()["per_session"]
-        for spec in self.sessions:
-            s = per_session[spec.name]
+        for name, ses in s["per_session"].items():
             lines.append(
-                f"  {spec.name:<12} {spec.kind:<9} {s['requests']:>5} "
-                f"{fmt_time(s['p50_s']):>10} {fmt_time(s['p95_s']):>10} "
-                f"{100.0 * s['slo_attainment']:>6.1f}% {s['cache_hits']:>5}"
+                f"  {name:<12} {ses['kind']:<9} {ses['requests']:>5} "
+                f"{fmt_time(ses['p50_s']):>10} {fmt_time(ses['p95_s']):>10} "
+                f"{100.0 * ses['slo_attainment']:>6.1f}% {ses['cache_hits']:>5}"
             )
         return "\n".join(lines)
+
+
+#: The report line of each optional summary section, in report order:
+#: ``line(section, summary)``.
+_SECTION_LINES = {
+    "campaigns": lambda c, s: (
+        f"  campaigns    {c['campaigns']} jobs / {c['frames']} frames, "
+        f"{c['frames_per_s']['mean']:.3f} frames/s mean, "
+        f"overlap saved {fmt_time(c['overlap_saved_s'])}"
+    ),
+    "progressive": lambda p, s: (
+        f"  progressive  {p['ladders']} ladders ({p['levels_published']} levels), "
+        f"TTFP mean {fmt_time(p['ttfp_s']['mean'])} "
+        f"({p['ttfp_speedup']:.1f}x vs full-res), {p['cancelled']} cancelled "
+        f"reclaiming {p['cancelled_node_s']:.0f} node-s, {p['coarse_hits']} coarse hits"
+    ),
+    "edge": lambda e, s: (
+        f"  edge         {e['hits']} hits / {e['misses']} misses across "
+        f"{len(e['per_region'])} regions, {e['expired']} expired, "
+        f"{e['invalidated']} invalidated"
+    ),
+    "admission": lambda a, s: (
+        f"  admission    {a['admitted']} admitted, {s['rejected']} shed "
+        f"({100.0 * a['shed_rate']:.1f}% of {s['arrivals']} arrivals)"
+    ),
+    "autoscale": lambda a, s: (
+        f"  autoscale    {a['policy']}: {a['scale_events']} resizes, pool "
+        f"{a['min_provisioned']}-{a['max_provisioned']} nodes"
+    ),
+    "faults": lambda f, s: (
+        f"  faults       {f['crashes']} crashes, {f['jobs_killed']} jobs killed "
+        f"({f['retries']} requeues), availability {100.0 * f['availability']:.2f}%, "
+        f"goodput {100.0 * f['goodput']:.2f}%, MTTR {fmt_time(f['mttr_s'])}"
+    ),
+}

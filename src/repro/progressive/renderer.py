@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.pipeline import FrameResult, ParallelVolumeRenderer
 from repro.data.upsample import upsample_bilinear
+from repro.obs.books import row_failures, span_count_failures
 from repro.obs.tracer import CAT_PROGRESSIVE, Tracer
 from repro.pio.reader import DatasetHandle, collective_read_blocks
 from repro.progressive.ladder import build_pyramid, ladder_scales
@@ -126,56 +127,26 @@ class ProgressiveResult:
 
     def accounting_failures(self) -> list[str]:
         """Violated ladder identities, human-readable; empty == sound."""
-        fails: list[str] = []
-        if not self.levels:
-            fails.append("ladder delivered no levels")
-            return fails
-        if self.levels[0].t_start_s != 0.0:
-            fails.append(f"first level starts at {self.levels[0].t_start_s}, not 0")
-        for a, b in zip(self.levels, self.levels[1:]):
-            if abs(b.t_start_s - a.t_done_s) > 1e-9:
-                fails.append(
-                    f"level {b.index} starts at {b.t_start_s:.9f} but level "
-                    f"{a.index} ended at {a.t_done_s:.9f} (levels are serial)"
-                )
-            if b.width <= a.width:
-                fails.append(
-                    f"level {b.index} edge {b.width} does not refine level "
-                    f"{a.index} edge {a.width}"
-                )
-        for lf in self.levels:
-            if abs(lf.duration_s - lf.frame.timing.total_s) > 1e-9:
-                fails.append(
-                    f"level {lf.index} ladder duration {lf.duration_s:.9f} != "
-                    f"its frame's stage total {lf.frame.timing.total_s:.9f}"
-                )
-        if abs(self.ttfp_s - self.levels[0].t_done_s) > 1e-12:
-            fails.append("ttfp_s is not the first level's delivery time")
-        delivered = len(self.levels)
-        if not self.cancelled and not self.truncated:
-            if delivered != self.levels_planned:
-                fails.append(
-                    f"uncancelled ladder delivered {delivered} of "
-                    f"{self.levels_planned} planned levels"
-                )
-            if self.levels[-1].scale != 1:
-                fails.append("uncancelled ladder did not end at full resolution")
-        if self.truncated:
-            if delivered >= self.levels_planned:
-                fails.append("truncated ladder delivered every planned level")
-            if self.levels[-1].scale != 1:
-                fails.append("truncation must keep the final full-res level")
-        if self.cancelled and delivered >= self.levels_planned:
-            fails.append("cancelled ladder delivered every planned level")
-        if self.trace is not None and self.trace.enabled:
-            spans = [s for s in self.trace.spans if s.cat == CAT_PROGRESSIVE]
-            got = sum(1 for s in spans if s.name == "level")
-            if got != delivered:
-                fails.append(f"{got} 'level' spans for {delivered} delivered levels")
-            ttfp_marks = sum(1 for s in spans if s.name == "ttfp")
-            if ttfp_marks != 1:
-                fails.append(f"{ttfp_marks} 'ttfp' markers, expected exactly 1")
-        return fails
+        levels, delivered, planned = self.levels, len(self.levels), self.levels_planned
+        if not levels:
+            return ["ladder delivered no levels"]
+        rows = [("first level start", levels[0].t_start_s, 0.0)]
+        for a, b in zip(levels, levels[1:]):  # levels are serial and refine
+            rows += [
+                (f"level {b.index} start vs level {a.index} end", b.t_start_s, a.t_done_s, 1e-9),
+                (f"level {b.index} edge above level {a.index}'s", b.width > a.width, True),
+            ]
+        for lf in levels:
+            total = lf.frame.timing.total_s
+            rows.append((f"level {lf.index} duration vs stage total", lf.duration_s, total, 1e-9))
+        if self.cancelled or self.truncated:
+            rows.append(("cut ladder short of its plan", delivered < planned, True))
+        else:
+            rows.append(("levels delivered vs planned", delivered, planned))
+        if self.truncated or not self.cancelled:
+            rows.append(("last level scale (1 = full resolution)", levels[-1].scale, 1))
+        spans = {"level": delivered, "ttfp": 1}
+        return row_failures(rows) + span_count_failures(self.trace, spans, cat=CAT_PROGRESSIVE)
 
 
 class ProgressiveRenderer:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.image import PartialImage
-from repro.render.raycast import check_step, ray_box_intersect
+from repro.render.raycast import check_early_termination, check_step, ray_box_intersect
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -67,6 +67,7 @@ def render_block_multivar(
     may carry different ghost extents.
     """
     check_step(step)
+    check_early_termination(early_termination)
     if primary.start != modulator.start or primary.count != modulator.count:
         raise ConfigError("primary and modulator blocks must cover the same region")
     lo = primary.world_lo

@@ -86,6 +86,12 @@ def check_step(step: float) -> None:
         raise ConfigError(f"step must be positive and finite, got {step}")
 
 
+def check_early_termination(early_termination: float) -> None:
+    """Reject an opacity cutoff outside (0, 1]; at 0 or NaN no ray samples."""
+    if not 0.0 < early_termination <= 1.0:  # also rejects NaN
+        raise ConfigError(f"early_termination must be in (0, 1], got {early_termination}")
+
+
 @dataclass(frozen=True)
 class RayPlan:
     """Data-independent ray geometry for one (camera, block, step).
@@ -181,8 +187,7 @@ def render_block(
     passing it skips the per-frame geometry setup entirely.
     """
     check_step(step)
-    if not 0.0 < early_termination <= 1.0:  # also rejects NaN
-        raise ConfigError(f"early_termination must be in (0, 1], got {early_termination}")
+    check_early_termination(early_termination)
     if plan is None:
         plan = build_ray_plan(camera, block.world_lo, block.world_hi, step)
     elif plan.step != step:

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.image import PartialImage
-from repro.render.raycast import check_step, ray_box_intersect
+from repro.render.raycast import check_early_termination, check_step, ray_box_intersect
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -64,6 +64,7 @@ def render_block_shaded(
     serial agreement.
     """
     check_step(step)
+    check_early_termination(early_termination)
     light = np.asarray(
         light_dir if light_dir is not None else -camera.forward, dtype=np.float64
     )

@@ -85,6 +85,17 @@ class TestMultivariateRender:
         with pytest.raises(ConfigError, match="same region"):
             render_block_multivar(cam, a, b, mvtf)
 
+    @pytest.mark.parametrize("et", [0.0, -1.0, 1.5, float("nan")])
+    def test_bad_early_termination_rejected(self, model, mvtf, et):
+        # 0 and NaN used to finish every ray before its first sample and
+        # return None, a silently blank block, where render_block raises.
+        cam = Camera.looking_at_volume(GRID, width=16, height=16)
+        vx = VolumeBlock.whole(model.field("vx"))
+        density = VolumeBlock.whole(model.field("density"))
+        assert render_block_multivar(cam, vx, density, mvtf) is not None
+        with pytest.raises(ConfigError, match="early_termination"):
+            render_block_multivar(cam, vx, density, mvtf, early_termination=et)
+
 
 class TestMultiVariableRead:
     def test_reads_both_variables(self, model):

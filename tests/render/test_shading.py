@@ -80,6 +80,17 @@ class TestShadedRender:
                 light_dir=(0, 0, 0),
             )
 
+    @pytest.mark.parametrize("et", [0.0, -1.0, 1.5, float("nan")])
+    def test_bad_early_termination_rejected(self, rng, et):
+        # 0 and NaN used to finish every ray before its first sample and
+        # return None, a silently blank block, where render_block raises.
+        block = VolumeBlock.whole(rng.random((12, 12, 12)).astype(np.float32))
+        cam = Camera.looking_at_volume((12, 12, 12), width=16, height=16)
+        tf = TransferFunction.grayscale_ramp()
+        assert render_block_shaded(cam, block, tf) is not None
+        with pytest.raises(ConfigError, match="early_termination"):
+            render_block_shaded(cam, block, tf, early_termination=et)
+
 
 class TestTrimming:
     def test_trim_roundtrip_identical_composite(self, rng):
