@@ -12,7 +12,7 @@ from benchmarks.conftest import write_result
 
 from repro.analysis.reports import format_table
 from repro.compositing.policy import IDENTITY_POLICY, PAPER_POLICY
-from repro.model.composite import binary_swap_cost
+from repro.model.composite import radix_k_cost
 
 CORES = (256, 1024, 4096, 16384, 32768)
 IMAGE_BYTES = 1600 * 1600 * 16  # premultiplied RGBA float32
@@ -24,7 +24,8 @@ def test_ablation_binary_swap(benchmark, results_dir, fm_1120):
         for cores in CORES:
             ds_orig = fm_1120.composite_stage(cores, IDENTITY_POLICY)
             ds_impr = fm_1120.composite_stage(cores, PAPER_POLICY)
-            bs = binary_swap_cost(cores, IMAGE_BYTES)
+            # Binary swap is radix-k with k = 2 in each of log2(p) rounds.
+            bs = radix_k_cost((2,) * (cores.bit_length() - 1), IMAGE_BYTES)
             out.append((cores, ds_orig, ds_impr, bs))
         return out
 

@@ -59,7 +59,8 @@ def radix_k_cost(
     sends k_i - 1 pieces of (current region)/k_i and the region shrinks
     k_i-fold; each round is a synchronized phase, so the phase costs add
     and the contention law applies per round.  k = 2 everywhere is
-    binary swap and one round of k = p is the dense exchange limit.
+    binary swap (the Ma et al. baseline: ``(2,) * log2(p)``) and one
+    round of k = p is the dense exchange limit.
     """
     nprocs = int(np.prod(radices)) if len(radices) else 1
     if nprocs < 1:
@@ -80,10 +81,7 @@ def radix_k_cost(
         piece = max(region / k, 1.0)
         n_msgs = nprocs * (k - 1)
         sizes = np.full(n_msgs, piece)
-        per_msg = link.sw_overhead_s + piece / float(
-            link.effective_bandwidth(max(piece, 1.0))
-        )
-        endpoint = (k - 1) * per_msg
+        endpoint = (k - 1) * (link.sw_overhead_s + link.wire_s(piece))
         cont = c.contention.phase_delay(sizes)
         total += endpoint + cont
         endpoint_total += endpoint
@@ -103,19 +101,6 @@ def radix_k_cost(
     )
 
 
-def binary_swap_cost(
-    nprocs: int,
-    image_bytes: int,
-    constants: ModelConstants = DEFAULT_CONSTANTS,
-) -> CompositeStageResult:
-    """Analytic cost of binary-swap compositing (the Ma et al. baseline):
-    the radix-2 case of :func:`radix_k_cost`, log2(p) synchronized
-    rounds in which every rank exchanges half its current region."""
-    if nprocs < 1 or (nprocs & (nprocs - 1)):
-        raise ConfigError(f"binary swap needs a power-of-two process count, got {nprocs}")
-    return radix_k_cost((2,) * (nprocs.bit_length() - 1), image_bytes, constants)
-
-
 class CompositeTimeModel:
     """Prices one direct-send phase from its schedule's message arrays."""
 
@@ -124,8 +109,7 @@ class CompositeTimeModel:
 
     def price(self, schedule: CompositeSchedule) -> CompositeStageResult:
         link = self.c.link
-        sizes = schedule.sizes.astype(np.float64)
-        per_msg = link.sw_overhead_s + sizes / link.effective_bandwidth(np.maximum(sizes, 1.0))
+        per_msg = link.sw_overhead_s + link.wire_s(schedule.sizes)
         # Busiest endpoints: serialized receive at a compositor and
         # serialized send at a renderer.
         recv_time = np.zeros(schedule.num_compositors, dtype=np.float64)

@@ -5,7 +5,7 @@ Each compute node has a serialized injection port and ejection port
 message's timeline is the port law, stated once as
 :meth:`DESNetwork.inject` and :meth:`DESNetwork.eject`::
 
-    wire    = nbytes / (effective_bw(nbytes) * link-window factor)
+    wire    = LinkCostModel.wire_s(nbytes, link-window factor)
     start   = max(now, src node's injector free time)
     done    = start + (sw_overhead + wire)        # injector free again
     arrive  = done + hops * hop_latency
@@ -89,10 +89,7 @@ class DESNetwork:
         ``(arrive - wire) + wire`` is not the same double).
         """
         link = self.link
-        wire = 0.0
-        if nbytes:
-            bw = link.effective_bandwidth(max(float(nbytes), 1.0))
-            wire = nbytes / (bw * factor)
+        wire = link.wire_s(nbytes, factor) if nbytes else 0.0
         start = max(now, self._inject_free[src_node])
         self._inject_free[src_node] = done = start + (link.sw_overhead_s + wire)
         hops = int(self.topology.hop_row(src_node)[dst_node])
@@ -194,8 +191,7 @@ class DESNetwork:
         idx = np.flatnonzero(~local)
         if idx.size:
             dn = dst_nodes[idx]
-            sizes = nb[idx].astype(np.float64)
-            wire = sizes / link.effective_bandwidth(np.maximum(sizes, 1.0))
+            wire = link.wire_s(nb[idx])
             busy = link.sw_overhead_s + wire
             start0 = max(now, self._inject_free[src_node])
             free = np.cumsum(np.concatenate(([start0], busy)))[1:]

@@ -6,9 +6,13 @@ one entering it.  Dimension-ordered (e-cube) routing moves a packet
 first along X, then Y, then Z, choosing the shorter wrap direction on a
 torus (no wrap on a mesh partition).
 
-``link_loads`` is the workhorse of the analytic model: given vectors of
+``hop_row`` gives the DES transports their per-message hop counts.
+``link_loads`` is a diagnostic, not a price: given vectors of
 source/destination nodes and message sizes, it accumulates the byte and
-message load on every link without Python-level loops over hops.
+message load on every link without Python-level loops over hops (the
+raw material for per-link load histograms).  Neither the DES nor the
+composite model prices congestion from it; the contention law in
+:mod:`repro.network.costs` is empirical.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ class LinkLoads:
     """Per-link loads accumulated over one communication phase.
 
     ``bytes_per_link``/``msgs_per_link`` are arrays of length
-    ``topology.num_links``; summary statistics are what the cost models
-    consume.
+    ``topology.num_links``; the properties summarise them.
     """
 
     bytes_per_link: np.ndarray
@@ -144,8 +147,7 @@ class TorusTopology:
     def route(self, src_node: int, dst_node: int) -> list[int]:
         """Explicit ordered list of link ids for one message (scalar).
 
-        Used by tests and the DES network for small scale; the analytic
-        model uses :meth:`link_loads` instead.
+        The hop-by-hop oracle the tests hold :meth:`link_loads` to.
         """
         pos = list(self.node_coords(int(src_node)))
         dst = list(self.node_coords(int(dst_node)))
@@ -215,44 +217,7 @@ class TorusTopology:
             # Message has now arrived at the destination coordinate in dim.
             cur[:, dim] = b[:, dim]
 
-    def bisection_links(self) -> int:
-        """Links crossing the X mid-plane cut (both directions).
-
-        A torus has twice the mesh's cross-links because of wraparound.
-        """
-        _sx, sy, sz = self.shape
-        per_direction = sy * sz * (2 if self.torus else 1)
-        return 2 * per_direction
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "torus" if self.torus else "mesh"
         return f"<TorusTopology {self.shape} {kind}, {self.num_nodes} nodes>"
 
-
-class TreeNetwork:
-    """The collective/tree network: a balanced binary tree over nodes.
-
-    Used for broadcast/reduction collectives and as the path from
-    compute nodes to their I/O node.  We model it by depth (latency
-    hops) and per-link bandwidth.
-    """
-
-    def __init__(self, num_nodes: int):
-        if num_nodes <= 0:
-            raise ConfigError("tree network needs at least one node")
-        self.num_nodes = int(num_nodes)
-
-    @property
-    def depth(self) -> int:
-        """Height of the balanced binary tree over the nodes."""
-        return max(1, int(np.ceil(np.log2(self.num_nodes)))) if self.num_nodes > 1 else 1
-
-    def broadcast_hops(self) -> int:
-        """Worst-case hops for a root-to-leaf traversal."""
-        return self.depth
-
-    def reduction_hops(self) -> int:
-        return self.depth
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TreeNetwork {self.num_nodes} nodes depth={self.depth}>"

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.image import PartialImage
-from repro.render.raycast import check_early_termination, check_step, ray_box_intersect
+from repro.render.raycast import _march_dense, _whole_frame
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -66,49 +66,11 @@ def render_block_multivar(
     Both blocks must describe the same region (same start/count); they
     may carry different ghost extents.
     """
-    check_step(step)
-    check_early_termination(early_termination)
     if primary.start != modulator.start or primary.count != modulator.count:
         raise ConfigError("primary and modulator blocks must cover the same region")
-    lo = primary.world_lo
-    hi = primary.world_hi
-    rect = camera.footprint(lo, hi)
-    if rect is None:
-        return None
-    _x0, _y0, w, h = rect
-    origins, dirs = camera.rays_for_rect(rect)
-    t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
-    hit = t_exit > t_enter
-    if not np.any(hit):
-        return None
-    k_lo = np.where(hit, np.ceil(t_enter / step - 0.5), 0).astype(np.int64)
-    k_hi = np.where(hit, np.ceil(t_exit / step - 0.5), 0).astype(np.int64)
-    k_min = int(k_lo[hit].min())
-    k_max = int(k_hi[hit].max())
-    color = np.zeros((h, w, 3), dtype=np.float64)
-    transmittance = np.ones((h, w), dtype=np.float64)
-    samples = 0
-    for kk in range(k_min, k_max):
-        active = hit & (kk >= k_lo) & (kk < k_hi) & (transmittance > 1.0 - early_termination)
-        n_active = int(np.count_nonzero(active))
-        if not n_active:
-            continue
-        samples += n_active
-        t = (kk + 0.5) * step
-        pts = origins[active] + t * dirs[active]
-        rgb, extinction = transfer.sample(
-            primary.sample_world(pts), modulator.sample_world(pts)
-        )
-        alpha = 1.0 - np.exp(-extinction * step)
-        contrib = transmittance[active] * alpha
-        color[active] += contrib[:, None] * rgb
-        transmittance[active] *= 1.0 - alpha
-    alpha_total = 1.0 - transmittance
-    if not np.any(alpha_total > 0):
-        return None
-    rgba = np.concatenate([color, alpha_total[..., None]], axis=-1).astype(np.float32)
-    return PartialImage(
-        rect, rgba, depth=camera.depth_of(primary.world_center), samples=samples
+    return _march_dense(
+        camera, primary, step, early_termination,
+        lambda pts: transfer.sample(primary.sample_world(pts), modulator.sample_world(pts)),
     )
 
 
@@ -120,12 +82,6 @@ def render_multivar_serial(
     step: float = 1.0,
 ) -> np.ndarray:
     """Whole-volume multivariate reference renderer."""
-    from repro.render.image import blank_image, composite_over
-
     p = VolumeBlock.whole(primary_data)
     m = VolumeBlock.whole(modulator_data)
-    partial = render_block_multivar(camera, p, m, transfer, step)
-    canvas = blank_image(camera.width, camera.height)
-    if partial is None:
-        return canvas
-    return composite_over(canvas, [partial])
+    return _whole_frame(camera, render_block_multivar(camera, p, m, transfer, step))

@@ -31,6 +31,11 @@ bounds, and the step — not on the data — so it can be computed once
 per (camera, decomposition) and reused across time steps; see
 :class:`RayPlan` and :func:`build_ray_plan` (used by the frame-plan
 cache in :mod:`repro.core.plan`).
+
+The shaded and multivariate renderers march densely instead — one
+sample index per iteration over the whole footprint — through
+:func:`_march_dense`, which they parameterise by how a sample point
+becomes colour and extinction.
 """
 
 from __future__ import annotations
@@ -295,9 +300,65 @@ def render_volume_serial(
     Returns a premultiplied RGBA canvas (height, width, 4).  The
     parallel pipeline's output must match this to float tolerance.
     """
-    block = VolumeBlock.whole(data)
-    partial = render_block(camera, block, tf, step, early_termination)
+    partial = render_block(camera, VolumeBlock.whole(data), tf, step, early_termination)
+    return _whole_frame(camera, partial)
+
+
+def _whole_frame(camera: Camera, partial: PartialImage | None) -> np.ndarray:
+    """The full canvas holding one whole-volume partial (blank if None):
+    the tail of every ``*_serial`` reference renderer."""
     canvas = blank_image(camera.width, camera.height)
     if partial is None:
         return canvas
     return composite_over(canvas, [partial])
+
+
+def _march_dense(
+    camera: Camera,
+    block: VolumeBlock,
+    step: float,
+    early_termination: float,
+    classify,
+) -> PartialImage | None:
+    """Plain per-sample march of one block: every ray of the footprint,
+    one globally aligned sample index per iteration.
+
+    ``classify(points)`` turns the active rays' (n, 3) world sample
+    points into ``(rgb, extinction)``; it is all the shaded and
+    multivariate renderers differ in.
+    """
+    check_step(step)
+    check_early_termination(early_termination)
+    lo = block.world_lo
+    hi = block.world_hi
+    rect = camera.footprint(lo, hi)
+    if rect is None:
+        return None
+    _x0, _y0, w, h = rect
+    origins, dirs = camera.rays_for_rect(rect)
+    t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
+    hit = t_exit > t_enter
+    if not np.any(hit):
+        return None
+    k_lo = np.where(hit, np.ceil(t_enter / step - 0.5), 0).astype(np.int64)
+    k_hi = np.where(hit, np.ceil(t_exit / step - 0.5), 0).astype(np.int64)
+    color = np.zeros((h, w, 3), dtype=np.float64)
+    transmittance = np.ones((h, w), dtype=np.float64)
+    samples = 0
+    for k in range(int(k_lo[hit].min()), int(k_hi[hit].max())):
+        active = hit & (k >= k_lo) & (k < k_hi) & (transmittance > 1.0 - early_termination)
+        n_active = int(np.count_nonzero(active))
+        if not n_active:
+            continue
+        samples += n_active
+        t = (k + 0.5) * step
+        rgb, extinction = classify(origins[active] + t * dirs[active])
+        alpha = 1.0 - np.exp(-extinction * step)
+        contrib = transmittance[active] * alpha
+        color[active] += contrib[:, None] * rgb
+        transmittance[active] *= 1.0 - alpha
+    alpha_total = 1.0 - transmittance
+    if not np.any(alpha_total > 0):
+        return None
+    rgba = np.concatenate([color, alpha_total[..., None]], axis=-1).astype(np.float32)
+    return PartialImage(rect, rgba, depth=camera.depth_of(block.world_center), samples=samples)

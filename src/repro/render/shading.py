@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.image import PartialImage
-from repro.render.raycast import check_early_termination, check_step, ray_box_intersect
+from repro.render.raycast import _march_dense, _whole_frame
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -63,8 +63,6 @@ def render_block_shaded(
     Requires ghost >= ``gradient_h`` for exact block-parallel ==
     serial agreement.
     """
-    check_step(step)
-    check_early_termination(early_termination)
     light = np.asarray(
         light_dir if light_dir is not None else -camera.forward, dtype=np.float64
     )
@@ -73,42 +71,12 @@ def render_block_shaded(
         raise ConfigError("light direction cannot be zero")
     light = light / n
 
-    lo = block.world_lo
-    hi = block.world_hi
-    rect = camera.footprint(lo, hi)
-    if rect is None:
-        return None
-    _x0, _y0, w, h = rect
-    origins, dirs = camera.rays_for_rect(rect)
-    t_enter, t_exit = ray_box_intersect(origins, dirs, lo, hi)
-    hit = t_exit > t_enter
-    if not np.any(hit):
-        return None
-    k_lo = np.where(hit, np.ceil(t_enter / step - 0.5), 0).astype(np.int64)
-    k_hi = np.where(hit, np.ceil(t_exit / step - 0.5), 0).astype(np.int64)
-    color = np.zeros((h, w, 3), dtype=np.float64)
-    transmittance = np.ones((h, w), dtype=np.float64)
-    samples = 0
-    for k in range(int(k_lo[hit].min()), int(k_hi[hit].max())):
-        active = hit & (k >= k_lo) & (k < k_hi) & (transmittance > 1.0 - early_termination)
-        n_active = int(np.count_nonzero(active))
-        if not n_active:
-            continue
-        samples += n_active
-        t = (k + 0.5) * step
-        pts = origins[active] + t * dirs[active]
-        values = block.sample_world(pts)
-        rgb, extinction = tf.sample(values)
+    def classify(pts: np.ndarray):
+        rgb, extinction = tf.sample(block.sample_world(pts))
         rgb = _lambert(rgb, gradient_at(block, pts, gradient_h), light, ambient, diffuse)
-        alpha = 1.0 - np.exp(-extinction * step)
-        contrib = transmittance[active] * alpha
-        color[active] += contrib[:, None] * rgb
-        transmittance[active] *= 1.0 - alpha
-    alpha_total = 1.0 - transmittance
-    if not np.any(alpha_total > 0):
-        return None
-    rgba = np.concatenate([color, alpha_total[..., None]], axis=-1).astype(np.float32)
-    return PartialImage(rect, rgba, depth=camera.depth_of(block.world_center), samples=samples)
+        return rgb, extinction
+
+    return _march_dense(camera, block, step, early_termination, classify)
 
 
 def render_shaded_serial(
@@ -119,10 +87,6 @@ def render_shaded_serial(
     **kwargs,
 ) -> np.ndarray:
     """Whole-volume shaded reference renderer."""
-    from repro.render.image import blank_image, composite_over
-
-    partial = render_block_shaded(camera, VolumeBlock.whole(data), tf, step, **kwargs)
-    canvas = blank_image(camera.width, camera.height)
-    if partial is None:
-        return canvas
-    return composite_over(canvas, [partial])
+    return _whole_frame(
+        camera, render_block_shaded(camera, VolumeBlock.whole(data), tf, step, **kwargs)
+    )

@@ -5,6 +5,7 @@ of the schedule with its brute-force oracle lives in
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compositing.policy import IDENTITY_POLICY, PAPER_POLICY
 from repro.compositing.schedule import CompositeSchedule
@@ -87,3 +88,49 @@ class TestContentionBehaviours:
         m = CompositeTimeModel()
         empty = CompositeSchedule(4, 2, TileDecomposition(8, 8, 2), [], [], [])
         assert m.price(empty).seconds == m.c.setup_s
+
+
+def _endpoint_oracle(model: CompositeTimeModel, schedule: CompositeSchedule) -> float:
+    """Busiest endpoint, in plain Python: each renderer's sends and each
+    compositor's receives cost ``sw_overhead + wire`` apiece, in order."""
+    link = model.c.link
+    busy: dict[tuple[str, int], float] = {}
+    for msg in schedule.messages:
+        s = max(float(msg.nbytes), 1.0)
+        eta = s / (s + link.s_half_bytes)
+        cost = link.sw_overhead_s + msg.nbytes / (link.bandwidth_Bps * eta)
+        for key in (("send", msg.src), ("recv", msg.tile)):
+            busy[key] = busy.get(key, 0.0) + cost
+    return max(busy.values(), default=0.0)
+
+
+@st.composite
+def _schedules(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, n))
+    k = draw(st.integers(0, 40))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    tile = draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))
+    pixels = draw(st.lists(st.integers(0, 1 << 16), min_size=k, max_size=k))
+    return CompositeSchedule(n, m, TileDecomposition(16, 16, m), src, tile, pixels)
+
+
+class TestEndpointOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_schedules())
+    def test_endpoint_matches_per_message_sum(self, schedule):
+        m = CompositeTimeModel()
+        assert m.price(schedule).endpoint_s == _endpoint_oracle(m, schedule)
+
+    def test_hot_spot_receiver_dominates(self):
+        """Many renderers, one tile: the compositor's serialized receive
+        is the endpoint time, 32 renderers' worth of messages."""
+        n = 32
+        schedule = CompositeSchedule(
+            n, 1, TileDecomposition(16, 16, 1), range(n), [0] * n, [3125] * n
+        )
+        m = CompositeTimeModel()
+        priced = m.price(schedule).endpoint_s
+        assert priced == _endpoint_oracle(m, schedule)
+        one = m.c.link.sw_overhead_s + m.c.link.wire_s(float(schedule.sizes[0]))
+        assert priced == pytest.approx(n * one, rel=1e-12)

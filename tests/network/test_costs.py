@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network.costs import (
-    ContentionLaw,
-    LinkCostModel,
-    NetworkCostModel,
-    TreeCostModel,
-)
+from repro.machine.mapping import RankMapping
+from repro.machine.partition import Partition
+from repro.network.costs import ContentionLaw, LinkCostModel
+from repro.network.desnet import DESNetwork
 from repro.network.topology import TorusTopology
+from repro.sim.engine import Engine
+from repro.utils.errors import ConfigError
 
 
 class TestLinkCostModel:
@@ -27,23 +27,14 @@ class TestLinkCostModel:
         assert m.effective_bandwidth(256) < 0.15 * m.bandwidth_Bps
         assert m.effective_bandwidth(1 << 20) > 0.95 * m.bandwidth_Bps
 
-    def test_message_time_includes_latency_and_overhead(self):
+    def test_wire_grows_with_size(self):
         m = LinkCostModel()
-        t = m.message_time(0, hops=10)
-        assert t == pytest.approx(m.sw_overhead_s + 10 * m.hop_latency_s)
+        assert m.wire_s(1 << 20) > m.wire_s(1 << 10)
 
-    def test_message_time_grows_with_size(self):
+    def test_wire_clamps_zero_bytes_to_free(self):
         m = LinkCostModel()
-        assert m.message_time(1 << 20) > m.message_time(1 << 10)
-
-    def test_serialized_time_sums(self):
-        m = LinkCostModel()
-        one = m.serialized_time(np.array([1000]))
-        many = m.serialized_time(np.array([1000] * 10))
-        assert many == pytest.approx(10 * one)
-
-    def test_serialized_time_empty(self):
-        assert LinkCostModel().serialized_time(np.array([])) == 0.0
+        assert m.wire_s(0) == 0.0
+        assert np.array_equal(m.wire_s(np.array([0, 0])), [0.0, 0.0])
 
     @given(st.floats(min_value=1.0, max_value=1e12))
     def test_scalar_equals_array_element_bitwise(self, x):
@@ -54,6 +45,23 @@ class TestLinkCostModel:
         assert isinstance(x, float)
         assert m.eta(x) == m.eta(np.array([x]))[0]
         assert m.effective_bandwidth(x) == m.effective_bandwidth(np.array([x]))[0]
+
+    @given(
+        st.one_of(st.integers(min_value=0, max_value=1 << 40),
+                  st.floats(min_value=0.0, max_value=1e12)),
+        st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=4.0)),
+    )
+    def test_wire_scalar_equals_array_element_bitwise(self, nbytes, factor):
+        """``wire_s`` on a Python int/float (the DES's per-message path)
+        is the array form's element and today's spelled-out expression,
+        with and without a link window's ``factor``."""
+        m = LinkCostModel()
+        s = max(float(nbytes), 1.0)
+        spelled = nbytes / (m.effective_bandwidth(s) * factor)
+        assert m.wire_s(nbytes, factor) == spelled
+        assert m.wire_s(np.array([nbytes]), factor)[0] == spelled
+        if factor == 1.0:
+            assert m.wire_s(nbytes) == spelled
 
 
 class TestContentionLaw:
@@ -78,48 +86,22 @@ class TestContentionLaw:
         assert 0 < law.smallness(1 << 30) < law.smallness(1) <= 1.0
 
 
-class TestNetworkCostModel:
-    def test_empty_phase_is_free(self):
-        m = NetworkCostModel(TorusTopology((2, 2, 2)))
-        cost = m.phase_time(np.array([]), np.array([]), np.array([]))
-        assert cost.total_s == 0.0
-
-    def test_phase_cost_components(self):
-        topo = TorusTopology((4, 4, 4))
-        m = NetworkCostModel(topo)
-        rng = np.random.default_rng(0)
-        src = rng.integers(0, 64, 100)
-        dst = rng.integers(0, 64, 100)
-        sizes = np.full(100, 10_000)
-        cost = m.phase_time(src, dst, sizes)
-        assert cost.total_s >= max(cost.link_s, cost.send_s, cost.recv_s)
-        assert cost.num_messages == 100
-
-    def test_contention_can_be_disabled(self):
-        topo = TorusTopology((4, 4, 4))
-        m = NetworkCostModel(topo)
-        src = np.zeros(100_000, dtype=np.int64)
-        dst = np.ones(100_000, dtype=np.int64)
-        sizes = np.full(100_000, 64)
-        with_c = m.phase_time(src, dst, sizes, with_contention=True)
-        without = m.phase_time(src, dst, sizes, with_contention=False)
-        assert with_c.total_s > without.total_s
-        assert without.contention_s == 0.0
-
-    def test_hot_spot_receiver_dominates(self):
-        """Many senders to one node: receive serialization sets the time."""
-        topo = TorusTopology((4, 4, 4))
-        m = NetworkCostModel(topo)
-        src = np.arange(1, 33)
-        dst = np.zeros(32, dtype=np.int64)
-        cost = m.phase_time(src, dst, np.full(32, 50_000), with_contention=False)
-        assert cost.recv_s >= cost.send_s
+def _des_network(**kw):
+    part = Partition(4)
+    topo = TorusTopology(part.shape, torus=part.is_torus)
+    return DESNetwork(Engine(), topo, RankMapping(part), **kw)
 
 
-class TestTreeCostModel:
-    def test_collective_time_scales_log(self):
-        m = TreeCostModel()
-        t1k = m.collective_time(1024, 1024)
-        t4k = m.collective_time(1024, 4096)
-        assert t4k > t1k
-        assert t4k - t1k == pytest.approx(2 * m.hop_latency_s)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinkCostModel(sw_overhead_s=float("nan")),
+        lambda: ContentionLaw(delta_s=float("nan")),
+        lambda: _des_network(recv_overhead_s=float("nan")),
+    ],
+    ids=["link_sw_overhead", "contention_delta", "desnet_recv_overhead"],
+)
+def test_nan_cost_parameter_rejected(build):
+    """A NaN constant would price every message NaN, silently."""
+    with pytest.raises(ConfigError):
+        build()

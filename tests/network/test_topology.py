@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.topology import TorusTopology, TreeNetwork
+from repro.network.topology import TorusTopology
 from repro.utils.errors import ConfigError
 
 
@@ -133,19 +133,3 @@ class TestLinkLoads:
         a = torus.link_loads(src, dst, size, chunk=7)
         b = torus.link_loads(src, dst, size, chunk=10_000)
         assert np.array_equal(a.bytes_per_link, b.bytes_per_link)
-
-    def test_bisection_links(self):
-        assert TorusTopology((4, 4, 4), torus=True).bisection_links() == 2 * 4 * 4 * 2
-        assert TorusTopology((4, 4, 4), torus=False).bisection_links() == 2 * 4 * 4
-
-
-class TestTreeNetwork:
-    def test_depth_log2(self):
-        assert TreeNetwork(1024).depth == 10
-
-    def test_single_node(self):
-        assert TreeNetwork(1).depth == 1
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ConfigError):
-            TreeNetwork(0)

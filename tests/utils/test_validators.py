@@ -38,6 +38,8 @@ class TestValidators:
         check_non_negative("x", 0)
         with pytest.raises(ConfigError):
             check_non_negative("x", -1)
+        with pytest.raises(ConfigError):
+            check_non_negative("x", float("nan"))
 
     def test_check_power_of_two(self):
         check_power_of_two("p", 64)
