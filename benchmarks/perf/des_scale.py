@@ -24,13 +24,15 @@ job enforces: the phase must simulate in well under a minute.
 
 from __future__ import annotations
 
+from statistics import median
+
 
 def _timeit(fn, repeats: int):
     # Lazy so this module and ``suite`` can be imported in either
     # order (suite imports des_scale to build the registry).
-    from benchmarks.perf.suite import _timeit as timeit
+    from benchmarks.perf.suite import timed
 
-    return timeit(fn, repeats)
+    return timed(fn, repeats)
 
 #: Wall-clock ceiling (seconds) for the 2048-rank direct-send frame —
 #: the acceptance envelope the CI ``des-scale-smoke`` job enforces.
@@ -67,15 +69,15 @@ def bench_des_engine_loop(repeats: int = 3) -> dict:
         eng.run()
         return done[0]
 
-    seconds, finished = _timeit(run, repeats)
-    steps = nprocs * rounds
+    samples, finished = _timeit(run, repeats)
     return {
-        "name": "des_engine_loop",
         "guard": True,
         "config": {"processes": nprocs, "rounds": rounds},
-        "seconds": seconds,
-        "steps_per_second": steps / seconds,
-        "finished": int(finished),
+        "samples": samples,
+        "facts": {
+            "steps_per_second": nprocs * rounds / median(samples),
+            "finished": int(finished),
+        },
     }
 
 
@@ -108,14 +110,12 @@ def bench_des_future_resume(repeats: int = 3) -> dict:
         assert futures[links].value == links
         return hops[0]
 
-    seconds, hops = _timeit(run, repeats)
+    samples, hops = _timeit(run, repeats)
     return {
-        "name": "des_future_resume",
         "guard": True,
         "config": {"links": links},
-        "seconds": seconds,
-        "resumes_per_second": links / seconds,
-        "hops": int(hops),
+        "samples": samples,
+        "facts": {"resumes_per_second": links / median(samples), "hops": int(hops)},
     }
 
 
@@ -145,15 +145,16 @@ def bench_des_alltoallv_4096(repeats: int = 1) -> dict:
         world = MPIWorld.for_cores(p)
         return world.run(program)
 
-    seconds, res = _timeit(run, repeats)
+    samples, res = _timeit(run, repeats)
     return {
-        "name": "des_alltoallv_4096",
         "guard": True,
         "config": {"ranks": p, "fanout": ALLTOALLV_FANOUT},
-        "seconds": seconds,
-        "messages": int(res.messages),
-        "sim_elapsed_s": float(res.elapsed_s),
-        "messages_per_wall_second": res.messages / seconds,
+        "samples": samples,
+        "facts": {
+            "messages": int(res.messages),
+            "sim_elapsed_s": float(res.elapsed_s),
+            "messages_per_wall_second": res.messages / median(samples),
+        },
     }
 
 
@@ -211,9 +212,8 @@ def bench_des_directsend_2048(repeats: int = 1) -> dict:
         world = MPIWorld.for_cores(DIRECTSEND_RANKS)
         return world.run(program)
 
-    seconds, res = _timeit(run, repeats)
+    samples, res = _timeit(run, repeats)
     return {
-        "name": "des_directsend_2048",
         "guard": True,
         "config": {
             "ranks": DIRECTSEND_RANKS,
@@ -221,18 +221,19 @@ def bench_des_directsend_2048(repeats: int = 1) -> dict:
             "image": DIRECTSEND_IMAGE,
             "compositors": DIRECTSEND_RANKS,
         },
-        "seconds": seconds,
-        "wall_budget_s": DIRECTSEND_WALL_BUDGET_S,
-        "within_budget": seconds <= DIRECTSEND_WALL_BUDGET_S,
-        "schedule_messages": int(schedule.total_messages),
-        "sim_elapsed_s": float(res.elapsed_s),
-        "messages": int(res.messages),
+        "samples": samples,
+        "facts": {
+            "wall_budget_s": DIRECTSEND_WALL_BUDGET_S,
+            "schedule_messages": int(schedule.total_messages),
+            "sim_elapsed_s": float(res.elapsed_s),
+            "messages": int(res.messages),
+        },
     }
 
 
 DES_BENCHMARKS = {
-    "des_engine_loop": (bench_des_engine_loop, "BENCH_des.json"),
-    "des_future_resume": (bench_des_future_resume, "BENCH_des.json"),
-    "des_alltoallv_4096": (bench_des_alltoallv_4096, "BENCH_des.json"),
-    "des_directsend_2048": (bench_des_directsend_2048, "BENCH_des.json"),
+    "des_engine_loop": bench_des_engine_loop,
+    "des_future_resume": bench_des_future_resume,
+    "des_alltoallv_4096": bench_des_alltoallv_4096,
+    "des_directsend_2048": bench_des_directsend_2048,
 }

@@ -6,7 +6,7 @@ engine; its cost is bookkeeping per request, not numerics.  This
 benchmark times the committed flash-crowd capacity scenario end to
 end — 124 arrivals, 48 of them a single-frame spike — in two arms:
 
-* ``seconds`` (the guard metric): the full service, where the spike
+* ``samples`` (the guard metric): the full service, where the spike
   collapses onto one in-flight render;
 * ``cold_seconds``: coalescing and the edge tier disabled, so every
   repeat reaches the origin queue.
@@ -22,36 +22,34 @@ from __future__ import annotations
 
 
 def bench_farm_edge_serve(repeats: int = 5) -> dict:
-    from benchmarks.perf.suite import _timeit_stats
+    from statistics import median
+
+    from benchmarks.perf.suite import timed
     from repro.farm import flash_scenario
 
     warm = flash_scenario()
     cold = flash_scenario(coalesce=False, edge=False)
 
-    seconds, best, result = _timeit_stats(lambda: warm.run(), repeats)
-    cold_seconds, _cold_best, cold_result = _timeit_stats(
-        lambda: cold.run(), repeats
-    )
+    samples, result = timed(lambda: warm.run(), repeats)
+    cold_samples, cold_result = timed(lambda: cold.run(), repeats)
     assert result.accounting_failures() == []
     return {
-        "name": "farm_edge_serve",
         "guard": True,
         "config": {
             "arrivals": result.arrivals,
             "flash_requests": 48,
             "total_nodes": 2048,
         },
-        "seconds": seconds,
-        "best_seconds": best,
-        "cold_seconds": cold_seconds,
-        "requests_per_second": result.arrivals / seconds,
-        "rendered": result.rendered,
-        "coalesced": result.coalesced,
-        "edge_hits": result.edge_hits,
-        "cold_rendered": cold_result.rendered,
+        "samples": samples,
+        "facts": {
+            "cold_seconds": median(cold_samples),
+            "requests_per_second": result.arrivals / median(samples),
+            "rendered": result.rendered,
+            "coalesced": result.coalesced,
+            "edge_hits": result.edge_hits,
+            "cold_rendered": cold_result.rendered,
+        },
     }
 
 
-FARM_BENCHMARKS = {
-    "farm_edge_serve": (bench_farm_edge_serve, "BENCH_farm.json"),
-}
+FARM_BENCHMARKS = {"farm_edge_serve": bench_farm_edge_serve}

@@ -47,7 +47,6 @@ def bench_fault_overhead(repeats: int = 9) -> dict:
     """
     import gc
     import time
-    from statistics import median
 
     from repro.fault.plan import FaultPlan
     from repro.vmpi import MPIWorld
@@ -81,23 +80,17 @@ def bench_fault_overhead(repeats: int = 9) -> dict:
     finally:
         if gc_was_enabled:
             gc.enable()
-    plain_best = min(plain_times)
-    armed_best = min(armed_times)
-    overhead = armed_best / plain_best - 1.0
     return {
-        "name": "fault_overhead",
         "guard": True,
         "config": {"ranks": FAULT_RANKS, "grid": FAULT_GRID[0], "image": FAULT_IMAGE},
-        "seconds": float(median(plain_times)),
-        "armed_seconds": float(median(armed_times)),
-        "best_seconds": plain_best,
-        "armed_best_seconds": armed_best,
-        "overhead_frac": overhead,
-        "max_overhead_frac": MAX_OVERHEAD_FRAC,
-        "sim_elapsed_s": float(plain_res.elapsed_s),
+        "samples": plain_times,
+        "facts": {
+            "armed_best_seconds": min(armed_times),
+            "overhead_frac": min(armed_times) / min(plain_times) - 1.0,
+            "max_overhead_frac": MAX_OVERHEAD_FRAC,
+            "sim_elapsed_s": float(plain_res.elapsed_s),
+        },
     }
 
 
-FAULT_BENCHMARKS = {
-    "fault_overhead": (bench_fault_overhead, "BENCH_fault.json"),
-}
+FAULT_BENCHMARKS = {"fault_overhead": bench_fault_overhead}

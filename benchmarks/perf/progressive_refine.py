@@ -7,7 +7,7 @@ interactive scenario — a fidgety viewer whose exponential dwell
 usually moves the camera mid-ladder, plus a patient one whose ladders
 complete — and pins three things at once:
 
-* ``seconds`` (the guard metric): wall clock of serving the scenario.
+* ``samples`` (the guard metric): wall clock of serving the scenario.
   The ladder bookkeeping (level events, cancellation, per-level cache
   fills) is pure-python DES work; it must not drift up.
 * the paper-scale claim: mean TTFP at least 3x below the mean
@@ -53,10 +53,12 @@ def _interactive_model_scenario():
 
 
 def bench_progressive_refine(repeats: int = 3) -> dict:
-    from benchmarks.perf.suite import _timeit_stats
+    from statistics import median
+
+    from benchmarks.perf.suite import timed
 
     scenario = _interactive_model_scenario()
-    seconds, best, result = _timeit_stats(lambda: scenario.run(), repeats)
+    samples, result = timed(lambda: scenario.run(), repeats)
 
     failures = result.accounting_failures()
     if failures:
@@ -73,7 +75,6 @@ def bench_progressive_refine(repeats: int = 3) -> dict:
         raise RuntimeError("fidgety viewer cancelled nothing; scenario is broken")
 
     return {
-        "name": "progressive_refine_2048",
         "guard": True,
         "config": {
             "dataset": "1120",
@@ -81,19 +82,18 @@ def bench_progressive_refine(repeats: int = 3) -> dict:
             "levels": 4,
             "requests": result.arrivals,
         },
-        "seconds": seconds,
-        "best_seconds": best,
-        "requests_per_second": result.arrivals / seconds,
-        "ladders": stats["ladders"],
-        "cancelled": stats["cancelled"],
-        "levels_published": stats["levels_published"],
-        "cancelled_node_s": result.cancelled_node_s,
-        "ttfp_mean_s": stats["ttfp_s"]["mean"],
-        "full_latency_mean_s": stats["full_latency_s"]["mean"],
-        "ttfp_speedup": stats["ttfp_speedup"],
+        "samples": samples,
+        "facts": {
+            "requests_per_second": result.arrivals / median(samples),
+            "ladders": stats["ladders"],
+            "cancelled": stats["cancelled"],
+            "levels_published": stats["levels_published"],
+            "cancelled_node_s": result.cancelled_node_s,
+            "ttfp_mean_s": stats["ttfp_s"]["mean"],
+            "full_latency_mean_s": stats["full_latency_s"]["mean"],
+            "ttfp_speedup": stats["ttfp_speedup"],
+        },
     }
 
 
-PROGRESSIVE_BENCHMARKS = {
-    "progressive_refine_2048": (bench_progressive_refine, "BENCH_progressive.json"),
-}
+PROGRESSIVE_BENCHMARKS = {"progressive_refine_2048": bench_progressive_refine}

@@ -2,12 +2,13 @@
 
 Every benchmark is a function ``bench_*(repeats) -> dict`` returning::
 
-    {"name": ..., "config": {...}, "seconds": median-of-repeats,
-     "guard": bool, ...extra metrics...}
+    {"guard": bool, "config": {...}, "samples": [seconds, ...],
+     "facts": {...}}
 
-``guard: True`` entries are re-run and compared by the regression
-check; ``guard: False`` entries are recorded once (too slow, or too
-noisy to discriminate) and not re-timed on every guard run.
+and :mod:`benchmarks.perf.ledger` turns it into a ``BENCH.json``
+entry.  ``guard: True`` entries are re-timed by every guard run;
+``guard: False`` entries are recorded once (too slow to re-run) and
+kept as facts.
 
 Workloads are deterministic (fixed seeds, synthetic fields) so the
 committed numbers are reproducible on the machine that wrote them.
@@ -25,28 +26,15 @@ RENDER_IMAGE = 512  # ... rendered to a 512^2 image
 RENDER_STEP = 1.0
 
 
-def _timeit(fn, repeats: int) -> tuple[float, object]:
-    """Median wall-clock seconds of ``repeats`` calls + last result.
+def timed(fn, repeats: int) -> tuple[list[float], object]:
+    """Wall-clock seconds of ``repeats`` calls, and the last result.
 
     One untimed warmup call first: the initial call pays page faults
     on freshly built inputs and allocator growth, which would skew a
-    median of few repeats.
-    """
-    seconds, _best, result = _timeit_stats(fn, repeats)
-    return seconds, result
-
-
-def _timeit_stats(fn, repeats: int) -> tuple[float, float, object]:
-    """(median, best, last result) over ``repeats`` timed calls.
-
-    The median is the guard metric (robust to a single outlier); the
-    best-of-N is the standard microbenchmark throughput estimator —
-    timing noise on a shared host is strictly additive, so the minimum
-    is the closest observation to the true cost.
-
-    Garbage collection is disabled around the timed calls (as
-    :mod:`timeit` does): collector pauses triggered by *earlier*
-    benchmarks' garbage would otherwise bleed into this one's numbers.
+    median of few repeats.  Garbage collection is disabled around the
+    timed calls (as :mod:`timeit` does): collector pauses triggered by
+    *earlier* benchmarks' garbage would otherwise bleed into this
+    one's numbers.
     """
     import gc
 
@@ -64,7 +52,7 @@ def _timeit_stats(fn, repeats: int) -> tuple[float, float, object]:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return float(median(times)), float(min(times)), result
+    return times, result
 
 
 def synthetic_volume(n: int, seed: int = 1530) -> np.ndarray:
@@ -102,20 +90,23 @@ def _render_setup(n: int = RENDER_GRID, image: int = RENDER_IMAGE):
 
 def bench_render_kernel(repeats: int = 3) -> dict:
     """The ray-marching kernel on one whole volume: ~150K rays in
-    4-sample windows, almost no padding."""
+    4-sample windows, almost no padding.  Its facts also carry the
+    block-vs-serial equivalence error (:func:`render_equivalence_maxdiff`)."""
     from repro.render.raycast import render_block
 
     block, camera, tf = _render_setup()
-    seconds, partial = _timeit(
+    samples, partial = timed(
         lambda: render_block(camera, block, tf, step=RENDER_STEP), repeats
     )
     return {
-        "name": "render_kernel_compacted",
         "guard": True,
         "config": {"grid": RENDER_GRID, "image": RENDER_IMAGE, "step": RENDER_STEP},
-        "seconds": seconds,
-        "samples": int(partial.samples),
-        "samples_per_second": partial.samples / seconds,
+        "samples": samples,
+        "facts": {
+            "ray_samples": int(partial.samples),
+            "samples_per_second": partial.samples / median(samples),
+            "serial_equivalence_maxdiff": render_equivalence_maxdiff(),
+        },
     }
 
 
@@ -160,14 +151,15 @@ def bench_render_blocks_64(repeats: int = 5) -> dict:
                 samples += partial.samples
         return samples
 
-    seconds, samples = _timeit(frame, repeats)
+    samples, ray_samples = timed(frame, repeats)
     return {
-        "name": "render_blocks_64",
         "guard": True,
         "config": {"grid": 64, "blocks": 64, "ghost": 1, "image": 256, "step": RENDER_STEP},
-        "seconds": seconds,
-        "samples": int(samples),
-        "samples_per_second": samples / seconds,
+        "samples": samples,
+        "facts": {
+            "ray_samples": int(ray_samples),
+            "samples_per_second": ray_samples / median(samples),
+        },
     }
 
 
@@ -204,13 +196,12 @@ def bench_composite(repeats: int = 5) -> dict:
         rgba[..., :3] *= rgba[..., 3:4]  # premultiplied
         partials.append(PartialImage((x0, y0, w, h), rgba, depth=float(rng.random())))
     canvas = blank_image(size, size)
-    seconds, _ = _timeit(lambda: composite_over(canvas, partials), repeats)
+    samples, _ = timed(lambda: composite_over(canvas, partials), repeats)
     return {
-        "name": "composite_over",
         "guard": True,
         "config": {"canvas": size, "fragments": len(partials)},
-        "seconds": seconds,
-        "fragments_per_second": len(partials) / seconds,
+        "samples": samples,
+        "facts": {"fragments_per_second": len(partials) / median(samples)},
     }
 
 
@@ -239,13 +230,12 @@ def bench_two_phase_plan(repeats: int = 5) -> dict:
     def plan():
         return plan_two_phase(intervals, hints, file_size)
 
-    seconds, plan_result = _timeit(plan, repeats)
+    samples, plan_result = timed(plan, repeats)
     return {
-        "name": "two_phase_plan",
         "guard": True,
         "config": {"grid": n, "nprocs": nprocs, "cb_nodes": 32},
-        "seconds": seconds,
-        "physical_accesses": int(plan_result.num_accesses),
+        "samples": samples,
+        "facts": {"physical_accesses": int(plan_result.num_accesses)},
     }
 
 
@@ -268,34 +258,35 @@ def bench_collective_read_blocks(repeats: int = 5) -> dict:
     blocks = [(b.start, b.count) for b in BlockDecomposition(grid, nprocs).blocks()]
     hints = IOHints()
 
-    seconds, (_arrays, report) = _timeit(
+    samples, (_arrays, report) = timed(
         lambda: collective_read_blocks(handle, blocks, hints), repeats
     )
     return {
-        "name": "collective_read_blocks_128",
         "guard": True,
         "config": {"grid": n, "nprocs": nprocs, "variables": 5},
-        "seconds": seconds,
-        "physical_accesses": int(report.num_accesses),
-        "density": report.density,
-        "read_MBps": report.requested_bytes / seconds / 1e6,
+        "samples": samples,
+        "facts": {
+            "physical_accesses": int(report.num_accesses),
+            "density": report.density,
+            "read_MBps": report.requested_bytes / median(samples) / 1e6,
+        },
     }
 
 
-#: name -> (function, which baseline file it belongs to)
+#: name -> bench function
 BENCHMARKS = {
-    "render_kernel_compacted": (bench_render_kernel, "BENCH_render.json"),
-    "render_blocks_64": (bench_render_blocks_64, "BENCH_render.json"),
-    "composite_over": (bench_composite, "BENCH_render.json"),
-    "two_phase_plan": (bench_two_phase_plan, "BENCH_pipeline.json"),
-    "collective_read_blocks_128": (bench_collective_read_blocks, "BENCH_pipeline.json"),
+    "render_kernel_compacted": bench_render_kernel,
+    "render_blocks_64": bench_render_blocks_64,
+    "composite_over": bench_composite,
+    "two_phase_plan": bench_two_phase_plan,
+    "collective_read_blocks_128": bench_collective_read_blocks,
 }
 
 
 def _register_des() -> None:
-    # The DES-scale suite lives in its own module; imported lazily at
-    # the end so ``suite`` stays importable on its own (des_scale
-    # imports ``_timeit`` from here).
+    # The other benches live in their own modules; imported lazily at
+    # the end so ``suite`` stays importable on its own (they import
+    # ``timed`` from here).
     from benchmarks.perf.compositing_shootout import COMPOSITING_BENCHMARKS
     from benchmarks.perf.des_scale import DES_BENCHMARKS
     from benchmarks.perf.farm_serve import FARM_BENCHMARKS

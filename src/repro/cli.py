@@ -22,9 +22,9 @@ The commands cover the tour a new user takes:
   rendered frame must be read back from disk first.
 * ``scorecard`` — the calibration-vs-paper fidelity table.
 * ``inventory`` — the modeled machine and storage system.
-* ``bench``     — run the perf microbenchmarks against the committed
-  ``BENCH_*.json`` baselines and fail on regression (``--update``
-  regenerates the baselines).
+* ``bench``     — time the perf microbenchmarks against the committed
+  ``BENCH.json`` ledger and fail on regression (``--update`` records
+  fresh entries, ``--list`` prints the before/after table).
 * ``farm``      — run a multi-tenant rendering-service traffic scenario
   (request queue, partition scheduler, frame caches) and report latency
   percentiles, SLO attainment, utilization, and cache hit rates.
@@ -239,29 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the perf microbenchmarks / regression guard"
     )
     p_bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional slowdown before failing (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--update", action="store_true",
-        help="regenerate the committed BENCH_*.json baselines",
-    )
-    p_bench.add_argument(
         "--only", nargs="+", metavar="NAME", default=None,
-        help="restrict the guard to these benchmark names",
+        help="run these benches instead of every guarded one",
     )
-    p_bench.add_argument(
+    bench_mode = p_bench.add_mutually_exclusive_group()
+    bench_mode.add_argument(
+        "--update", action="store_true",
+        help="re-run and record the selected entries in BENCH.json",
+    )
+    bench_mode.add_argument(
         "--list", action="store_true",
-        help="list the registered benchmarks and their baselines, then exit",
+        help="print the before/after table and exit",
     )
-    p_bench.add_argument(
+    bench_mode.add_argument(
         "--profile", action="store_true",
-        help="run each benchmark under cProfile and print the top "
-        "cumulative-time functions instead of checking regressions",
-    )
-    p_bench.add_argument(
-        "--profile-lines", type=int, default=25, metavar="N",
-        help="rows of the per-benchmark profile table (default 25)",
+        help="print each bench's per-layer self time and top cumulative "
+        "functions instead of guarding",
     )
 
     p_farm = sub.add_parser(
@@ -712,31 +705,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import importlib.util
     import pathlib
 
-    # The guard lives in benchmarks/perf/ (it is repo tooling, not part
+    # The ledger lives in benchmarks/perf/ (it is repo tooling, not part
     # of the installable package); locate it relative to the source
     # tree and fall back to a clear error when run from an install.
-    repo_root = pathlib.Path(__file__).resolve().parents[2]
-    guard = repo_root / "benchmarks" / "perf" / "check_regression.py"
-    if not guard.exists():
-        print(
-            "error: benchmarks/perf/check_regression.py not found — "
-            "`repro bench` must run from a source checkout",
-            file=sys.stderr,
-        )
+    ledger = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "ledger.py"
+    if not ledger.exists():
+        print("error: benchmarks/perf/ledger.py not found — "
+              "`repro bench` must run from a source checkout", file=sys.stderr)
         return 2
-    spec = importlib.util.spec_from_file_location("repro_perf_guard", guard)
+    spec = importlib.util.spec_from_file_location("repro_perf_ledger", ledger)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # type: ignore[union-attr]
-    argv = ["--tolerance", str(args.tolerance)]
-    if args.update:
-        argv.append("--update")
-    if args.only:
-        argv.extend(["--only", *args.only])
-    if args.list:
-        argv.append("--list")
-    if args.profile:
-        argv.extend(["--profile", "--profile-lines", str(args.profile_lines)])
-    return module.main(argv)
+    flags = [f"--{f}" for f in ("update", "list", "profile") if getattr(args, f)]
+    return module.main(flags + (["--only", *args.only] if args.only else []))
 
 
 def cmd_farm(args: argparse.Namespace) -> int:

@@ -48,6 +48,7 @@ from repro.sim.engine import Engine
 from repro.sim.events import Future
 from repro.storage.contention import DISCIPLINES, SharedStorageStation
 from repro.utils.errors import ConfigError
+from repro.utils.validation import check_int
 
 #: Tracer lanes of the campaign trace: the storage pipeline vs compute.
 IO_LANE = 0
@@ -120,6 +121,15 @@ class PipelineTimeline:
         return row_failures(rows)
 
 
+def check_pipeline(prefetch_depth: int, discipline: str) -> int:
+    """The pipeline's knobs, validated; returns the depth as an int."""
+    if discipline not in DISCIPLINES:
+        raise ConfigError(
+            f"unknown contention discipline {discipline!r}; choose from {DISCIPLINES}"
+        )
+    return check_int("prefetch_depth", prefetch_depth, 0)
+
+
 def simulate_pipeline(
     io_seconds: Sequence[float],
     compute_seconds: Sequence[float],
@@ -144,12 +154,7 @@ def simulate_pipeline(
             f"stage cost lists disagree: {len(io_seconds)} io vs "
             f"{len(compute_seconds)} compute entries"
         )
-    if prefetch_depth < 0:
-        raise ConfigError(f"prefetch_depth must be >= 0, got {prefetch_depth}")
-    if discipline not in DISCIPLINES:
-        raise ConfigError(
-            f"unknown contention discipline {discipline!r}; choose from {DISCIPLINES}"
-        )
+    prefetch_depth = check_pipeline(prefetch_depth, discipline)
     n = len(io_seconds)
     if n == 0:
         return PipelineTimeline([], prefetch_depth, discipline)
@@ -397,15 +402,8 @@ class PipelinedTimeSeriesRenderer:
         prefetch_depth: int = 1,
         discipline: str = "fifo",
     ):
-        if prefetch_depth < 0:
-            raise ConfigError(f"prefetch_depth must be >= 0, got {prefetch_depth}")
-        if discipline not in DISCIPLINES:
-            raise ConfigError(
-                f"unknown contention discipline {discipline!r}; "
-                f"choose from {DISCIPLINES}"
-            )
         self.renderer = renderer
-        self.prefetch_depth = int(prefetch_depth)
+        self.prefetch_depth = check_pipeline(prefetch_depth, discipline)
         self.discipline = discipline
 
     def render(

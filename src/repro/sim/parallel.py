@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.utils.errors import ConfigError, SimulationError
+from repro.utils.validation import check_int
 
 _INF = float("inf")
 
@@ -62,8 +63,7 @@ class ParallelConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        check_int("workers", self.workers, 1)
 
 
 class WorkerFailed(SimulationError):

@@ -6,8 +6,8 @@ per shard.  The shard count is a property of the *machine*, not of
 the worker count: results are a deterministic function of
 ``(program, machine)``, and any number of OS workers executing the
 fixed shard set produces bitwise-identical results.  Eight shards
-divide evenly among 1/2/4/8 workers — the strong-scaling points
-BENCH_parallel.json records.
+divide evenly among 1/2/4/8 workers — the strong-scaling points of
+the ``parallel_strong_scaling_8192`` entry in BENCH.json.
 """
 
 from __future__ import annotations

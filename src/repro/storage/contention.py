@@ -84,7 +84,7 @@ class SharedStorageStation:
 
     def submit(self, demand_s: float) -> Future:
         """Offer one read of ``demand_s`` seconds; returns its done future."""
-        if demand_s < 0:
+        if not demand_s >= 0:
             raise ConfigError(f"read demand must be >= 0, got {demand_s!r}")
         eng = self.engine
         svc = ReadService(index=len(self.services), demand_s=float(demand_s),

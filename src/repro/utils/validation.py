@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import types
 import typing
 from typing import Any, Iterable, Mapping, Sequence
@@ -25,6 +26,14 @@ def check_non_negative(name: str, value: float) -> None:
     """Raise :class:`ConfigError` unless ``value`` is >= 0 (NaN is not)."""
     if not value >= 0:
         raise ConfigError(f"{name} must be >= 0, got {value!r}")
+
+
+def check_int(name: str, value: object, minimum: int) -> int:
+    """Return ``value`` as an int, or raise :class:`ConfigError` unless it
+    is an integer (``bool`` is not) and >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_power_of_two(name: str, value: int) -> None:

@@ -11,6 +11,7 @@ from matching each other.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Generator
 
 import numpy as np
@@ -394,3 +395,41 @@ def scan(ctx: Any, value: Any, op: Any = "sum") -> Generator:
 def _check_root(root: int, p: int) -> None:
     if not (0 <= root < p):
         raise CommunicationError(f"root {root} out of range [0, {p})")
+
+
+def _verb(algorithm: Any) -> Any:
+    """A context method running ``algorithm`` over the context, traced."""
+
+    @functools.wraps(algorithm)
+    def verb(self: Any, *args: Any, **kwargs: Any) -> Generator:
+        return (yield from traced(self, algorithm.__name__, algorithm(self, *args, **kwargs)))
+
+    return verb
+
+
+class Communicator:
+    """The collective verbs and ``split``, shared by the world's
+    :class:`~repro.vmpi.context.RankContext` and every split group.
+
+    Each verb runs this module's algorithm over ``self`` inside
+    :func:`traced`; a group carries no tracer, so its collectives stay
+    untraced.  Call them with ``yield from``.
+    """
+
+    barrier = _verb(barrier)
+    bcast = _verb(bcast)
+    reduce = _verb(reduce)
+    allreduce = _verb(allreduce)
+    gather = _verb(gather)
+    scatter = _verb(scatter)
+    allgather = _verb(allgather)
+    alltoall = _verb(alltoall)
+    alltoallv = _verb(alltoallv)
+    reduce_scatter = _verb(reduce_scatter)
+    scan = _verb(scan)
+
+    def split(self, color: Any, key: int | None = None) -> Generator:
+        """Collective MPI_Comm_split: returns this rank's group context."""
+        from repro.vmpi.split import split
+
+        return (yield from split(self, color, key))

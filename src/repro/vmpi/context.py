@@ -20,7 +20,7 @@ def _payload_of(value: Any) -> Any:
     return value
 
 
-class RankContext:
+class RankContext(collectives.Communicator):
     """What a rank program sees: its rank, the world size, and verbs.
 
     All communication methods are generators — call them with
@@ -115,61 +115,12 @@ class RankContext:
         """Wait for every request; returns the list of receive payloads."""
         return [v if v is None else _payload_of(v) for v in (yield AllOf(reqs))]
 
-    # -- collectives ---------------------------------------------------------
-
-    def barrier(self) -> Generator:
-        return (yield from collectives.traced(self, "barrier", collectives.barrier(self)))
+    # -- collectives: the rest are Communicator's; a group has no GI network
 
     def gi_barrier(self) -> Generator:
         """Hardware barrier on the global-interrupt network (no torus traffic)."""
         return (yield from collectives.traced(
             self, "gi_barrier", collectives.gi_barrier(self)))
-
-    def bcast(self, data: Any, root: int = 0) -> Generator:
-        return (yield from collectives.traced(
-            self, "bcast", collectives.bcast(self, data, root)))
-
-    def reduce(self, value: Any, op: Any = "sum", root: int = 0) -> Generator:
-        return (yield from collectives.traced(
-            self, "reduce", collectives.reduce(self, value, op, root)))
-
-    def allreduce(self, value: Any, op: Any = "sum") -> Generator:
-        return (yield from collectives.traced(
-            self, "allreduce", collectives.allreduce(self, value, op)))
-
-    def gather(self, value: Any, root: int = 0) -> Generator:
-        return (yield from collectives.traced(
-            self, "gather", collectives.gather(self, value, root)))
-
-    def scatter(self, values: Any, root: int = 0) -> Generator:
-        return (yield from collectives.traced(
-            self, "scatter", collectives.scatter(self, values, root)))
-
-    def allgather(self, value: Any) -> Generator:
-        return (yield from collectives.traced(
-            self, "allgather", collectives.allgather(self, value)))
-
-    def alltoall(self, values: Any) -> Generator:
-        return (yield from collectives.traced(
-            self, "alltoall", collectives.alltoall(self, values)))
-
-    def alltoallv(self, by_dest: dict[int, Any]) -> Generator:
-        return (yield from collectives.traced(
-            self, "alltoallv", collectives.alltoallv(self, by_dest)))
-
-    def split(self, color: Any, key: int | None = None) -> Generator:
-        """Collective MPI_Comm_split: returns this rank's group context."""
-        from repro.vmpi.split import split as _split
-
-        return (yield from _split(self, color, key))
-
-    def reduce_scatter(self, values: Any, op: Any = "sum") -> Generator:
-        return (yield from collectives.traced(
-            self, "reduce_scatter", collectives.reduce_scatter(self, values, op)))
-
-    def scan(self, value: Any, op: Any = "sum") -> Generator:
-        return (yield from collectives.traced(
-            self, "scan", collectives.scan(self, value, op)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RankContext {self.rank}/{self.size}>"

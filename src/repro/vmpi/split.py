@@ -49,7 +49,7 @@ def split(ctx: Any, color: Any, key: int | None = None) -> Generator:
     return SubContext(ctx, members, namespace)
 
 
-class SubContext:
+class SubContext(collectives.Communicator):
     """A group view over a parent context (same board, translated ranks)."""
 
     def __init__(self, parent: Any, members: Iterable[int], tag_base: int):
@@ -133,44 +133,6 @@ class SubContext:
 
     def waitall(self, reqs) -> Generator:
         return self.parent.waitall(reqs)
-
-    # -- collectives (the shared algorithms, over this group) -----------------
-
-    def barrier(self) -> Generator:
-        return collectives.barrier(self)
-
-    def bcast(self, data: Any, root: int = 0) -> Generator:
-        return collectives.bcast(self, data, root)
-
-    def reduce(self, value: Any, op: Any = "sum", root: int = 0) -> Generator:
-        return collectives.reduce(self, value, op, root)
-
-    def allreduce(self, value: Any, op: Any = "sum") -> Generator:
-        return collectives.allreduce(self, value, op)
-
-    def gather(self, value: Any, root: int = 0) -> Generator:
-        return collectives.gather(self, value, root)
-
-    def scatter(self, values: Any, root: int = 0) -> Generator:
-        return collectives.scatter(self, values, root)
-
-    def allgather(self, value: Any) -> Generator:
-        return collectives.allgather(self, value)
-
-    def alltoall(self, values: Any) -> Generator:
-        return collectives.alltoall(self, values)
-
-    def alltoallv(self, by_dest: dict[int, Any]) -> Generator:
-        return collectives.alltoallv(self, by_dest)
-
-    def reduce_scatter(self, values: Any, op: Any = "sum") -> Generator:
-        return collectives.reduce_scatter(self, values, op)
-
-    def scan(self, value: Any, op: Any = "sum") -> Generator:
-        return collectives.scan(self, value, op)
-
-    def split(self, color: Any, key: int | None = None) -> Generator:
-        return split(self, color, key)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SubContext {self.rank}/{self.size} of {self.parent!r}>"

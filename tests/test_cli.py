@@ -324,7 +324,12 @@ class TestBenchCLI:
         assert rc == 0
         text = capsys.readouterr().out
         assert "progressive_refine_2048" in text
-        assert "BENCH_progressive.json" in text
+        assert "before" in text and "recorded" in text
+
+    def test_no_tolerance_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--tolerance", "1.5"])
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
     def test_unknown_only_name_is_a_clean_error(self, capsys):
         rc = main(["bench", "--only", "no_such_kernel"])

@@ -1,7 +1,10 @@
 """Argument validators and the error hierarchy."""
 
+import numpy as np
 import pytest
 
+from repro.core.timeseries import PipelinedTimeSeriesRenderer, simulate_pipeline
+from repro.sim.parallel import ParallelConfig
 from repro.utils.errors import (
     CommunicationError,
     ConfigError,
@@ -12,6 +15,7 @@ from repro.utils.errors import (
     StorageError,
 )
 from repro.utils.validation import (
+    check_int,
     check_non_negative,
     check_positive,
     check_power_of_two,
@@ -55,6 +59,32 @@ class TestValidators:
             check_shape3("s", (1, 0, 2))
         with pytest.raises(ConfigError):
             check_shape3("s", "abc")
+
+
+NAN = float("nan")
+
+#: Integer knobs given a non-integer, and a NaN read demand: each once
+#: reached a raw TypeError mid-run, ran silently, or truncated.
+KNOB_CASES = {
+    "workers=2.5": lambda: ParallelConfig(workers=2.5),
+    "workers='2'": lambda: ParallelConfig(workers="2"),
+    "workers=True": lambda: ParallelConfig(workers=True),
+    "simulate depth=1.5": lambda: simulate_pipeline([1.0], [1.0], prefetch_depth=1.5),
+    "simulate depth=nan": lambda: simulate_pipeline([1.0], [1.0], prefetch_depth=NAN),
+    "renderer depth=1.5": lambda: PipelinedTimeSeriesRenderer(None, prefetch_depth=1.5),
+    "read demand nan": lambda: simulate_pipeline([NAN], [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOB_CASES))
+def test_bad_knob_is_a_config_error(case):
+    with pytest.raises(ConfigError):
+        KNOB_CASES[case]()
+
+
+def test_check_int_accepts_numpy_ints():
+    assert check_int("n", np.int64(3), 1) == 3
+    assert ParallelConfig(workers=np.int32(2)).workers == 2
 
 
 class TestErrorHierarchy:
