@@ -273,6 +273,49 @@ def bench_collective_read_blocks(repeats: int = 5) -> dict:
     }
 
 
+#: What a user pays to get a dataset: a fresh interpreter imports
+#: ``repro.data``, synthesizes a 64^3 model and writes its netCDF file,
+#: then reports its own peak RSS and whether scipy was loaded.
+_DATASET_COLD = """
+import json, resource, sys
+import repro.data
+from repro.data import SupernovaModel, write_vh1_netcdf
+write_vh1_netcdf(SupernovaModel((64, 64, 64), seed=1530, time=0.5))
+print(json.dumps({
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "scipy_loaded": "scipy" in sys.modules,
+}))
+"""
+
+
+def bench_dataset_cold_64(repeats: int = 2) -> dict:
+    """One cold dataset build, interpreter start and imports included:
+    the set-up every CLI render and functional e2e workload pays."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+
+    def build() -> dict:
+        run = subprocess.run(
+            [sys.executable, "-c", _DATASET_COLD], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        return json.loads(run.stdout)
+
+    samples, child = timed(build, repeats)
+    return {
+        "guard": True,
+        "config": {"grid": 64, "variables": 5, "format": "netcdf"},
+        "samples": samples,
+        "facts": child,
+    }
+
+
 #: name -> bench function
 BENCHMARKS = {
     "render_kernel_compacted": bench_render_kernel,
@@ -280,6 +323,7 @@ BENCHMARKS = {
     "composite_over": bench_composite,
     "two_phase_plan": bench_two_phase_plan,
     "collective_read_blocks_128": bench_collective_read_blocks,
+    "dataset_cold_64": bench_dataset_cold_64,
 }
 
 

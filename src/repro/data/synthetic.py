@@ -15,12 +15,58 @@ need; no astrophysics is claimed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.errors import ConfigError
-from repro.utils.validation import check_shape3
+from repro.utils.validation import check_int, check_shape3
 
 VARIABLES = ("pressure", "density", "vx", "vy", "vz")
+
+#: Output values per block in :func:`_gaussian_smooth`.  With its padded
+#: input and scratch that is ~0.5 MB, small enough to stay in a typical
+#: L2 cache across the 3r + 1 numpy passes a block takes.
+_BLOCK = 16384
+
+
+def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(a, sigma, mode="nearest")`` for a
+    3-D float64 array, bit for bit.
+
+    It repeats scipy's arithmetic operation for operation: the same
+    normalized kernel of radius ``int(4 sigma + 0.5)``; axes 0, 1, 2 in
+    turn, each on the previous axis's float64 output, with edge-replicated
+    padding; and, per output value, the symmetric correlation
+    ``x[0] w[r]`` followed by ``+ (x[-k] + x[k]) w[r-k]`` for ``k = r .. 1``.
+    The filtered axis is moved to the middle of a padded copy, so every
+    tap is one numpy pass over contiguous slabs of a cache-sized block.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = w / w.sum()
+    for axis in range(3):
+        b = np.moveaxis(a, axis, 1)
+        u, n, v = b.shape
+        padded = np.empty((u, n + 2 * r, v))
+        padded[:, r : r + n] = b
+        padded[:, :r] = b[:, :1]
+        padded[:, r + n :] = b[:, -1:]
+        out = np.empty((u, n, v))
+        rows = max(1, _BLOCK // (n * v))
+        tmp = np.empty((rows, n, v))
+        for i in range(0, u, rows):
+            src = padded[i : i + rows]
+            acc = out[i : i + rows]
+            pair = tmp[: len(src)]
+            np.multiply(src[:, r : r + n], w[r], out=acc)
+            for k in range(r, 0, -1):
+                np.add(src[:, r - k : r - k + n], src[:, r + k : r + k + n], out=pair)
+                pair *= w[r - k]
+                acc += pair
+        a = np.moveaxis(out, 1, axis)
+    return np.ascontiguousarray(a)
 
 
 class SupernovaModel:
@@ -28,8 +74,10 @@ class SupernovaModel:
 
     def __init__(self, grid_shape: tuple[int, int, int], seed: int = 1530, time: float = 0.0):
         self.grid_shape = check_shape3("grid_shape", grid_shape)
-        self.seed = int(seed)
+        self.seed = check_int("seed", seed, 0)
         self.time = float(time)
+        if not math.isfinite(self.time):
+            raise ConfigError(f"time must be finite, got {time!r}")
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -46,13 +94,9 @@ class SupernovaModel:
 
     def _turbulence(self, channel: int, smooth_vox: float) -> np.ndarray:
         """Band-limited noise: white noise, Gaussian smoothed, normalized."""
-        # Here, not at module top: `import repro` must not pay scipy's
-        # ~0.3 s and ~30 MB for commands that never build a dataset.
-        from scipy import ndimage
-
         rng = np.random.default_rng(self.seed * 7 + channel)
         noise = rng.standard_normal(self.grid_shape)
-        smooth = ndimage.gaussian_filter(noise, sigma=smooth_vox, mode="nearest")
+        smooth = _gaussian_smooth(noise, smooth_vox)
         scale = smooth.std()
         return smooth / scale if scale > 0 else smooth
 

@@ -242,6 +242,19 @@ class TestCLI:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--time", "nan")])
+    def test_bad_dataset_seed_or_time_returns_2_and_writes_nothing(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "x.ppm"
+        rc = main([
+            "render", "--grid", "8", "--cores", "4", "--image", "8",
+            flag, value, "--out", str(out),
+        ])
+        assert rc == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProgressiveCLI:
     def test_check_verifies_bitwise_final(self, tmp_path, capsys):
