@@ -5,11 +5,12 @@ partners exchange complementary halves of their current image region
 and blend; afterwards each rank owns 1/p of the fully composited image.
 
 Correct blending order without per-pixel depth sorting requires the
-pairing to follow a spatial kd-split of the *data*: partners must hold
-sub-volumes separated by a plane, so "front" is decided by which side
-of the plane the eye is on.  This implementation pairs ranks along the
-block grid's axes (highest bit first), which is exactly the kd-tree of
-a regular power-of-two decomposition.
+pairing to follow a spatial kd-split of the *data*: partners hold
+sub-volumes separated by a plane, and the one whose box has the smaller
+:meth:`~repro.render.camera.Camera.visibility_key` — the key every
+compositor sorts by — is in front.  This implementation pairs ranks
+along the block grid's axes, which is exactly the kd-tree of a regular
+power-of-two decomposition.
 
 Requires p = number of blocks with a power-of-two block grid in every
 axis, one block per rank (rank == block index).

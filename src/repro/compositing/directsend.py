@@ -3,10 +3,10 @@
 The algorithm (Sec. III-B3): each renderer crops its partial image
 against every tile its footprint overlaps and sends the piece to that
 tile's compositor.  Compositors — the first m ranks, which also render
-— receive the pieces the static schedule predicts, sort them by block
-depth, and blend front to back.  "The reduction from n to m occurs
-automatically as part of the compositing step and incurs no additional
-cost."
+— receive the pieces the static schedule predicts, sort them by their
+block's :meth:`~repro.render.camera.Camera.visibility_key`, and blend
+front to back.  "The reduction from n to m occurs automatically as
+part of the compositing step and incurs no additional cost."
 
 Every rank runs the same generator; the schedule tells it what to send
 and (if it owns a tile) what to expect.

@@ -9,8 +9,12 @@ count against message size — exactly the trade-off Sec. IV-A of this
 paper manages by limiting compositors.
 
 This implementation pairs rounds with the axes of the regular block
-grid (the kd ordering that makes blending order unambiguous): each
-axis contributes rounds whose radices multiply to the axis extent.
+grid: each axis contributes rounds whose radices multiply to the axis
+extent.  A member's round image covers a box — its slab on the round's
+axis, the full span of axes already reduced, its own column on the
+rest — and the group blends in the order of those boxes'
+:meth:`~repro.render.camera.Camera.visibility_key`, the one key every
+compositor sorts by, so any eye position works.
 Requirements: one block per rank; each axis extent equals the product
 of its radices.
 """
@@ -99,12 +103,13 @@ def radix_k_compose(
     bz = ctx.rank // (bgx * bgy)
     coords = {"z": bz, "y": by, "x": bx}
     strides = {"x": 1, "y": bgx, "z": bgx * bgy}
-    eye = {"x": camera.eye[0], "y": camera.eye[1], "z": camera.eye[2]}
-    edges = {
-        "z": decomposition._edges[0],
-        "y": decomposition._edges[1],
-        "x": decomposition._edges[2],
-    }
+    block_lo, block_hi = decomposition.world_bounds()
+    # Block coordinates of the first and last block of the box this
+    # rank's image covers: its own block before the first round.
+    first, last = dict(coords), dict(coords)
+
+    def index(c: dict[str, int]) -> int:
+        return sum(c[a] * strides[a] for a in c)
 
     split_horizontal = False
     seq = 0
@@ -122,12 +127,17 @@ def radix_k_compose(
                 ctx.rank + ((base_coord + j * group_size) - coords[axis]) * strides[axis]
                 for j in range(radix)
             ]
-            # Depth order of the members' (contiguous) slabs along the
-            # axis: ascending coordinate, flipped if the eye is on the
-            # high side of the group's span.
-            span_lo = float(edges[axis][base_coord])
-            span_hi = float(edges[axis][min(base_coord + radix * group_size, len(edges[axis]) - 1)])
-            ascending_is_front = eye[axis] < (span_lo + span_hi) / 2.0
+            # Member j's image covers its slab on this axis and this
+            # rank's box on the others; blend in the boxes' visibility
+            # order, equal keys by digit.
+            start = first[axis] - digit * group_size  # the group's first coordinate
+            keys = [
+                camera.visibility_key(
+                    block_lo[index({**first, axis: start + j * group_size})],
+                    block_hi[index({**last, axis: start + (j + 1) * group_size - 1})],
+                )
+                for j in range(radix)
+            ]
 
             pieces_rects = _split_k(region, radix, split_horizontal)
             split_horizontal = not split_horizontal
@@ -147,12 +157,13 @@ def radix_k_compose(
                 payload, _status = yield from ctx.recv_status(tag=tag)
                 collected.append(payload)
             yield from ctx.waitall(reqs)
-            collected.sort(key=lambda t: t[0], reverse=not ascending_is_front)
+            collected.sort(key=lambda t: (keys[t[0]], t[0]))
             acc = collected[0][1]
             for _j, img in collected[1:]:
                 acc = over(acc, img)
             image = acc
             region = mine
+            first[axis], last[axis] = start, start + radix * group_size - 1
             group_size *= radix  # combined slab grows; next digit's place
     return region, image
 

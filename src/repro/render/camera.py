@@ -239,11 +239,19 @@ class Camera:
         x0, y0, w, h = self.footprints(np.asarray(lo)[None], np.asarray(hi)[None])[0].tolist()
         return (x0, y0, w, h) if w else None
 
-    def depth_of(self, point: np.ndarray) -> float:
-        """The compositing sort key: eye distance (perspective) or
-        distance along the view axis (orthographic — where all rays
-        share one direction, axial depth is the correct order)."""
-        rel = np.asarray(point, dtype=np.float64) - self.eye
+    def visibility_key(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        """The sort-last blending order: the key of the world AABB a
+        piece covers; smaller composites in front.
+
+        Perspective: the L1 gap from the eye to the box,
+        ``sum_a max(lo_a - e_a, 0, e_a - hi_a)``.  A ray crossing an
+        axis-aligned cut keeps the other axes' gaps and raises the cut
+        axis's (every coordinate is monotonic along it), so the key
+        rises strictly along every ray — uneven cuts and an eye inside
+        the volume included.  Orthographic: the box centre's coordinate
+        along the view axis, which parallel rays all share.
+        """
+        lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
         if self.orthographic:
-            return float(rel @ self.forward)
-        return float(np.linalg.norm(rel))
+            return float((lo + hi) / 2.0 @ self.forward)
+        return float(np.maximum(np.maximum(lo - self.eye, self.eye - hi), 0.0).sum())

@@ -157,19 +157,3 @@ class BlockDecomposition:
             lo[:, world] = edges[:-1][slot]
             hi[:, world] = np.minimum(edges[1:], self.grid_shape[2 - world] - 1)[slot]
         return lo, hi
-
-    def centers(self) -> np.ndarray:
-        """World (x, y, z) centres of all blocks, shape (num_blocks, 3)."""
-        lo, hi = self.world_bounds()
-        return (lo + hi) / 2.0
-
-    def visibility_order(self, eye: np.ndarray) -> np.ndarray:
-        """Block indices sorted front to back by centre distance from the eye.
-
-        For a regular axis-aligned decomposition viewed from outside
-        the volume this ordering is consistent along every ray (blocks'
-        ray segments are disjoint and centre distance orders them).
-        """
-        c = self.centers()
-        d = np.linalg.norm(c - np.asarray(eye, dtype=np.float64), axis=1)
-        return np.argsort(d, kind="stable")

@@ -25,8 +25,8 @@ class PartialImage:
 
     ``rgba`` is (height, width, 4) float32, rows bottom-up (row 0 is
     the lowest pixel row), channels premultiplied by alpha.
-    ``depth`` is the distance from the eye to the source block's
-    centre — smaller composites in front.
+    ``depth`` is :meth:`~repro.render.camera.Camera.visibility_key` of
+    the source block's box — smaller composites in front.
     """
 
     rect: Rect

@@ -115,7 +115,7 @@ class RayPlan:
     k_hi: np.ndarray  # (n,) int64 last global sample index (exclusive)
     k_min: int
     k_max: int
-    depth: float  # compositing sort key of the source block
+    depth: float  # Camera.visibility_key of the block's box
     step: float
 
     @property
@@ -158,7 +158,6 @@ def build_ray_plan(
         flat = flat[nonempty]
         k_lo = k_lo[nonempty]
         k_hi = k_hi[nonempty]
-    center = (lo + hi) / 2.0
     return RayPlan(
         rect=rect,
         pix=flat,
@@ -168,7 +167,7 @@ def build_ray_plan(
         k_hi=k_hi,
         k_min=int(k_lo.min()),
         k_max=int(k_hi.max()),
-        depth=camera.depth_of(center),
+        depth=camera.visibility_key(lo, hi),
         step=float(step),
     )
 
@@ -361,4 +360,4 @@ def _march_dense(
     if not np.any(alpha_total > 0):
         return None
     rgba = np.concatenate([color, alpha_total[..., None]], axis=-1).astype(np.float32)
-    return PartialImage(rect, rgba, depth=camera.depth_of(block.world_center), samples=samples)
+    return PartialImage(rect, rgba, depth=camera.visibility_key(lo, hi), samples=samples)

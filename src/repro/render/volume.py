@@ -85,11 +85,6 @@ class VolumeBlock:
         """Upper corner of the owned region (the last owned voxel position)."""
         return block_world_bounds(self, self.grid_shape)[1]
 
-    @property
-    def world_center(self) -> np.ndarray:
-        lo, hi = block_world_bounds(self, self.grid_shape)
-        return (lo + hi) / 2.0
-
     # -- sampling -------------------------------------------------------------
 
     def sample_world(self, points: np.ndarray) -> np.ndarray:

@@ -22,8 +22,6 @@ STEP = 0.8
 def scene():
     rng = np.random.default_rng(17)
     data = rng.random(GRID).astype(np.float32)
-    # Eye strictly outside the volume's span on every axis, so slab
-    # ordering is unambiguous (the algorithm's documented requirement).
     cam = Camera.looking_at_volume(GRID, width=W, height=H, azimuth_deg=40, elevation_deg=18)
     tf = TransferFunction.grayscale_ramp()
     return data, cam, tf
@@ -122,24 +120,31 @@ class TestRadixKValidation:
 
 
 class TestRadixKProperties:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     @settings(max_examples=6, deadline=None)
     @given(
         st.sampled_from([(2, 2, 2), (1, 2, 4), (4, 2, 1)]),
         st.integers(min_value=2, max_value=4),
         st.floats(min_value=-70, max_value=70),
+        st.floats(min_value=-30, max_value=30),
+        st.floats(min_value=0.05, max_value=2.5),
     )
-    def test_random_grids_and_views_match_serial(self, block_grid, k, azimuth):
-        """Any factorization, any outside view: radix-k equals serial."""
+    # The eye inside some axis's block span (64 ranks), and inside the
+    # volume (27 ranks): group members lie on both sides of it.
+    @example((4, 4, 4), 4, 0.0, 20.0, 2.2)
+    @example((4, 4, 4), 4, 35.0, 0.0, 2.2)
+    @example((4, 4, 4), 4, 0.0, 0.0, 2.2)
+    @example((4, 4, 4), 4, 90.0, 5.0, 2.2)
+    @example((3, 3, 3), 3, 20.0, 10.0, 0.05)
+    def test_random_grids_and_views_match_serial(self, block_grid, k, azimuth, elevation, distance):
+        """Any factorization, any view, any eye position: radix-k equals serial."""
         import numpy as np
 
         rng = np.random.default_rng(int(abs(azimuth) * 100) + k)
         data = rng.random(GRID).astype(np.float32)
-        # Keep the eye outside the volume span on every axis.
-        az = azimuth if abs(np.sin(np.radians(azimuth))) > 0.25 else azimuth + 30
-        cam = Camera.looking_at_volume(GRID, width=24, height=24,
-                                       azimuth_deg=az, elevation_deg=22)
+        cam = Camera.looking_at_volume(GRID, width=24, height=24, azimuth_deg=azimuth,
+                                       elevation_deg=elevation, distance_factor=distance)
         tf = TransferFunction.grayscale_ramp()
         p = int(np.prod(block_grid))
         dec = BlockDecomposition(GRID, p, block_grid=block_grid)

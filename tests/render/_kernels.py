@@ -13,6 +13,10 @@ commit that added this file and never edited afterwards:
 * :func:`render_block_reference` — the plain per-sample float64 loop,
   the tolerance oracle of ``test_raycast_compaction.py``.
 
+One line of each was edited on purpose: a piece's ``depth`` is
+``Camera.visibility_key`` of its box, the blending order every
+compositor sorts by, which replaced the box-centre distance.
+
 Only the stable public surface of ``repro.render`` is used (camera
 rays/footprint/depth, ``VolumeBlock.data`` / ``sample_world``,
 ``TransferFunction.march_table`` / ``sample``, ``RayPlan``,
@@ -80,7 +84,6 @@ def frozen_build_ray_plan(camera, world_lo, world_hi, step):
         flat = flat[nonempty]
         k_lo = k_lo[nonempty]
         k_hi = k_hi[nonempty]
-    center = (lo + hi) / 2.0
     return RayPlan(
         rect=rect,
         pix=flat,
@@ -90,7 +93,7 @@ def frozen_build_ray_plan(camera, world_lo, world_hi, step):
         k_hi=k_hi,
         k_min=int(k_lo.min()),
         k_max=int(k_hi.max()),
-        depth=camera.depth_of(center),
+        depth=camera.visibility_key(lo, hi),
         step=float(step),
     )
 
@@ -260,6 +263,4 @@ def render_block_reference(camera, block, tf, step=1.0, early_termination=0.999)
     if not np.any(alpha_total > 0):
         return None
     rgba = np.concatenate([color, alpha_total[..., None]], axis=-1).astype(np.float32)
-    return PartialImage(
-        rect, rgba, depth=camera.depth_of(block.world_center), samples=samples
-    )
+    return PartialImage(rect, rgba, depth=camera.visibility_key(lo, hi), samples=samples)

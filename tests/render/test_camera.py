@@ -46,8 +46,25 @@ class TestProjection:
         pix = cam.project(np.array([0.0, 0.0, -20.0]))
         assert np.all(np.isnan(pix))
 
-    def test_depth_of(self, cam):
-        assert cam.depth_of(np.array([0, 0, 0])) == pytest.approx(10.0)
+    def test_visibility_key_is_the_l1_gap_to_the_box(self, cam):
+        # Zero for a box holding the eye, on a face or inside it.
+        assert cam.visibility_key([-1, -1, -11], [1, 1, -9]) == 0.0
+        assert cam.visibility_key([0, 0, -10], [1, 1, 0]) == 0.0
+        assert cam.visibility_key([0, 0, 0], [1, 1, 1]) == 10.0
+        assert cam.visibility_key([2, -5, -3], [4, -4, 0]) == 2.0 + 4.0 + 7.0
+
+    def test_visibility_key_rises_strictly_across_a_cut(self, cam):
+        # Uneven bricks [0, 6] and [6, 11] on x: the eye sits between the
+        # centres' bisector (5.75) and the cut, so the farther brick's
+        # centre is the nearer one; a ray going +x still meets [0, 6]
+        # first, and so does the key.
+        eye_cam = Camera(eye=(5.9, 0.5, -20), center=(5.9, 0.5, 0))
+        near = eye_cam.visibility_key([0, 0, 0], [6, 1, 1])
+        far = eye_cam.visibility_key([6, 0, 0], [11, 1, 1])
+        assert near < far
+        assert np.linalg.norm(eye_cam.eye - [3, 0.5, 0.5]) > np.linalg.norm(
+            eye_cam.eye - [8.5, 0.5, 0.5]
+        )
 
 
 class TestFootprint:
@@ -126,12 +143,13 @@ class TestOrthographic:
         far = cam.project(np.array([[1.0, 0, 5.0], [-1.0, 0, 5.0]]))
         assert np.allclose(near[:, 0], far[:, 0])
 
-    def test_depth_is_axial(self):
+    def test_visibility_key_is_axial_depth(self):
         cam = self._ortho()
-        # Two points at the same z: same depth even off axis.
-        assert cam.depth_of(np.array([1.5, 1.5, 0.0])) == pytest.approx(
-            cam.depth_of(np.array([0.0, 0.0, 0.0]))
-        )
+        # The box centre's coordinate along the view axis (+z here), so
+        # boxes at the same z tie even off axis.
+        assert cam.visibility_key([-1, -1, 2], [1, 1, 4]) == 3.0
+        assert cam.visibility_key([5, 5, 2], [7, 9, 4]) == 3.0
+        assert cam.visibility_key([0, 0, -30], [1, 1, -20]) == -25.0
 
     def test_parallel_render_matches_serial_ortho(self, rng):
         from repro.render.decomposition import BlockDecomposition

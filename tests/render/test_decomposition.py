@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition, factor3
+from repro.render.raycast import ray_box_intersect
 from repro.utils.errors import ConfigError
 
 
@@ -85,16 +87,35 @@ class TestGhostRead:
         assert gl == (0, 0, 0)
 
 
-class TestVisibilityOrder:
-    def test_front_to_back_from_eye(self):
-        dec = BlockDecomposition((8, 8, 8), 8)
-        eye = np.array([-100.0, 3.5, 3.5])  # looking down +x
-        order = dec.visibility_order(eye)
-        centers = dec.centers()
-        dists = np.linalg.norm(centers[order] - eye, axis=1)
-        assert np.all(np.diff(dists) >= 0)
+class TestVisibilityKey:
+    """``Camera.visibility_key`` of the blocks' boxes is the blending
+    order: along every ray, a block whose segment ends before another's
+    begins has the smaller key."""
 
-    def test_order_is_permutation(self):
-        dec = BlockDecomposition((8, 8, 8), 12)
-        order = dec.visibility_order(np.array([10.0, 20.0, 30.0]))
-        assert sorted(order) == list(range(12))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(*[st.integers(min_value=5, max_value=13)] * 3),
+        st.sampled_from([2, 3, 5, 8, 12, 27]),
+        st.tuples(*[st.floats(min_value=-12.0, max_value=24.0)] * 3),
+        st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
+        st.booleans(),
+    )
+    # 12 nodes cut 6 + 6 span [0, 6] and [6, 11]; an eye between the
+    # centres' bisector (5.75) and the cut sees the farther centre as
+    # the nearer one.  Then an eye inside the volume, 0.1 from a cut.
+    @example((12, 12, 12), 2, (5.9, 5.5, -0.3), (0.05, 0.0, 1.0), False)
+    @example((11, 13, 7), 8, (3.9, 5.6, 2.5), (-0.1, -4.3, 4.4), False)
+    def test_rises_along_every_ray(self, grid, nblocks, eye, look, orthographic):
+        assume(all(g >= b for g, b in zip(grid, factor3(nblocks))))
+        assume(0.1 < np.linalg.norm(look) and abs(look[1]) < 0.99 * np.linalg.norm(look))
+        cam = Camera(eye, tuple(np.add(eye, look)), fov_deg=90.0, width=9, height=7,
+                     orthographic=orthographic, ortho_height=30.0)
+        lo, hi = BlockDecomposition(grid, nblocks).world_bounds()
+        keys = np.array([cam.visibility_key(a, b) for a, b in zip(lo, hi)])
+        origins, dirs = cam.rays_for_rect((0, 0, cam.width, cam.height))
+        t_in, t_out = ray_box_intersect(origins[None], dirs[None], lo[:, None, None], hi[:, None, None])
+        hit = t_out > t_in
+        # before[a, b]: some ray leaves block a no later than it enters b.
+        before = (hit[:, None] & hit[None, :] & (t_out[:, None] <= t_in[None, :])).any(axis=(2, 3))
+        a, b = np.nonzero(before)
+        assert np.all(keys[a] < keys[b])

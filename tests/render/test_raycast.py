@@ -150,12 +150,11 @@ class TestParallelEqualsSerial:
         img = render_parallel(data, cam, tf, nblocks, step=step)
         assert np.abs(img - ref).max() < TOL
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_uneven_bricks_recorded_view(self):
         """The view Hypothesis once drew: 12 nodes cut 6 + 6 span world
         [0, 6] and [6, 11], the eye sits between the centres' bisector
-        (5.75) and the cut (6.0), and centre distance orders the two
-        partials back to front — pixel (30, 17) is off by 0.203."""
+        (5.75) and the cut (6.0), and the centre-distance key ordered
+        the two partials back to front — pixel (30, 17) was off by 0.203."""
         data = np.random.default_rng(0).random((12, 12, 12)).astype(np.float32)
         cam = Camera.looking_at_volume(
             data.shape, width=32, height=32, azimuth_deg=1.75, elevation_deg=55.0

@@ -24,10 +24,6 @@ class TestGeometry:
         vb = VolumeBlock(data[:, :, 4:], (4, 8, 8), (0, 0, 4), (4, 8, 4))
         assert vb.world_hi[0] == 7  # volume edge, not 8
 
-    def test_center(self):
-        vb = VolumeBlock.whole(np.zeros((5, 5, 5), np.float32))
-        assert np.allclose(vb.world_center, [2, 2, 2])
-
     def test_invalid_construction(self):
         with pytest.raises(ConfigError):
             VolumeBlock(np.zeros((2, 2), np.float32), (2, 2, 2), (0, 0, 0), (2, 2, 2))

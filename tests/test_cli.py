@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -28,6 +29,20 @@ class TestCLI:
         assert rc == 0
         assert out.exists()
         assert f"compositor {name}" in capsys.readouterr().out
+
+    def test_radixk_frame_is_directsend_frame_with_eye_in_a_block_span(self, tmp_path):
+        # Azimuth 0 puts the eye inside the volume's x and y spans, so
+        # radix-k's groups have members on both sides of the eye.
+        frames = {}
+        for name in ("radixk", "directsend"):
+            out = tmp_path / f"{name}.ppm"
+            rc = main([
+                "render", "--grid", "16", "--cores", "64", "--image", "48",
+                "--azimuth", "0", "--compositor", name, "--out", str(out),
+            ])
+            assert rc == 0
+            frames[name] = np.frombuffer(out.read_bytes(), np.uint8).astype(int)
+        assert np.abs(frames["radixk"] - frames["directsend"]).max() <= 1
 
     def test_render_puzzlepiece_reports_drops(self, tmp_path, capsys):
         out = tmp_path / "frame.ppm"
