@@ -5,8 +5,8 @@ The tentpole claim of the engine/network fast-path work is that an
 seconds of wall-clock, not minutes.  These benchmarks pin that down
 with committed numbers:
 
-* ``des_engine_loop``      — process dispatch through the lazy sorted
-  queue (``yield Delay`` fast path), thousands of live generators.
+* ``des_engine_loop``      — process dispatch through the event heap
+  (``yield Delay`` fast path), thousands of live generators.
 * ``des_future_resume``    — same-timestamp future handoff chains
   through the ready deque (the zero-delay resume path that used to
   round-trip through ``schedule(0.0, ...)``).

@@ -4,24 +4,22 @@ Hot-path design (the engine executes hundreds of thousands of events
 per simulated frame at paper scale, so the event loop is written for
 throughput without giving up determinism):
 
-* **Lazy sorted queue, not a binary heap.**  The queue is an ascending
-  list of :class:`Event` entries (each event is its own 4-element
+* **One binary heap.**  The queue is a :mod:`heapq` list of
+  :class:`Event` entries.  Each event is its own 4-element
   ``[time, priority, seq, fn]`` list, so scheduling allocates exactly
-  one object and sorting compares at C speed) consumed through an
-  index pointer; newly scheduled events land in an unsorted
-  ``_incoming`` buffer that is merged (timsort — near-linear on the
-  mostly-sorted concatenation) only when its earliest time could
-  precede the next queued event.  Bulk schedules and the common
-  schedule-ahead pattern therefore cost ``O(1)`` per event instead of
-  ``O(log n)`` sift operations in interpreted code.
+  one object, and the heap's C sifts compare entries element-wise.
+  Push and pop each cost ``O(log n)``, so a batch of ``k`` events that
+  lands ahead of a long queue costs ``O(k log n)``, never a re-sort of
+  what is already queued.
 
-* **Ready deque for same-timestamp resumes.**  Resuming a process at
-  the current time (future resolved, zero delay) bypasses the queue
-  entirely: the ``(seq, process, value)`` entry joins a FIFO that the
-  run loop merges against the queue by full ``(time, priority, seq)``
-  key, so ordering is bitwise-identical to the old
-  ``schedule(0.0, ...)`` round-trip — sequence numbers come from the
-  same counter — without allocating an Event or a closure.
+* **Ready deque for same-timestamp resumes.**  Starting or resuming a
+  process at the current time (spawn, future resolved, zero delay)
+  bypasses the queue entirely, inside the run loop or outside it: the
+  ``(seq, process, value)`` entry joins a FIFO that the run loop
+  merges against the heap top by full ``(time, priority, seq)`` key,
+  so ordering is bitwise-identical to a ``schedule(0.0, ...)``
+  round-trip — sequence numbers come from the same counter — without
+  allocating an Event or a closure.
 
 * **No per-event closures.**  Delays resume through a prebound
   ``process._step_none``; futures resume processes directly (a
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.events import AllOf, Delay, Event, Future
@@ -82,19 +81,13 @@ class Process:
         """Requeue at the current time with ``value`` — the entry point
         for future resolution, zero delays and spawning.
 
-        While the run loop is live this goes through the ready deque —
-        no Event, no closure — at the exact ``(now, 0, seq)`` position
-        a zero-delay schedule would have taken.  Outside the loop it
-        falls back to a queued event.
+        This goes through the ready deque — no Event, no closure — at
+        the exact ``(now, 0, seq)`` position a zero-delay schedule
+        would have taken, inside the run loop or outside it.
         """
         eng = self.engine
-        if eng._running:
-            eng._seq = seq = eng._seq + 1
-            eng._ready.append((seq, self, value))
-        elif value is None:
-            eng.schedule(0.0, self._step_none)
-        else:
-            eng.schedule(0.0, partial(self._step, value))
+        eng._seq = seq = eng._seq + 1
+        eng._ready.append((seq, self, value))
 
     def kill(self) -> None:
         """Terminate the process from outside (fault injection).
@@ -145,7 +138,7 @@ class Process:
         if cls is Delay:
             self.waiting_on = yielded
             seconds = yielded.seconds
-            if seconds == 0.0 and eng._running:
+            if seconds == 0.0:
                 self(None)
             else:
                 eng._schedule_step(seconds, self)
@@ -216,14 +209,10 @@ class Engine:
         # drivers (repro.sim.parallel) read this to report true elapsed time.
         self.last_event_time: float = 0.0
         self.tracer = tracer  # optional repro.obs.Tracer (process spans)
-        # Consumed-through-index ascending Event entries; each event is
-        # its own [time, priority, seq, fn] list.
-        self._sorted: list[Event] = []
-        self._i = 0  # first unconsumed index into _sorted
-        # Unsorted buffer of freshly scheduled events + its min time.
-        self._incoming: list[Event] = []
-        self._inc_append = self._incoming.append
-        self._inc_min_t = _INF
+        # The event queue: a heapq list of [time, priority, seq, fn]
+        # entries.  run() holds a local reference, so it is only ever
+        # changed in place.
+        self._queue: list[Event] = []
         # Same-timestamp process resumes: (seq, process, send_value).
         self._ready: deque[tuple[int, "Process", Any]] = deque()
         self._seq = 0
@@ -245,13 +234,10 @@ class Engine:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
         if not (0 <= delay < _INF):
             raise SimulationError(f"cannot schedule: negative or non-finite delay {delay!r}")
-        t = self.now + delay
         self._seq = seq = self._seq + 1
         ev = _EV_NEW(self._ev_cls)
-        _EV_FILL(ev, (t, priority, seq, fn))
-        self._inc_append(ev)
-        if t < self._inc_min_t:
-            self._inc_min_t = t
+        _EV_FILL(ev, (self.now + delay, priority, seq, fn))
+        heappush(self._queue, ev)
         return ev
 
     def schedule_at(self, time: float, fn: Callable[[], None], priority: int = 0) -> Event:
@@ -263,9 +249,7 @@ class Engine:
         self._seq = seq = self._seq + 1
         ev = _EV_NEW(self._ev_cls)
         _EV_FILL(ev, (time, priority, seq, fn))
-        self._inc_append(ev)
-        if time < self._inc_min_t:
-            self._inc_min_t = time
+        heappush(self._queue, ev)
         return ev
 
     def schedule_many_at(self, times: list[float], fns: list[Callable]) -> list[Event]:
@@ -285,66 +269,35 @@ class Engine:
             ev = _EV_NEW(cls)
             _EV_FILL(ev, (time, 0, seq, fn))
             batch.append(ev)
-        if batch:
-            self._seq = seq
-            self._incoming.extend(batch)
-            self._inc_min_t = min(self._inc_min_t, min(times))
+        self._seq = seq
+        q = self._queue
+        for ev in batch:
+            heappush(q, ev)
         return batch
 
     def _schedule_step(self, delay: float, proc: Process) -> None:
         """Queue ``proc._step(None)`` after ``delay`` — the Delay resume
         path, identical to :meth:`schedule` but with the process's
         prebound step callable (no closure allocation)."""
-        t = self.now + delay
         self._seq = seq = self._seq + 1
         ev = _EV_NEW(self._ev_cls)
-        _EV_FILL(ev, (t, 0, seq, proc._step_none))
-        self._inc_append(ev)
-        if t < self._inc_min_t:
-            self._inc_min_t = t
+        _EV_FILL(ev, (self.now + delay, 0, seq, proc._step_none))
+        heappush(self._queue, ev)
 
     def _note_cancelled(self) -> None:
         """Keep the live cancelled count; compact when they dominate.
 
-        Compaction rebuilds the queue without cancelled entries once
-        they exceed half the live entries, so long campaigns that
-        cancel many timeouts neither scan per query nor let dead
-        events accumulate without bound.
+        Compaction rebuilds the heap without cancelled entries once
+        they exceed half the queued entries, so long campaigns that
+        cancel many timeouts never let dead events accumulate without
+        bound.  It works in place: :meth:`run` holds the list.
         """
         self._cancelled += 1
-        live = (len(self._sorted) - self._i) + len(self._incoming)
-        if self._cancelled * 2 > live:
-            self._sorted = [e for e in self._sorted[self._i:] if e[3] is not None]
-            self._i = 0
-            if self._incoming:
-                self._incoming = [e for e in self._incoming if e[3] is not None]
-                self._inc_append = self._incoming.append
-                self._inc_min_t = (
-                    min(e[0] for e in self._incoming) if self._incoming else _INF
-                )
+        q = self._queue
+        if self._cancelled * 2 > len(q):
+            q[:] = [e for e in q if e[3] is not None]
+            heapify(q)
             self._cancelled = 0
-
-    def _fold(self) -> None:
-        """Merge the incoming buffer into the sorted queue.
-
-        Timsort detects the ascending runs, so folding a small batch
-        into a large sorted tail is near-linear, and the consumed
-        prefix is dropped for free.
-        """
-        inc = self._incoming
-        inc.sort()
-        i = self._i
-        s = self._sorted
-        rem = s[i:] if i else s
-        n0 = len(rem)
-        rem.extend(inc)
-        if n0 and inc[0] < rem[n0 - 1]:
-            rem.sort()
-        self._sorted = rem
-        self._i = 0
-        self._incoming = []
-        self._inc_append = self._incoming.append
-        self._inc_min_t = _INF
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Register a coroutine process and start it at the current time."""
@@ -368,27 +321,18 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
+        horizon = _INF if until is None else until
         ran_any = False
         try:
-            s = self._sorted
-            i = self._i
+            q = self._queue
             ready = self._ready
             now = self.now
             while True:
-                if self._incoming and (
-                    (ready and self._inc_min_t <= now)
-                    or i >= len(s)
-                    or self._inc_min_t <= s[i][0]
-                ):
-                    self._i = i
-                    self._fold()
-                    s = self._sorted
-                    i = self._i
                 if ready:
                     # Ready entries sit at (now, 0, seq): take one unless
                     # a queued event orders strictly before it.
-                    if i < len(s):
-                        e = s[i]
+                    if q:
+                        e = q[0]
                         t = e[0]
                         take_ready = t > now or (
                             t == now
@@ -398,43 +342,29 @@ class Engine:
                         take_ready = True
                     if take_ready:
                         _seq, proc, value = ready.popleft()
-                        self._i = i
                         ran_any = True
                         proc._step(value)
-                        s = self._sorted
-                        i = self._i
                         continue
-                if i >= len(s):
-                    self._i = i
+                if not q:
                     break
-                entry = s[i]
-                i += 1
+                entry = heappop(q)
                 fn = entry[3]
-                if fn is None:  # cancelled — skip
+                if fn is None:  # cancelled — drop
                     self._cancelled -= 1
                     continue
                 t = entry[0]
-                if until is not None and t > until:
-                    self._i = i - 1  # leave the event queued
+                if t > horizon:
+                    heappush(q, entry)  # leave the event queued
                     if ran_any:
                         self.last_event_time = now
                     self.now = until
                     return until
                 if t < now:
-                    self._i = i - 1
+                    heappush(q, entry)
                     raise SimulationError("event queue yielded time running backwards")
                 now = self.now = t
                 ran_any = True
-                # Drop the consumed prefix once it dominates the list so
-                # long runs don't hold every executed entry alive.
-                if i > 4096 and i * 2 > len(s):
-                    del s[:i]
-                    i = 0
-                self._i = i
                 fn()
-                # The callback may have compacted or folded the queue.
-                s = self._sorted
-                i = self._i
             if ran_any:
                 self.last_event_time = self.now
         finally:
@@ -444,77 +374,24 @@ class Engine:
             raise DeadlockError(blocked)
         return self.now
 
-    def step(self) -> bool:
-        """Run a single event; return False when the queue is empty."""
-        if self._incoming:
-            self._fold()
-        s = self._sorted
-        i = self._i
-        ready = self._ready
-        now = self.now
-        while True:
-            if ready:
-                take_ready = True
-                if i < len(s):
-                    e = s[i]
-                    if (e[0], e[1], e[2]) < (now, 0, ready[0][0]):
-                        take_ready = False
-                if take_ready:
-                    _seq, proc, value = ready.popleft()
-                    self._i = i
-                    proc._step(value)
-                    return True
-            if i >= len(s):
-                self._i = i
-                return False
-            entry = s[i]
-            i += 1
-            fn = entry[3]
-            if fn is None:
-                self._cancelled -= 1
-                continue
-            if entry[0] < now:
-                # Same monotonicity guard as run(): without it,
-                # single-stepping silently rewinds simulated time.
-                self._i = i - 1
-                raise SimulationError("event queue yielded time running backwards")
-            self.now = entry[0]
-            self._i = i
-            fn()
-            return True
-
     @property
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events and pending resumes —
         O(1) via the live cancellation counter."""
-        return (
-            len(self._sorted) - self._i
-            + len(self._incoming)
-            + len(self._ready)
-            - self._cancelled
-        )
+        return len(self._queue) + len(self._ready) - self._cancelled
 
     @property
     def next_event_time(self) -> float:
-        """Earliest time at which this engine could execute something.
-
-        ``inf`` when the queue is drained.  Conservative: a cancelled
-        event still buffered in ``_incoming`` may report a time nothing
-        will actually run at — harmless for windowed drivers, which
-        only need a deterministic lower bound.
-        """
+        """Earliest time at which this engine will execute something:
+        ``now`` with a resume ready, ``inf`` when the queue is drained.
+        Cancelled entries on top of the heap are dropped first."""
         if self._ready:
             return self.now
-        t = self._inc_min_t
-        s = self._sorted
-        i = self._i
-        while i < len(s) and s[i][3] is None:  # skip cancelled entries
+        q = self._queue
+        while q and q[0][3] is None:
+            heappop(q)
             self._cancelled -= 1
-            i += 1
-        self._i = i
-        if i < len(s) and s[i][0] < t:
-            t = s[i][0]
-        return t
+        return q[0][0] if q else _INF
 
     @property
     def processes(self) -> list[Process]:

@@ -13,13 +13,12 @@ class Event(list):
 
     The event *is* its own queue entry: a 4-element list
     ``[time, priority, seq, fn]``.  That single object serves as both
-    the user-facing cancellation handle and the engine's sort key —
-    list comparison is element-wise at C speed, so sorting a queue of
-    events costs the same as sorting bare tuples, and scheduling
-    allocates exactly one object.  ``seq`` is a creation counter that
-    makes ordering deterministic for simultaneous events (it is unique
-    per engine, so comparison never reaches the non-orderable ``fn``
-    element).
+    the user-facing cancellation handle and the engine's heap entry —
+    list comparison is element-wise at C speed, so the heap's sifts
+    never call back into Python, and scheduling allocates exactly one
+    object.  ``seq`` is a creation counter that makes ordering
+    deterministic for simultaneous events (it is unique per engine, so
+    comparison never reaches the non-orderable ``fn`` element).
 
     Cancellation nulls the ``fn`` element (the engine skips fn-less
     entries on pop), so a cancelled event holds no reference to its

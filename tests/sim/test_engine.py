@@ -1,7 +1,10 @@
 """Engine and process semantics: determinism, time, deadlock."""
 
+from functools import partial
+from math import inf
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, Delay, Future
@@ -93,25 +96,16 @@ class TestScheduling:
         eng.run()
         assert fired == [1, 10]
 
-    def test_step_runs_single_events_in_order(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(1.0, lambda: fired.append(1))
-        eng.schedule(2.0, lambda: fired.append(2))
-        assert eng.step() and fired == [1] and eng.now == 1.0
-        assert eng.step() and fired == [1, 2] and eng.now == 2.0
-        assert not eng.step()
-
-    def test_step_rejects_time_running_backwards(self):
-        # Regression: step() lacked run()'s monotonicity guard, so a
-        # clock that somehow drifted ahead of the queue would silently
-        # rewind instead of failing loudly.
+    def test_run_rejects_time_running_backwards(self):
+        # A clock that somehow drifted ahead of the queue must fail
+        # loudly instead of silently rewinding.
         eng = Engine()
         eng.schedule(1.0, lambda: None)
         eng.now = 5.0  # simulate external clock drift / corruption
-        with pytest.raises(SimulationError):
-            eng.step()
+        with pytest.raises(SimulationError, match="backwards"):
+            eng.run()
         assert eng.now == 5.0  # the guard fired before rewinding
+        assert eng.pending_events == 1  # and left the event queued
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
     def test_events_never_run_out_of_order(self, delays):
@@ -142,7 +136,7 @@ class TestScheduleMany:
             else:
                 events = [eng.schedule_at(t, fn) for t, fn in zip(times, fns)]
             keys = [(ev.time, ev.priority, ev.seq) for ev in events]
-            state = (eng._seq, eng._inc_min_t, eng.pending_events)
+            state = (eng._seq, eng.next_event_time, eng.pending_events)
             fired = []
             eng.run()
             return keys, state, fired, eng.now
@@ -331,7 +325,7 @@ class TestCancellationAccounting:
         # entries never dominate: at most half the remaining entries are
         # cancelled, and the live count stays exact.
         assert eng.pending_events == 40
-        queued = eng._sorted[eng._i:] + eng._incoming
+        queued = eng._queue
         assert len(queued) < 100
         dead = sum(1 for e in queued if e.cancelled)
         assert dead * 2 <= len(queued)
@@ -358,9 +352,9 @@ class TestCancellationAccounting:
 class TestDeterminism:
     """Execution order is a pure function of the schedule calls.
 
-    The fast path keeps a lazily sorted queue, an incoming buffer, and
-    a ready deque for same-timestamp resumes; all three must merge into
-    one global (time, priority, seq) order, identically on every run.
+    The engine keeps a heap of events and a ready deque for
+    same-timestamp resumes; both must merge into one global
+    (time, priority, seq) order, identically on every run.
     """
 
     @staticmethod
@@ -419,3 +413,147 @@ class TestDeterminism:
             "post-resolve-event",
             "after-resume",
         ]
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, st.integers(-1, 1)),
+    st.tuples(st.just("at"), _DELAYS, st.integers(-1, 1)),
+    st.tuples(st.just("many"), st.lists(_DELAYS, max_size=4)),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("wait"), st.sampled_from([None, 0.0, 0.5])),
+    st.tuples(st.just("resolve"), st.integers(0, 63)),
+)
+
+
+class _OrderOracle:
+    """Drives an engine from a tape of operations and keeps a
+    brute-force model of what it must hold: every queued event and
+    pending resume, keyed ``(time, priority, seq)``, with ``seq``
+    counted here, independently of the engine.
+
+    Each executed callback or process step consumes the next tape
+    operation, so schedules, cancellations and resumes interleave with
+    execution.  The reference order is the minimum live key at every
+    step.
+    """
+
+    def __init__(self, tape):
+        self.eng = Engine()
+        self.tape = list(tape)
+        self.live = {}  # seq -> key: queued events and pending resumes
+        # seq -> Event, until it runs: cancelling an event that already
+        # ran still counts a queued cancellation (a known defect).
+        self.handles = {}
+        self.waiters = []  # [future, resume key or "parked" or None]
+        self.seq = 0
+        self.until = inf
+        self.ran, self.expected = [], []
+
+    def _push(self, time, priority=0):
+        self.seq += 1
+        key = (time, priority, self.seq)
+        self.live[key[2]] = key
+        return key
+
+    def _ran(self, key):
+        assert self.eng.now == key[0] <= self.until
+        self.expected.append(min(self.live.values()))
+        self.ran.append(key)
+        del self.live[key[2]]
+        if self.tape:
+            self.apply(self.tape.pop(0))
+
+    def _fire(self, key):
+        del self.handles[key[2]]
+        self._ran(key)
+
+    def _queued(self, key, ev):
+        assert (ev.time, ev.priority, ev.seq) == key
+        self.handles[key[2]] = ev
+
+    def _waiter(self, cell, start, then):
+        self._ran(start)
+        cell[1] = self._push(self.eng.now) if cell[0].done else "parked"
+        yield cell[0]
+        self._ran(cell[1])
+        if then is not None:
+            key = self._push(self.eng.now + then)
+            yield Delay(then)
+            self._ran(key)
+
+    def apply(self, op):
+        eng, kind = self.eng, op[0]
+        if kind == "schedule":
+            key = self._push(eng.now + op[1], op[2])
+            self._queued(key, eng.schedule(op[1], partial(self._fire, key), op[2]))
+        elif kind == "at":
+            key = self._push(eng.now + op[1], op[2])
+            self._queued(key, eng.schedule_at(key[0], partial(self._fire, key), op[2]))
+        elif kind == "many":
+            keys = [self._push(eng.now + d) for d in op[1]]
+            events = eng.schedule_many_at(
+                [k[0] for k in keys], [partial(self._fire, k) for k in keys]
+            )
+            for key, ev in zip(keys, events):
+                self._queued(key, ev)
+        elif kind == "cancel":
+            if self.handles:
+                ev = list(self.handles.values())[op[1] % len(self.handles)]
+                ev.cancel()  # a second cancel of the same event is a no-op
+                self.live.pop(ev.seq, None)
+        elif kind == "wait":
+            cell = [Future(), None]
+            self.waiters.append(cell)
+            start = self._push(eng.now)
+            eng.spawn(self._waiter(cell, start, op[1]))
+        else:  # resolve
+            pending = [c for c in self.waiters if not c[0].done]
+            if pending:
+                cell = pending[op[1] % len(pending)]
+                if cell[1] == "parked":
+                    cell[1] = self._push(eng.now)
+                cell[0].resolve(None)
+
+    def window(self, until):
+        self.until = until
+        self.eng.run(until=until)
+        self.check()
+
+    def check(self):
+        assert self.eng.next_event_time == min(
+            (k[0] for k in self.live.values()), default=inf
+        )
+        assert self.eng.pending_events == len(self.live)
+
+
+class TestOrderOracle:
+    """The engine executes in exactly the order of a brute-force
+    reference: at every step, the least live ``(time, priority, seq)``
+    key among queued events and pending resumes, through schedules,
+    batches, cancellations, zero-delay resumes and ``run(until=...)``
+    windows as the sharded world drives them."""
+
+    @given(
+        setup=st.lists(_OPS, max_size=8),
+        tape=st.lists(_OPS, max_size=40),
+        windows=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), max_size=5),
+    )
+    @example(  # cancelling the earliest event moves next_event_time on
+        setup=[("schedule", 1.0, 0), ("schedule", 2.0, 0), ("schedule", 3.0, 0),
+               ("cancel", 0)],
+        tape=[],
+        windows=[],
+    )
+    def test_order_matches_brute_force_reference(self, setup, tape, windows):
+        oracle = _OrderOracle(tape)
+        for op in setup:
+            oracle.apply(op)
+        oracle.check()
+        until = 0.0
+        for w in windows:
+            until += w
+            oracle.window(until)
+        oracle.window(1e6)
+        assert oracle.ran == oracle.expected
+        assert not oracle.live
