@@ -16,9 +16,47 @@ absorbing a crowd costs hash lookups, so its wall clock must not
 drift up as the service grows.  The entry also records the semantic
 counters (rendered/coalesced/edge hits) — if those change, the
 scenario changed, and the timing comparison is meaningless.
+
+``farm_footprint_19k`` is the farm's memory ledger: the e2e
+``farm_capacity_19k`` traffic in a fresh interpreter, timed cold, with
+its peak RSS and the bytes one run retains per arrival as facts.
 """
 
 from __future__ import annotations
+
+#: The default scenario with a 16-entry result cache and every session
+#: scaled x80 (19,200 arrivals).  Two runs back to back, the first
+#: result alive while the second runs (as an e2e repetition holds its
+#: predecessor's), give the peak RSS; one more run under tracemalloc
+#: gives the bytes a result keeps alive per arrival.
+_FARM_FOOTPRINT = """
+import dataclasses, gc, json, resource, tracemalloc
+from repro.farm import default_scenario
+
+def scaled(k):
+    base = default_scenario(seed=1530, result_cache_entries=16)
+    return dataclasses.replace(base, sessions=tuple(
+        dataclasses.replace(s, requests=s.requests * k) for s in base.sessions))
+
+scaled(1).run()
+farm = scaled(80)
+held = farm.run()
+result = farm.run()
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+del held, result
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+result = farm.run()
+gc.collect()
+retained = tracemalloc.get_traced_memory()[0] - before
+print(json.dumps({
+    "arrivals": result.arrivals,
+    "spans": len(result.trace.spans),
+    "peak_rss_mb": round(peak_rss_mb, 1),
+    "bytes_per_arrival": round(retained / result.arrivals),
+}))
+"""
 
 
 def bench_farm_edge_serve(repeats: int = 5) -> dict:
@@ -52,4 +90,20 @@ def bench_farm_edge_serve(repeats: int = 5) -> dict:
     }
 
 
-FARM_BENCHMARKS = {"farm_edge_serve": bench_farm_edge_serve}
+def bench_farm_footprint_19k(repeats: int = 2) -> dict:
+    """The 19,200-arrival farm run cold, interpreter start included."""
+    from benchmarks.perf.suite import run_fresh, timed
+
+    samples, facts = timed(lambda: run_fresh(_FARM_FOOTPRINT), repeats)
+    return {
+        "guard": True,
+        "config": {"scenario": "default x80", "seed": 1530, "result_cache_entries": 16},
+        "samples": samples,
+        "facts": facts,
+    }
+
+
+FARM_BENCHMARKS = {
+    "farm_edge_serve": bench_farm_edge_serve,
+    "farm_footprint_19k": bench_farm_footprint_19k,
+}

@@ -288,9 +288,9 @@ print(json.dumps({
 """
 
 
-def bench_dataset_cold_64(repeats: int = 2) -> dict:
-    """One cold dataset build, interpreter start and imports included:
-    the set-up every CLI render and functional e2e workload pays."""
+def run_fresh(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter on this checkout's ``repro``;
+    the JSON object it prints."""
     import json
     import os
     import subprocess
@@ -299,15 +299,16 @@ def bench_dataset_cold_64(repeats: int = 2) -> dict:
     import repro
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(run.stdout)
 
-    def build() -> dict:
-        run = subprocess.run(
-            [sys.executable, "-c", _DATASET_COLD], env=env, check=True,
-            capture_output=True, text=True,
-        )
-        return json.loads(run.stdout)
 
-    samples, child = timed(build, repeats)
+def bench_dataset_cold_64(repeats: int = 2) -> dict:
+    """One cold dataset build, interpreter start and imports included:
+    the set-up every CLI render and functional e2e workload pays."""
+    samples, child = timed(lambda: run_fresh(_DATASET_COLD), repeats)
     return {
         "guard": True,
         "config": {"grid": 64, "variables": 5, "format": "netcdf"},

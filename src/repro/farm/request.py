@@ -12,15 +12,28 @@ A :class:`RequestRecord` is the service's ledger entry for one request:
 arrival, allocation, service, and completion timestamps on the shared
 simulated clock, from which queueing delay, service time, end-to-end
 latency, and SLO attainment all derive.
+
+Both are slotted dataclasses (no instance dict): a farm run keeps one of
+each per arrival.  A request's ``rid`` string is built once, at
+construction, and kept in a slot outside the dataclass fields, so every
+span, the ``done`` future and the allocation log of one request share
+one string, and ``dataclasses.fields`` / ``astuple`` see exactly the
+declared fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
-@dataclass(frozen=True)
-class FrameRequest:
+class _RidSlot:
+    """Holds :attr:`FrameRequest.rid` outside the dataclass fields."""
+
+    __slots__ = ("rid",)
+
+
+@dataclass(frozen=True, slots=True)
+class FrameRequest(_RidSlot):
     """One client's ask: render this frame on that many cores.
 
     A *campaign* request (``frames > 1``) asks for a whole pipelined
@@ -56,10 +69,14 @@ class FrameRequest:
     def is_progressive(self) -> bool:
         return self.levels > 1
 
-    @property
-    def rid(self) -> str:
-        """Service-wide request id, e.g. ``browse0/17``."""
-        return f"{self.session}/{self.seq}"
+    def __post_init__(self) -> None:
+        # The service-wide request id, e.g. ``browse0/17``: built once,
+        # then shared by every span, future and log line of the request.
+        object.__setattr__(self, "rid", f"{self.session}/{self.seq}")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, so they get a rid.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def frame_key(self) -> tuple:
@@ -101,7 +118,7 @@ class FrameRequest:
         return self.frame_key + ("level", int(level))
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """The ledger entry for one request, filled in as it moves through.
 

@@ -307,7 +307,7 @@ class RenderFarm:
     def _submit(self, request: FrameRequest) -> Future:
         now = self.engine.now
         record = RequestRecord(request, t_arrive=now)
-        done = Future(name=f"{request.rid}.done")
+        done = Future(name=request.rid)
         key = request.frame_key
 
         if self.edge is not None:

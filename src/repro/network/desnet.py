@@ -71,6 +71,9 @@ class DESNetwork:
         # Instrumentation for tests and reports.
         self.messages_sent = 0
         self.bytes_sent = 0
+        # dst_rank -> "msg->{dst_rank}": traced message spans share one
+        # name string per destination.
+        self._msg_names: dict[int, str] = {}
 
     # -- the port law: written once, as its two halves --------------------
 
@@ -231,8 +234,11 @@ class DESNetwork:
     def _trace(self, tracer, src_rank, dst_rank, src_node, dst_node,
                nbytes, hops, t0, t1) -> None:
         """One per-message span on the sender's lane plus counters."""
+        name = self._msg_names.get(dst_rank)
+        if name is None:
+            name = self._msg_names[dst_rank] = f"msg->{dst_rank}"
         tracer.span(
-            src_rank, f"msg->{dst_rank}", CAT_COMM, t0, t1,
+            src_rank, name, CAT_COMM, t0, t1,
             nbytes=int(nbytes), hops=hops, dst=dst_rank,
         )
         tracer.count("messages")

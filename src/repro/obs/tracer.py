@@ -21,6 +21,14 @@ is :meth:`stage`, which records unconditionally: the three stage spans
 per rank per frame are the source of truth :class:`FrameTiming
 <repro.core.timing.FrameTiming>` is derived from, and three small
 allocations per rank per frame are negligible next to rendering.
+
+Storage: a farm run or a paper-scale trace holds one :class:`Span` per
+request phase or per message, so a span is a frozen *slotted*
+dataclass (no instance dict) and keeps its keyword arguments as one
+flat ``(key, value, key, value, ...)`` tuple in call order.  The
+read-only :attr:`Span.args` property rebuilds the dict (``None`` for a
+span recorded without arguments), so readers see exactly what was
+passed to :meth:`Tracer.span`.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ CAT_PROGRESSIVE = "progressive"  # resolution-ladder levels (coarse-first refine
 STAGES = ("io", "render", "composite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One timed activity on one rank, in simulated seconds."""
 
@@ -55,11 +63,22 @@ class Span:
     t0: float
     t1: float
     frame: int = 0
-    args: dict | None = None
+    _kv: tuple = ()  # the arguments, flat: (key, value, key, value, ...)
 
     @property
     def dur(self) -> float:
         return self.t1 - self.t0
+
+    def __reduce__(self):
+        # Sharded runs pickle their shards' spans through pipes: one
+        # constructor call per span beats the frozen-slots state protocol.
+        return (Span, (self.rank, self.name, self.cat, self.t0, self.t1, self.frame, self._kv))
+
+    @property
+    def args(self) -> dict | None:
+        """The span's keyword arguments in recording order; ``None`` if none."""
+        kv = self._kv
+        return dict(zip(kv[::2], kv[1::2])) if kv else None
 
 
 class Tracer:
@@ -92,7 +111,11 @@ class Tracer:
         """Record one detail span; no-op when disabled."""
         if not self.enabled:
             return
-        self.spans.append(Span(rank, name, cat, t0, t1, self.frame, args or None))
+        self.spans.append(
+            # sum() of the (key, value) pairs: the flat tuple, cheapest
+            # for the few arguments a span carries.
+            Span(rank, name, cat, t0, t1, self.frame, sum(args.items(), ()))
+        )
 
     def stage(self, rank: int, name: str, t0: float, t1: float) -> None:
         """Record a frame-stage span — always, even when disabled.

@@ -24,7 +24,9 @@ throughput without giving up determinism):
 * **No per-event closures.**  Delays resume through a prebound
   ``process._step_none``; futures resume processes directly (a
   :class:`Process` is callable, so it can sit in a future's callback
-  list); cancellation nulls ``Event.fn`` in place.
+  list); cancellation nulls ``Event.fn`` in place, and so does the run
+  loop when it pops an event to execute it — a cancel() that comes after
+  the event ran finds no callback and changes nothing.
 """
 
 from __future__ import annotations
@@ -362,6 +364,9 @@ class Engine:
                 if t < now:
                     heappush(q, entry)
                     raise SimulationError("event queue yielded time running backwards")
+                # Executed: a later cancel() of this handle is a no-op,
+                # never a queued cancellation.
+                entry[3] = None
                 now = self.now = t
                 ran_any = True
                 fn()

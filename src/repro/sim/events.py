@@ -22,7 +22,9 @@ class Event(list):
 
     Cancellation nulls the ``fn`` element (the engine skips fn-less
     entries on pop), so a cancelled event holds no reference to its
-    callback and the queue never has to search for it.
+    callback and the queue never has to search for it.  The engine nulls
+    it too when it executes the event, so :attr:`cancelled` reads true
+    once the event has run, and cancelling it then is a no-op.
     """
 
     __slots__ = ("on_cancel",)
@@ -54,6 +56,7 @@ class Event(list):
 
     @property
     def cancelled(self) -> bool:
+        """True once the event can no longer fire: cancelled or executed."""
         return self[3] is None
 
     def cancel(self) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro.machine.mapping import RankMapping
@@ -12,7 +12,6 @@ from repro.network.desnet import DESNetwork
 from repro.network.topology import TorusTopology
 from repro.fault.inject import FaultInjector
 from repro.fault.metrics import fault_report_from_counters
-from repro.obs.tracer import Span
 from repro.sim.engine import Engine
 from repro.utils.errors import ConfigError, DeadlockError
 from repro.vmpi.comm import MessageBoard, leak_error
@@ -124,10 +123,11 @@ def collect_result(
         own = b["tracer"]
         if own is None or own is tracer:
             continue
-        for sp in own.spans:
-            tracer.spans.append(
-                Span(sp.rank, sp.name, sp.cat, sp.t0, sp.t1, tracer.frame, sp.args)
-            )
+        # Spans are immutable: one already in the world's frame is shared.
+        frame = tracer.frame
+        tracer.spans.extend(
+            sp if sp.frame == frame else replace(sp, frame=frame) for sp in own.spans
+        )
         for k, v in own.counters.items():
             tracer.counters[k] = tracer.counters.get(k, 0) + v
         for k, v in own.link_bytes.items():

@@ -69,6 +69,9 @@ class TestBulkParity:
         spans_a = [(s.rank, s.name, s.cat, s.t0, s.t1, s.args) for s in tr_a.spans]
         spans_b = [(s.rank, s.name, s.cat, s.t0, s.t1, s.args) for s in tr_b.spans]
         assert spans_a == spans_b
+        for tr in (tr_a, tr_b):  # both messages to rank 9 share one name string
+            first, second = [s.name for s in tr.spans if s.args["dst"] == 9]
+            assert first is second
 
     def test_single_request_delegates_to_scalar(self):
         eng, net = make_net()

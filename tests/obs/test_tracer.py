@@ -1,6 +1,11 @@
 """Unit tests: the Tracer record and the two exporters."""
 
+import copy
+import dataclasses
 import json
+import pickle
+
+import pytest
 
 from repro.obs import (
     CAT_COMM,
@@ -123,3 +128,59 @@ class TestStageReport:
 
     def test_span_dataclass_duration(self):
         assert Span(0, "x", CAT_STAGE, 1.0, 4.0).dur == 3.0
+
+
+class TestSpanLayout:
+    """A span is a frozen slotted dataclass whose arguments live in one
+    flat tuple; ``args`` rebuilds the dict every reader sees."""
+
+    def _span(self, **args):
+        tr = Tracer()
+        tr.span(3, "msg->1", CAT_COMM, 0.5, 0.75, **args)
+        return tr.spans[0]
+
+    def test_args_round_trip_in_key_order(self):
+        args = {"nbytes": 64, "hops": 2, "dst": 1, "req": "browse0/7", "x": None}
+        s = self._span(**args)
+        assert s.args == args
+        assert list(s.args) == list(args)
+
+    def test_args_none_without_arguments(self):
+        assert self._span().args is None
+        assert Span(0, "io", CAT_STAGE, 0.0, 1.0).args is None
+
+    def test_args_is_read_only(self):
+        s = self._span(nbytes=8)
+        s.args["nbytes"] = 9  # a fresh dict: the span is unchanged
+        assert s.args == {"nbytes": 8}
+        with pytest.raises((AttributeError, TypeError)):
+            s.args = {}
+
+    def test_no_instance_dict(self):
+        s = self._span(nbytes=8)
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.t1 = 2.0
+
+    def test_field_list(self):
+        assert [f.name for f in dataclasses.fields(Span)] == [
+            "rank", "name", "cat", "t0", "t1", "frame", "_kv",
+        ]
+
+    def test_replace_keeps_args(self):
+        s = self._span(nbytes=8, hops=1)
+        moved = dataclasses.replace(s, t1=2.0, frame=4)
+        assert (moved.t1, moved.frame, moved.args) == (2.0, 4, {"nbytes": 8, "hops": 1})
+        assert dataclasses.replace(moved, t1=s.t1, frame=s.frame) == s
+
+    @pytest.mark.parametrize(
+        "clone",
+        [pickle.loads, copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_pickle_and_deepcopy_round_trip(self, clone):
+        s = self._span(nbytes=8, hops=1, req="orbit0/3")
+        blob = pickle.dumps(s) if clone is pickle.loads else s
+        back = clone(blob)
+        assert back == s and back is not s
+        assert back.args == s.args and back.dur == s.dur

@@ -316,6 +316,17 @@ class TestCancellationAccounting:
         ev.cancel()
         assert eng.pending_events == 1
 
+    def test_cancelling_an_executed_event_is_a_no_op(self):
+        eng = Engine()
+        ran = eng.schedule(0.5, lambda: None)
+        later = [eng.schedule(2.0, lambda: None) for _ in range(10)]
+        eng.run(until=1.0)
+        assert ran.cancelled  # executed: its callback is gone
+        ran.cancel()
+        assert eng.pending_events == 10
+        later[0].cancel()
+        assert eng.pending_events == 9
+
     def test_heap_compacts_when_cancellations_dominate(self):
         eng = Engine()
         events = [eng.schedule(float(i + 1), lambda: None) for i in range(100)]
@@ -442,8 +453,8 @@ class _OrderOracle:
         self.eng = Engine()
         self.tape = list(tape)
         self.live = {}  # seq -> key: queued events and pending resumes
-        # seq -> Event, until it runs: cancelling an event that already
-        # ran still counts a queued cancellation (a known defect).
+        # seq -> Event, for every event ever queued: the tape may cancel
+        # one that already ran (a no-op) or is running right now.
         self.handles = {}
         self.waiters = []  # [future, resume key or "parked" or None]
         self.seq = 0
@@ -464,10 +475,6 @@ class _OrderOracle:
         if self.tape:
             self.apply(self.tape.pop(0))
 
-    def _fire(self, key):
-        del self.handles[key[2]]
-        self._ran(key)
-
     def _queued(self, key, ev):
         assert (ev.time, ev.priority, ev.seq) == key
         self.handles[key[2]] = ev
@@ -486,21 +493,21 @@ class _OrderOracle:
         eng, kind = self.eng, op[0]
         if kind == "schedule":
             key = self._push(eng.now + op[1], op[2])
-            self._queued(key, eng.schedule(op[1], partial(self._fire, key), op[2]))
+            self._queued(key, eng.schedule(op[1], partial(self._ran, key), op[2]))
         elif kind == "at":
             key = self._push(eng.now + op[1], op[2])
-            self._queued(key, eng.schedule_at(key[0], partial(self._fire, key), op[2]))
+            self._queued(key, eng.schedule_at(key[0], partial(self._ran, key), op[2]))
         elif kind == "many":
             keys = [self._push(eng.now + d) for d in op[1]]
             events = eng.schedule_many_at(
-                [k[0] for k in keys], [partial(self._fire, k) for k in keys]
+                [k[0] for k in keys], [partial(self._ran, k) for k in keys]
             )
             for key, ev in zip(keys, events):
                 self._queued(key, ev)
         elif kind == "cancel":
             if self.handles:
                 ev = list(self.handles.values())[op[1] % len(self.handles)]
-                ev.cancel()  # a second cancel of the same event is a no-op
+                ev.cancel()  # no-op if it was cancelled before or has run
                 self.live.pop(ev.seq, None)
         elif kind == "wait":
             cell = [Future(), None]
@@ -544,6 +551,11 @@ class TestOrderOracle:
                ("cancel", 0)],
         tape=[],
         windows=[],
+    )
+    @example(  # cancelling the event that ran leaves ten pending, not nine
+        setup=[("schedule", 0.5, 0)] + [("schedule", 2.0, 0)] * 10,
+        tape=[("cancel", 0)],
+        windows=[1.0],
     )
     def test_order_matches_brute_force_reference(self, setup, tape, windows):
         oracle = _OrderOracle(tape)
