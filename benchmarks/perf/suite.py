@@ -16,6 +16,7 @@ committed numbers are reproducible on the machine that wrote them.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from statistics import median
 
@@ -205,6 +206,66 @@ def bench_composite(repeats: int = 5) -> dict:
     }
 
 
+def bench_handoff_tiles_256(repeats: int = 5) -> dict:
+    """The sort-last hand-off in the small-tile regime: direct-send's
+    fan-out, the owners' tile blends and the root gather of one frame.
+
+    48^3 in 256 ghosted blocks, 96^2, m = n = 256 (6 x 6 = 36-pixel
+    tiles, ~17 pieces per tile) — ``timeseries_io_256``'s frame.  The
+    blocks are rendered once, untimed; a sample is one
+    ``MPIWorld.run`` of the compositing program on real pieces, so
+    per-piece overhead (crop, sizing, copies, one blend per tile) is
+    what it sees, where ``composite_over``'s 512^2 canvas is NumPy-bound.
+    """
+    from repro.compositing.directsend import assemble_final_image, direct_send_compose
+    from repro.compositing.schedule import schedule_from_geometry
+    from repro.core.plan import block_world_bounds
+    from repro.data.synthetic import SupernovaModel
+    from repro.render.camera import Camera
+    from repro.render.decomposition import BlockDecomposition
+    from repro.render.raycast import build_ray_plan, render_block
+    from repro.render.transfer import TransferFunction
+    from repro.render.volume import VolumeBlock
+    from repro.vmpi import MPIWorld
+
+    grid, ranks, image = (48, 48, 48), 256, 96
+    field = SupernovaModel(grid, seed=1530, time=0.3).field("vx")
+    camera = Camera.looking_at_volume(
+        grid, width=image, height=image, azimuth_deg=33.0, elevation_deg=21.0
+    )
+    tf = TransferFunction.supernova()
+    decomposition = BlockDecomposition(grid, ranks)
+    framed = camera.with_frame_rays()
+    partials = []
+    for b in decomposition.blocks():
+        rs, rc, ghost_lo = b.ghost_read(grid, 1)
+        data = field[rs[0]:rs[0] + rc[0], rs[1]:rs[1] + rc[1], rs[2]:rs[2] + rc[2]]
+        lo, hi = block_world_bounds(b, grid)
+        partials.append(render_block(
+            camera, VolumeBlock(data, grid, b.start, b.count, ghost_lo), tf, RENDER_STEP,
+            plan=build_ray_plan(framed, lo, hi, RENDER_STEP),
+        ))
+    schedule = schedule_from_geometry(decomposition, camera, ranks, cache=False)
+
+    def program(ctx):
+        tile = yield from direct_send_compose(ctx, partials[ctx.rank], schedule)
+        return (yield from assemble_final_image(ctx, tile, schedule))
+
+    samples, result = timed(lambda: MPIWorld.for_cores(ranks).run(program), repeats)
+    pieces = sum(m.src != schedule.compositor_rank(m.tile) for m in schedule.messages)
+    return {
+        "guard": True,
+        "config": {"grid": 48, "ranks": ranks, "image": image, "tile_pixels": 36},
+        "samples": samples,
+        "facts": {
+            "messages": int(result.messages),
+            "bytes": int(result.bytes_sent),
+            "pieces_per_tile": pieces / ranks,
+            "image_sha256_8": hashlib.sha256(result.values[0].tobytes()).hexdigest()[:8],
+        },
+    }
+
+
 def bench_two_phase_plan(repeats: int = 5) -> dict:
     """Two-phase collective read planning for a 128^3 netCDF variable."""
     from repro.pio.hints import IOHints
@@ -322,6 +383,7 @@ BENCHMARKS = {
     "render_kernel_compacted": bench_render_kernel,
     "render_blocks_64": bench_render_blocks_64,
     "composite_over": bench_composite,
+    "handoff_tiles_256": bench_handoff_tiles_256,
     "two_phase_plan": bench_two_phase_plan,
     "collective_read_blocks_128": bench_collective_read_blocks,
     "dataset_cold_64": bench_dataset_cold_64,

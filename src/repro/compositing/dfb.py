@@ -20,7 +20,7 @@ This implementation reuses the direct-send machinery deliberately:
   proportion to their pixel areas: the rays of a footprint∩tile piece
   are exactly the pixels of that piece, so finishing "the piece's
   share" of the march releases the piece;
-* owners blend with the same depth-sorted :func:`composite_over` the
+* owners blend with the same depth-sorted :func:`composite_tile` the
   direct-send compositors use, so the result is pixel-identical.
 
 Failover *is* direct-send's: after the streamed fan-out (which skips

@@ -26,7 +26,9 @@ from typing import Any, Callable, Generator
 import numpy as np
 
 from repro.compositing.schedule import CompositeSchedule
-from repro.render.image import PartialImage, Rect, blank_image, composite_over
+from repro.render.image import PartialImage, Rect, blank_image, composite_tile
+# Not called here; benchmarks/e2e wraps ``composite_over`` by this module path.
+from repro.render.image import composite_over  # noqa: F401
 
 COMPOSITE_TAG = 7001
 #: Failover pieces for dead tile ``t`` travel on ``FAILOVER_TAG_BASE + t``
@@ -60,11 +62,6 @@ def count_sent(tr: Any, piece: PartialImage) -> None:
     if tr is not None:
         tr.count("compose.pieces_sent")
         tr.count("compose.pixels_sent", piece_pixels(piece))
-
-
-def _blend(rect: Rect, pieces: list[PartialImage]) -> np.ndarray:
-    x0, y0, w, h = rect
-    return composite_over(blank_image(w, h), pieces, canvas_origin=(x0, y0))
 
 
 def _own_contribution(
@@ -110,7 +107,7 @@ def receive_and_blend(
     Returns None on a rank that owns no tile.  ``count`` defaults to
     every piece the schedule routes here from another rank.  Pieces are
     received wildcard and appended in *arrival* order — that order
-    breaks depth ties in ``composite_over``'s stable sort, so every
+    breaks depth ties in ``composite_tile``'s stable sort, so every
     variant that wants direct-send's pixels must keep it.
     """
     if ctx.rank >= schedule.num_compositors:
@@ -130,7 +127,7 @@ def receive_and_blend(
                 tile=ctx.rank, pixels=piece_pixels(piece),
             )
         pieces.append(piece)
-    return _blend(schedule.tiles.tile(ctx.rank), pieces)
+    return composite_tile(schedule.tiles.tile(ctx.rank), pieces)
 
 
 def direct_send_compose(
@@ -228,14 +225,14 @@ def failover_tail(
                 continue  # lost with the sender
             pieces.append((yield from ctx.recv(source=m.src, tag=tag)))
         rect = schedule.tiles.tile(ctx.rank)
-        results.append((rect, _blend(rect, pieces)))
+        results.append((rect, composite_tile(rect, pieces)))
     for t, rect in assignments.get(ctx.rank, ()):
         pieces = [local_pieces[rect]] if rect in local_pieces else []
         for m in schedule.incoming(t):
             if m.src == ctx.rank or m.src in dead:
                 continue  # own piece handled above; dead radiance is lost
             pieces.append((yield from ctx.recv(source=m.src, tag=failover_tag_base + t)))
-        results.append((rect, _blend(rect, pieces)))
+        results.append((rect, composite_tile(rect, pieces)))
         fault.note_recovered(t, t, ctx.now)
     yield from ctx.waitall(reqs)
     return results

@@ -57,17 +57,18 @@ class TileDecomposition:
         self.grid = (gx, gy)
         self._xs = np.linspace(0, self.width, gx + 1).round().astype(np.int64)
         self._ys = np.linspace(0, self.height, gy + 1).round().astype(np.int64)
+        xs, ys = self._xs.tolist(), self._ys.tolist()
+        self._rects: list[Rect] = [
+            (xs[tx], ys[ty], xs[tx + 1] - xs[tx], ys[ty + 1] - ys[ty])
+            for ty in range(gy)
+            for tx in range(gx)
+        ]
 
     def tile(self, index: int) -> Rect:
         """Rect (x0, y0, w, h) of the tile with this index (x fastest)."""
         if not (0 <= index < self.num_tiles):
             raise ConfigError(f"tile index {index} out of range")
-        gx, _gy = self.grid
-        tx = index % gx
-        ty = index // gx
-        x0 = int(self._xs[tx])
-        y0 = int(self._ys[ty])
-        return (x0, y0, int(self._xs[tx + 1]) - x0, int(self._ys[ty + 1]) - y0)
+        return self._rects[index]
 
     def tiles(self) -> list[Rect]:
-        return [self.tile(i) for i in range(self.num_tiles)]
+        return list(self._rects)

@@ -56,9 +56,9 @@ class PartialImage:
         ix1 = min(x0 + w, cx0 + cw)
         iy1 = min(y0 + h, cy0 + ch)
         if ix1 <= ix0 or iy1 <= iy0:
-            return PartialImage((ix0, iy0, 0, 0), np.zeros((0, 0, 4), np.float32), self.depth)
+            return _unchecked((ix0, iy0, 0, 0), np.zeros((0, 0, 4), np.float32), self.depth)
         sub = self.rgba[iy0 - y0 : iy1 - y0, ix0 - x0 : ix1 - x0]
-        return PartialImage((ix0, iy0, ix1 - ix0, iy1 - iy0), sub, self.depth)
+        return _unchecked((ix0, iy0, ix1 - ix0, iy1 - iy0), sub, self.depth)
 
     @property
     def empty(self) -> bool:
@@ -92,6 +92,14 @@ class PartialImage:
         )
 
 
+def _unchecked(rect: Rect, rgba: np.ndarray, depth: float) -> PartialImage:
+    """A PartialImage whose rgba has the rect's shape by construction
+    (a slice of a validated image); skips ``__post_init__``."""
+    p = object.__new__(PartialImage)
+    p.rect, p.rgba, p.depth, p.samples = rect, rgba, depth, 0
+    return p
+
+
 def over(front: np.ndarray, back: np.ndarray) -> np.ndarray:
     """Premultiplied-alpha over: front + (1 - alpha_front) * back."""
     return front + (1.0 - front[..., 3:4]) * back
@@ -110,7 +118,9 @@ def composite_stack(stack: np.ndarray) -> np.ndarray:
     transmittance above it — ``prod_{j<i} (1 - alpha_j)`` per pixel —
     so the whole blend is a cumulative product and one weighted sum,
     vectorized over the full tile instead of a Python loop per
-    fragment.
+    fragment.  The sum is the batched (4, n) @ (n, 1) product per pixel
+    that ``einsum("nhwc,nhwk->hwc")`` dispatches to, called directly so
+    no contraction is planned per tile.
     """
     n = stack.shape[0]
     if n == 1:
@@ -118,9 +128,8 @@ def composite_stack(stack: np.ndarray) -> np.ndarray:
     weights = np.empty(stack.shape[:3] + (1,), dtype=np.float32)
     weights[0] = 1.0
     np.cumprod(1.0 - stack[:-1, ..., 3:4], axis=0, out=weights[1:])
-    return np.einsum("nhwc,nhwk->hwc", stack, weights, optimize=True).astype(
-        np.float32, copy=False
-    )
+    summed = stack.transpose(1, 2, 3, 0) @ weights.transpose(1, 2, 0, 3)
+    return summed[..., 0].astype(np.float32, copy=False)
 
 
 # Stacked compositing allocates one canvas layer per fragment; beyond
@@ -128,29 +137,27 @@ def composite_stack(stack: np.ndarray) -> np.ndarray:
 _STACK_BUDGET_FLOATS = 1 << 26
 
 
-def composite_over(
-    canvas: np.ndarray, partials: list[PartialImage], canvas_origin: tuple[int, int] = (0, 0)
-) -> np.ndarray:
-    """Blend partial images into a canvas, nearest (smallest depth) first.
+def _accumulate(partials: list[PartialImage], rect: Rect) -> np.ndarray | None:
+    """Front-to-back blend of ``partials`` over ``rect``, on transparent.
 
-    The canvas is treated as farther than every partial (it starts
-    transparent, so ordering against it is irrelevant); partials are
-    sorted by depth.  Fragment lists are blended with one vectorized
-    over-accumulation across the union of their footprints
-    (:func:`composite_stack`); very large fragment sets fall back to
-    the per-fragment loop to bound memory.
+    Partials are sorted by depth (stable, so equal depths keep list
+    order); a partial that straddles ``rect`` is cropped to it, one
+    already inside is used as it is.  Returns None when no partial
+    covers a pixel of ``rect``.
     """
-    ox, oy = canvas_origin
-    ch, cw = canvas.shape[:2]
+    ox, oy, cw, ch = rect
     clipped = []
     for p in sorted(partials, key=lambda p: p.depth):
-        if p.empty:
+        x0, y0, w, h = p.rect
+        if w == 0 or h == 0:
             continue
-        c = p.crop((ox, oy, cw, ch))
-        if not c.empty:
-            clipped.append(c)
+        if x0 < ox or y0 < oy or x0 + w > ox + cw or y0 + h > oy + ch:
+            p = p.crop(rect)
+            if p.empty:
+                continue
+        clipped.append(p)
     if not clipped:
-        return canvas.astype(np.float32, copy=True)
+        return None
     # Union bbox of the surviving fragments, in canvas coordinates.
     bx0 = min(c.rect[0] for c in clipped) - ox
     by0 = min(c.rect[1] for c in clipped) - oy
@@ -169,6 +176,36 @@ def composite_over(
             x0, y0, w, h = c.rect
             sl = (slice(y0 - oy, y0 - oy + h), slice(x0 - ox, x0 - ox + w))
             acc[sl] = over(acc[sl], c.rgba)
+    return acc
+
+
+def composite_tile(rect: Rect, partials: list[PartialImage]) -> np.ndarray:
+    """Blend partial images into a transparent tile ``rect``, nearest first.
+
+    The same pixels as ``composite_over(blank_image(w, h), partials,
+    (x0, y0))`` for premultiplied inputs in [0, 1]: over a transparent
+    canvas adds zero, so the accumulator is the tile.
+    """
+    acc = _accumulate(partials, rect)
+    return blank_image(rect[2], rect[3]) if acc is None else acc
+
+
+def composite_over(
+    canvas: np.ndarray, partials: list[PartialImage], canvas_origin: tuple[int, int] = (0, 0)
+) -> np.ndarray:
+    """Blend partial images into a canvas, nearest (smallest depth) first.
+
+    The canvas is treated as farther than every partial (it starts
+    transparent, so ordering against it is irrelevant); partials are
+    sorted by depth.  Fragment lists are blended with one vectorized
+    over-accumulation across the union of their footprints
+    (:func:`composite_stack`); very large fragment sets fall back to
+    the per-fragment loop to bound memory.
+    """
+    ch, cw = canvas.shape[:2]
+    acc = _accumulate(partials, (canvas_origin[0], canvas_origin[1], cw, ch))
+    if acc is None:
+        return canvas.astype(np.float32, copy=True)
     return over(acc, canvas)
 
 

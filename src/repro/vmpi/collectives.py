@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.utils.errors import CommunicationError
 from repro.vmpi.ops import resolve_op
+from repro.vmpi.payload import Detached, payload_nbytes, snapshot
 
 #: Tags at or above this value are reserved for collective internals.
 COLLECTIVE_TAG_BASE = 1 << 20
@@ -183,23 +184,34 @@ def allreduce(ctx: Any, value: Any, op: Any = "sum") -> Generator:
 
 
 def gather(ctx: Any, value: Any, root: int = 0) -> Generator:
-    """Binomial-tree gather; root returns the rank-ordered list."""
+    """Binomial-tree gather; root returns the rank-ordered list.
+
+    A subtree travels up as a :class:`~repro.vmpi.payload.Detached`
+    ``{rank: value}`` dict: each rank snapshots its own value once, when
+    it sends, and states the size ``payload_nbytes`` gives that dict, so
+    a parent forwards its children's values by reference instead of
+    copying and re-sizing them at every level.
+    """
     p = ctx.size
     _check_root(root, p)
     tag = _coll_tag(ctx)
     rel = (ctx.rank - root) % p
     collected: dict[int, Any] = {ctx.rank: value}
+    nbytes = envelope = payload_nbytes({})
     mask = 1
     while mask < p:
         if rel & mask:
             dest = ((rel & ~mask) + root) % p
-            yield from ctx.send(collected, dest, tag)
+            own = collected[ctx.rank] = snapshot(value)
+            nbytes += payload_nbytes(ctx.rank) + payload_nbytes(own)
+            yield from ctx.send(Detached(collected, nbytes), dest, tag)
             return None
         peer_rel = rel | mask
         if peer_rel < p:
             src = (peer_rel + root) % p
             part = yield from ctx.recv(source=src, tag=tag)
-            collected.update(part)
+            collected.update(part.value)
+            nbytes += part.nbytes - envelope
         mask <<= 1
     if ctx.rank == root:
         return [collected[r] for r in range(p)]

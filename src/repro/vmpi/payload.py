@@ -5,16 +5,20 @@ afterwards must not change what the receiver sees.  ``snapshot``
 implements that for the container shapes this codebase sends.
 
 ``VirtualPayload`` carries only a byte count.  Performance-mode runs at
-large scale use it so the DES moves no real data.
+large scale use it so the DES moves no real data.  ``Detached`` carries
+a body that was snapshotted and sized once, so forwarding it (a gather
+subtree going up the tree) copies and sizes nothing again.
 """
 
 from __future__ import annotations
 
+import copy
 import sys
 from typing import Any
 
 import numpy as np
 
+from repro.render.image import PartialImage
 from repro.utils.errors import CommunicationError
 
 
@@ -40,13 +44,46 @@ class VirtualPayload:
         return f"VirtualPayload({self.nbytes}B{tag})"
 
 
+class Detached:
+    """A payload already detached from its senders, with its wire size.
+
+    ``snapshot`` passes it by reference and ``payload_nbytes`` reads its
+    stated ``nbytes``, so a body assembled from values that were each
+    snapshotted once (a gather subtree) is forwarded without being
+    copied or sized again.  Whoever builds one owns that guarantee.
+    """
+
+    __slots__ = ("value", "nbytes")
+
+    def __init__(self, value: Any, nbytes: int):
+        self.value = value
+        self.nbytes = nbytes
+
+
 def payload_nbytes(obj: Any) -> int:
     """Wire size of a payload, in bytes.
 
     NumPy arrays count their buffer; containers sum their elements plus
     a small per-element envelope; scalars and small objects count a
     fixed envelope, mirroring pickled-header costs without pickling.
+    The built-in shapes, and the bodies that state their own size
+    (partial images, virtual payloads, :class:`Detached`), are matched
+    by exact class first; subclasses and everything else take the
+    ``isinstance`` ladder, :func:`_nbytes_by_kind`.
     """
+    cls = obj.__class__
+    if cls is PartialImage or cls is np.ndarray or cls is VirtualPayload or cls is Detached:
+        return obj.nbytes
+    if cls is tuple or cls is list:
+        return 16 + sum(map(payload_nbytes, obj))
+    if cls is int or cls is float or obj is None:
+        return 16
+    if cls is dict:
+        return 16 + sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
+    return _nbytes_by_kind(obj)
+
+
+def _nbytes_by_kind(obj: Any) -> int:
     if isinstance(obj, VirtualPayload):
         return obj.nbytes
     if isinstance(obj, np.ndarray):
@@ -71,18 +108,31 @@ def payload_nbytes(obj: Any) -> int:
 def snapshot(obj: Any) -> Any:
     """Copy-on-send: detach the payload from the sender's buffers.
 
-    NumPy arrays are copied; containers are rebuilt with copied leaves;
-    immutable scalars pass through.  Arbitrary objects pass through by
-    reference — senders of custom objects must not mutate them after
-    sending (the library's own message types are all immutable or
-    consumed).
+    NumPy arrays are copied; containers are rebuilt with copied leaves
+    and keep their class (a namedtuple stays one, a ``defaultdict``
+    keeps its factory); immutable scalars pass through.  Arbitrary
+    objects pass through by reference — senders of custom objects must
+    not mutate them after sending (the library's own message types are
+    all immutable or consumed).
     """
+    cls = obj.__class__
+    if cls is PartialImage or cls is VirtualPayload or cls is Detached:
+        return obj
+    if cls is np.ndarray:
+        return obj.copy()
+    if cls is tuple:
+        return tuple(map(snapshot, obj))
+    if cls is list:
+        return list(map(snapshot, obj))
+    if cls is dict:
+        return {k: snapshot(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, tuple):
-        return tuple(snapshot(v) for v in obj)
-    if isinstance(obj, list):
-        return [snapshot(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: snapshot(v) for k, v in obj.items()}
+        return getattr(cls, "_make", cls)(map(snapshot, obj))
+    if isinstance(obj, (list, dict)):
+        copied = copy.copy(obj)
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            copied[k] = snapshot(v)
+        return copied
     return obj
