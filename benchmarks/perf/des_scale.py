@@ -15,6 +15,9 @@ with committed numbers:
 * ``des_directsend_2048``  — a full 2048-rank direct-send compositing
   phase with virtual payloads over the torus network (the paper's
   Sec. III-B3 pattern at half-rack scale).
+* ``des_footprint_2048``   — the same phase in a fresh interpreter,
+  timed cold, with its peak RSS and the bytes retained per in-flight
+  message at the first delivery as facts.
 
 Workloads are deterministic (hash-derived fan-outs, fixed geometry) so
 the committed numbers are reproducible on the machine that wrote them.
@@ -231,9 +234,68 @@ def bench_des_directsend_2048(repeats: int = 1) -> dict:
     }
 
 
+#: The 2048-rank direct-send phase twice: once for the peak RSS, once
+#: under tracemalloc with a probe between the last t = 0 send and the
+#: first delivery, when every message of the phase is in flight.  The
+#: probe reads the bytes the run allocated and still holds, per message.
+_DES_FOOTPRINT = """
+import gc, json, resource, tracemalloc
+from benchmarks.perf.des_scale import (
+    DIRECTSEND_RANKS, _directsend_program, _directsend_schedule)
+from repro.vmpi import MPIWorld
+
+program = _directsend_program(_directsend_schedule())
+reading = {}
+
+def probe(engine):
+    reading["bytes"] = tracemalloc.get_traced_memory()[0] - reading["base"]
+    reading["in_flight"] = engine.pending_events
+
+def probed(ctx):
+    if ctx.rank == 0:
+        ctx.engine.schedule_at(1e-12, lambda: probe(ctx.engine))
+    return (yield from program(ctx))
+
+res = MPIWorld.for_cores(DIRECTSEND_RANKS).run(program)
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+world = MPIWorld.for_cores(DIRECTSEND_RANKS)
+gc.collect()
+gc.disable()
+tracemalloc.start()
+reading["base"] = tracemalloc.get_traced_memory()[0]
+world.run(probed)
+tracemalloc.stop()
+assert reading["in_flight"] == res.messages
+print(json.dumps({
+    "messages": res.messages,
+    "peak_rss_mb": round(peak_rss_mb, 1),
+    "bytes_per_message": round(reading["bytes"] / reading["in_flight"]),
+}))
+"""
+
+
+def bench_des_footprint_2048(repeats: int = 2) -> dict:
+    """The 2048-rank direct-send phase cold, interpreter start included."""
+    from benchmarks.perf.suite import run_fresh
+
+    samples, facts = _timeit(lambda: run_fresh(_DES_FOOTPRINT), repeats)
+    return {
+        "guard": True,
+        "config": {
+            "ranks": DIRECTSEND_RANKS,
+            "grid": DIRECTSEND_GRID[0],
+            "image": DIRECTSEND_IMAGE,
+            "compositors": DIRECTSEND_RANKS,
+        },
+        "samples": samples,
+        "facts": facts,
+    }
+
+
 DES_BENCHMARKS = {
     "des_engine_loop": bench_des_engine_loop,
     "des_future_resume": bench_des_future_resume,
     "des_alltoallv_4096": bench_des_alltoallv_4096,
     "des_directsend_2048": bench_des_directsend_2048,
+    "des_footprint_2048": bench_des_footprint_2048,
 }

@@ -350,8 +350,8 @@ print(json.dumps({
 
 
 def run_fresh(script: str) -> dict:
-    """Run ``script`` in a fresh interpreter on this checkout's ``repro``;
-    the JSON object it prints."""
+    """Run ``script`` in a fresh interpreter on this checkout's ``repro``
+    and ``benchmarks``; the JSON object it prints."""
     import json
     import os
     import subprocess
@@ -359,7 +359,8 @@ def run_fresh(script: str) -> dict:
 
     import repro
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(src)]))
     run = subprocess.run(
         [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True,
     )

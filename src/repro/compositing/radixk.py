@@ -28,7 +28,7 @@ import numpy as np
 from repro.compositing.directsend import assemble_tiles
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
-from repro.render.image import PartialImage, blank_image, composite_over, over
+from repro.render.image import PartialImage, composite_tile, over
 from repro.utils.errors import ConfigError
 
 RADIX_TAG = 7300
@@ -94,9 +94,7 @@ def radix_k_compose(
         plan[axis] = given
 
     region = (0, 0, camera.width, camera.height)
-    image = composite_over(
-        blank_image(camera.width, camera.height), [] if partial is None else [partial]
-    )
+    image = composite_tile(region, [] if partial is None else [partial])
 
     bx = ctx.rank % bgx
     by = (ctx.rank // bgx) % bgy

@@ -11,7 +11,7 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.render.image import PartialImage, blank_image, composite_over
+from repro.render.image import PartialImage, composite_tile
 
 
 def serial_compose(
@@ -30,9 +30,9 @@ def serial_compose(
     if ctx.rank != root:
         return None
     partials = [p for p in gathered if p is not None]
-    return composite_over(blank_image(width, height), partials)
+    return composite_tile((0, 0, width, height), partials)
 
 
 def compose_locally(partials: list[PartialImage | None], width: int, height: int) -> np.ndarray:
     """Pure-local oracle used by tests (no simulated MPI involved)."""
-    return composite_over(blank_image(width, height), [p for p in partials if p is not None])
+    return composite_tile((0, 0, width, height), [p for p in partials if p is not None])

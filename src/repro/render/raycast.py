@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.render.camera import Camera
-from repro.render.image import PartialImage, Rect, blank_image, composite_over
+from repro.render.image import PartialImage, Rect, composite_tile
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
@@ -306,10 +306,9 @@ def render_volume_serial(
 def _whole_frame(camera: Camera, partial: PartialImage | None) -> np.ndarray:
     """The full canvas holding one whole-volume partial (blank if None):
     the tail of every ``*_serial`` reference renderer."""
-    canvas = blank_image(camera.width, camera.height)
-    if partial is None:
-        return canvas
-    return composite_over(canvas, [partial])
+    return composite_tile(
+        (0, 0, camera.width, camera.height), [] if partial is None else [partial]
+    )
 
 
 def _march_dense(

@@ -8,9 +8,15 @@ throughput without giving up determinism):
   :class:`Event` entries.  Each event is its own 4-element
   ``[time, priority, seq, fn]`` list, so scheduling allocates exactly
   one object, and the heap's C sifts compare entries element-wise.
-  Push and pop each cost ``O(log n)``, so a batch of ``k`` events that
-  lands ahead of a long queue costs ``O(k log n)``, never a re-sort of
-  what is already queued.
+  Push and pop each cost ``O(log n)``, so ``k`` events that land ahead
+  of a long queue cost ``O(k log n)``, never a re-sort of what is
+  already queued.
+
+* **One heap entry per batch.**  :meth:`Engine.schedule_stream` queues
+  a batch (a rank's ``isend_many``) as one entry for its earliest
+  element; the rest wait in two sorted 8-byte arrays, and the entry is
+  re-pushed with the next element's key after each one fires.  The
+  heap holds a few thousand stream heads, not one entry per message.
 
 * **Ready deque for same-timestamp resumes.**  Starting or resuming a
   process at the current time (spawn, future resolved, zero delay)
@@ -31,10 +37,13 @@ throughput without giving up determinism):
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
+
+import numpy as np
 
 from repro.sim.events import AllOf, Delay, Event, Future
 from repro.utils.errors import DeadlockError, SimulationError
@@ -186,6 +195,50 @@ class Process:
         return f"<Process {self.name} waiting_on={self.waiting_on!r}>"
 
 
+class _Stream(list):
+    """One batch of :meth:`Engine.schedule_stream`: its own heap entry,
+    ``[time, 0, seq, fire]`` for its next unfired element.
+
+    ``times`` are the batch's times in ``(time, seq)`` order and
+    ``index`` each one's position in the batch (8 bytes apiece): the
+    ``k``-th to fire runs ``fns[index[k]]()`` as sequence number
+    ``base + index[k]``, the one the ``schedule_at`` loop would give it.
+    """
+
+    __slots__ = ("engine", "times", "index", "fns", "base", "k", "last", "_fire")
+
+    def __init__(self, engine: "Engine", times: array, index: array,
+                 fns: list[Callable], base: int):
+        self.engine = engine
+        self.times = times
+        self.index = index
+        self.fns = fns
+        self.base = base
+        self.k = 0
+        self.last = len(index) - 1
+        self._fire = fire = self.fire
+        list.__init__(self, (times[0], 0, base + index[0], fire))
+        heappush(engine._queue, self)
+
+    def fire(self) -> None:
+        """Run the head element; re-queue the entry for the next one
+        first (the run loop popped it and nulled its callback)."""
+        k = self.k
+        index = self.index
+        fn = self.fns[index[k]]
+        if k < self.last:
+            self.k = k = k + 1
+            self[0] = self.times[k]
+            self[2] = self.base + index[k]
+            self[3] = self._fire
+            eng = self.engine
+            heappush(eng._queue, self)
+            eng._backlog -= 1
+        else:
+            self._fire = None  # spent: break the self-reference
+        fn()
+
+
 class Engine:
     """A deterministic discrete-event simulation engine.
 
@@ -221,6 +274,8 @@ class Engine:
         self._processes: list[Process] = []
         self._running = False
         self._cancelled = 0  # cancelled events still sitting in the queue
+        # Unfired stream elements behind their stream's queued head.
+        self._backlog = 0
         self._note_cb = self._note_cancelled
         # Per-engine Event subclass: the cancel-notification callback
         # rides on the *class* (shadowing the inherited slot), so
@@ -254,28 +309,29 @@ class Engine:
         heappush(self._queue, ev)
         return ev
 
-    def schedule_many_at(self, times: list[float], fns: list[Callable]) -> list[Event]:
-        """:meth:`schedule_at` for a batch: the entries and consecutive
-        sequence numbers of the loop, in one call.  A bad time raises
-        before anything is queued or numbered."""
+    def schedule_stream(self, times: np.ndarray | list[float], fns: list[Callable]) -> None:
+        """Queue ``fns[k]()`` at ``times[k]`` for a batch, as one heap
+        entry (a :class:`_Stream`), in exactly the order and with the
+        sequence numbers of a :meth:`schedule_at` loop: a stable
+        argsort keeps equal times in batch order.  A bad time raises
+        before anything is queued or numbered.  Streams are not
+        cancellable."""
+        n = len(fns)
+        if n == 0:
+            return
+        t = np.asarray(times, dtype=np.float64)
+        order = np.argsort(t, kind="stable")
+        ts = t[order]
         now = self.now
-        seq = self._seq
-        cls = self._ev_cls
-        batch = []
-        for time, fn in zip(times, fns):
-            if not (now <= time < _INF):
-                raise SimulationError(
-                    f"cannot schedule at t={time!r}: not in [now={now!r}, inf)"
-                )
-            seq += 1
-            ev = _EV_NEW(cls)
-            _EV_FILL(ev, (time, 0, seq, fn))
-            batch.append(ev)
-        self._seq = seq
-        q = self._queue
-        for ev in batch:
-            heappush(q, ev)
-        return batch
+        # NaN sorts last and -inf first: the two ends check the batch.
+        if not (now <= ts[0] and ts[-1] < _INF):
+            bad = next(x for x in t.tolist() if not (now <= x < _INF))
+            raise SimulationError(
+                f"cannot schedule at t={bad!r}: not in [now={now!r}, inf)"
+            )
+        self._seq = (base := self._seq) + n
+        self._backlog += n - 1
+        _Stream(self, array("d", ts.tobytes()), array("q", order.tobytes()), fns, base + 1)
 
     def _schedule_step(self, delay: float, proc: Process) -> None:
         """Queue ``proc._step(None)`` after ``delay`` — the Delay resume
@@ -381,9 +437,10 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued (non-cancelled) events and pending resumes —
-        O(1) via the live cancellation counter."""
-        return len(self._queue) + len(self._ready) - self._cancelled
+        """Number of queued (non-cancelled) events, unfired stream
+        elements and pending resumes — O(1) via the live cancellation
+        and stream-backlog counters."""
+        return len(self._queue) + len(self._ready) - self._cancelled + self._backlog
 
     @property
     def next_event_time(self) -> float:

@@ -58,7 +58,7 @@ class TestScheduling:
         for call in (
             lambda: eng.schedule(bad, lambda: None),
             lambda: eng.schedule_at(bad, lambda: None),
-            lambda: eng.schedule_many_at([0.5, bad], [lambda: None] * 2),
+            lambda: eng.schedule_stream([0.5, bad], [lambda: None] * 2),
         ):
             with pytest.raises(SimulationError, match=repr(bad)):
                 call()
@@ -118,34 +118,59 @@ class TestScheduling:
         assert len(times) == len(delays)
 
 
-class TestScheduleMany:
-    """``schedule_many_at`` is the ``schedule_at`` loop, in one call."""
+class TestScheduleStream:
+    """``schedule_stream`` runs a batch exactly as the ``schedule_at``
+    loop would, from one heap entry."""
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=20),
         st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=5),
     )
-    def test_same_entries_as_the_loop(self, times, before):
-        def entries(bulk):
+    def test_same_order_as_the_loop(self, times, before):
+        def run(stream):
             eng = Engine()
-            for t in before:  # the batch starts from an arbitrary seq / min time
-                eng.schedule_at(t, lambda: None)
-            fns = [lambda k=k: fired.append(k) for k in range(len(times))]
-            if bulk:
-                events = eng.schedule_many_at(times, fns)
-            else:
-                events = [eng.schedule_at(t, fn) for t, fn in zip(times, fns)]
-            keys = [(ev.time, ev.priority, ev.seq) for ev in events]
-            state = (eng._seq, eng.next_event_time, eng.pending_events)
             fired = []
+            for k, t in enumerate(before):  # an arbitrary seq / min time
+                eng.schedule_at(t, lambda k=k: fired.append(("before", k, eng.now)))
+            fns = [lambda k=k: fired.append(("batch", k, eng.now)) for k in range(len(times))]
+            if stream:
+                eng.schedule_stream(times, fns)
+            else:
+                for t, fn in zip(times, fns):
+                    eng.schedule_at(t, fn)
+            eng.schedule(0.0, lambda: fired.append(("after", eng.now)))
+            state = (eng._seq, eng.next_event_time, eng.pending_events)
             eng.run()
-            return keys, state, fired, eng.now
+            return state, fired, eng.now, eng.pending_events
 
-        assert entries(bulk=True) == entries(bulk=False)
+        assert run(stream=True) == run(stream=False)
+
+    def test_one_heap_entry_per_batch(self):
+        eng = Engine()
+        eng.schedule_stream([3.0, 1.0, 1.0, 2.0], [lambda: None] * 4)
+        eng.schedule_stream([0.5, 0.5], [lambda: None] * 2)
+        assert len(eng._queue) == 2
+        assert eng.pending_events == 6
+        assert eng.next_event_time == 0.5
+
+    def test_horizon_stops_a_stream_midway(self):
+        eng = Engine()
+        fired = []
+        eng.schedule_stream(
+            [2.0, 1.0, 3.0, 1.0], [partial(fired.append, k) for k in range(4)]
+        )
+        eng.run(until=1.5)
+        assert fired == [1, 3]  # equal times keep batch order
+        assert (eng.pending_events, eng.next_event_time) == (2, 2.0)
+        eng.run(until=2.0)
+        assert (fired, eng.pending_events, eng.next_event_time) == ([1, 3, 0], 1, 3.0)
+        eng.run()
+        assert fired == [1, 3, 0, 2]
+        assert (eng.pending_events, eng.next_event_time) == (0, inf)
 
     def test_past_time_raises_and_leaks_nothing(self):
         eng = Engine()
-        eng.schedule(2.0, lambda: eng.schedule_many_at([3.0, 1.0, 4.0], [lambda: None] * 3))
+        eng.schedule(2.0, lambda: eng.schedule_stream([3.0, 1.0, 4.0], [lambda: None] * 3))
         with pytest.raises(SimulationError, match="t=1.0"):
             eng.run()
         # Neither the valid 3.0 before the bad entry nor a sequence
@@ -153,15 +178,29 @@ class TestScheduleMany:
         assert eng.pending_events == 0
         assert eng.schedule_at(5.0, lambda: None).seq == 2
 
-    def test_events_are_cancellable(self):
+    def test_single_events_stay_cancellable_beside_a_stream(self):
         eng = Engine()
         fired = []
-        events = eng.schedule_many_at(
+        ev = eng.schedule_at(1.5, lambda: fired.append("cancelled"))
+        assert eng.schedule_stream(
             [1.0, 2.0], [lambda: fired.append(1), lambda: fired.append(2)]
-        )
-        events[0].cancel()
+        ) is None  # no handle: a stream is not cancellable
+        ev.cancel()
+        assert eng.pending_events == 2
         eng.run()
-        assert fired == [2]
+        assert fired == [1, 2]
+
+    def test_waiting_on_the_last_element_is_no_deadlock(self):
+        eng = Engine()
+        futs = [Future() for _ in range(3)]
+
+        def waiter():
+            return (yield AllOf(futs))
+
+        proc = eng.spawn(waiter())
+        eng.schedule_stream([3.0, 1.0, 2.0], [partial(f.resolve, k) for k, f in enumerate(futs)])
+        assert eng.run() == 3.0
+        assert proc.done.value == [0, 1, 2]
 
 
 class TestProcesses:
@@ -430,7 +469,7 @@ _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 _OPS = st.one_of(
     st.tuples(st.just("schedule"), _DELAYS, st.integers(-1, 1)),
     st.tuples(st.just("at"), _DELAYS, st.integers(-1, 1)),
-    st.tuples(st.just("many"), st.lists(_DELAYS, max_size=4)),
+    st.tuples(st.just("stream"), st.lists(_DELAYS, max_size=4)),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
     st.tuples(st.just("wait"), st.sampled_from([None, 0.0, 0.5])),
     st.tuples(st.just("resolve"), st.integers(0, 63)),
@@ -472,6 +511,7 @@ class _OrderOracle:
         self.expected.append(min(self.live.values()))
         self.ran.append(key)
         del self.live[key[2]]
+        self.check()  # mid-run, mid-stream: the engine's counts are live
         if self.tape:
             self.apply(self.tape.pop(0))
 
@@ -497,13 +537,9 @@ class _OrderOracle:
         elif kind == "at":
             key = self._push(eng.now + op[1], op[2])
             self._queued(key, eng.schedule_at(key[0], partial(self._ran, key), op[2]))
-        elif kind == "many":
+        elif kind == "stream":  # no handles: streams are not cancellable
             keys = [self._push(eng.now + d) for d in op[1]]
-            events = eng.schedule_many_at(
-                [k[0] for k in keys], [partial(self._ran, k) for k in keys]
-            )
-            for key, ev in zip(keys, events):
-                self._queued(key, ev)
+            eng.schedule_stream([k[0] for k in keys], [partial(self._ran, k) for k in keys])
         elif kind == "cancel":
             if self.handles:
                 ev = list(self.handles.values())[op[1] % len(self.handles)]
@@ -537,9 +573,12 @@ class _OrderOracle:
 class TestOrderOracle:
     """The engine executes in exactly the order of a brute-force
     reference: at every step, the least live ``(time, priority, seq)``
-    key among queued events and pending resumes, through schedules,
-    batches, cancellations, zero-delay resumes and ``run(until=...)``
-    windows as the sharded world drives them."""
+    key among queued events, stream elements and pending resumes,
+    through schedules, streams, cancellations, zero-delay resumes and
+    ``run(until=...)`` windows as the sharded world drives them.  The
+    engine's ``pending_events`` and ``next_event_time`` are checked
+    against the reference after every executed step, mid-stream
+    included."""
 
     @given(
         setup=st.lists(_OPS, max_size=8),
@@ -556,6 +595,14 @@ class TestOrderOracle:
         setup=[("schedule", 0.5, 0)] + [("schedule", 2.0, 0)] * 10,
         tape=[("cancel", 0)],
         windows=[1.0],
+    )
+    @example(  # streams out of time order, with ties and a time equal to
+        # now, issued before and during the run beside ready resumes, and
+        # cut mid-way by two horizons
+        setup=[("stream", [2.0, 0.0, 1.0, 0.0]), ("wait", 0.5), ("stream", [1.0, 1.0])],
+        tape=[("stream", [0.0, 1.0, 0.5, 0.5]), ("resolve", 0), ("schedule", 0.0, -1),
+              ("stream", [0.5]), ("cancel", 0), ("wait", None), ("resolve", 1)],
+        windows=[0.5, 1.0],
     )
     def test_order_matches_brute_force_reference(self, setup, tape, windows):
         oracle = _OrderOracle(tape)
