@@ -164,6 +164,46 @@ def bench_render_blocks_64(repeats: int = 5) -> dict:
     }
 
 
+def bench_frame_plan_2048(repeats: int = 3) -> dict:
+    """One cold ``FramePlanCache.plan_for`` at 128^3 / 512^2 / 2048 blocks.
+
+    Decomposition, ghost extents, the m = n direct-send schedule (its
+    module cache cleared first) and 2048 ray plans over one frame ray
+    table.  A pixel's ray is planned once per block it crosses, 13.5
+    times here, so the ray plans are most of what a cached frame keeps:
+    the facts are their size (MiB) and bytes per (ray, block) pair.
+    """
+    from repro.compositing.schedule import clear_schedule_cache
+    from repro.core.plan import FramePlanCache
+    from repro.render.camera import Camera
+
+    grid, blocks = (128, 128, 128), 2048
+    camera = Camera.looking_at_volume(
+        grid, width=512, height=512, azimuth_deg=33.0, elevation_deg=21.0
+    )
+
+    def cold():
+        clear_schedule_cache()
+        return FramePlanCache().plan_for(camera, grid, blocks, RENDER_STEP, 1, "io", blocks)
+
+    samples, plan = timed(cold, repeats)
+    rays = [p for p in plan.ray_plans if p is not None]
+    pairs = sum(p.num_rays for p in rays)
+    nbytes = sum(
+        a.nbytes for p in rays for a in (p.pix, p.origins, p.dirs, p.k_lo, p.k_hi)
+    )
+    return {
+        "guard": True,
+        "config": {"grid": 128, "blocks": blocks, "ghost": 1, "image": 512, "step": RENDER_STEP},
+        "samples": samples,
+        "facts": {
+            "pairs": pairs,
+            "plan_mb": round(nbytes / 2**20, 1),
+            "bytes_per_pair": round(nbytes / pairs, 2),
+        },
+    }
+
+
 def render_equivalence_maxdiff() -> float:
     """Max |compacted - serial reference| over the benchmark frame.
 
@@ -383,6 +423,7 @@ def bench_dataset_cold_64(repeats: int = 2) -> dict:
 BENCHMARKS = {
     "render_kernel_compacted": bench_render_kernel,
     "render_blocks_64": bench_render_blocks_64,
+    "frame_plan_2048": bench_frame_plan_2048,
     "composite_over": bench_composite,
     "handoff_tiles_256": bench_handoff_tiles_256,
     "two_phase_plan": bench_two_phase_plan,

@@ -3,8 +3,12 @@ core-collapse supernova."
 
 Renders the synthetic supernova's vx field through the full functional
 pipeline (collective netCDF read -> parallel ray casting -> direct-send
-compositing) and saves the image as a PPM next to the other results.
+compositing).  The result file records the sha256 of the float RGBA
+image, so regenerating it diffs the whole pipeline's pixels; the PPM
+beside it is for viewing and is not tracked.
 """
+
+import hashlib
 
 from benchmarks.conftest import write_result
 from repro.core import ParallelVolumeRenderer
@@ -53,6 +57,7 @@ def test_fig01_supernova_image(benchmark, results_dir):
         f"  grid {GRID}, image {IMAGE}^2, 16 ranks, direct-send compositing\n"
         f"  frame timing: {result.timing}\n"
         f"  image coverage: {100 * coverage:.1f}% of pixels non-empty\n"
+        f"  image sha256 (float32 RGBA): {hashlib.sha256(image.tobytes()).hexdigest()}\n"
         f"  saved: fig01_supernova.ppm",
     )
     benchmark.extra_info["coverage"] = coverage

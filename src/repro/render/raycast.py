@@ -99,20 +99,25 @@ def check_early_termination(early_termination: float) -> None:
 
 @dataclass(frozen=True)
 class RayPlan:
-    """Data-independent ray geometry for one (camera, block, step).
+    """Data-independent ray geometry for one (camera, block, step), in
+    the form :func:`render_block` reads.
 
     Arrays are compacted over the rays that actually hit the block's
     AABB; ``pix`` holds each surviving ray's flat index into the
     footprint rectangle (row-major over (h, w)).  ``k_lo``/``k_hi``
-    are the globally aligned sample-index bounds per ray.
+    are the globally aligned sample-index bounds per ray.  Indices are
+    int32 when they fit (with one window of headroom), int64 otherwise.
+    ``origins``/``dirs`` are float32 ``(3, n)`` rows, or a ``(3, 1)``
+    column every ray shares — the eye under perspective, the view
+    direction under orthographic — which broadcasts: 24 bytes a ray.
     """
 
     rect: Rect
-    pix: np.ndarray  # (n,) int64 flat footprint indices of hit rays
-    origins: np.ndarray  # (n, 3) float64
-    dirs: np.ndarray  # (n, 3) float64 unit directions
-    k_lo: np.ndarray  # (n,) int64 first global sample index (inclusive)
-    k_hi: np.ndarray  # (n,) int64 last global sample index (exclusive)
+    pix: np.ndarray  # (n,) int32/int64 flat footprint indices of hit rays
+    origins: np.ndarray  # (3, n) or shared (3, 1) float32
+    dirs: np.ndarray  # (3, n) or shared (3, 1) float32 unit directions
+    k_lo: np.ndarray  # (n,) int32/int64 first global sample index (inclusive)
+    k_hi: np.ndarray  # (n,) int32/int64 last global sample index (exclusive)
     k_min: int
     k_max: int
     depth: float  # Camera.visibility_key of the block's box
@@ -121,6 +126,11 @@ class RayPlan:
     @property
     def num_rays(self) -> int:
         return int(self.pix.size)
+
+
+def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
+    """``index`` as int32 when ``bound`` (>= every value it will hold) fits."""
+    return index.astype(np.int32) if bound < 2**31 else index
 
 
 def build_ray_plan(
@@ -158,15 +168,22 @@ def build_ray_plan(
         flat = flat[nonempty]
         k_lo = k_lo[nonempty]
         k_hi = k_hi[nonempty]
+    k_max = int(k_hi.max())
+    # The projection names the vector every ray shares: one (1, 3) row.
+    if camera.orthographic:
+        origins, dirs = origins.reshape(-1, 3)[flat], camera.forward[None]
+    else:
+        origins, dirs = camera.eye[None], dirs.reshape(-1, 3)[flat]
     return RayPlan(
         rect=rect,
-        pix=flat,
-        origins=origins.reshape(-1, 3)[flat],
-        dirs=dirs.reshape(-1, 3)[flat],
-        k_lo=k_lo,
-        k_hi=k_hi,
+        pix=_narrow(flat, rect[2] * rect[3]),
+        origins=np.ascontiguousarray(origins.T, dtype=np.float32),
+        dirs=np.ascontiguousarray(dirs.T, dtype=np.float32),
+        # The kernel's cursor runs up to one window past k_max.
+        k_lo=_narrow(k_lo, k_max + _MAX_CHUNK),
+        k_hi=_narrow(k_hi, k_max + _MAX_CHUNK),
         k_min=int(k_lo.min()),
-        k_max=int(k_hi.max()),
+        k_max=k_max,
         depth=camera.visibility_key(lo, hi),
         step=float(step),
     )
@@ -208,11 +225,9 @@ def render_block(
     # pre-entry or post-exit waste.  Finished rays (past their exit
     # index or below the termination threshold) are compacted out.
     pix = plan.pix
-    # Rows ox, oy, oz, dx, dy, dz: one contiguous float32 vector per
-    # coordinate, compacted together.
-    geom = np.ascontiguousarray(
-        np.concatenate([plan.origins, plan.dirs], axis=1).T, dtype=np.float32
-    )
+    # Float32 rows ox, oy, oz and dx, dy, dz, compacted together; a
+    # shared (3, 1) column broadcasts and is never compacted.
+    geom = [plan.origins, plan.dirs]
     k_hi = plan.k_hi
     cur = plan.k_lo.copy()
     threshold = np.float32(1.0 - early_termination)
@@ -246,7 +261,9 @@ def render_block(
         kk = np.repeat(cur - starts, cnt) + seq
         slot = np.repeat(np.arange(0, n * c, c) - starts, cnt) + seq
         t = (kk.astype(np.float32) + np.float32(0.5)) * step32
-        ox, oy, oz, dx, dy, dz = np.repeat(geom, cnt, axis=1)
+        (ox, oy, oz), (dx, dy, dz) = [
+            g if g.shape[1] == 1 else np.repeat(g, cnt, axis=1) for g in geom
+        ]
         values = block.sample_axes_f32(ox + t * dx, oy + t * dy, oz + t * dz)
         padded = np.full(n * c, pad, dtype=np.intp)
         padded[slot] = tf.bin_index(values)
@@ -273,7 +290,7 @@ def render_block(
             out_color[pix[finished]] = color[finished]
             keep = ~finished
             pix = pix[keep]
-            geom = geom[:, keep]
+            geom = [g if g.shape[1] == 1 else g[:, keep] for g in geom]
             k_hi = k_hi[keep]
             cur = cur[keep]
             trans = trans[keep]

@@ -15,26 +15,48 @@ commit that added this file and never edited afterwards:
 
 One line of each was edited on purpose: a piece's ``depth`` is
 ``Camera.visibility_key`` of its box, the blending order every
-compositor sorts by, which replaced the box-centre distance.
+compositor sorts by, which replaced the box-centre distance.  And the
+frozen plan is its own record, :class:`FrozenRayPlan` (the ``RayPlan``
+fields as they stood: float64 ``(n, 3)`` origins and directions, int64
+indices), so a change to the live plan's layout cannot reach it.
 
 Only the stable public surface of ``repro.render`` is used (camera
 rays/footprint/depth, ``VolumeBlock.data`` / ``sample_world``,
-``TransferFunction.march_table`` / ``sample``, ``RayPlan``,
-``PartialImage``), so the copies keep running while the code they
-were taken from is rewritten.
+``TransferFunction.march_table`` / ``sample``, ``PartialImage``), so
+the copies keep running while the code they were taken from is
+rewritten.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.render.image import PartialImage
-from repro.render.raycast import RayPlan
 from repro.utils.errors import ConfigError
 
 _TARGET_BATCH = 1 << 19
 _MIN_CHUNK = 4
 _MAX_CHUNK = 64
+
+
+@dataclass(frozen=True)
+class FrozenRayPlan:
+    rect: tuple
+    pix: np.ndarray  # (n,) int64 flat footprint indices of hit rays
+    origins: np.ndarray  # (n, 3) float64
+    dirs: np.ndarray  # (n, 3) float64 unit directions
+    k_lo: np.ndarray  # (n,) int64 first global sample index (inclusive)
+    k_hi: np.ndarray  # (n,) int64 last global sample index (exclusive)
+    k_min: int
+    k_max: int
+    depth: float
+    step: float
+
+    @property
+    def num_rays(self) -> int:
+        return int(self.pix.size)
 
 
 def frozen_ray_box_intersect(origins, dirs, lo, hi):
@@ -84,7 +106,7 @@ def frozen_build_ray_plan(camera, world_lo, world_hi, step):
         flat = flat[nonempty]
         k_lo = k_lo[nonempty]
         k_hi = k_hi[nonempty]
-    return RayPlan(
+    return FrozenRayPlan(
         rect=rect,
         pix=flat,
         origins=origins.reshape(-1, 3)[flat],
