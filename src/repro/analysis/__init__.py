@@ -16,14 +16,6 @@ from repro.analysis.reports import (
     PUBLISHED_SCALES_TABLE1,
 )
 from repro.analysis.signature import ServerLoadProfile, server_load_profile
-from repro.analysis.imagemetrics import (
-    mean_abs_error,
-    max_abs_error,
-    psnr,
-    coverage,
-    coverage_agreement,
-    similarity_report,
-)
 from repro.analysis.export import (
     estimate_to_dict,
     estimates_to_json,
@@ -45,10 +37,4 @@ __all__ = [
     "estimates_to_json",
     "estimates_to_csv",
     "sweep_cores",
-    "mean_abs_error",
-    "max_abs_error",
-    "psnr",
-    "coverage",
-    "coverage_agreement",
-    "similarity_report",
 ]

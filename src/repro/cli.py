@@ -41,9 +41,54 @@ from typing import Sequence
 from repro.utils.errors import ReproError
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_frame_options(
+    p: argparse.ArgumentParser,
+    grid: int,
+    cores: int,
+    image: int,
+    step: float,
+    variable: bool = True,
+    formats: bool = True,
+    compositor: bool = True,
+) -> None:
+    """The options of the frame-rendering commands, with each command's defaults."""
     from repro.compositing.backends import backend_names
 
+    p.add_argument("--grid", type=int, default=grid, help=f"cubic grid edge (default {grid})")
+    p.add_argument("--cores", type=int, default=cores, help=f"simulated cores (default {cores})")
+    p.add_argument("--image", type=int, default=image, help=f"square image edge (default {image})")
+    p.add_argument("--seed", type=int, default=1530)
+    p.add_argument("--step", type=float, default=step, help="ray sampling step")
+    if variable:
+        p.add_argument("--variable", default="vx", help="field to render (default vx)")
+    if formats:
+        p.add_argument(
+            "--format", default="netcdf", choices=("netcdf", "raw", "h5lite"),
+            help="time-step file format (default netcdf)",
+        )
+    if compositor:
+        p.add_argument(
+            "--compositor", default="directsend", choices=backend_names(),
+            help="compositing backend (default directsend; see repro.compositing.backends)",
+        )
+        p.add_argument(
+            "--workers", type=int, default=1,
+            help="DES worker processes (>1 selects the sharded conservative-"
+            "parallel backend; any count gives identical results)",
+        )
+
+
+def _add_model_options(p: argparse.ArgumentParser, io_mode: str, io_help: str) -> None:
+    """The options of the commands that price a paper-scale frame."""
+    p.add_argument("--dataset", default="1120", choices=("1120", "2240", "4480"))
+    p.add_argument("--cores", type=int, default=16384)
+    p.add_argument(
+        "--io-mode", default=io_mode,
+        choices=("raw", "netcdf", "netcdf-tuned", "netcdf64", "h5lite"), help=io_help,
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -54,30 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_render = sub.add_parser("render", help="render a synthetic supernova frame")
-    p_render.add_argument("--grid", type=int, default=32, help="cubic grid edge (default 32)")
-    p_render.add_argument("--cores", type=int, default=16, help="simulated cores (default 16)")
-    p_render.add_argument("--image", type=int, default=128, help="square image edge (default 128)")
-    p_render.add_argument("--variable", default="vx", help="field to render (default vx)")
-    p_render.add_argument(
-        "--format", default="netcdf", choices=("netcdf", "raw", "h5lite"),
-        help="time-step file format (default netcdf)",
-    )
-    p_render.add_argument("--seed", type=int, default=1530)
+    _add_frame_options(p_render, grid=32, cores=16, image=128, step=0.7)
     p_render.add_argument("--time", type=float, default=0.8, help="simulation epoch")
     p_render.add_argument("--azimuth", type=float, default=35.0)
     p_render.add_argument("--elevation", type=float, default=20.0)
-    p_render.add_argument("--step", type=float, default=0.7, help="ray sampling step")
     p_render.add_argument("--out", default="frame.ppm", help="output PPM path")
-    p_render.add_argument(
-        "--workers", type=int, default=1,
-        help="DES worker processes (>1 selects the sharded conservative-"
-        "parallel backend; any count gives identical results)",
-    )
-    p_render.add_argument(
-        "--compositor", default="directsend",
-        choices=backend_names(),
-        help="compositing backend (default directsend; see repro.compositing.backends)",
-    )
     p_render.add_argument(
         "--error-budget", type=float, default=0.0, metavar="E",
         help="per-pixel error allowance for approximate compositors "
@@ -87,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="render one traced frame; write Chrome trace + stage report"
     )
-    p_trace.add_argument("--grid", type=int, default=24, help="cubic grid edge (default 24)")
-    p_trace.add_argument("--cores", type=int, default=8, help="simulated cores (default 8)")
-    p_trace.add_argument("--image", type=int, default=64, help="square image edge (default 64)")
-    p_trace.add_argument("--seed", type=int, default=1530)
-    p_trace.add_argument("--step", type=float, default=0.8, help="ray sampling step")
+    _add_frame_options(
+        p_trace, grid=24, cores=8, image=64, step=0.8,
+        variable=False, formats=False, compositor=False,
+    )
     p_trace.add_argument(
         "--trace-out", default="trace.json",
         help="Chrome trace_event JSON path (default trace.json)",
@@ -105,17 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
         "timeseries",
         help="render a pipelined time-series animation (prefetched I/O)",
     )
+    _add_frame_options(p_ts, grid=16, cores=8, image=48, step=0.8)
     p_ts.add_argument("--steps", type=int, default=4, help="time steps to render (default 4)")
-    p_ts.add_argument("--grid", type=int, default=16, help="cubic grid edge (default 16)")
-    p_ts.add_argument("--cores", type=int, default=8, help="simulated cores (default 8)")
-    p_ts.add_argument("--image", type=int, default=48, help="square image edge (default 48)")
-    p_ts.add_argument("--variable", default="vx", help="field to render (default vx)")
-    p_ts.add_argument(
-        "--format", default="netcdf", choices=("netcdf", "raw", "h5lite"),
-        help="time-step file format (default netcdf)",
-    )
-    p_ts.add_argument("--seed", type=int, default=1530)
-    p_ts.add_argument("--step", type=float, default=0.8, help="ray sampling step")
     p_ts.add_argument(
         "--orbit-degrees", type=float, default=15.0, metavar="DEG",
         help="camera azimuth advance per frame (default 15; 0 = fixed camera)",
@@ -129,15 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--discipline", default="fifo", choices=("fifo", "fair"),
         help="concurrent-read contention model for the campaign clock "
         "(default fifo)",
-    )
-    p_ts.add_argument(
-        "--compositor", default="directsend",
-        choices=backend_names(),
-        help="compositing backend (default directsend)",
-    )
-    p_ts.add_argument(
-        "--workers", type=int, default=1,
-        help="DES worker processes (>1 selects the sharded parallel backend)",
     )
     p_ts.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -157,31 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
         "progressive",
         help="render a coarse-to-fine resolution ladder (progressive refinement)",
     )
-    p_prog.add_argument("--grid", type=int, default=12, help="cubic grid edge (default 12)")
-    p_prog.add_argument("--cores", type=int, default=8, help="simulated cores (default 8)")
-    p_prog.add_argument(
-        "--image", type=int, default=24, help="full-resolution image edge (default 24)"
-    )
+    _add_frame_options(p_prog, grid=12, cores=8, image=24, step=0.8, formats=False)
     p_prog.add_argument(
         "--levels", type=int, default=3,
         help="ladder levels, coarsest first (default 3: 6^2, 12^2, 24^2)",
     )
-    p_prog.add_argument("--variable", default="vx", help="field to render (default vx)")
-    p_prog.add_argument("--seed", type=int, default=1530)
-    p_prog.add_argument("--step", type=float, default=0.8, help="ray sampling step")
     p_prog.add_argument(
         "--cancel-after", type=float, default=None, metavar="SECONDS",
         help="simulated camera-move time: cancel the un-started levels "
         "after this many seconds (default: let the ladder complete)",
-    )
-    p_prog.add_argument(
-        "--compositor", default="directsend",
-        choices=backend_names(),
-        help="compositing backend (default directsend)",
-    )
-    p_prog.add_argument(
-        "--workers", type=int, default=1,
-        help="DES worker processes (>1 selects the sharded parallel backend)",
     )
     p_prog.add_argument(
         "--out", default=None, metavar="PREFIX",
@@ -198,12 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_model = sub.add_parser("model", help="price a paper-scale frame")
-    p_model.add_argument("--dataset", default="1120", choices=("1120", "2240", "4480"))
-    p_model.add_argument("--cores", type=int, default=16384)
-    p_model.add_argument(
-        "--io-mode", default="raw",
-        choices=("raw", "netcdf", "netcdf-tuned", "netcdf64", "h5lite"),
-    )
+    _add_model_options(p_model, io_mode="raw", io_help="storage format (default raw)")
     p_model.add_argument(
         "--original-compositing", action="store_true",
         help="use m = n compositors (the pre-improvement scheme)",
@@ -212,12 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_insitu = sub.add_parser(
         "insitu", help="price in-situ vs post-hoc campaign visualization"
     )
-    p_insitu.add_argument("--dataset", default="1120", choices=("1120", "2240", "4480"))
-    p_insitu.add_argument("--cores", type=int, default=16384)
-    p_insitu.add_argument(
-        "--io-mode", default="netcdf",
-        choices=("raw", "netcdf", "netcdf-tuned", "netcdf64", "h5lite"),
-        help="post-hoc storage format (default netcdf, the paper's)",
+    _add_model_options(
+        p_insitu, io_mode="netcdf", io_help="post-hoc storage format (default netcdf, the paper's)"
     )
     p_insitu.add_argument(
         "--steps", type=int, default=100, metavar="N",
@@ -328,38 +310,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def _frame_renderer(
+    args: argparse.Namespace,
+    fmt: str = "netcdf",
+    variable: str = "vx",
+    times: Sequence[float] = (0.0,),
+    cb_buffer_size: int = 1 << 17,
+    azimuth: float = 30.0,
+    elevation: float = 20.0,
+    workers: int = 1,
+    **renderer_kw,
+):
+    """The frame recipe of the rendering commands.
+
+    One :class:`SupernovaModel` per simulation time, each opened as a
+    ``fmt`` handle on ``variable``; a camera orbiting the volume; the
+    supernova transfer function over the first model's value range; and
+    a :class:`ParallelVolumeRenderer` on ``args.cores`` simulated cores
+    (``renderer_kw`` passes through).  Returns ``(models, handles,
+    renderer)``.
+    """
     from repro.core import ParallelVolumeRenderer
     from repro.data import SupernovaModel, extract_variable_raw, write_vh1_h5lite, write_vh1_netcdf
     from repro.pio import H5LiteHandle, IOHints, NetCDFHandle, RawHandle
     from repro.render import Camera, TransferFunction
-    from repro.render.image import image_to_ppm
     from repro.vmpi import MPIWorld, ParallelConfig
 
     grid = (args.grid,) * 3
-    model = SupernovaModel(grid, seed=args.seed, time=args.time)
-    if args.format == "netcdf":
-        handle = NetCDFHandle(write_vh1_netcdf(model), args.variable)
-    elif args.format == "raw":
-        handle = RawHandle(extract_variable_raw(model, args.variable))
+    models = [SupernovaModel(grid, seed=args.seed, time=t) for t in times]
+    if fmt == "netcdf":
+        handles = [NetCDFHandle(write_vh1_netcdf(m), variable) for m in models]
+    elif fmt == "raw":
+        handles = [RawHandle(extract_variable_raw(m, variable)) for m in models]
     else:
-        handle = H5LiteHandle(write_vh1_h5lite(model), args.variable)
+        handles = [H5LiteHandle(write_vh1_h5lite(m), variable) for m in models]
     camera = Camera.looking_at_volume(
         grid, width=args.image, height=args.image,
-        azimuth_deg=args.azimuth, elevation_deg=args.elevation,
+        azimuth_deg=azimuth, elevation_deg=elevation,
     )
-    transfer = TransferFunction.supernova(*model.value_range(args.variable))
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    transfer = TransferFunction.supernova(*models[0].value_range(variable))
     renderer = ParallelVolumeRenderer(
         MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
-        hints=IOHints(cb_buffer_size=1 << 17, cb_nodes=max(args.cores // 4, 1)),
-        parallel=parallel,
-        compositor=args.compositor,
-        error_budget=args.error_budget,
+        hints=IOHints(cb_buffer_size=cb_buffer_size, cb_nodes=max(args.cores // 4, 1)),
+        parallel=ParallelConfig(workers=workers) if workers > 1 else None,
+        **renderer_kw,
+    )
+    return models, handles, renderer
+
+
+def _write_trace(tracer, path: str, indent: str = "", echo: bool = True) -> None:
+    """Write ``tracer`` as Chrome ``trace_event`` JSON and say where it went."""
+    from repro.obs import write_chrome_trace
+
+    write_chrome_trace(tracer, path)
+    if echo:
+        print(f"{indent}trace: {len(tracer.spans)} spans -> {path} "
+              f"(load in chrome://tracing or ui.perfetto.dev)")
+
+
+def _failed(command: str, failures: list[str]) -> bool:
+    """Report ``failures`` on stderr; True when there are any."""
+    for failure in failures:
+        print(f"{command} FAILED: {failure}", file=sys.stderr)
+    return bool(failures)
+
+
+def _write_ppm(image, path: str) -> None:
+    from repro.render.image import image_to_ppm
+
+    with open(path, "wb") as fh:
+        fh.write(image_to_ppm(image, background=(0.02, 0.02, 0.05)))
+
+
+def cmd_render(args: argparse.Namespace) -> int:
+    _, (handle,), renderer = _frame_renderer(
+        args, args.format, args.variable, times=(args.time,),
+        azimuth=args.azimuth, elevation=args.elevation, workers=args.workers,
+        compositor=args.compositor, error_budget=args.error_budget,
     )
     result = renderer.render_frame(handle)
-    with open(args.out, "wb") as fh:
-        fh.write(image_to_ppm(result.image, background=(0.02, 0.02, 0.05)))
+    _write_ppm(result.image, args.out)
     print(f"{result.timing}")
     print(
         f"I/O density {result.io_report.density:.3f}, "
@@ -380,35 +410,18 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core import ParallelVolumeRenderer
-    from repro.data import SupernovaModel, write_vh1_netcdf
-    from repro.obs import Tracer, stage_report, write_chrome_trace
-    from repro.pio import IOHints, NetCDFHandle
-    from repro.render import Camera, TransferFunction
+    from repro.obs import Tracer, stage_report
     from repro.storage.accesslog import AccessLog
-    from repro.vmpi import MPIWorld
 
-    grid = (args.grid,) * 3
-    model = SupernovaModel(grid, seed=args.seed)
-    handle = NetCDFHandle(write_vh1_netcdf(model), "vx")
-    camera = Camera.looking_at_volume(grid, width=args.image, height=args.image)
-    transfer = TransferFunction.supernova(*model.value_range("vx"))
     tracer = Tracer(enabled=True)
-    renderer = ParallelVolumeRenderer(
-        MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
-        hints=IOHints(cb_buffer_size=1 << 16, cb_nodes=max(args.cores // 4, 1)),
-        tracer=tracer,
-    )
-    log = AccessLog()
-    result = renderer.render_frame(handle, log=log)
-    write_chrome_trace(tracer, args.trace_out)
+    _, (handle,), renderer = _frame_renderer(args, cb_buffer_size=1 << 16, tracer=tracer)
+    result = renderer.render_frame(handle, log=AccessLog())
     report = stage_report(tracer)
     with open(args.report_out, "w") as fh:
         fh.write(report + "\n")
     print(report)
     print(f"\n{result.timing}")
-    print(f"trace: {len(tracer.spans)} spans -> {args.trace_out} "
-          f"(load in chrome://tracing or ui.perfetto.dev)")
+    _write_trace(tracer, args.trace_out)
     print(f"report: {args.report_out}")
     return 0
 
@@ -416,33 +429,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_timeseries(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core import PipelinedTimeSeriesRenderer, ParallelVolumeRenderer, render_time_series
-    from repro.data import SupernovaModel, extract_variable_raw, write_vh1_h5lite, write_vh1_netcdf
-    from repro.pio import H5LiteHandle, IOHints, NetCDFHandle, RawHandle
-    from repro.render import Camera, TransferFunction
+    from repro.core import PipelinedTimeSeriesRenderer, render_time_series
     from repro.utils.units import fmt_time
-    from repro.vmpi import MPIWorld, ParallelConfig
 
-    grid = (args.grid,) * 3
-    handles = []
-    vrange = None
-    for i in range(args.steps):
-        model = SupernovaModel(grid, seed=args.seed, time=0.2 + 0.04 * i)
-        if vrange is None:
-            vrange = model.value_range(args.variable)
-        if args.format == "netcdf":
-            handles.append(NetCDFHandle(write_vh1_netcdf(model), args.variable))
-        elif args.format == "raw":
-            handles.append(RawHandle(extract_variable_raw(model, args.variable)))
-        else:
-            handles.append(H5LiteHandle(write_vh1_h5lite(model), args.variable))
-    camera = Camera.looking_at_volume(grid, width=args.image, height=args.image)
-    transfer = TransferFunction.supernova(*vrange)
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
-    renderer = ParallelVolumeRenderer(
-        MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
-        hints=IOHints(cb_buffer_size=1 << 17, cb_nodes=max(args.cores // 4, 1)),
-        parallel=parallel, compositor=args.compositor,
+    _, handles, renderer = _frame_renderer(
+        args, args.format, args.variable,
+        times=[0.2 + 0.04 * i for i in range(args.steps)],
+        workers=args.workers, compositor=args.compositor,
     )
     pipelined = PipelinedTimeSeriesRenderer(
         renderer, prefetch_depth=args.prefetch_depth, discipline=args.discipline
@@ -459,9 +452,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
                 failures.append(f"frame {i}: pipelined image differs from sequential")
             if p.timing != s.timing:
                 failures.append(f"frame {i}: pipelined timing differs from sequential")
-    if failures:
-        for failure in failures:
-            print(f"timeseries FAILED: {failure}", file=sys.stderr)
+    if _failed("timeseries", failures):
         return 2
 
     print(
@@ -483,49 +474,29 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
     if args.check:
         print(f"  check: {args.steps} frames bitwise identical to the sequential oracle")
     if args.out:
-        from repro.render.image import image_to_ppm
-
         for i, image in enumerate(result.images):
-            path = f"{args.out}{i:04d}.ppm"
-            with open(path, "wb") as fh:
-                fh.write(image_to_ppm(image, background=(0.02, 0.02, 0.05)))
+            _write_ppm(image, f"{args.out}{i:04d}.ppm")
         print(f"  wrote {args.steps} frames to {args.out}0000.ppm ...")
     if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(result.campaign_trace, args.trace_out)
-        print(f"  trace: {args.trace_out} (load in chrome://tracing or ui.perfetto.dev)")
+        _write_trace(result.campaign_trace, args.trace_out, indent="  ")
     return 0
 
 
 def cmd_progressive(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core import ParallelVolumeRenderer
-    from repro.data import SupernovaModel, extract_variable_raw
     from repro.obs import Tracer
-    from repro.pio import IOHints, RawHandle
     from repro.progressive import ProgressiveRenderer
-    from repro.render import Camera, TransferFunction
     from repro.utils.units import fmt_time
-    from repro.vmpi import MPIWorld, ParallelConfig
 
-    grid = (args.grid,) * 3
-    model = SupernovaModel(grid, seed=args.seed)
-    volume = model.field(args.variable)
-    handle = RawHandle(extract_variable_raw(model, args.variable))
-    camera = Camera.looking_at_volume(grid, width=args.image, height=args.image)
-    transfer = TransferFunction.supernova(*model.value_range(args.variable))
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
-    renderer = ParallelVolumeRenderer(
-        MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
-        hints=IOHints(cb_buffer_size=1 << 16, cb_nodes=max(args.cores // 4, 1)),
-        parallel=parallel, compositor=args.compositor,
+    (model,), (handle,), renderer = _frame_renderer(
+        args, "raw", args.variable, cb_buffer_size=1 << 16,
+        workers=args.workers, compositor=args.compositor,
     )
     tracer = Tracer(enabled=True) if args.trace_out else None
     progressive = ProgressiveRenderer(renderer, levels=args.levels, tracer=tracer)
     result = progressive.render_ladder(
-        handle, field=volume, cancel_after_s=args.cancel_after
+        handle, field=model.field(args.variable), cancel_after_s=args.cancel_after
     )
 
     failures = result.accounting_failures()
@@ -543,9 +514,7 @@ def cmd_progressive(args: argparse.Namespace) -> int:
                 failures.append("final level byte count differs from the direct render")
         elif args.cancel_after is None:
             failures.append("complete ladder delivered no full-resolution level")
-    if failures:
-        for failure in failures:
-            print(f"progressive FAILED: {failure}", file=sys.stderr)
+    if _failed("progressive", failures):
         return 2
 
     print(
@@ -572,18 +541,11 @@ def cmd_progressive(args: argparse.Namespace) -> int:
     if args.check and result.final is not None:
         print("  check: final level bitwise identical to the direct full-res render")
     if args.out:
-        from repro.render.image import image_to_ppm
-
         for lf in result.levels:
-            path = f"{args.out}_L{lf.index}.ppm"
-            with open(path, "wb") as fh:
-                fh.write(image_to_ppm(lf.frame.image, background=(0.02, 0.02, 0.05)))
+            _write_ppm(lf.frame.image, f"{args.out}_L{lf.index}.ppm")
         print(f"  wrote {len(result.levels)} levels to {args.out}_L0.ppm ...")
     if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace_out)
-        print(f"  trace: {args.trace_out} (load in chrome://tracing or ui.perfetto.dev)")
+        _write_trace(tracer, args.trace_out, indent="  ")
     return 0
 
 
@@ -743,15 +705,8 @@ def cmd_farm(args: argparse.Namespace) -> int:
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     result = scenario.run()
-    failures = check(result, scenario, expects)
-    for failure in failures:
-        print(f"farm {args.scenario} FAILED: {failure}", file=sys.stderr)
-    if failures:
+    if _failed(f"farm {args.scenario}", check(result, scenario, expects)):
         return 2
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(result.trace, args.trace_out)
     if args.json:
         json.dump(result.summary(), sys.stdout, indent=1)
         print()
@@ -759,9 +714,8 @@ def cmd_farm(args: argparse.Namespace) -> int:
         print(result.report())
         print(f"\nfarm {args.scenario} ok: {len(result.records)} requests, "
               f"all service invariants hold")
-        if args.trace_out:
-            print(f"trace: {args.trace_out} "
-                  f"(load in chrome://tracing or ui.perfetto.dev)")
+    if args.trace_out:
+        _write_trace(result.trace, args.trace_out, echo=not args.json)
     return 0
 
 
@@ -794,10 +748,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-    if args.trace_out and last is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(last.trace, args.trace_out)
     if args.json:
         json.dump(report, sys.stdout, indent=1)
         print()
@@ -805,9 +755,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(chaos_table(report))
         if args.out:
             print(f"\nreport: {args.out}")
-        if args.trace_out:
-            print(f"trace: {args.trace_out} "
-                  f"(load in chrome://tracing or ui.perfetto.dev)")
+    if args.trace_out and last is not None:
+        _write_trace(last.trace, args.trace_out, echo=not args.json)
     return 0
 
 

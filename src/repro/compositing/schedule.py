@@ -28,6 +28,7 @@ from repro.compositing.tiles import Rect, TileDecomposition
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 from repro.utils.errors import ConfigError
+from repro.utils.lru import LRU
 
 BYTES_PER_PIXEL = 16  # 4 x float32, premultiplied RGBA
 MESSAGE_ENVELOPE_BYTES = 64  # rect, depth, tags
@@ -178,20 +179,18 @@ def build_schedule(
 # Time-series / orbit campaigns re-derive the identical schedule every
 # frame otherwise (every rank of every frame, in the real system); the
 # schedule is immutable once built, so sharing one instance is safe.
-_SCHEDULE_CACHE: dict[tuple, CompositeSchedule] = {}
-_SCHEDULE_CACHE_MAX = 64
-_schedule_cache_stats = {"hits": 0, "misses": 0}
+_SCHEDULE_CACHE = LRU(64)
 
 
 def schedule_cache_info() -> dict[str, int]:
     """Hit/miss/size counters of the geometry-schedule memo."""
-    return {**_schedule_cache_stats, "size": len(_SCHEDULE_CACHE)}
+    cache = _SCHEDULE_CACHE
+    return {"hits": cache.hits, "misses": cache.misses, "size": len(cache)}
 
 
 def clear_schedule_cache() -> None:
     _SCHEDULE_CACHE.clear()
-    _schedule_cache_stats["hits"] = 0
-    _schedule_cache_stats["misses"] = 0
+    _SCHEDULE_CACHE.hits = _SCHEDULE_CACHE.misses = 0
 
 
 def schedule_from_geometry(
@@ -210,20 +209,12 @@ def schedule_from_geometry(
     """
     key = (decomposition.plan_key(), camera.plan_key(), int(num_compositors), strips)
     if cache:
-        hit = _SCHEDULE_CACHE.pop(key, None)
+        hit = _SCHEDULE_CACHE.get(key)
         if hit is not None:
-            # True LRU: re-insert on hit so recency is refreshed.
-            # Plain FIFO eviction thrashes an orbit campaign whose
-            # camera count exceeds the cache every revolution.
-            _SCHEDULE_CACHE[key] = hit
-            _schedule_cache_stats["hits"] += 1
             return hit
-        _schedule_cache_stats["misses"] += 1
     tiles = TileDecomposition(camera.width, camera.height, num_compositors, strips=strips)
     footprints = camera.footprints(*decomposition.world_bounds())
     schedule = build_schedule(footprints, tiles, num_compositors)
     if cache:
-        while len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.pop(next(iter(_SCHEDULE_CACHE)))
-        _SCHEDULE_CACHE[key] = schedule
+        _SCHEDULE_CACHE.put(key, schedule)
     return schedule

@@ -24,6 +24,7 @@ from repro.compositing.schedule import CompositeSchedule, schedule_from_geometry
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition, block_world_bounds
 from repro.render.raycast import RayPlan, build_ray_plan
+from repro.utils.lru import LRU
 
 
 class PlanKey:
@@ -65,20 +66,11 @@ class FramePlan:
     num_compositors: int
 
 
-class FramePlanCache:
-    """Bounded memo of :class:`FramePlan` keyed on frame configuration."""
+class FramePlanCache(LRU):
+    """Bounded LRU of :class:`FramePlan` keyed on frame configuration."""
 
     def __init__(self, max_entries: int = 8):
-        self.max_entries = int(max_entries)
-        self._plans: dict[tuple, FramePlan] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def clear(self) -> None:
-        self._plans.clear()
+        super().__init__(max_entries)
 
     def plan_for(
         self,
@@ -99,18 +91,10 @@ class FramePlanCache:
             ghost_mode,
             int(num_compositors),
         ))
-        plan = self._plans.pop(key, None)
-        if plan is not None:
-            # Re-insert on hit: eviction below pops the *least recently
-            # used* entry, not merely the oldest inserted.
-            self._plans[key] = plan
-            self.hits += 1
-            return plan
-        self.misses += 1
-        plan = self._build(key, camera, grid, nprocs, step, ghost, ghost_mode, num_compositors)
-        while len(self._plans) >= self.max_entries:
-            self._plans.pop(next(iter(self._plans)))
-        self._plans[key] = plan
+        plan = self.get(key)
+        if plan is None:
+            plan = self._build(key, camera, grid, nprocs, step, ghost, ghost_mode, num_compositors)
+            self.put(key, plan)
         return plan
 
     def _build(

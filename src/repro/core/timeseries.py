@@ -86,14 +86,6 @@ class PipelineTimeline:
     def makespan_s(self) -> float:
         return self.slots[-1].compute_done_s if self.slots else 0.0
 
-    @property
-    def io_busy_s(self) -> float:
-        return sum(s.io_demand_s for s in self.slots)
-
-    @property
-    def compute_busy_s(self) -> float:
-        return sum(s.compute_demand_s for s in self.slots)
-
     def failures(self, tol: float = 1e-9) -> list[str]:
         """Violated timeline invariants (empty means consistent).
 

@@ -21,9 +21,9 @@ Typical use::
 or from the shell: ``python -m repro farm [--scenario NAME|spec.json]``.
 """
 
-from repro.farm.admission import TierSpec, TokenBucketAdmission, admission_from_dict
+from repro.farm.admission import TierSpec, TokenBucketAdmission
 from repro.farm.allocator import NodeAllocator, SizePolicy, standard_size_for
-from repro.farm.autoscale import ReactiveAutoscaler, StaticPool, autoscale_from_dict
+from repro.farm.autoscale import ReactiveAutoscaler, StaticPool
 from repro.farm.backends import (
     ExecuteBackend,
     ModelBackend,
@@ -63,10 +63,8 @@ __all__ = [
     "EdgeConfig",
     "TierSpec",
     "TokenBucketAdmission",
-    "admission_from_dict",
     "StaticPool",
     "ReactiveAutoscaler",
-    "autoscale_from_dict",
     "FrameRequest",
     "RequestRecord",
     "FarmResult",

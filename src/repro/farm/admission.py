@@ -27,10 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.utils.errors import ConfigError
-from repro.utils.validation import check_spec_keys
-
-_TIER_KEYS = ("rate_hz", "burst")
-_SPEC_KEYS = ("tiers", "default")
 
 
 @dataclass(frozen=True)
@@ -132,38 +128,3 @@ class TokenBucketAdmission:
                 for t in tiers
             },
         }
-
-
-def _tier_from_dict(spec: dict, path: str) -> TierSpec:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path} must be an object with {_TIER_KEYS}, got {spec!r}")
-    return TierSpec(**check_spec_keys(spec, _TIER_KEYS, path=path))
-
-
-def check_admission_spec(spec: dict, path: str = "admission") -> dict:
-    """Validate an ``admission`` scenario block (keys fail loudly)."""
-    check_spec_keys(spec, _SPEC_KEYS, path=path)
-    tiers = spec.get("tiers", {})
-    if not isinstance(tiers, dict):
-        raise ConfigError(f"{path}.tiers must map tier names to specs, got {tiers!r}")
-    for name, tier in tiers.items():
-        _tier_from_dict(tier, path=f"{path}.tiers.{name}")
-    if spec.get("default") is not None:
-        _tier_from_dict(spec["default"], path=f"{path}.default")
-    if not tiers and spec.get("default") is None:
-        raise ConfigError(f"{path} limits nothing: give tiers and/or a default")
-    return spec
-
-
-def admission_from_dict(spec: dict) -> TokenBucketAdmission:
-    """Build the policy from a validated ``admission`` scenario block."""
-    check_admission_spec(spec)
-    tiers = {
-        name: _tier_from_dict(t, path=f"admission.tiers.{name}")
-        for name, t in spec.get("tiers", {}).items()
-    }
-    default = spec.get("default")
-    return TokenBucketAdmission(
-        tiers=tiers,
-        default=None if default is None else _tier_from_dict(default, path="admission.default"),
-    )

@@ -27,20 +27,9 @@ allocator and the torus-partition size policy both reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.utils.errors import ConfigError
-from repro.utils.validation import check_spec_keys
-
-_STATIC_KEYS = ("policy", "nodes")
-_REACTIVE_KEYS = (
-    "policy",
-    "min_nodes",
-    "max_nodes",
-    "initial_nodes",
-    "interval_s",
-    "high_util",
-    "low_util",
-)
 
 
 @dataclass(frozen=True)
@@ -52,8 +41,8 @@ class StaticPool:
     """
 
     nodes: int
-    name: str = "static"
-    interval_s: float = 0.0  # never re-evaluated
+    name: ClassVar[str] = "static"
+    interval_s: ClassVar[float] = 0.0  # never re-evaluated
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -82,7 +71,7 @@ class ReactiveAutoscaler:
     interval_s: float = 30.0
     high_util: float = 0.85
     low_util: float = 0.25
-    name: str = "reactive"
+    name: ClassVar[str] = "reactive"
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
@@ -125,28 +114,3 @@ class ReactiveAutoscaler:
         if queue_depth == 0 and util < self.low_util:
             return max(provisioned // 2, self.min_nodes)
         return provisioned
-
-
-def check_autoscale_spec(spec: dict, path: str = "autoscale") -> dict:
-    """Validate an ``autoscale`` scenario block (keys fail loudly)."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path} must be an object with a 'policy' key, got {spec!r}")
-    policy = spec.get("policy", "reactive")
-    if policy == "static":
-        check_spec_keys(spec, _STATIC_KEYS, path=path)
-        if "nodes" not in spec:
-            raise ConfigError(f"{path}: static policy needs 'nodes'")
-    elif policy == "reactive":
-        check_spec_keys(spec, _REACTIVE_KEYS, path=path)
-    else:
-        raise ConfigError(f"{path}.policy must be 'static' or 'reactive', got {policy!r}")
-    return spec
-
-
-def autoscale_from_dict(spec: dict):
-    """Build a policy from a validated ``autoscale`` scenario block."""
-    check_autoscale_spec(spec)
-    kwargs = {k: v for k, v in spec.items() if k != "policy"}
-    if spec.get("policy", "reactive") == "static":
-        return StaticPool(**kwargs)
-    return ReactiveAutoscaler(**kwargs)

@@ -108,7 +108,7 @@ class ModelBackend:
 
     name = "model"
 
-    def __init__(self, constants=None):
+    def __init__(self, constants: Any = None):
         from repro.model.constants import DEFAULT_CONSTANTS
 
         self._constants = constants or DEFAULT_CONSTANTS
@@ -155,7 +155,6 @@ class ModelBackend:
             # raw-layout preprocessing regardless of the full frame's
             # io_mode — a netCDF record layout's density penalty applies
             # to the full-resolution read, not to the derived copies.
-            from repro.model.pipeline import DATASETS as _DS
             from repro.progressive.ladder import ladder_scales, level_edge
 
             raw = (
@@ -163,7 +162,7 @@ class ModelBackend:
                 if request.io_mode == "raw"
                 else self._estimate(request.dataset, cores, "raw", count=False)
             )
-            full_edge = _DS[request.dataset].image
+            full_edge = DATASETS[request.dataset].image
             t = 0.0
             ends: list[float] = []
             edges: list[int] = []
@@ -372,12 +371,15 @@ class ExecuteBackend:
         return self._renderer.plan_cache.misses if self._renderer is not None else 0
 
 
+#: The scenario ``mode`` names; a scenario's ``backend_options`` are
+#: checked against the chosen constructor's annotations.
+BACKENDS = {"model": ModelBackend, "execute": ExecuteBackend}
+
+
 def backend_for(mode: str, **kwargs: Any) -> ServiceBackend:
     """Factory used by scenarios: ``model`` or ``execute``."""
     from repro.utils.errors import ConfigError
 
-    if mode == "model":
-        return ModelBackend(**kwargs)
-    if mode == "execute":
-        return ExecuteBackend(**kwargs)
-    raise ConfigError(f"unknown farm backend {mode!r}; choose 'model' or 'execute'")
+    if mode not in BACKENDS:
+        raise ConfigError(f"unknown farm backend {mode!r}; choose 'model' or 'execute'")
+    return BACKENDS[mode](**kwargs)

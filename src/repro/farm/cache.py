@@ -23,34 +23,27 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.utils.lru import LRU
 
-class FrameResultCache:
+
+class FrameResultCache(LRU):
     """Bounded LRU of rendered frames keyed on ``frame_key``.
 
-    The same move-to-back-on-hit discipline as
-    :class:`repro.core.FramePlanCache`; ``max_entries <= 0`` disables
-    the cache entirely (every lookup misses), which is how the
-    capacity study runs its cache-off arm.
+    ``max_entries <= 0`` disables the cache entirely (every lookup
+    misses), which is how the capacity study runs its cache-off arm.
+    :meth:`touch` (inherited) refreshes recency without counting: the
+    dispatcher uses it when a queued job is promoted by a frame that
+    got cached while it waited, since that request-level hit is
+    accounted as a *promotion*.
     """
 
     def __init__(self, max_entries: int = 256):
-        self.max_entries = int(max_entries)
-        self._entries: dict[tuple, Any] = {}
-        self.hits = 0
-        self.misses = 0
+        super().__init__(max_entries)
         self.invalidated = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @property
     def enabled(self) -> bool:
         return self.max_entries > 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def lookup(self, key: tuple) -> Any | None:
         """The cached frame for ``key``, refreshing recency; else None.
@@ -59,34 +52,11 @@ class FrameResultCache:
         misses: there is no cache to miss, and the capacity study's
         cache-off arm must report 0/0, not a miss per request.
         """
-        if not self.enabled:
-            return None
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries[key] = entry  # re-insert: LRU, not FIFO
-        self.hits += 1
-        return entry
-
-    def touch(self, key: tuple) -> Any | None:
-        """Refresh recency (and return the entry) *without* counting.
-
-        The dispatcher uses this when a queued job is promoted by a
-        frame that got cached while it waited: the request-level hit is
-        accounted as a *promotion*, so counting a lookup hit here would
-        double-count against ``FarmResult.cache_hits``.
-        """
-        if not self.enabled:
-            return None
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._entries[key] = entry
-        return entry
+        return self.get(key) if self.enabled else None
 
     def contains(self, key: tuple) -> bool:
         """Membership test that does *not* count as a lookup."""
-        return self.enabled and key in self._entries
+        return key in self
 
     def invalidate_dataset(self, dataset: str) -> int:
         """Drop every frame of ``dataset`` (it published new data).
@@ -94,25 +64,16 @@ class FrameResultCache:
         ``frame_key`` leads with the dataset name, so matching is a
         prefix test.  Returns the number of entries dropped.
         """
-        stale = [k for k in self._entries if k[0] == dataset]
-        for k in stale:
-            del self._entries[k]
-        self.invalidated += len(stale)
-        return len(stale)
+        dropped = self.drop(lambda k: k[0] == dataset)
+        self.invalidated += dropped
+        return dropped
 
     def store(self, key: tuple, value: Any) -> None:
-        if not self.enabled:
-            return
-        self._entries.pop(key, None)
-        while len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = value
-
-    def clear(self) -> None:
-        self._entries.clear()
+        if self.enabled:
+            self.put(key, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<FrameResultCache {len(self._entries)}/{self.max_entries} "
+            f"<FrameResultCache {len(self)}/{self.max_entries} "
             f"entries, {self.hits} hits / {self.misses} misses>"
         )

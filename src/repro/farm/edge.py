@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.utils.errors import ConfigError
+from repro.utils.lru import LRU
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,12 @@ class EdgeConfig:
 class EdgeCache:
     """Per-region LRU of delivered frames, keyed on ``frame_key``.
 
-    Regions materialize on first use; each holds at most
-    ``entries_per_region`` frames under the same move-to-back-on-hit
-    discipline as :class:`~repro.farm.cache.FrameResultCache`.  All
-    times are simulated seconds on the farm engine's clock — TTL
-    expiry is checked lazily at lookup, so an expired entry counts one
-    ``expired`` *and* one ``miss`` (the request proceeds to the origin).
+    Regions materialize on first use; each is an :class:`LRU` of at
+    most ``entries_per_region`` ``(t_fill, payload)`` entries, with its
+    own hit/miss counters.  All times are simulated seconds on the farm
+    engine's clock — TTL expiry is checked lazily at lookup, so an
+    expired entry counts one ``expired`` *and* one ``miss`` (the
+    request proceeds to the origin).
     """
 
     def __init__(self, entries_per_region: int = 128, ttl_s: float | None = None):
@@ -72,37 +73,39 @@ class EdgeCache:
             )
         self.entries_per_region = int(entries_per_region)
         self.ttl_s = None if ttl_s is None else float(ttl_s)
-        # region -> {frame_key: (t_fill, payload)} in LRU order.
-        self._regions: dict[str, dict[tuple, tuple[float, Any]]] = {}
-        self.hits = 0
-        self.misses = 0
+        self._regions: dict[str, LRU] = {}
         self.expired = 0
         self.invalidated = 0
-        self._region_hits: dict[str, int] = {}
-        self._region_misses: dict[str, int] = {}
 
     def __len__(self) -> int:
         return sum(len(store) for store in self._regions.values())
 
     @property
-    def regions(self) -> tuple[str, ...]:
-        return tuple(self._regions)
+    def hits(self) -> int:
+        return sum(store.hits for store in self._regions.values())
+
+    @property
+    def misses(self) -> int:
+        return sum(store.misses for store in self._regions.values())
+
+    def _store(self, region: str) -> LRU:
+        store = self._regions.get(region)
+        if store is None:
+            store = self._regions[region] = LRU(self.entries_per_region)
+        return store
+
+    def _expired(self, entry: tuple[float, Any], now: float) -> bool:
+        return self.ttl_s is not None and now - entry[0] > self.ttl_s
 
     def lookup(self, region: str, key: tuple, now: float) -> Any | None:
         """The frame cached in ``region``, refreshing recency; else None."""
-        store = self._regions.get(region)
-        entry = None if store is None else store.pop(key, None)
-        if entry is not None and self.ttl_s is not None and now - entry[0] > self.ttl_s:
+        store = self._store(region)
+        entry = store.peek(key)
+        if entry is not None and self._expired(entry, now):
+            store.pop(key)  # aged out: fall through to a counted miss
             self.expired += 1
-            entry = None  # aged out: fall through to a counted miss
-        if entry is None:
-            self.misses += 1
-            self._region_misses[region] = self._region_misses.get(region, 0) + 1
-            return None
-        store[key] = entry  # re-insert: LRU, not FIFO
-        self.hits += 1
-        self._region_hits[region] = self._region_hits.get(region, 0) + 1
-        return entry[1]
+        entry = store.get(key)
+        return None if entry is None else entry[1]
 
     def peek(self, region: str, key: tuple, now: float) -> Any | None:
         """Uncounted, recency-neutral probe (TTL still honoured).
@@ -112,20 +115,14 @@ class EdgeCache:
         books, which reconcile 1:1 with ``edge_hit`` request records.
         """
         store = self._regions.get(region)
-        entry = None if store is None else store.get(key)
-        if entry is None:
-            return None
-        if self.ttl_s is not None and now - entry[0] > self.ttl_s:
+        entry = None if store is None else store.peek(key)
+        if entry is None or self._expired(entry, now):
             return None
         return entry[1]
 
     def fill(self, region: str, key: tuple, payload: Any, now: float) -> None:
         """Install a delivered frame in ``region`` (evicting LRU)."""
-        store = self._regions.setdefault(region, {})
-        store.pop(key, None)
-        while len(store) >= self.entries_per_region:
-            store.pop(next(iter(store)))
-        store[key] = (now, payload)
+        self._store(region).put(key, (now, payload))
 
     def invalidate_dataset(self, dataset: str) -> int:
         """Drop every region's frames of ``dataset``; returns the count.
@@ -134,12 +131,7 @@ class EdgeCache:
         publishes a new timestep (or republishes data) can flush all
         of its frames service-wide in one call.
         """
-        dropped = 0
-        for store in self._regions.values():
-            stale = [k for k in store if k[0] == dataset]
-            for k in stale:
-                del store[k]
-            dropped += len(stale)
+        dropped = sum(store.drop(lambda k: k[0] == dataset) for store in self._regions.values())
         self.invalidated += dropped
         return dropped
 
@@ -156,13 +148,11 @@ class EdgeCache:
             "invalidated": self.invalidated,
             "per_region": {
                 region: {
-                    "entries": len(self._regions.get(region, ())),
-                    "hits": self._region_hits.get(region, 0),
-                    "misses": self._region_misses.get(region, 0),
+                    "entries": len(store),
+                    "hits": store.hits,
+                    "misses": store.misses,
                 }
-                for region in sorted(
-                    set(self._regions) | set(self._region_hits) | set(self._region_misses)
-                )
+                for region, store in sorted(self._regions.items())
             },
         }
 

@@ -172,10 +172,6 @@ class RequestRecord:
         return self.t_hold - self.t_arrive
 
     @property
-    def alloc_s(self) -> float:
-        return self.t_serve - self.t_hold
-
-    @property
     def serve_s(self) -> float:
         return self.t_done - self.t_serve
 

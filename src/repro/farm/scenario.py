@@ -44,13 +44,14 @@ also list the counters their traffic must move.  :func:`check` is what
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.farm.admission import admission_from_dict, check_admission_spec
+from repro.farm.admission import TierSpec, TokenBucketAdmission
 from repro.farm.allocator import SizePolicy
-from repro.farm.autoscale import autoscale_from_dict, check_autoscale_spec
-from repro.farm.backends import backend_for
+from repro.farm.autoscale import ReactiveAutoscaler, StaticPool
+from repro.farm.backends import BACKENDS, backend_for
 from repro.farm.edge import EdgeConfig
 from repro.farm.result import FarmResult
 from repro.farm.service import RenderFarm
@@ -59,17 +60,7 @@ from repro.fault.plan import FarmFaults
 from repro.machine.specs import BGP_ALCF
 from repro.obs.tracer import Tracer
 from repro.utils.errors import ConfigError
-from repro.utils.validation import check_spec_fields, check_spec_keys
-
-#: Keyword arguments each backend constructor accepts; validated here so
-#: a typoed option fails at spec load, not deep inside backend_for().
-_BACKEND_OPTIONS = {
-    "model": {"constants"},
-    "execute": {
-        "grid", "world_cores", "image", "step", "seed",
-        "compositor", "error_budget",
-    },
-}
+from repro.utils.validation import check_spec_fields, from_spec
 
 
 @dataclass(frozen=True)
@@ -109,12 +100,8 @@ class FarmScenario:
             faults=self.fault,
             coalesce=self.coalesce,
             edge=self.edge.build() if self.edge is not None else None,
-            admission=(
-                admission_from_dict(self.admission) if self.admission is not None else None
-            ),
-            autoscaler=(
-                autoscale_from_dict(self.autoscale) if self.autoscale is not None else None
-            ),
+            admission=_admission(self.admission) if self.admission is not None else None,
+            autoscaler=_autoscaler(self.autoscale) if self.autoscale is not None else None,
         )
 
     def run(self, tracer: Tracer | None = None) -> FarmResult:
@@ -134,36 +121,31 @@ class FarmScenario:
         for key, block in blocks.items():
             raw = spec.pop(key, None)
             if raw is not None:
-                spec[key] = block(**check_spec_fields(raw, block, path=key))
-        policies = {"admission": check_admission_spec, "autoscale": check_autoscale_spec}
-        for key, validate in policies.items():
-            if spec.get(key) is not None:
-                validate(spec[key])
+                spec[key] = from_spec(block, raw, key)
+        # Build the policies once here so a bad value fails at load.
+        if spec.get("admission") is not None:
+            _admission(spec["admission"])
+        if spec.get("autoscale") is not None:
+            _autoscaler(spec["autoscale"])
         options = spec.get("backend_options")
         if options is not None:
-            mode = spec.get("mode", "model")
-            allowed = _BACKEND_OPTIONS.get(mode, set())
-            check_spec_keys(options, allowed, path="backend_options")
-            if "compositor" in options:
-                # Resolve the name now so a typoed compositor (or an
-                # error budget on an exact one) fails at spec load.
-                from repro.compositing.backends import get_backend
+            constructor = BACKENDS.get(spec.get("mode", "model"))
+            hints = typing.get_type_hints(constructor.__init__) if constructor else {}
+            # ``parallel`` takes a live ParallelConfig, which JSON cannot spell.
+            hints.pop("parallel", None)
+            check_spec_fields(options, hints, path="backend_options")
+            # Resolve the compositor now so a typoed name (or an error
+            # budget on an exact one, directsend by default) fails at load.
+            from repro.compositing.backends import get_backend
 
-                backend = get_backend(options["compositor"])
-                budget = float(options.get("error_budget", 0.0))
-                if budget < 0:
-                    raise ConfigError(
-                        f"backend_options.error_budget must be >= 0, got {budget}"
-                    )
-                if budget and not backend.supports_error_budget:
-                    raise ConfigError(
-                        f"backend_options: compositor {backend.name!r} is exact "
-                        f"and honors no error budget; use 'puzzlepiece'"
-                    )
-            elif "error_budget" in options and float(options["error_budget"]):
+            backend = get_backend(options.get("compositor", "directsend"))
+            budget = options.get("error_budget", 0.0)
+            if budget < 0:
+                raise ConfigError(f"backend_options.error_budget must be >= 0, got {budget}")
+            if budget and not backend.supports_error_budget:
                 raise ConfigError(
-                    "backend_options.error_budget needs an approximate "
-                    "compositor; set \"compositor\": \"puzzlepiece\""
+                    f"backend_options: compositor {backend.name!r} is exact "
+                    f"and honors no error budget; use 'puzzlepiece'"
                 )
         return cls(sessions=sessions, **spec)
 
@@ -175,6 +157,35 @@ class FarmScenario:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load scenario {path!r}: {exc}") from exc
         return cls.from_dict(spec)
+
+
+def _admission(spec: dict) -> TokenBucketAdmission:
+    """The ``admission`` block: ``tiers`` maps names to :class:`TierSpec`
+    fields, ``default`` covers every tier not named."""
+    check_spec_fields(spec, {"tiers": dict, "default": dict | None}, path="admission")
+    tiers = {
+        name: from_spec(TierSpec, tier, f"admission.tiers.{name}")
+        for name, tier in spec.get("tiers", {}).items()
+    }
+    default = spec.get("default")
+    if default is not None:
+        default = from_spec(TierSpec, default, "admission.default")
+    if not tiers and default is None:
+        raise ConfigError("admission limits nothing: give tiers and/or a default")
+    return TokenBucketAdmission(tiers=tiers, default=default)
+
+
+def _autoscaler(spec: dict) -> StaticPool | ReactiveAutoscaler:
+    """The ``autoscale`` block: a ``policy`` name (default reactive) and
+    that policy's fields."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"autoscale must be a JSON object, got {type(spec).__name__}")
+    kwargs = dict(spec)
+    policy = kwargs.pop("policy", "reactive")
+    policies = {"static": StaticPool, "reactive": ReactiveAutoscaler}
+    if not isinstance(policy, str) or policy not in policies:
+        raise ConfigError(f"autoscale.policy must be 'static' or 'reactive', got {policy!r}")
+    return from_spec(policies[policy], kwargs, "autoscale")
 
 
 def _session_from_dict(index: int, spec: dict) -> SessionSpec:

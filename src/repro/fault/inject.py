@@ -217,12 +217,6 @@ class FaultInjector:
         self.lost += n
 
     # ------------------------------------------------------------------
-    # I/O stragglers
-
-    def io_delay(self, rank: int) -> float:
-        return self._io_delay.get(rank, 0.0)
-
-    # ------------------------------------------------------------------
     # Recovery accounting
 
     def note_recovered(self, tile: int, owner_rank: int, now: float) -> None:

@@ -5,9 +5,10 @@ solver step (priced at the node's flop rate), and — every
 ``render_every`` steps — a rendered frame straight from the resident
 blocks: ray cast, direct-send, done.  No bytes touch storage.
 
-``posthoc_io_cost`` prices what the paper's workflow would have paid
-instead: write the time step collectively, read it back for
-visualization — using the same I/O models the Fig. 3/7 benches use.
+What the paper's post-hoc workflow would have paid instead is priced
+by ``repro insitu`` (``cmd_insitu`` in :mod:`repro.cli`): per rendered
+frame, :class:`repro.model.FrameModel`'s read time on top of its render
+and composite time — the same I/O model the Fig. 3/7 benches use.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class InSituResult:
     exchange_seconds: float  # simulated time in halo exchanges
     vis_seconds: float  # simulated time rendering + compositing
     steps: int
-
-    @property
-    def total_seconds(self) -> float:
-        return self.sim_seconds + self.exchange_seconds + self.vis_seconds
 
 
 class InSituPipeline:

@@ -30,28 +30,16 @@ class LinkLoads:
     """Per-link loads accumulated over one communication phase.
 
     ``bytes_per_link``/``msgs_per_link`` are arrays of length
-    ``topology.num_links``; the properties summarise them.
+    ``topology.num_links``.
     """
 
     bytes_per_link: np.ndarray
     msgs_per_link: np.ndarray
 
     @property
-    def max_bytes(self) -> int:
-        return int(self.bytes_per_link.max(initial=0))
-
-    @property
-    def max_msgs(self) -> int:
-        return int(self.msgs_per_link.max(initial=0))
-
-    @property
     def total_bytes(self) -> int:
         """Total byte-hops (sum over links of bytes crossing them)."""
         return int(self.bytes_per_link.sum())
-
-    @property
-    def used_links(self) -> int:
-        return int(np.count_nonzero(self.msgs_per_link))
 
 
 class TorusTopology:

@@ -152,8 +152,7 @@ class Camera:
         v = ((np.asarray(py, dtype=np.float64) + 0.5) / self.height * 2.0 - 1.0) * self._half_h
         if self.orthographic:
             origins = self.eye + u[..., None] * self.right + v[..., None] * self.up
-            d = np.broadcast_to(self.forward, origins.shape).copy()
-            return origins, d
+            return origins, np.broadcast_to(self.forward, origins.shape)
         d = (
             self.forward
             + u[..., None] * self.right

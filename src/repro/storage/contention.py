@@ -139,11 +139,6 @@ class SharedStorageStation:
             job.done.resolve(job.service)
         self._reschedule()
 
-    @property
-    def busy_s(self) -> float:
-        """Total seconds of demand served so far (work conservation)."""
-        return sum(s.demand_s for s in self.services if s.t_done > 0.0 or s.demand_s == 0.0)
-
 
 @dataclass
 class _FairJob:

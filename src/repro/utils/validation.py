@@ -89,16 +89,18 @@ def _fits(value: object, hint: Any) -> bool:
 def check_spec_fields(spec: object, schema: Any, path: str = "") -> dict:
     """:func:`check_spec_keys`, plus every scalar value against its type.
 
-    ``schema`` is the dataclass the spec will be splatted into, or a
-    ``{key: annotation}`` mapping; ``int`` / ``float`` / ``str`` /
-    ``bool`` / ``dict``, their unions and homogeneous tuples (JSON
-    lists) are judged.  A mismatch is a :class:`ConfigError` with the
-    key path — ``sessions[0].requests must be int, got 'x'`` — at load,
-    not a ``TypeError`` from whatever first touches the value mid-run.
+    ``schema`` is the dataclass the spec will be splatted into (its
+    constructor fields), or a ``{key: annotation}`` mapping; ``int`` /
+    ``float`` / ``str`` / ``bool`` / ``dict``, their unions and
+    homogeneous tuples (JSON lists) are judged.  A mismatch is a
+    :class:`ConfigError` with the key path — ``sessions[0].requests
+    must be int, got 'x'`` — at load, not a ``TypeError`` from whatever
+    first touches the value mid-run.
     """
-    hints: Mapping[str, Any] = (
-        typing.get_type_hints(schema) if dataclasses.is_dataclass(schema) else schema
-    )
+    hints: Mapping[str, Any] = schema
+    if dataclasses.is_dataclass(schema):
+        annotations = typing.get_type_hints(schema)
+        hints = {f.name: annotations[f.name] for f in dataclasses.fields(schema) if f.init}
     check_spec_keys(spec, hints, path)
     for key, value in spec.items():  # type: ignore[union-attr]
         hint = hints[key]
@@ -107,6 +109,17 @@ def check_spec_fields(spec: object, schema: Any, path: str = "") -> dict:
             wanted = hint.__name__ if isinstance(hint, type) else hint
             raise ConfigError(f"{where} must be {wanted}, got {value!r}")
     return spec  # type: ignore[return-value]
+
+
+def from_spec(cls: Any, spec: object, path: str) -> Any:
+    """``cls(**spec)`` for a dataclass ``cls``, after :func:`check_spec_fields`
+    and a check that every field without a default is given."""
+    kwargs = check_spec_fields(spec, cls, path)
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if f.init and required and f.name not in kwargs:
+            raise ConfigError(f"{path} needs {f.name!r}")
+    return cls(**kwargs)
 
 
 def check_shape3(name: str, shape: Sequence[int]) -> tuple[int, int, int]:

@@ -161,7 +161,7 @@ class TestScheduleCache:
         import repro.compositing.schedule as sched
 
         clear_schedule_cache()
-        old_max, sched._SCHEDULE_CACHE_MAX = sched._SCHEDULE_CACHE_MAX, 2
+        old_max, sched._SCHEDULE_CACHE.max_entries = sched._SCHEDULE_CACHE.max_entries, 2
         try:
             dec = BlockDecomposition(GRID, 8)
             cams = [
@@ -178,5 +178,5 @@ class TestScheduleCache:
             schedule_from_geometry(dec, cams[1], 4)  # was evicted
             assert schedule_cache_info()["misses"] == misses + 1
         finally:
-            sched._SCHEDULE_CACHE_MAX = old_max
+            sched._SCHEDULE_CACHE.max_entries = old_max
             clear_schedule_cache()

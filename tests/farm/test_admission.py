@@ -29,17 +29,18 @@ from repro.farm import (
     TierSpec,
     TokenBucketAdmission,
     Workload,
-    admission_from_dict,
-    autoscale_from_dict,
     check,
 )
-from repro.farm.admission import check_admission_spec
-from repro.farm.autoscale import check_autoscale_spec
 from repro.obs.tracer import CAT_ADMIT
 from repro.utils.errors import ConfigError
 
 from test_edge import crowd
 from test_service import StubBackend, run_farm
+
+
+def _load(**blocks) -> RenderFarm:
+    """A one-session scenario with ``blocks``, loaded from JSON and built."""
+    return FarmScenario.from_dict({"sessions": [{"name": "s"}], **blocks}).build()
 
 
 class TestTokenBucket:
@@ -71,12 +72,10 @@ class TestTokenBucket:
         with pytest.raises(ConfigError, match="burst"):
             TierSpec(rate_hz=1.0, burst=0.5)
         with pytest.raises(ConfigError, match="limits nothing"):
-            check_admission_spec({"tiers": {}})
+            _load(admission={"tiers": {}})
         with pytest.raises(ConfigError, match=r"admission\.tiers\.free\.rate"):
-            check_admission_spec({"tiers": {"free": {"rate": 1.0}}})
-        adm = admission_from_dict(
-            {"tiers": {"free": {"rate_hz": 0.5, "burst": 4}}}
-        )
+            _load(admission={"tiers": {"free": {"rate": 1.0}}})
+        adm = _load(admission={"tiers": {"free": {"rate_hz": 0.5, "burst": 4}}}).admission
         assert adm.tiers["free"].burst == 4
 
 
@@ -181,18 +180,18 @@ class TestAutoscalePolicies:
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError, match="policy"):
-            check_autoscale_spec({"policy": "psychic"})
+            _load(autoscale={"policy": "psychic"})
         with pytest.raises(ConfigError, match="needs 'nodes'"):
-            check_autoscale_spec({"policy": "static"})
+            _load(autoscale={"policy": "static"})
         with pytest.raises(ConfigError, match=r"autoscale\.max_node"):
-            check_autoscale_spec({"policy": "reactive", "max_node": 8})
+            _load(autoscale={"policy": "reactive", "max_node": 8})
         with pytest.raises(ConfigError, match="min_nodes"):
             ReactiveAutoscaler(min_nodes=0)
         with pytest.raises(ConfigError, match="low_util"):
             ReactiveAutoscaler(low_util=0.9, high_util=0.5)
-        assert isinstance(autoscale_from_dict({"policy": "static", "nodes": 64}),
+        assert isinstance(_load(autoscale={"policy": "static", "nodes": 64}).autoscaler,
                           StaticPool)
-        assert isinstance(autoscale_from_dict({"policy": "reactive"}),
+        assert isinstance(_load(autoscale={"policy": "reactive"}).autoscaler,
                           ReactiveAutoscaler)
 
 

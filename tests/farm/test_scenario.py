@@ -10,10 +10,12 @@
 """
 
 import copy
+import json
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.cli import main
 from repro.farm import BUILTIN_SCENARIOS, FarmScenario, check, default_scenario
 from repro.fault.chaos import run_chaos
 from repro.obs.tracer import Tracer
@@ -126,6 +128,50 @@ class TestTypedValues:
             scenario.run()
         except ConfigError:
             pass
+
+
+class TestPolicyBlocks:
+    """``admission``, ``autoscale`` and ``backend_options`` values are
+    typed at load like every other block, and the CLI reports them."""
+
+    bad = pytest.mark.parametrize(
+        "blocks, named",
+        [
+            ({"admission": {"tiers": {"free": {"rate_hz": "fast"}}}},
+             "admission.tiers.free.rate_hz"),
+            ({"admission": {"tiers": {"free": {"rate_hz": 0.5, "burst": True}}}},
+             "admission.tiers.free.burst"),
+            ({"autoscale": {"policy": "reactive", "min_nodes": "x"}}, "autoscale.min_nodes"),
+            ({"autoscale": {"policy": "static", "nodes": "8"}}, "autoscale.nodes"),
+            ({"mode": "execute", "backend_options": {"grid": "x"}}, "backend_options.grid"),
+            ({"mode": "execute", "backend_options": {"error_budget": "x"}},
+             "backend_options.error_budget"),
+        ],
+    )
+
+    @bad
+    def test_a_bad_value_is_a_config_error_at_load(self, blocks, named):
+        with pytest.raises(ConfigError) as err:
+            FarmScenario.from_dict({**copy.deepcopy(VALID_SPEC), **blocks})
+        assert named in str(err.value)
+
+    @bad
+    def test_the_cli_exits_2_naming_the_key(self, tmp_path, capsys, blocks, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**VALID_SPEC, **blocks}))
+        assert main(["farm", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_good_blocks_build(self):
+        farm = FarmScenario.from_dict({
+            **copy.deepcopy(VALID_SPEC),
+            "admission": {"tiers": {"free": {"rate_hz": 0.5, "burst": 4}}},
+            "autoscale": {"policy": "static", "nodes": 512},
+            "backend_options": {"constants": None},
+        }).build()
+        assert farm.admission.tiers["free"].burst == 4.0
+        assert farm.autoscaler.nodes == 512
 
 
 class TestRegistry:

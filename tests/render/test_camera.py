@@ -127,6 +127,15 @@ class TestOrthographic:
         # Origins spread across the view window.
         assert not np.allclose(o[0, 0], o[-1, -1])
 
+    def test_frame_rays_keep_one_direction(self):
+        # Every orthographic ray shares ``forward``: the frame's ray
+        # table holds it once (stride 0), not once per pixel, just as
+        # perspective holds its shared eye once.
+        _o, d = self._ortho().with_frame_rays()._frame_rays
+        assert d.strides[:2] == (0, 0)
+        o, _d = Camera((0, 0, -10), (0, 0, 0), width=64, height=64).with_frame_rays()._frame_rays
+        assert o.strides[:2] == (0, 0)
+
     def test_projection_inverts_rays(self):
         cam = self._ortho()
         px = np.array([3, 31, 60])
