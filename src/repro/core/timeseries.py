@@ -310,7 +310,9 @@ def _campaign_cameras(
     orbit_degrees_per_frame: float,
     camera_factory: Callable[[int], Camera] | None,
 ) -> list[Camera]:
-    """Per-frame cameras, identical to the sequential driver's loop."""
+    """Per-frame cameras of a campaign, for both the sequential and the
+    pipelined driver: ``camera_factory(i)``, else the orbit, else the
+    renderer's own camera."""
     base = renderer.camera
     cameras: list[Camera] = []
     for i, handle in enumerate(handles):
@@ -349,6 +351,7 @@ def render_time_series(
     """
     if not handles:
         raise ConfigError("no time steps to render")
+    cameras = _campaign_cameras(renderer, handles, orbit_degrees_per_frame, camera_factory)
     base = renderer.camera
     frames = []
     # The camera is restored in a finally so an exception mid-campaign
@@ -356,17 +359,8 @@ def render_time_series(
     # farm-level renderer reuse depends on the camera being stable
     # across campaigns.
     try:
-        for i, handle in enumerate(handles):
-            if camera_factory is not None:
-                renderer.camera = camera_factory(i)
-            elif orbit_degrees_per_frame:
-                grid = tuple(int(s) for s in handle.shape)
-                renderer.camera = Camera.looking_at_volume(
-                    grid,  # type: ignore[arg-type]
-                    width=base.width,
-                    height=base.height,
-                    azimuth_deg=30.0 + i * orbit_degrees_per_frame,
-                )
+        for camera, handle in zip(cameras, handles):
+            renderer.camera = camera
             frames.append(renderer.render_frame(handle))
     finally:
         renderer.camera = base

@@ -135,9 +135,6 @@ class SupernovaModel:
             out = np.clip(out, 0.01, 1.6)
         return np.ascontiguousarray(out, dtype=np.float32)
 
-    def all_fields(self) -> dict[str, np.ndarray]:
-        return {v: self.field(v) for v in VARIABLES}
-
     def value_range(self, variable: str) -> tuple[float, float]:
         """Sensible transfer-function domain for a variable."""
         if variable in ("vx", "vy", "vz"):

@@ -24,6 +24,10 @@ from repro.machine.partition import STANDARD_PARTITIONS
 from repro.utils.errors import ConfigError
 from repro.utils.validation import check_positive
 
+#: Tracer lane for machine-level events (crashes, quarantine, scaling);
+#: session lanes are 0..len(sessions)-1, so -1 is the "machine" track.
+MACHINE_LANE = -1
+
 #: Standard partition node counts, ascending.
 STANDARD_SIZES: tuple[int, ...] = tuple(sorted(STANDARD_PARTITIONS))
 

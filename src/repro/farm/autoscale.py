@@ -5,15 +5,18 @@ node-hours whether frames arrive or not.  Against diurnal traffic a
 static pool is sized for the peak and idles all night; against a flash
 crowd a pool sized for the average melts.  The autoscaler closes the
 loop: a policy object is evaluated every ``interval_s`` of simulated
-time and returns a target pool size; the farm applies it by *fencing*
-node space — unprovisioned nodes are reserved out of the allocator, so
-growth is a ``free`` of fence and shrink is a ``reserve`` of the drain
-region (skipped without harm while jobs still run there, and retried
-at the next evaluation).
+time and returns a target pool size.  The farm's :class:`NodePool`
+applies it by *fencing* node space, not resizing it — unprovisioned
+nodes sit in an exact allocator reservation at the top of the node
+space, so growth is a ``free`` of fence and shrink is a ``reserve`` of
+the drain region (skipped without harm while a job or a quarantined
+node still holds nodes there, and retried at the next evaluation).
 
 Accounting is the point: ``FarmResult.provisioned_node_s`` integrates
 ``provisioned * dt`` over the run, so the capacity study can report
-node-hours actually held, not machine size times makespan.
+node-hours actually held, not machine size times makespan.  With no
+policy the pool is the whole machine: it schedules nothing, and its
+integral is machine size times makespan.
 
 Policies are deliberately simple (this is a simulator, not a control
 theory thesis): :class:`StaticPool` pins a size, and
@@ -27,9 +30,14 @@ allocator and the torus-partition size policy both reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
+from repro.farm.allocator import MACHINE_LANE
+from repro.obs.tracer import CAT_FARM
 from repro.utils.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.farm.service import RenderFarm
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,10 @@ class StaticPool:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ConfigError(f"static pool needs nodes >= 1, got {self.nodes}")
+
+    @property
+    def max_nodes(self) -> int:
+        return self.nodes
 
     def initial(self, total_nodes: int) -> int:
         return min(self.nodes, total_nodes)
@@ -114,3 +126,101 @@ class ReactiveAutoscaler:
         if queue_depth == 0 and util < self.low_util:
             return max(provisioned // 2, self.min_nodes)
         return provisioned
+
+
+class NodePool:
+    """The provisioned share of one farm run's machine.
+
+    Owns the fence over the farm's allocator, the policy's evaluation
+    event, the ``provisioned * dt`` integral and the scale-event log.
+    ``max_nodes`` is the most nodes the pool can ever provision.
+    """
+
+    def __init__(self, farm: RenderFarm, policy: StaticPool | ReactiveAutoscaler | None):
+        self.farm = farm
+        self.policy = policy
+        total = farm.allocator.total_nodes
+        self.max_nodes = total if policy is None else min(total, int(policy.max_nodes))
+        self.provisioned = total
+        self.node_s = 0.0  # provisioned * dt, integrated up to _t0
+        self._t0 = 0.0
+        self.events: list[tuple[float, int, int]] = []  # (t, old, new)
+        self._ev = None
+
+    def start(self) -> None:
+        """Fence off the unprovisioned top; arm the first evaluation."""
+        if self.policy is None:
+            return
+        allocator = self.farm.allocator
+        total = allocator.total_nodes
+        initial = max(1, min(int(self.policy.initial(total)), total))
+        if initial < total:
+            allocator.reserve((initial, total))
+        self.provisioned = initial
+        self._arm()
+
+    def _arm(self) -> None:
+        if self.policy.interval_s > 0:
+            self._ev = self.farm.engine.schedule(float(self.policy.interval_s), self._evaluate)
+
+    def _evaluate(self) -> None:
+        farm = self.farm
+        self._ev = None
+        now = farm.engine.now
+        total = farm.allocator.total_nodes
+        target = int(
+            self.policy.target(
+                now=now,
+                provisioned=self.provisioned,
+                busy_nodes=sum(job.nodes for job in farm._running.values()),
+                queue_depth=len(farm._queue),
+                total_nodes=total,
+            )
+        )
+        target = max(1, min(target, total))
+        if target != self.provisioned:
+            self._provision(target, now)
+        self._arm()
+
+    def _provision(self, target: int, now: float) -> None:
+        farm = self.farm
+        old = self.provisioned
+        if target > old:
+            farm.allocator.free((old, target))
+        else:
+            try:
+                farm.allocator.reserve((target, old))
+            except ConfigError:
+                return  # drain region busy or quarantined; retry next eval
+        self.node_s += (now - self._t0) * old
+        self._t0 = now
+        self.provisioned = target
+        self.events.append((now, old, target))
+        farm.tracer.span(MACHINE_LANE, f"scale {old}->{target}", CAT_FARM, now, now, nodes=target)
+        if target > old:
+            farm._kick()
+
+    def stop(self) -> None:
+        """All requests done: no further evaluation."""
+        if self._ev is not None:
+            self._ev.cancel()
+            self._ev = None
+
+    def close(self, makespan: float) -> float:
+        """Integrate the pool up to ``makespan``; the run's node-seconds."""
+        self.node_s += (makespan - self._t0) * self.provisioned
+        return self.node_s
+
+    def summary(self) -> dict | None:
+        if self.policy is None:
+            return None
+        sizes = [self.provisioned] + [old for _, old, _ in self.events]
+        return {
+            "policy": self.policy.name,
+            "scale_events": len(self.events),
+            "events": [[t, old, new] for t, old, new in self.events],
+            "min_provisioned": min(sizes),
+            "max_provisioned": max(sizes),
+            "final_provisioned": self.provisioned,
+            "provisioned_node_s": self.node_s,
+        }

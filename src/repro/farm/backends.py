@@ -292,12 +292,14 @@ class ExecuteBackend:
     # -- ServiceBackend -----------------------------------------------
 
     def render(self, request: FrameRequest, cores: int) -> tuple[float, Any]:
+        key = request.frame_key
+        if key not in self._frames:
+            self._frames[key] = self._render(request)
+        return self._frames[key]
+
+    def _render(self, request: FrameRequest) -> tuple[float, Any]:
         from repro.render import Camera
 
-        key = request.frame_key
-        memo = self._frames.get(key)
-        if memo is not None:
-            return memo
         handle, value_range, volume = self._handle(request)
         camera = Camera.looking_at_volume(
             self.grid,
@@ -324,9 +326,7 @@ class ExecuteBackend:
                 sequential_full_s=ladder.final.timing.total_s,
                 detail=ladder,
             )
-            memo = (payload.total_s, payload)
-            self._frames[key] = memo
-            return memo
+            return payload.total_s, payload
         if request.frames > 1:
             # Campaign job: the whole orbit animation renders through
             # the pipelined driver on the *shared* renderer, so the
@@ -354,13 +354,9 @@ class ExecuteBackend:
                 makespan_s=campaign.makespan_s,
                 detail=campaign.images,
             )
-            memo = (payload.makespan_s, payload)
-            self._frames[key] = memo
-            return memo
+            return payload.makespan_s, payload
         result = renderer.render_frame(handle)
-        memo = (result.timing.total_s, result.image)
-        self._frames[key] = memo
-        return memo
+        return result.timing.total_s, result.image
 
     @property
     def plan_hits(self) -> int:

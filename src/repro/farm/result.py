@@ -70,7 +70,7 @@ class FarmResult:
     coalesced_requests: int = 0  # duplicates attached to an in-flight render
     rejected: list[RequestRecord] = field(default_factory=list)  # shed, never served
     result_cache_enabled: bool = True
-    provisioned_node_s: float | None = None  # ∫ provisioned-pool size dt
+    provisioned_node_s: float = 0.0  # ∫ provisioned-pool size dt (NodePool.close)
     cancelled_node_s: float = 0.0  # node-seconds reclaimed by camera moves
     levels_published: int = 0  # ladder levels delivered service-wide
     ladders_cancelled: int = 0  # ladders truncated by camera moves
@@ -161,16 +161,9 @@ class FarmResult:
         return len(self.rejected) / self.arrivals if self.arrivals else 0.0
 
     @property
-    def held_node_s(self) -> float:
-        """Node-seconds provisioned (the whole machine with no pool policy)."""
-        if self.provisioned_node_s is None:
-            return self.total_nodes * self.makespan_s
-        return self.provisioned_node_s
-
-    @property
     def node_hours(self) -> float:
         """Node-hours actually provisioned (the bill, not the machine)."""
-        return self.held_node_s / 3600.0
+        return self.provisioned_node_s / 3600.0
 
     @property
     def throughput_rps(self) -> float:
@@ -190,11 +183,6 @@ class FarmResult:
     def campaign_frames(self) -> int:
         """Frames delivered inside campaign jobs (requests expanded)."""
         return sum(r.request.frames for r in self.campaign_records())
-
-    @property
-    def frames_delivered(self) -> int:
-        """All frames the served requests carried (campaigns expanded)."""
-        return sum(r.request.frames for r in self.records)
 
     def campaign_stats(self) -> dict | None:
         """Per-campaign frame-throughput and overlap accounting.
@@ -279,15 +267,12 @@ class FarmResult:
 
     # -- views --------------------------------------------------------
 
-    def session_records(self, session: str) -> list[RequestRecord]:
-        return [r for r in self.records if r.request.session == session]
-
     def summary(self) -> dict:
         """JSON-able scenario summary (what ``repro farm --json`` prints)."""
         lat = self.latencies()
         per_session = {}
         for spec in self.sessions:
-            recs = self.session_records(spec.name)
+            recs = [r for r in self.records if r.request.session == spec.name]
             slo = self.slo_for(spec.name)
             ses_lat = np.array([r.latency_s for r in recs]) if recs else np.zeros(0)
             per_session[spec.name] = {
@@ -336,7 +321,7 @@ class FarmResult:
                 "total_nodes": self.total_nodes,
                 "utilization": self.utilization,
                 "backfilled": self.backfilled,
-                "provisioned_node_s": self.held_node_s,
+                "provisioned_node_s": self.provisioned_node_s,
                 "node_hours": self.node_hours,
             },
             "service": {

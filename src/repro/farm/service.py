@@ -43,12 +43,6 @@ scheduler, in strict order:
   reserved time every backfilled interval has been freed again, so the
   machine state the reservation was computed against is restored.
 
-An :class:`~repro.farm.autoscale` policy, if installed, fences node
-space: unprovisioned nodes are reserved out of the allocator, growth
-frees fence, shrink reserves the drain region (skipped while busy and
-retried next evaluation), and ``provisioned * dt`` is integrated into
-``FarmResult.provisioned_node_s`` so node-hours reflect what was held.
-
 Every request emits ``queue`` and ``serve`` spans (plus ``alloc`` for
 the rendered ones) in :data:`CAT_FARM`; edge hits and coalesced waiters
 add zero-length markers in :data:`CAT_EDGE`, rejections in
@@ -56,16 +50,11 @@ add zero-length markers in :data:`CAT_EDGE`, rejections in
 :class:`FarmResult` (``FarmResult.accounting_failures()`` checks every
 identity).
 
-With :class:`~repro.fault.plan.FarmFaults` installed the farm also runs
-a Poisson node-failure process: crashes arrive at ``rate × total
-nodes``, each one quarantines the victim node for ``repair_s`` (an
-exact-interval :meth:`NodeAllocator.reserve`) and kills any job holding
-it — the job's partial work is charged to ``wasted_node_s`` and the
-request requeues at the back **with its waiters still attached**: a
-crash mid-render costs one requeue, not one per coalesced client.  The
-whole process draws from ``substream(seed, "farm", "fault")``, so a
-chaos sweep is replayable; with no faults configured none of this code
-runs and results are bitwise identical to the pre-fault farm.
+The farm owns only this lifecycle.  The autoscaled node pool is
+:class:`~repro.farm.autoscale.NodePool` and the crash process with its
+quarantine ledger is :class:`~repro.farm.crashes.CrashProcess`; each is
+inert when unconfigured, and the crash process calls back into the
+lifecycle only through :meth:`RenderFarm._kill_job`.
 """
 
 from __future__ import annotations
@@ -78,31 +67,21 @@ from typing import Any
 
 from repro.farm.admission import TokenBucketAdmission
 from repro.farm.allocator import NodeAllocator, SizePolicy
+from repro.farm.autoscale import NodePool
 from repro.farm.backends import ProgressivePayload, ServiceBackend
 from repro.farm.cache import FrameResultCache
+from repro.farm.crashes import CrashProcess
 from repro.farm.edge import EdgeCache
 from repro.farm.request import FrameRequest, RequestRecord
 from repro.farm.result import FarmResult
 from repro.farm.workload import SessionSpec, Workload
-from repro.fault.metrics import FarmFaultStats
 from repro.fault.plan import FarmFaults
 from repro.machine.specs import BGP_ALCF
-from repro.obs.tracer import (
-    CAT_ADMIT,
-    CAT_EDGE,
-    CAT_FARM,
-    CAT_FAULT,
-    CAT_PROGRESSIVE,
-    Tracer,
-)
+from repro.obs.tracer import CAT_ADMIT, CAT_EDGE, CAT_FARM, CAT_FAULT, CAT_PROGRESSIVE, Tracer
+from repro.progressive.ladder import levels_before_move
 from repro.sim.engine import Engine
 from repro.sim.events import Future
 from repro.utils.errors import ConfigError
-from repro.utils.rng import substream
-
-#: Tracer lane for machine-level events (crashes, quarantine, scaling);
-#: session lanes are 0..len(sessions)-1, so -1 is the "machine" track.
-MACHINE_LANE = -1
 
 
 @dataclass
@@ -193,7 +172,6 @@ class RenderFarm:
         self._completed = 0
         self._dispatch_due = False  # a dispatch pass is scheduled or running
         self._util_node_s = 0.0
-        self._busy_nodes = 0
         self._ran = False
 
         # -- progressive-ladder books ---------------------------------
@@ -201,26 +179,8 @@ class RenderFarm:
         self._levels_published = 0
         self._ladders_cancelled = 0
 
-        # -- autoscale state (full machine when no policy installed) --
-        self._provisioned = total_nodes
-        self._provision_t0 = 0.0
-        self._provisioned_node_s = 0.0
-        self._scale_events: list[tuple[float, int, int]] = []
-        self._scale_ev = None
-        self._pool_cap = total_nodes
-        if autoscaler is not None:
-            cap = getattr(autoscaler, "max_nodes", getattr(autoscaler, "nodes", total_nodes))
-            self._pool_cap = min(total_nodes, int(cap))
-
-        # -- fault process state (inert unless faults.active) ---------
-        self.faults = faults if (faults is not None and faults.active) else None
-        self.fault_stats: FarmFaultStats | None = None
-        self._fault_rng = None
-        self._crash_ev = None
-        self._crashes = 0
-        self._wasted_node_s = 0.0
-        self._quarantined: dict[int, tuple[float, Any]] = {}  # node -> (t0, release ev)
-        self._quarantined_node_s = 0.0
+        self.pool = NodePool(self, autoscaler)
+        self.crashes = CrashProcess(self, faults)
 
     # -- public -------------------------------------------------------
 
@@ -229,18 +189,13 @@ class RenderFarm:
         if self._ran:
             raise ConfigError("RenderFarm.run() is one-shot; build a new farm")
         self._ran = True
-        if self.autoscaler is not None:
-            self._setup_autoscale()
+        self.pool.start()
         for spec in self.workload.sessions:
             self.engine.spawn(self._session(spec), name=f"session.{spec.name}")
         self._kick()
-        if self.faults is not None:
-            self._fault_rng = substream(self.workload.seed, "farm", "fault")
-            self._schedule_next_crash()
+        self.crashes.start()
         makespan = self.engine.run()
-        self._provisioned_node_s += (makespan - self._provision_t0) * self._provisioned
-        if self.faults is not None:
-            self.fault_stats = self._build_fault_stats(makespan)
+        provisioned_node_s = self.pool.close(makespan)
         return FarmResult(
             records=list(self.records),
             sessions=self.workload.sessions,
@@ -255,18 +210,18 @@ class RenderFarm:
             backfilled=self.backfilled,
             backend=self.backend.name,
             trace=self.tracer,
-            faults=self.fault_stats,
+            faults=self.crashes.stats(makespan),
             promotions=self.promotions,
             coalesced_requests=self._coalesced,
             rejected=list(self.rejected),
             result_cache_enabled=self.result_cache.enabled,
-            provisioned_node_s=self._provisioned_node_s,
+            provisioned_node_s=provisioned_node_s,
             cancelled_node_s=self._cancelled_node_s,
             levels_published=self._levels_published,
             ladders_cancelled=self._ladders_cancelled,
             edge=self.edge.summary() if self.edge is not None else None,
             admission=self.admission.summary() if self.admission is not None else None,
-            autoscale=self._autoscale_summary(),
+            autoscale=self.pool.summary(),
         )
 
     def invalidate_dataset(self, dataset: str) -> int:
@@ -366,10 +321,10 @@ class RenderFarm:
                 return done
 
         nodes = self.size_policy.nodes_for(request.cores)
-        if nodes > self._pool_cap:
+        if nodes > self.pool.max_nodes:
             raise ConfigError(
                 f"request {request.rid} needs a {nodes}-node partition but the "
-                f"farm can provision at most {self._pool_cap} nodes"
+                f"farm can provision at most {self.pool.max_nodes} nodes"
             )
 
         # Only NEW render work spends an admission token: everything
@@ -451,11 +406,7 @@ class RenderFarm:
         shrunk, caches probed, prices memoised, reservations written."""
         if not self._dispatch_due:
             self._dispatch_due = True
-            self.engine.schedule(0.0, self._run_dispatch)
-
-    def _run_dispatch(self) -> None:
-        self._dispatch()
-        self._dispatch_due = False
+            self.engine.schedule(0.0, self._dispatch)
 
     def _dispatch(self) -> None:
         """One pass over the queue: FCFS until a job does not fit, then
@@ -484,7 +435,8 @@ class RenderFarm:
                 if job.record.reserved_start is None and math.isfinite(shadow):
                     job.record.reserved_start = shadow
                 if not self.backfill:
-                    return
+                    break
+        self._dispatch_due = False
 
     def _dispatch_cached(self, job: _Job) -> bool:
         """Complete a queued job whose frame got cached while it waited.
@@ -546,7 +498,6 @@ class RenderFarm:
         record.nodes = job.nodes
         record.interval = interval
         self._running[job.request.rid] = job
-        self._busy_nodes += job.nodes
         self._util_node_s += job.nodes * (record.t_done - now)
         job.log_i = len(self.allocation_log)
         self.allocation_log.append((job.request.rid, interval, now, record.t_done))
@@ -555,10 +506,9 @@ class RenderFarm:
             self._schedule_ladder(job)
 
     def _release(self, job: _Job) -> None:
-        """Hand the job's partition back: free, un-run, un-busy."""
+        """Hand the job's partition back: free it, drop it from the running set."""
         self.allocator.free(job.record.interval)  # type: ignore[arg-type]
         self._running.pop(job.request.rid)
-        self._busy_nodes -= job.nodes
 
     def _stop_at(self, job: _Job, t: float) -> float:
         """The job ends at ``t``, before the planned end: un-credit (and
@@ -578,8 +528,9 @@ class RenderFarm:
         """Turn the payload's level clock into publish/move events.
 
         Levels 0..L-2 get their own publish events (the final level is
-        the job's normal finish); the viewer's camera move, if any,
-        lands ``cancel_after_s`` after serve start.
+        the job's normal finish); the viewer's camera move lands
+        ``cancel_after_s`` after serve start, and gets an event only if
+        it cuts a level (:func:`levels_before_move`).
         """
         payload = job.payload
         record = job.record
@@ -598,10 +549,11 @@ class RenderFarm:
             for lvl in range(payload.levels - 1)
         ]
         cancel = job.request.cancel_after_s
-        if cancel is not None:
-            t_move = record.t_serve + float(cancel)
-            if t_move < record.t_done - 1e-12:
-                job.move_ev = self.engine.schedule_at(t_move, partial(self._camera_move, job))
+        delivered = levels_before_move(payload.level_end_s, cancel)
+        if delivered < payload.levels:
+            job.move_ev = self.engine.schedule_at(
+                record.t_serve + float(cancel), partial(self._camera_move, job, delivered)
+            )
 
     def _level_span(self, job: _Job, lvl: int) -> None:
         """Level ``lvl`` is delivered *now*: its span and its counters."""
@@ -635,33 +587,24 @@ class RenderFarm:
         self.result_cache.store(lk, preview)
         self._fill_edge(job.request, lk, preview)
 
-    def _camera_move(self, job: _Job) -> None:
-        """The viewer moved: truncate the ladder, reclaim the remainder.
-
-        The level in flight completes (preempting mid-composite would
-        tear a frame); every un-started level is cancelled and its
-        node-seconds handed back to the machine.  A move landing inside
-        the final level reclaims nothing.
-        """
+    def _camera_move(self, job: _Job, delivered: int) -> None:
+        """The viewer moved: the first ``delivered`` levels land, every
+        un-started one is cancelled and its node-seconds handed back to
+        the machine."""
         now = self.engine.now
         record = job.record
         job.move_ev = None
-        rel = now - record.t_serve
-        ends = job.payload.level_end_s
-        idx = next((i for i, e in enumerate(ends) if e > rel + 1e-12), len(ends) - 1)
-        new_end = record.t_serve + ends[idx]
-        if new_end >= record.t_done - 1e-12:
-            return  # mid-final-level: the ladder finishes anyway
-        for ev in job.events[idx + 1:]:
+        new_end = record.t_serve + job.payload.level_end_s[delivered - 1]
+        for ev in job.events[delivered:]:
             if ev is not None:
                 ev.cancel()
         self._cancelled_node_s += self._stop_at(job, new_end)
         self._ladders_cancelled += 1
         record.ladder_cancelled = True
-        job.events[idx + 1:] = [self.engine.schedule_at(new_end, partial(self._finish, job))]
+        job.events[delivered:] = [self.engine.schedule_at(new_end, partial(self._finish, job))]
         self._span(
             record, "ladder-cancelled", CAT_PROGRESSIVE, now, now,
-            completes=idx + 1, of=job.payload.levels,
+            completes=delivered, of=job.payload.levels,
         )
 
     def _finish(self, job: _Job) -> None:
@@ -697,121 +640,10 @@ class RenderFarm:
     def _note_completed(self) -> None:
         self._completed += 1
         if self._completed >= self._total:
-            if self.faults is not None:
-                self._teardown_faults()
-            if self._scale_ev is not None:
-                self._scale_ev.cancel()
-                self._scale_ev = None
+            self.crashes.stop()
+            self.pool.stop()
 
-    # -- autoscaling --------------------------------------------------
-    #
-    # The pool is fenced, not resized: unprovisioned nodes sit in an
-    # exact allocator reservation at the top of the node space.  Growth
-    # frees part of the fence; shrink reserves the drain region, which
-    # fails loudly (and is skipped, to retry next evaluation) while any
-    # job or quarantine still holds nodes there.
-
-    def _setup_autoscale(self) -> None:
-        total = self.allocator.total_nodes
-        initial = max(1, min(int(self.autoscaler.initial(total)), total))
-        if initial < total:
-            self.allocator.reserve((initial, total))
-        self._provisioned = initial
-        interval_s = float(getattr(self.autoscaler, "interval_s", 0.0))
-        if interval_s > 0:
-            self._scale_ev = self.engine.schedule(interval_s, self._evaluate_scale)
-
-    def _evaluate_scale(self) -> None:
-        self._scale_ev = None
-        if self._completed >= self._total:
-            return
-        now = self.engine.now
-        target = int(
-            self.autoscaler.target(
-                now=now,
-                provisioned=self._provisioned,
-                busy_nodes=self._busy_nodes,
-                queue_depth=len(self._queue),
-                total_nodes=self.allocator.total_nodes,
-            )
-        )
-        target = max(1, min(target, self.allocator.total_nodes))
-        if target != self._provisioned:
-            self._apply_provision(target, now)
-        self._scale_ev = self.engine.schedule(
-            float(self.autoscaler.interval_s), self._evaluate_scale
-        )
-
-    def _apply_provision(self, target: int, now: float) -> None:
-        old = self._provisioned
-        if target > old:
-            self.allocator.free((old, target))
-        else:
-            try:
-                self.allocator.reserve((target, old))
-            except ConfigError:
-                return  # drain region busy or quarantined; retry next eval
-        self._provisioned_node_s += (now - self._provision_t0) * old
-        self._provision_t0 = now
-        self._provisioned = target
-        self._scale_events.append((now, old, target))
-        self.tracer.span(
-            MACHINE_LANE, f"scale {old}->{target}", CAT_FARM, now, now, nodes=target
-        )
-        if target > old:
-            self._kick()
-
-    def _autoscale_summary(self) -> dict | None:
-        if self.autoscaler is None:
-            return None
-        sizes = [self._provisioned] + [old for _, old, _ in self._scale_events]
-        return {
-            "policy": self.autoscaler.name,
-            "scale_events": len(self._scale_events),
-            "events": [[t, old, new] for t, old, new in self._scale_events],
-            "min_provisioned": min(sizes),
-            "max_provisioned": max(sizes),
-            "final_provisioned": self._provisioned,
-            "provisioned_node_s": self._provisioned_node_s,
-        }
-
-    # -- the failure process ------------------------------------------
-    #
-    # Crashes are cancellable engine *events*, not a sleeping coroutine:
-    # the gap to the next crash is drawn when the previous one fires, so
-    # tearing the process down at completion is a single cancel and the
-    # RNG draw sequence is exactly one (gap, victim) pair per crash.
-
-    def _schedule_next_crash(self) -> None:
-        rate_hz = (
-            self.faults.crash_rate_per_node_hour * self.allocator.total_nodes / 3600.0
-        )
-        if rate_hz <= 0 or self._crashes >= self.faults.max_crashes:
-            self._crash_ev = None
-            return
-        gap = float(self._fault_rng.exponential(1.0 / rate_hz))
-        victim = int(self._fault_rng.integers(self.allocator.total_nodes))
-        self._crash_ev = self.engine.schedule(gap, partial(self._crash_node, victim))
-
-    def _crash_node(self, node: int) -> None:
-        self._crash_ev = None
-        if self._completed >= self._total:
-            return
-        self._crashes += 1
-        now = self.engine.now
-        self.tracer.span(MACHINE_LANE, f"crash node {node}", CAT_FAULT, now, now, node=node)
-        victim = next(
-            (
-                j
-                for j in self._running.values()
-                if j.record.interval[0] <= node < j.record.interval[1]
-            ),
-            None,
-        )
-        if victim is not None:
-            self._kill_job(victim, node, now)
-        self._quarantine_node(node, now)
-        self._schedule_next_crash()
+    # -- the one lifecycle call the crash process makes ---------------
 
     def _kill_job(self, job: _Job, node: int, now: float) -> None:
         record = job.record
@@ -831,9 +663,8 @@ class RenderFarm:
         record.ladder_cancelled = False
         self._release(job)
         # Roll back the utilization credited for the unserved remainder
-        # and charge the partial work that just evaporated.
+        # (the crash process charges the partial work that evaporated).
         self._stop_at(job, now)
-        self._wasted_node_s += job.nodes * (now - record.t_hold)
         record.retries += 1
         if record.t_first_fail is None:
             record.t_first_fail = now
@@ -847,59 +678,3 @@ class RenderFarm:
         # entry stays, so new duplicates keep coalescing onto it.
         self._queue.append(job)
         self._kick()
-
-    def _quarantine_node(self, node: int, now: float) -> None:
-        if node in self._quarantined:
-            return  # repeat crash on a node already fenced off
-        try:
-            self.allocator.reserve((node, node + 1))
-        except ConfigError:
-            # The node is inside a partition whose job just finished in
-            # this same timestep ordering — or behind the autoscale
-            # fence; skip rather than corrupt the free list.  (Running
-            # jobs were handled by _kill_job.)
-            return
-        ev = self.engine.schedule(self.faults.repair_s, partial(self._release_node, node))
-        self._quarantined[node] = (now, ev)
-
-    def _release_node(self, node: int, repaired: bool = True) -> None:
-        """Close ``node``'s quarantine: repaired (the pool grew, so
-        dispatch), or the run is over and the repair is called off."""
-        t0, ev = self._quarantined.pop(node)
-        now = self.engine.now
-        if not repaired:
-            ev.cancel()
-        self.allocator.free((node, node + 1))
-        self._quarantined_node_s += now - t0
-        self.tracer.span(MACHINE_LANE, f"quarantine node {node}", CAT_FAULT, t0, now, node=node)
-        if repaired:
-            self._kick()
-
-    def _teardown_faults(self) -> None:
-        """All requests done: cancel pending fault events so the engine
-        stops at the true makespan, and close the quarantine ledger."""
-        if self._crash_ev is not None:
-            self._crash_ev.cancel()
-            self._crash_ev = None
-        for node in sorted(self._quarantined):
-            self._release_node(node, repaired=False)
-
-    def _build_fault_stats(self, makespan: float) -> FarmFaultStats:
-        stats = FarmFaultStats(
-            crashes=self._crashes,
-            jobs_killed=sum(r.retries > 0 for r in self.records),
-            retries=sum(r.retries for r in self.records),
-            quarantined_node_s=self._quarantined_node_s,
-            wasted_node_s=self._wasted_node_s,
-            mttr_samples=[
-                r.t_done - r.t_first_fail
-                for r in self.records
-                if r.t_first_fail is not None
-            ],
-        )
-        denom = self.allocator.total_nodes * makespan
-        if denom > 0:
-            stats.availability = 1.0 - self._quarantined_node_s / denom
-        if self._util_node_s > 0:
-            stats.goodput = 1.0 - self._wasted_node_s / self._util_node_s
-        return stats

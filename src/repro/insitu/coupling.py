@@ -20,7 +20,6 @@ import numpy as np
 from repro.compositing.directsend import assemble_final_image, direct_send_compose
 from repro.compositing.policy import PAPER_POLICY, CompositorPolicy
 from repro.compositing.schedule import schedule_from_geometry
-from repro.core.timing import FrameTiming
 from repro.insitu.simulation import AdvectionDiffusionSim
 from repro.machine.specs import NodeSpec
 from repro.model.constants import DEFAULT_CONSTANTS, ModelConstants
@@ -120,11 +119,6 @@ class InSituPipeline:
             vis_seconds=float(times[:, 2].max()),
             steps=steps,
         )
-
-    def frame_timing(self, result: InSituResult) -> FrameTiming:
-        """The rendered frames' aggregate cost in the paper's shape —
-        I/O is identically zero in situ."""
-        return FrameTiming(io_s=0.0, render_s=result.vis_seconds, composite_s=0.0)
 
 
 def _insitu_program(

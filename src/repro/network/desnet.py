@@ -262,7 +262,3 @@ class DESNetwork:
         futs = [Future(name="xfer") for _ in requests]
         self.transfer_many_then(src_rank, requests, [f.resolve for f in futs])
         return futs
-
-    def reset_stats(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0

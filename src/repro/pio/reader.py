@@ -346,8 +346,3 @@ def plan_read_blocks(
         nprocs=nprocs,
         file_bytes=handle.file_size(),
     )
-
-
-def _store_of(handle: DatasetHandle) -> ByteStore:
-    """``handle.store``, for callers that predate the attribute."""
-    return handle.store

@@ -15,6 +15,7 @@ from repro.progressive.ladder import (
     ladder_edges,
     ladder_scales,
     level_edge,
+    levels_before_move,
     subsample,
 )
 from repro.progressive.renderer import (
@@ -32,5 +33,6 @@ __all__ = [
     "ladder_edges",
     "ladder_scales",
     "level_edge",
+    "levels_before_move",
     "subsample",
 ]

@@ -14,6 +14,8 @@ the construction, not a tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.utils.errors import ConfigError
@@ -36,6 +38,26 @@ def level_edge(full_edge: int, scale: int) -> int:
 def ladder_edges(full_edge: int, levels: int) -> tuple[int, ...]:
     """Per-level image edges, coarse to fine (last is ``full_edge``)."""
     return tuple(level_edge(full_edge, f) for f in ladder_scales(levels))
+
+
+def levels_before_move(level_end_s: Iterable[float], cancel_after_s: float | None) -> int:
+    """How many levels a ladder delivers when the viewer moves the camera
+    ``cancel_after_s`` into it (``None``: never).
+
+    The level in flight completes — preempting mid-composite would tear
+    a frame — and a level starts only if the move is later than the
+    previous level's delivery, so a move at exactly a level's end stops
+    the next one.  The coarsest level always lands.  ``level_end_s`` is
+    each level's delivery time on the ladder clock, coarse first; it is
+    read only as far as the rule needs, so a lazy iterable may render
+    each level as its end is asked for.
+    """
+    delivered = 0
+    for end in level_end_s:
+        delivered += 1
+        if cancel_after_s is not None and cancel_after_s <= end:
+            break
+    return delivered
 
 
 def subsample(field: np.ndarray, scale: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.data.upsample import upsample_bilinear
 from repro.obs.books import row_failures, span_count_failures
 from repro.obs.tracer import CAT_PROGRESSIVE, Tracer
 from repro.pio.reader import DatasetHandle, collective_read_blocks
-from repro.progressive.ladder import build_pyramid, ladder_scales
+from repro.progressive.ladder import build_pyramid, ladder_scales, levels_before_move
 from repro.utils.errors import ConfigError
 
 
@@ -274,38 +274,36 @@ class ProgressiveRenderer:
         """Render the levels back to back, coarse to fine.
 
         ``cancel_after_s`` is when, on the ladder's clock, the viewer
-        moves the camera (``None``: never).  The level in flight
-        completes — preempting mid-composite would tear a frame — and
-        un-started ones never render: level ``k > 0`` starts only if
-        the move is later than level ``k - 1``'s delivery (a tie goes to
-        the move).  So the coarsest level is always delivered, and a
-        move during the final level cancels nothing.
+        moves the camera (``None``: never); :func:`levels_before_move`
+        decides which levels still start, and un-started ones never
+        render.
         """
         if cancel_after_s is not None and cancel_after_s < 0:
             raise ConfigError(f"cancel_after_s must be >= 0, got {cancel_after_s!r}")
         plan = self.prepare(handle, field)
         levels: list[LevelFrame] = []
-        t = 0.0
-        cancelled = False
-        for k, f in enumerate(plan.scales):
-            if k and cancel_after_s is not None and cancel_after_s <= t:
-                cancelled = True
-                break
-            frame, camera = self.render_level(plan, k)
-            dur = frame.timing.total_s
-            lf = LevelFrame(
-                index=k, scale=f, width=camera.width, height=camera.height,
-                t_start_s=t, t_done_s=t + dur, frame=frame,
-            )
-            self.emit_level(lf, first=(k == 0))
-            levels.append(lf)
-            t += dur
+
+        def level_ends():  # renders each level when the rule asks for its end
+            t = 0.0
+            for k, f in enumerate(plan.scales):
+                frame, camera = self.render_level(plan, k)
+                dur = frame.timing.total_s
+                lf = LevelFrame(
+                    index=k, scale=f, width=camera.width, height=camera.height,
+                    t_start_s=t, t_done_s=t + dur, frame=frame,
+                )
+                self.emit_level(lf, first=(k == 0))
+                levels.append(lf)
+                t += dur
+                yield t
+
+        delivered = levels_before_move(level_ends(), cancel_after_s)
         return ProgressiveResult(
             levels=levels,
             levels_planned=plan.levels_planned,
             nodes=self.renderer.world.nprocs,
             truncated=plan.truncated,
-            cancelled=cancelled,
+            cancelled=delivered < len(plan.scales),
             cancel_after_s=cancel_after_s,
             trace=self.tracer,
         )

@@ -28,10 +28,6 @@ class Block3D:
     def stop(self) -> tuple[int, int, int]:
         return tuple(s + c for s, c in zip(self.start, self.count))  # type: ignore[return-value]
 
-    @property
-    def num_voxels(self) -> int:
-        return int(np.prod(self.count))
-
     def ghost_read(
         self, grid_shape: tuple[int, int, int], ghost: int = 1
     ) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]:

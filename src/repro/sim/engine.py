@@ -41,7 +41,7 @@ from array import array
 from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
@@ -363,10 +363,6 @@ class Engine:
         self._processes.append(proc)
         proc(None)
         return proc
-
-    def spawn_all(self, gens: Iterable[Generator], prefix: str = "rank") -> list[Process]:
-        """Spawn many processes with numbered names."""
-        return [self.spawn(g, name=f"{prefix}{i}") for i, g in enumerate(gens)]
 
     # -- execution ----------------------------------------------------
 

@@ -94,20 +94,6 @@ class AccessLog:
         ln = np.array([a.length for a in data], dtype=np.int64)
         return off, ln
 
-    def unique_bytes(self) -> int:
-        """Bytes covered by the union of data accesses (overlaps once)."""
-        data = sorted(self.data_accesses(), key=lambda a: a.offset)
-        total = 0
-        cur_start = cur_end = -1
-        for a in data:
-            if a.offset > cur_end:
-                total += max(cur_end - cur_start, 0)
-                cur_start, cur_end = a.offset, a.end
-            else:
-                cur_end = max(cur_end, a.end)
-        total += max(cur_end - cur_start, 0)
-        return total
-
     def density(self, useful_bytes: int) -> float:
         """Data density: useful bytes / physically read bytes (Fig. 10)."""
         phys = self.total_bytes

@@ -46,7 +46,6 @@ class StorageSystem:
     servers_per_san: int = 8
     capacity_bytes: int = int(4.3e3) * TB
     peak_bw_per_san_Bps: float = 5.5 * GB
-    default_stripe: StripeConfig = StripeConfig()
 
     @property
     def num_servers(self) -> int:

@@ -26,7 +26,7 @@ class TestSupernovaModel:
 
     def test_all_five_variables(self):
         m = SupernovaModel((8, 8, 8))
-        fields = m.all_fields()
+        fields = {v: m.field(v) for v in VARIABLES}
         assert set(fields) == set(VARIABLES)
         for f in fields.values():
             assert f.shape == (8, 8, 8)

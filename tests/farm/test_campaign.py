@@ -74,7 +74,6 @@ class TestCampaignShape:
             SessionSpec(name="b", kind="browse", requests=5),
         ))
         assert w.total_requests == 6  # 1 campaign job + 5 browse
-        assert w.total_frames == 13
 
     def test_frame_key_carries_animation_not_depth(self):
         base = dict(session="s", seq=0, dataset="1120", step=0,
@@ -95,7 +94,7 @@ class TestModelCampaigns:
         assert res.accounting_failures() == []
         assert res.campaigns == 1
         assert res.campaign_frames == 8
-        assert res.frames_delivered == 13
+        assert sum(r.request.frames for r in res.records) == 13
 
     def test_payload_promises_kept(self):
         res = model_scenario().run()

@@ -7,8 +7,11 @@ import pytest
 from repro.farm import (
     BUILTIN_SCENARIOS,
     FarmScenario,
+    ProgressivePayload,
+    RenderFarm,
     SessionSpec,
     SizePolicy,
+    Workload,
     check,
 )
 from repro.farm.request import FrameRequest
@@ -126,6 +129,44 @@ class TestNodeSecondsReclaim:
         assert stats["ttfp_speedup"] >= 3.0
         for r in result.records:
             assert r.ttfp_s <= r.latency_s + 1e-9
+
+
+class TieLadderBackend:
+    """Four-level ladders whose second level ends exactly at the
+    viewer's camera move (``level_end_s[1] == cancel_after_s``)."""
+
+    name = "tie-ladder"
+    plan_hits = 0
+    plan_misses = 0
+
+    def render(self, request, cores):
+        move = float(request.cancel_after_s)
+        ends = (move / 2, move, 1.5 * move, 2.0 * move)
+        payload = ProgressivePayload(
+            levels=4, edges=(8, 16, 32, 64), level_end_s=ends, sequential_full_s=ends[-1]
+        )
+        return payload.total_s, payload
+
+
+class TestLadderCut:
+    def test_move_at_level_boundary_beats_the_next_level(self):
+        """The farm twin of the session test: a move at exactly a level's
+        end stops the next level, as in ``render_ladder``."""
+        viewer = SessionSpec(
+            name="viewer", kind="interactive", arrival="closed", requests=1,
+            levels=4, dwell_s=5.0,
+        )
+        farm = RenderFarm(
+            Workload(sessions=(viewer,), seed=3), TieLadderBackend(), total_nodes=512,
+            size_policy=SizePolicy(min_nodes=64, max_nodes=64),
+        )
+        result = farm.run()
+        (record,) = result.records
+        assert record.request.cancel_after_s == record.payload.level_end_s[1]
+        assert record.levels_done == 2
+        assert record.ladder_cancelled
+        assert result.ladders_cancelled == 1
+        assert result.accounting_failures() == []
 
 
 class TestSelftest:

@@ -101,4 +101,3 @@ class TestValidation:
             )
         )
         assert w.total_requests == 8
-        assert w.session_index("b") == 1

@@ -48,8 +48,6 @@ class TestInSitu:
         sim, cam, tf, field, world = setup
         pipe = InSituPipeline(world, sim, cam, tf, step=STEP)
         result = pipe.run(field, steps=2, render_every=2)
-        timing = pipe.frame_timing(result)
-        assert timing.io_s == 0.0
         assert result.vis_seconds > 0
         assert result.sim_seconds > 0
         assert result.exchange_seconds > 0

@@ -77,8 +77,6 @@ class TestTransfer:
         eng.run()
         assert net.messages_sent == 2
         assert net.bytes_sent == 300
-        net.reset_stats()
-        assert net.messages_sent == 0
 
     def test_negative_size_rejected(self):
         _eng, net = make_net()

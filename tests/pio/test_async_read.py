@@ -94,8 +94,7 @@ class TestAsyncBlockRead:
 class TestPendingCollectiveRead:
     def _reader(self, model, log):
         handle = RawHandle(extract_variable_raw(model, "vx"))
-        from repro.pio.reader import _store_of
-        return TwoPhaseReader(StripedFile(_store_of(handle)), HINTS, log), handle
+        return TwoPhaseReader(StripedFile(handle.store), HINTS, log), handle
 
     def test_split_matches_collective_read(self, model):
         log_a, log_b = AccessLog(), AccessLog()

@@ -9,6 +9,7 @@ from repro.progressive import (
     ladder_edges,
     ladder_scales,
     level_edge,
+    levels_before_move,
     subsample,
 )
 from repro.render.camera import Camera
@@ -42,6 +43,38 @@ class TestScales:
             scaled = cam.scaled(1.0 / f)
             assert scaled.width == level_edge(24, f)
             assert scaled.height == level_edge(24, f)
+
+
+class TestLevelsBeforeMove:
+    ENDS = (1.0, 2.0, 4.0, 8.0)
+
+    def test_no_move_delivers_every_level(self):
+        assert levels_before_move(self.ENDS, None) == 4
+
+    def test_in_flight_level_completes(self):
+        assert levels_before_move(self.ENDS, 3.0) == 3
+
+    def test_move_at_a_level_end_stops_the_next_level(self):
+        assert levels_before_move(self.ENDS, 2.0) == 2
+
+    def test_coarsest_level_always_lands(self):
+        assert levels_before_move(self.ENDS, 0.0) == 1
+
+    def test_move_in_or_after_the_final_level_cuts_nothing(self):
+        assert levels_before_move(self.ENDS, 5.0) == 4
+        assert levels_before_move(self.ENDS, 8.0) == 4
+        assert levels_before_move(self.ENDS, 9.0) == 4
+
+    def test_reads_the_clock_only_as_far_as_the_rule_needs(self):
+        asked = []
+
+        def ends():
+            for e in self.ENDS:
+                asked.append(e)
+                yield e
+
+        assert levels_before_move(ends(), 1.5) == 2
+        assert asked == [1.0, 2.0]
 
 
 class TestPyramid:

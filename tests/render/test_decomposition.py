@@ -46,7 +46,7 @@ class TestDecomposition:
 
     def test_balanced_sizes(self):
         dec = BlockDecomposition((10, 10, 10), 8)
-        sizes = [b.num_voxels for b in dec.blocks()]
+        sizes = [np.prod(b.count) for b in dec.blocks()]
         assert max(sizes) == 125 and min(sizes) == 125
 
     def test_uneven_split_differs_by_one_layer(self):

@@ -326,7 +326,8 @@ class TestProcesses:
                 yield Delay(0.05)
                 order.append(i + 100)
 
-            eng.spawn_all(prog(i) for i in range(10))
+            for i in range(10):
+                eng.spawn(prog(i), name=f"rank{i}")
             eng.run()
             return order
 

@@ -17,13 +17,6 @@ class TestAccessLog:
         assert log.mean_access_bytes == 200
         assert len(log.meta_accesses()) == 1
 
-    def test_unique_bytes_merges_overlaps(self):
-        log = AccessLog()
-        log.record(0, 100)
-        log.record(50, 100)  # overlaps by 50
-        log.record(300, 10)
-        assert log.unique_bytes() == 160
-
     def test_density(self):
         log = AccessLog()
         log.record(0, 1000)
