@@ -23,7 +23,7 @@ import numpy as np
 from repro.compositing.backends import ComposeRequest, get_backend
 from repro.compositing.policy import PAPER_POLICY, CompositorPolicy
 from repro.compositing.schedule import CompositeSchedule
-from repro.core.plan import FramePlanCache
+from repro.core.plan import FramePlan, FramePlanCache
 from repro.core.timing import FrameTiming
 from repro.model.constants import DEFAULT_CONSTANTS, ModelConstants
 from repro.model.io import IOTimeModel
@@ -95,6 +95,14 @@ class DegradePolicy:
         return projected_io_s > self.frame_deadline_s * self.io_fraction
 
 
+def volume_grid(handle: DatasetHandle) -> tuple[int, int, int]:
+    """``handle``'s shape as the renderer's 3-D grid; anything else is refused."""
+    grid = tuple(int(s) for s in handle.shape)
+    if len(grid) != 3:
+        raise ConfigError(f"expected a 3D variable, got shape {handle.shape}")
+    return grid  # type: ignore[return-value]
+
+
 class ParallelVolumeRenderer:
     """The paper's application, configured once and run per time step."""
 
@@ -145,6 +153,20 @@ class ParallelVolumeRenderer:
         # schedule) — time-series rendering reuses it across frames.
         self.plan_cache = FramePlanCache()
 
+    def frame_plan(self, camera: Camera, handle: DatasetHandle) -> FramePlan:
+        """The frame plan of ``camera`` over ``handle``'s 3-D grid.
+
+        Decomposition, ghost-read extents, per-rank ray geometry and the
+        compositing schedule are all independent of the data, so a
+        repeated (camera, grid, config) hits the cache and skips the
+        geometry work entirely.
+        """
+        nprocs = self.world.nprocs
+        return self.plan_cache.plan_for(
+            camera, volume_grid(handle), nprocs, self.step, self.ghost, self.ghost_mode,
+            self.policy.compositors_for(nprocs),
+        )
+
     def render_frame(
         self,
         handle: DatasetHandle,
@@ -161,18 +183,7 @@ class ParallelVolumeRenderer:
         inline read, so the frame stays bitwise identical.
         """
         nprocs = self.world.nprocs
-        grid = tuple(int(s) for s in handle.shape)
-        if len(grid) != 3:
-            raise ConfigError(f"expected a 3D variable, got shape {handle.shape}")
-
-        # --- Frame plan: decomposition, ghost-read extents, per-rank
-        # ray geometry, and the compositing schedule — all independent
-        # of the data, so a repeated (camera, grid, config) hits the
-        # cache and skips the geometry work entirely.
-        m = self.policy.compositors_for(nprocs)
-        plan = self.plan_cache.plan_for(
-            self.camera, grid, nprocs, self.step, self.ghost, self.ghost_mode, m
-        )
+        plan = self.frame_plan(self.camera, handle)
         decomposition = plan.decomposition
         ghost_specs = plan.ghost_specs
         schedule = plan.schedule
@@ -247,9 +258,7 @@ class ParallelVolumeRenderer:
             else:
                 camera = self.camera.scaled(self.degrade.image_scale)
                 early_termination = self.degrade.early_termination
-                plan = self.plan_cache.plan_for(
-                    camera, grid, nprocs, self.step, self.ghost, self.ghost_mode, m
-                )
+                plan = self.frame_plan(camera, handle)
                 schedule = plan.schedule
 
         self.backend.validate(
@@ -300,7 +309,7 @@ class ParallelVolumeRenderer:
             timing=timing,
             io_report=report,
             schedule=schedule,
-            num_compositors=m,
+            num_compositors=plan.num_compositors,
             messages=result.messages,
             bytes_sent=result.bytes_sent,
             trace=tracer if tracer.enabled else None,

@@ -414,8 +414,6 @@ class PipelinedTimeSeriesRenderer:
             renderer, handles, orbit_degrees_per_frame, camera_factory
         )
         base = renderer.camera
-        nprocs = renderer.world.nprocs
-        m = renderer.policy.compositors_for(nprocs)
         frames: list[FrameResult] = []
         pending: dict[int, object] = {}
 
@@ -424,16 +422,10 @@ class PipelinedTimeSeriesRenderer:
             if j in pending or j >= n:
                 return
             handle = handles[j]
-            grid = tuple(int(s) for s in handle.shape)
-            if len(grid) != 3:
-                raise ConfigError(f"expected a 3D variable, got shape {handle.shape}")
-            # The same plan_for call render_frame makes — warming the
-            # shared FramePlanCache, so the render is a guaranteed hit
-            # and consumes the identical plan object.
-            plan = renderer.plan_cache.plan_for(
-                cameras[j], grid, nprocs, renderer.step,
-                renderer.ghost, renderer.ghost_mode, m,
-            )
+            # The same lookup render_frame makes — warming the shared
+            # FramePlanCache, so the render is a guaranteed hit and
+            # consumes the identical plan object.
+            plan = renderer.frame_plan(cameras[j], handle)
             pending[j] = collective_read_blocks_async(
                 handle, plan.read_blocks, renderer.hints, renderer.stripe, log
             ).issue()

@@ -8,7 +8,7 @@ produces the paper's data-density results, so the planner here is exact
 at paper scale (it enumerates windows, never per-element offsets).
 
 * :mod:`repro.pio.hints` — MPI-IO hints (``cb_buffer_size``,
-  ``cb_nodes``, ``ind_rd_buffer_size``), with the tuned-PnetCDF recipe.
+  ``cb_nodes``), with the tuned-PnetCDF recipe.
 * :mod:`repro.pio.twophase` — interval algebra, the two-phase planner,
   and functional execution against real byte stores.
 * :mod:`repro.pio.reader` — dataset-level facade: uniform handles over
@@ -20,7 +20,6 @@ from repro.pio.twophase import (
     merge_intervals,
     TwoPhasePlan,
     plan_two_phase,
-    plan_data_sieving,
     PendingCollectiveRead,
     TwoPhaseReader,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "merge_intervals",
     "TwoPhasePlan",
     "plan_two_phase",
-    "plan_data_sieving",
     "PendingCollectiveRead",
     "TwoPhaseReader",
     "DatasetHandle",

@@ -17,20 +17,14 @@ from repro.utils.validation import check_positive
 
 @dataclass(frozen=True)
 class IOHints:
-    """Knobs of the collective/independent read paths."""
+    """Knobs of the collective read path."""
 
     cb_buffer_size: int = 16 * MIB  # collective buffer (round window) size
     cb_nodes: int = 8  # number of I/O aggregators
-    ind_rd_buffer_size: int = 4 * MIB  # data-sieving buffer for independent reads
-    read_full_window: bool = True  # ROMIO reads whole rounds, skipping empty ones
 
     def __post_init__(self) -> None:
         check_positive("cb_buffer_size", self.cb_buffer_size)
         check_positive("cb_nodes", self.cb_nodes)
-        check_positive("ind_rd_buffer_size", self.ind_rd_buffer_size)
-
-    def with_aggregators(self, cb_nodes: int) -> "IOHints":
-        return replace(self, cb_nodes=max(1, int(cb_nodes)))
 
     def with_buffer(self, cb_buffer_size: int) -> "IOHints":
         return replace(self, cb_buffer_size=int(cb_buffer_size))

@@ -20,7 +20,13 @@ from repro.formats.layout import RangeArrays, VariableLayout, range_pairs
 from repro.formats.netcdf import NetCDFFile
 from repro.formats.raw import RawVolume
 from repro.pio.hints import IOHints
-from repro.pio.twophase import Interval, TwoPhasePlan, TwoPhaseReader
+from repro.pio.twophase import (
+    Interval,
+    PendingCollectiveRead,
+    TwoPhasePlan,
+    TwoPhaseReader,
+    plan_two_phase,
+)
 from repro.storage.accesslog import AccessLog
 from repro.storage.store import ByteStore
 from repro.storage.stripedfs import StripeConfig, StripedFile
@@ -191,24 +197,8 @@ class AsyncBlockRead:
     ):
         self.handle = handle
         self.blocks = [(tuple(s), tuple(c)) for s, c in blocks]
-        hints = hints or IOHints()
-        log = log if log is not None else AccessLog()
-        striped = StripedFile(handle.store, stripe, name=handle.name)
-        reader = TwoPhaseReader(striped, hints, log)
         per_rank_ranges = [handle.subarray_file_ranges(start, count) for start, count in blocks]
-        meta = handle.meta_ranges()
-        for _rank in range(len(blocks)):
-            for off, ln in meta:
-                log.record(off, ln, kind="meta")
-        self._pending = reader.begin_collective_read(per_rank_ranges)
-        self.report = IOReport(
-            plan=self._pending.plan,
-            requested_bytes=sum(int(lengths.sum()) for _offsets, lengths in per_rank_ranges),
-            meta_accesses_per_proc=len(meta),
-            meta_bytes_per_proc=sum(l for _, l in meta),
-            nprocs=len(blocks),
-            file_bytes=handle.file_size(),
-        )
+        self._pending, self.report = _begin_read([handle], per_rank_ranges, hints, stripe, log)
         self._arrays: list[np.ndarray] | None = None
 
     @property
@@ -277,33 +267,17 @@ def collective_read_blocks_multi(
     """
     if not handles:
         raise FormatError("need at least one variable handle")
-    hints = hints or IOHints()
-    log = log if log is not None else AccessLog()
-    store = handles[0].store
     for h in handles[1:]:
-        if h.store is not store:
+        if h.store is not handles[0].store:
             raise FormatError("all variables must live in the same file")
-    striped = StripedFile(store, stripe, name=handles[0].name)
-    reader = TwoPhaseReader(striped, hints, log)
-
     per_rank_ranges: list[RangeArrays] = []
     per_rank_splits: list[list[int]] = []  # bytes per variable, in order
     for start, count in blocks:
         var_ranges = [h.subarray_file_ranges(start, count) for h in handles]
         per_rank_ranges.append(tuple(np.concatenate(column) for column in zip(*var_ranges)))
         per_rank_splits.append([int(lengths.sum()) for _offsets, lengths in var_ranges])
-    meta: list[Interval] = []
-    seen: set[Interval] = set()
-    for h in handles:
-        for rng in h.meta_ranges():
-            if rng not in seen:
-                seen.add(rng)
-                meta.append(rng)
-    for _rank in range(len(blocks)):
-        for off, ln in meta:
-            log.record(off, ln, kind="meta")
-
-    raw_per_rank, plan = reader.collective_read(per_rank_ranges)
+    pending, report = _begin_read(handles, per_rank_ranges, hints, stripe, log)
+    raw_per_rank, _plan = pending.issue().wait()
     out: list[dict[str, np.ndarray]] = []
     for raw, splits, (_start, count) in zip(raw_per_rank, per_rank_splits, blocks):
         pos = 0
@@ -312,14 +286,6 @@ def collective_read_blocks_multi(
             rank_vars[h.name] = h.decode(raw[pos : pos + nbytes], count)
             pos += nbytes
         out.append(rank_vars)
-    report = IOReport(
-        plan=plan,
-        requested_bytes=sum(sum(s) for s in per_rank_splits),
-        meta_accesses_per_proc=len(meta),
-        meta_bytes_per_proc=sum(l for _o, l in meta),
-        nprocs=len(blocks),
-        file_bytes=handles[0].file_size(),
-    )
     return out, report
 
 
@@ -333,16 +299,47 @@ def plan_read_blocks(
     Collectively, the ranks read the whole variable, so the needed set
     is the variable's covering intervals — no per-rank enumeration.
     """
-    from repro.pio.twophase import plan_two_phase
+    plan = plan_two_phase(handle.covering_intervals(), hints or IOHints(), handle.file_size())
+    return _report(plan, handle.nbytes, handle.meta_ranges(), nprocs, handle)
 
-    hints = hints or IOHints()
-    plan = plan_two_phase(handle.covering_intervals(), hints, handle.file_size())
-    meta = handle.meta_ranges()
+
+def _begin_read(
+    handles: Sequence[DatasetHandle],
+    per_rank_ranges: Sequence[RangeArrays],
+    hints: IOHints | None,
+    stripe: StripeConfig | None,
+    log: AccessLog | None,
+) -> tuple[PendingCollectiveRead, IOReport]:
+    """Plan one collective read of ``handles``' file; log each rank's metadata.
+
+    Every rank opens every variable, so each rank's metadata reads —
+    deduplicated across the variables, in handle order — are logged
+    before any physical read.
+    """
+    first = handles[0]
+    log = log if log is not None else AccessLog()
+    meta = list(dict.fromkeys(rng for h in handles for rng in h.meta_ranges()))
+    for _rank in range(len(per_rank_ranges)):
+        for off, ln in meta:
+            log.record(off, ln, kind="meta")
+    reader = TwoPhaseReader(StripedFile(first.store, stripe, name=first.name), hints, log)
+    pending = reader.begin_collective_read(per_rank_ranges)
+    requested = sum(int(lengths.sum()) for _offsets, lengths in per_rank_ranges)
+    return pending, _report(pending.plan, requested, meta, len(per_rank_ranges), first)
+
+
+def _report(
+    plan: TwoPhasePlan,
+    requested_bytes: int,
+    meta: Sequence[Interval],
+    nprocs: int,
+    handle: DatasetHandle,
+) -> IOReport:
     return IOReport(
         plan=plan,
-        requested_bytes=handle.nbytes,
+        requested_bytes=requested_bytes,
         meta_accesses_per_proc=len(meta),
-        meta_bytes_per_proc=sum(l for _, l in meta),
+        meta_bytes_per_proc=sum(l for _o, l in meta),
         nprocs=nprocs,
         file_bytes=handle.file_size(),
     )

@@ -8,8 +8,7 @@ as [24] in the paper):
    domains.
 3. Each aggregator walks its domain in ``cb_buffer_size`` rounds;
    rounds containing no needed bytes are skipped; rounds containing
-   any are read — as the whole buffer window when ``read_full_window``
-   (ROMIO's behaviour) or trimmed to the needed extent otherwise.
+   any are read as the whole buffer window, as ROMIO does.
 
 This is exact at paper scale: a 27 GB file in 16 MiB windows is ~1700
 rounds, so the plan enumerates real physical accesses even for the
@@ -148,29 +147,12 @@ def plan_two_phase(
     return TwoPhasePlan(accesses, requested, naggs, hints, list(needed))
 
 
-def _needed_within(
-    needed: Sequence[Interval], starts: Sequence[int], lo: int, hi: int
-) -> tuple[int, int] | None:
-    """Extent (first, last_end) of needed bytes inside [lo, hi), or None."""
+def _any_needed(needed: Sequence[Interval], starts: Sequence[int], lo: int, hi: int) -> bool:
+    """Whether any needed byte falls inside [lo, hi)."""
     i = bisect_right(starts, lo) - 1
-    first = None
-    last_end = None
-    if i >= 0:
-        off, length = needed[i]
-        if off + length > lo:
-            first = max(off, lo)
-            last_end = min(off + length, hi)
-    j = i + 1
-    n = len(needed)
-    while j < n and needed[j][0] < hi:
-        off, length = needed[j]
-        if first is None:
-            first = off
-        last_end = min(off + length, hi)
-        j += 1
-    if first is None or last_end is None or last_end <= first:
-        return None
-    return first, last_end
+    if i >= 0 and needed[i][0] + needed[i][1] > lo:
+        return True
+    return i + 1 < len(needed) and needed[i + 1][0] < hi
 
 
 def _domain_accesses(
@@ -187,70 +169,9 @@ def _domain_accesses(
     pos = d0
     while pos < d1:
         w1 = min(pos + buf, d1)
-        extent = _needed_within(needed, starts, pos, w1)
-        if extent is not None:
-            if hints.read_full_window:
-                out.append(PlannedAccess(pos, w1 - pos, agg))
-            else:
-                first, last_end = extent
-                out.append(PlannedAccess(first, last_end - first, agg))
+        if _any_needed(needed, starts, pos, w1):
+            out.append(PlannedAccess(pos, w1 - pos, agg))
         pos = w1
-    return out
-
-
-def plan_data_sieving(
-    ranges: Ranges,
-    hints: IOHints,
-) -> TwoPhasePlan:
-    """Independent-read plan: data sieving over one process's ranges.
-
-    Classic ROMIO sieving reads the whole extent from the first to the
-    last requested byte in ``ind_rd_buffer_size`` chunks, holes
-    included — unless the hole between two ranges exceeds the buffer,
-    in which case the span splits.
-    """
-    ranges = range_arrays(ranges)
-    needed = merge_intervals(ranges, min_gap=hints.ind_rd_buffer_size)
-    requested = sum(l for _, l in merge_intervals(ranges))
-    accesses: list[PlannedAccess] = []
-    for off, length in needed:
-        pos = off
-        end = off + length
-        while pos < end:
-            take = min(hints.ind_rd_buffer_size, end - pos)
-            accesses.append(PlannedAccess(pos, take, 0))
-            pos += take
-    return TwoPhasePlan(accesses, requested, 1, hints, list(needed))
-
-
-def _covered_bytes(
-    needed: Sequence[Interval], starts: Sequence[int], lo: int, length: int
-) -> int:
-    """How many bytes of [lo, lo+length) the needed intervals cover."""
-    hi = lo + length
-    total = 0
-    i = bisect_right(starts, lo) - 1
-    if i < 0:
-        i = 0
-    while i < len(needed) and needed[i][0] < hi:
-        s, l = needed[i]
-        total += max(0, min(s + l, hi) - max(s, lo))
-        i += 1
-    return total
-
-
-def _pieces_within(
-    pieces: list[tuple[int, bytes]], starts: Sequence[int], lo: int, length: int
-) -> list[tuple[int, bytes]]:
-    """Write pieces intersecting [lo, lo+length), by binary search."""
-    hi = lo + length
-    i = max(bisect_right(starts, lo) - 1, 0)
-    out = []
-    while i < len(pieces) and pieces[i][0] < hi:
-        off, data = pieces[i]
-        if off + len(data) > lo:
-            out.append(pieces[i])
-        i += 1
     return out
 
 
@@ -326,63 +247,3 @@ class TwoPhaseReader:
         range order, plus the plan (for timing models and reports).
         """
         return self.begin_collective_read(per_rank_ranges).issue().wait()
-
-    def independent_read(self, ranges: Ranges, rank: int = 0) -> tuple[bytes, TwoPhasePlan]:
-        """One process's data-sieving read (no aggregation)."""
-        ranges = range_arrays(ranges)
-        plan = plan_data_sieving(ranges, self.hints)
-        buffers: list[tuple[int, bytes]] = []
-        for a in plan.accesses:
-            data = self.file.read(a.offset, a.length)
-            self.log.record(a.offset, a.length, kind="read", actor=rank)
-            buffers.append((a.offset, data))
-        return ReadBuffers(buffers).gather(*ranges), plan
-
-    def collective_write(
-        self,
-        per_rank_writes: Sequence[Sequence[tuple[int, bytes]]],
-    ) -> TwoPhasePlan:
-        """Two-phase collective write: exchange, then aggregators flush.
-
-        ``per_rank_writes`` holds each rank's (offset, data) pieces.
-        Aggregators own even file domains; each gathers the pieces
-        falling in its domain and writes them in ``cb_buffer_size``
-        rounds.  Rounds only partially covered by new data
-        read-modify-write (ROMIO's data sieving for writes), which the
-        returned plan records as extra physical reads.
-
-        Disjointness across ranks is required (concurrent writes to the
-        same byte are a data race in MPI-IO too) and enforced.
-        """
-        pieces = sorted(
-            (int(off), bytes(data))
-            for writes in per_rank_writes
-            for off, data in writes
-            if len(data)
-        )
-        for i in range(1, len(pieces)):
-            if pieces[i][0] < pieces[i - 1][0] + len(pieces[i - 1][1]):
-                raise StorageError(
-                    f"overlapping collective writes at offset {pieces[i][0]}"
-                )
-        piece_starts = [off for off, _data in pieces]
-        plan = plan_two_phase([(off, len(d)) for off, d in pieces], self.hints, file_size=None)
-        needed = plan.needed_intervals
-        starts = [off for off, _l in needed]
-        file_end = self.file.size()
-        for a in plan.accesses:
-            # Read-modify-write when the round window has holes or
-            # extends beyond the new data into existing file content.
-            window = bytearray(a.length)
-            covered = _covered_bytes(needed, starts, a.offset, a.length)
-            if covered < a.length and a.offset < file_end:
-                avail = min(a.length, file_end - a.offset)
-                window[:avail] = self.file.read(a.offset, avail)
-                self.log.record(a.offset, avail, kind="read", actor=a.aggregator)
-            for off, data in _pieces_within(pieces, piece_starts, a.offset, a.length):
-                lo = max(off, a.offset)
-                hi = min(off + len(data), a.offset + a.length)
-                window[lo - a.offset : hi - a.offset] = data[lo - off : hi - off]
-            self.file.write(a.offset, bytes(window))
-            self.log.record(a.offset, a.length, kind="write", actor=a.aggregator)
-        return plan

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.pipeline import FrameResult, ParallelVolumeRenderer
+from repro.core.pipeline import FrameResult, ParallelVolumeRenderer, volume_grid
 from repro.data.upsample import upsample_bilinear
 from repro.obs.books import row_failures, span_count_failures
 from repro.obs.tracer import CAT_PROGRESSIVE, Tracer
-from repro.pio.reader import DatasetHandle, collective_read_blocks
+from repro.pio.reader import DatasetHandle, collective_read_blocks, collective_read_blocks_async
 from repro.progressive.ladder import build_pyramid, ladder_scales, levels_before_move
 from repro.utils.errors import ConfigError
 
@@ -187,9 +187,7 @@ class ProgressiveRenderer:
         from repro.pio.reader import RawHandle
 
         r = self.renderer
-        grid = tuple(int(s) for s in handle.shape)
-        if len(grid) != 3:
-            raise ConfigError(f"expected a 3D variable, got shape {handle.shape}")
+        grid = volume_grid(handle)
         scales = ladder_scales(self.levels)
         base_camera = r.camera
         truncated = False
@@ -197,14 +195,11 @@ class ProgressiveRenderer:
             # Ladder-level degrade: when full-res I/O alone threatens
             # the deadline, drop the intermediates — coarsest preview
             # now, exact final frame after, nothing permanently lossy.
-            nprocs = r.world.nprocs
-            m = r.policy.compositors_for(nprocs)
-            plan = r.plan_cache.plan_for(
-                base_camera, grid, nprocs, r.step, r.ghost, r.ghost_mode, m
-            )
-            _arrays, report = collective_read_blocks(
+            # The read's report is priced from its plan; nothing is read.
+            plan = r.frame_plan(base_camera, handle)
+            report = collective_read_blocks_async(
                 handle, plan.read_blocks, r.hints, r.stripe
-            )
+            ).report
             io_s = r.io_model.price(report, r.world.partition).seconds
             if r.degrade.engages(io_s):
                 scales = (scales[0], 1)

@@ -18,7 +18,7 @@ Rank programs are coroutines that receive a :class:`RankContext` and
 Payloads are real Python/NumPy objects (moved by value, like MPI
 buffers) or :class:`VirtualPayload` size-only stand-ins for
 performance-mode runs.  Collectives are implemented with the standard
-algorithms (binomial trees, recursive doubling, pairwise exchange) on
+algorithms (binomial trees, recursive doubling, dissemination) on
 top of simulated point-to-point messages, so their cost emerges from
 the network model rather than being asserted.
 """

@@ -1,7 +1,7 @@
 """Collective algorithms over simulated point-to-point messages.
 
 These are the textbook algorithms the MPI literature cited by the paper
-analyzes (binomial trees, recursive doubling, pairwise exchange), so
+analyzes (binomial trees, recursive doubling, dissemination), so
 collective costs *emerge* from the network model.
 
 All ranks must call each collective in the same program order (SPMD);
@@ -218,47 +218,6 @@ def gather(ctx: Any, value: Any, root: int = 0) -> Generator:
     return None
 
 
-def scatter(ctx: Any, values: Any, root: int = 0) -> Generator:
-    """Binomial-tree scatter of a rank-indexed list from ``root``.
-
-    Each non-root rank receives its whole subtree's items from its
-    parent, then forwards the child subtrees down, so no rank handles
-    data outside its own subtree.
-    """
-    p = ctx.size
-    _check_root(root, p)
-    tag = _coll_tag(ctx)
-    rel = (ctx.rank - root) % p
-    if ctx.rank == root:
-        if values is None or len(values) != p:
-            raise CommunicationError(f"scatter root needs a list of exactly {p} items")
-        holding = {r: values[r] for r in range(p)}
-        recv_mask = 1
-        while recv_mask < p:
-            recv_mask <<= 1
-    else:
-        recv_mask = 1
-        while not (rel & recv_mask):
-            recv_mask <<= 1
-        parent = ((rel & ~recv_mask) + root) % p
-        holding = yield from ctx.recv(source=parent, tag=tag)
-    mask = recv_mask >> 1
-    while mask > 0:
-        child_rel = rel + mask
-        if child_rel < p:
-            subtree = {
-                r: v
-                for r, v in holding.items()
-                if child_rel <= (r - root) % p < child_rel + mask
-            }
-            dest = (child_rel + root) % p
-            yield from ctx.send(subtree, dest, tag)
-            for r in subtree:
-                del holding[r]
-        mask >>= 1
-    return holding[ctx.rank]
-
-
 def allgather(ctx: Any, value: Any) -> Generator:
     """Recursive doubling when p is a power of two; else gather+bcast."""
     p = ctx.size
@@ -276,29 +235,6 @@ def allgather(ctx: Any, value: Any) -> Generator:
         return [collected[r] for r in range(p)]
     gathered = yield from gather(ctx, value, root=0)
     return (yield from bcast(ctx, gathered, root=0))
-
-
-def alltoall(ctx: Any, values: Any) -> Generator:
-    """Pairwise exchange: rank i's j-th item lands at rank j's i-th slot."""
-    p = ctx.size
-    if values is None or len(values) != p:
-        raise CommunicationError(f"alltoall needs a list of exactly {p} items")
-    tag = _coll_tag(ctx)
-    out: list[Any] = [None] * p
-    out[ctx.rank] = values[ctx.rank]
-    for k in range(1, p):
-        if p & (p - 1) == 0:
-            peer = ctx.rank ^ k
-        else:
-            peer = (ctx.rank + k) % p
-        req = ctx.isend(values[peer], peer, tag)
-        if p & (p - 1) == 0:
-            out[peer] = yield from ctx.recv(source=peer, tag=tag)
-        else:
-            src = (ctx.rank - k) % p
-            out[src] = yield from ctx.recv(source=src, tag=tag)
-        yield from ctx.wait(req)
-    return out
 
 
 def alltoallv(ctx: Any, by_dest: dict[int, Any]) -> Generator:
@@ -333,77 +269,6 @@ def alltoallv(ctx: Any, by_dest: dict[int, Any]) -> Generator:
     return received
 
 
-def reduce_scatter(ctx: Any, values: Any, op: Any = "sum") -> Generator:
-    """Reduce-scatter: rank r ends with op-reduction of everyone's r-th item.
-
-    The operation image compositing *is*, per the paper's Sec. II-C
-    ("image compositing can be modeled as a data reduction problem" —
-    binary swap is Traff's reduce-scatter in disguise).  Recursive
-    halving for power-of-two p; reduce+bcast-style fallback otherwise.
-
-    Recursive halving combines partials covering *interleaved* rank
-    sets, so ``op`` must be commutative (sum/max/min are; the over
-    operator is not — compositing uses the kd-ordered algorithms in
-    :mod:`repro.compositing` instead).
-    """
-    p = ctx.size
-    fn = resolve_op(op)
-    if values is None or len(values) != p:
-        raise CommunicationError(f"reduce_scatter needs a list of exactly {p} items")
-    if p & (p - 1) == 0:
-        tag = _coll_tag(ctx)
-        # owned: contiguous span of slots this rank still reduces, as
-        # {slot: (value, lowest-contributing-rank span marker)}.
-        acc = {i: values[i] for i in range(p)}
-        span_lo, span_hi = 0, p  # slots this rank is responsible for
-        mask = p >> 1
-        while mask:
-            peer = ctx.rank ^ mask
-            mid = (span_lo + span_hi) // 2
-            if ctx.rank & mask:
-                send_slots = range(span_lo, mid)
-                keep_lo, keep_hi = mid, span_hi
-            else:
-                send_slots = range(mid, span_hi)
-                keep_lo, keep_hi = span_lo, mid
-            outgoing = {i: acc.pop(i) for i in send_slots}
-            incoming = yield from ctx.sendrecv(outgoing, dest=peer, source=peer, tag=tag)
-            for i, v in incoming.items():
-                # Lower rank's partial always goes on the left: both
-                # partials cover disjoint, ordered rank ranges.
-                acc[i] = fn(v, acc[i]) if peer < ctx.rank else fn(acc[i], v)
-            span_lo, span_hi = keep_lo, keep_hi
-            mask >>= 1
-        return acc[ctx.rank]
-    # General p: binomial reduce of the whole list, then scatter.
-    reduced = yield from reduce(ctx, values, op=_listwise(fn), root=0)
-    return (yield from scatter(ctx, reduced, root=0))
-
-
-def _listwise(fn: Any) -> Any:
-    def combine(a: Any, b: Any) -> Any:
-        return [fn(x, y) for x, y in zip(a, b)]
-
-    return combine
-
-
-def scan(ctx: Any, value: Any, op: Any = "sum") -> Generator:
-    """Inclusive prefix reduction: rank r gets op(v_0, ..., v_r).
-
-    Simple linear chain — prefix sums order the compositing literature's
-    scan-based schedules; provided for completeness.
-    """
-    fn = resolve_op(op)
-    tag = _coll_tag(ctx)
-    acc = value
-    if ctx.rank > 0:
-        prefix = yield from ctx.recv(source=ctx.rank - 1, tag=tag)
-        acc = fn(prefix, value)
-    if ctx.rank + 1 < ctx.size:
-        yield from ctx.send(acc, ctx.rank + 1, tag)
-    return acc
-
-
 def _check_root(root: int, p: int) -> None:
     if not (0 <= root < p):
         raise CommunicationError(f"root {root} out of range [0, {p})")
@@ -433,12 +298,8 @@ class Communicator:
     reduce = _verb(reduce)
     allreduce = _verb(allreduce)
     gather = _verb(gather)
-    scatter = _verb(scatter)
     allgather = _verb(allgather)
-    alltoall = _verb(alltoall)
     alltoallv = _verb(alltoallv)
-    reduce_scatter = _verb(reduce_scatter)
-    scan = _verb(scan)
 
     def split(self, color: Any, key: int | None = None) -> Generator:
         """Collective MPI_Comm_split: returns this rank's group context."""

@@ -72,39 +72,6 @@ class TestCollectiveIORoundTrips:
     @given(
         st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=40),  # slot
-                st.integers(min_value=1, max_value=97),  # length
-            ),
-            min_size=1,
-            max_size=12,
-            unique_by=lambda t: t[0],
-        ),
-        st.integers(min_value=64, max_value=1024),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    def test_collective_write_then_read_roundtrip(self, slots, buf, naggs, seed):
-        """Disjoint writes followed by a collective read of the same
-        ranges return exactly the written bytes, for any hints."""
-        rng = np.random.default_rng(seed)
-        # Slot k owns byte range [k*100, k*100+len): disjoint by design.
-        writes = []
-        for slot, length in slots:
-            data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
-            writes.append((slot * 100, data))
-        reader = TwoPhaseReader(
-            StripedFile(MemoryStore()), IOHints(cb_buffer_size=buf, cb_nodes=naggs)
-        )
-        reader.collective_write([[wr] for wr in writes])
-        ranges = [[(off, len(data))] for off, data in writes]
-        out, _plan = reader.collective_read(ranges)
-        for got, (_off, data) in zip(out, writes):
-            assert got == data
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
                 st.integers(min_value=0, max_value=4000),
                 st.integers(min_value=0, max_value=500),
             ),

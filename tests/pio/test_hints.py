@@ -11,12 +11,6 @@ class TestIOHints:
     def test_defaults(self):
         h = IOHints()
         assert h.cb_buffer_size == 16 * MIB
-        assert h.read_full_window
-
-    def test_with_aggregators(self):
-        h = IOHints().with_aggregators(32)
-        assert h.cb_nodes == 32
-        assert IOHints().with_aggregators(0).cb_nodes == 1  # clamped
 
     def test_with_buffer(self):
         assert IOHints().with_buffer(1024).cb_buffer_size == 1024

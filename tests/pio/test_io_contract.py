@@ -227,9 +227,8 @@ class TestAssemblyAcrossBuffers:
         hints = IOHints(cb_buffer_size=64, **hints)
         return TwoPhaseReader(StripedFile(MemoryStore(self.DATA)), hints, AccessLog())
 
-    @pytest.mark.parametrize("full_window", (True, False))
-    def test_range_straddles_window_buffers(self, full_window):
-        reader = self.reader(cb_nodes=2, read_full_window=full_window)
+    def test_range_straddles_window_buffers(self):
+        reader = self.reader(cb_nodes=2)
         ranges = [[(50, 200), (300, 10)], [(120, 20), (60, 70)], [(400, 0)]]
         out, plan = reader.collective_read(ranges)
         assert plan.num_accesses > 3  # (50, 200) alone spans four windows
@@ -238,12 +237,6 @@ class TestAssemblyAcrossBuffers:
             self.DATA[120:140] + self.DATA[60:130],
             b"",
         ]
-
-    def test_independent_range_straddles_sieve_buffers(self):
-        reader = self.reader(cb_nodes=1, ind_rd_buffer_size=64)
-        out, plan = reader.independent_read([(500, 30), (10, 150)])
-        assert plan.num_accesses > 2
-        assert out == self.DATA[500:530] + self.DATA[10:160]
 
     def test_range_straddling_a_hole_is_reported(self):
         pending = self.reader(cb_nodes=1).begin_collective_read([[(0, 16)], [(10, 200)]])

@@ -11,6 +11,7 @@ from repro.pio.reader import (
     NetCDFHandle,
     RawHandle,
     collective_read_blocks,
+    collective_read_blocks_multi,
     plan_read_blocks,
 )
 from repro.render.decomposition import BlockDecomposition
@@ -98,3 +99,24 @@ class TestFormatSpecifics:
         untuned = plan_read_blocks(handle, 4, IOHints(cb_buffer_size=8 * rec, cb_nodes=1))
         tuned = plan_read_blocks(handle, 4, IOHints(cb_buffer_size=rec, cb_nodes=1))
         assert tuned.density > untuned.density
+
+
+@pytest.mark.parametrize("fmt", ("netcdf", "h5lite"))
+def test_one_variable_multi_read_is_the_single_read(fmt, model):
+    """Both read front doors run one body: a one-variable multi read
+    returns the single read's arrays, plan, report and access log."""
+    handle, _truth = handle_for(fmt, model)
+    grid = (12, 12, 12)
+    blocks = [b.ghost_read(grid, 1)[:2] for b in BlockDecomposition(grid, 8).blocks()]
+    hints = IOHints(cb_buffer_size=4096, cb_nodes=4)
+    single_log, multi_log = AccessLog(), AccessLog()
+    arrays, report = collective_read_blocks(handle, blocks, hints, log=single_log)
+    per_rank, multi_report = collective_read_blocks_multi([handle], blocks, hints, log=multi_log)
+    assert [list(rank_vars) for rank_vars in per_rank] == [[handle.name]] * len(blocks)
+    for arr, rank_vars in zip(arrays, per_rank):
+        got = rank_vars[handle.name]
+        assert got.dtype == arr.dtype and np.array_equal(got, arr)
+    assert multi_report.plan.accesses == report.plan.accesses
+    assert multi_report == report
+    assert multi_log.accesses == single_log.accesses
+    assert multi_log.meta_accesses() and len(multi_log.accesses) > len(multi_log.meta_accesses())

@@ -8,7 +8,6 @@ from repro.pio.hints import IOHints
 from repro.pio.twophase import (
     TwoPhaseReader,
     merge_intervals,
-    plan_data_sieving,
     plan_two_phase,
 )
 from repro.storage.accesslog import AccessLog
@@ -86,15 +85,6 @@ class TestPlanTwoPhase:
         span = needed[-1][0] + 10 - needed[0][0]
         assert plan.physical_bytes >= span * 0.9
 
-    def test_trimmed_mode_reads_less(self):
-        needed = [(i * 1000, 10) for i in range(10)]
-        full = plan_two_phase(needed, IOHints(cb_buffer_size=100, cb_nodes=1))
-        trimmed = plan_two_phase(
-            needed, IOHints(cb_buffer_size=100, cb_nodes=1, read_full_window=False)
-        )
-        assert trimmed.physical_bytes == 100  # exactly the needed bytes
-        assert trimmed.physical_bytes <= full.physical_bytes
-
     def test_aggregators_partition_domains(self):
         plan = plan_two_phase([(0, 10_000)], IOHints(cb_buffer_size=1000, cb_nodes=4))
         per_agg = plan.per_aggregator_bytes()
@@ -132,20 +122,6 @@ class TestPlanTwoPhase:
             assert pos >= off + length, (off, length, covered)
 
 
-class TestDataSieving:
-    def test_small_gaps_sieved_through(self):
-        plan = plan_data_sieving([(0, 10), (50, 10)], IOHints(ind_rd_buffer_size=100))
-        assert plan.physical_bytes == 60  # reads straight through the hole
-
-    def test_large_gaps_split(self):
-        plan = plan_data_sieving([(0, 10), (5000, 10)], IOHints(ind_rd_buffer_size=100))
-        assert plan.physical_bytes == 20
-
-    def test_chunked_by_buffer(self):
-        plan = plan_data_sieving([(0, 1000)], IOHints(ind_rd_buffer_size=256))
-        assert plan.num_accesses == 4
-
-
 class TestTwoPhaseReader:
     def _file(self, nbytes=8192):
         data = bytes(range(256)) * (nbytes // 256)
@@ -178,67 +154,6 @@ class TestTwoPhaseReader:
         assert log.count == 2
         assert log.total_bytes == 2048
 
-    def test_independent_read(self):
-        f = self._file()
-        reader = TwoPhaseReader(f, IOHints(ind_rd_buffer_size=512))
-        out, plan = reader.independent_read([(10, 20), (100, 50)])
-        raw = f.store.getvalue()
-        assert out == raw[10:30] + raw[100:150]
-        assert plan.physical_bytes >= 140  # sieved through the hole
-
-
-class TestCollectiveWrite:
-    def _reader(self, initial=b"", buf=512, naggs=2):
-        f = StripedFile(MemoryStore(initial))
-        return TwoPhaseReader(f, IOHints(cb_buffer_size=buf, cb_nodes=naggs))
-
-    def test_disjoint_writes_land(self):
-        reader = self._reader()
-        reader.collective_write([[(0, b"AAAA")], [(10, b"BB")], [(4, b"CC")]])
-        raw = reader.file.store.getvalue()
-        assert raw[0:4] == b"AAAA"
-        assert raw[4:6] == b"CC"
-        assert raw[10:12] == b"BB"
-
-    def test_read_modify_write_preserves_existing(self):
-        """A window spanning a hole between two pieces must pre-read it."""
-        reader = self._reader(initial=b"x" * 64, buf=32, naggs=1)
-        reader.collective_write([[(10, b"NEW")], [(20, b"Q")]])
-        raw = reader.file.store.getvalue()
-        assert raw[:10] == b"x" * 10
-        assert raw[10:13] == b"NEW"
-        assert raw[13:20] == b"x" * 7  # the hole survived
-        assert raw[20:21] == b"Q"
-        assert raw[21:64] == b"x" * 43
-        # The RMW shows up as a logged physical read.
-        assert any(a.kind == "read" for a in reader.log.accesses)
-        assert any(a.kind == "write" for a in reader.log.accesses)
-
-    def test_fully_covered_window_skips_preread(self):
-        reader = self._reader(initial=b"y" * 64, buf=16, naggs=1)
-        reader.collective_write([[(16, bytes(16))]])
-        reads = [a for a in reader.log.accesses if a.kind == "read"]
-        assert reads == []
-
-    def test_overlapping_writes_rejected(self):
-        reader = self._reader()
-        with pytest.raises(StorageError, match="overlapping"):
-            reader.collective_write([[(0, b"AAAA")], [(2, b"BB")]])
-
-    def test_roundtrip_through_collective_read(self):
-        reader = self._reader(buf=128, naggs=3)
-        rng_data = bytes(range(256)) * 4
-        # Four ranks write quarters out of order.
-        writes = [[(256 * ((r * 3) % 4), rng_data[256 * ((r * 3) % 4) : 256 * ((r * 3) % 4) + 256])] for r in range(4)]
-        reader.collective_write(writes)
-        out, _plan = reader.collective_read([[(0, 1024)]])
-        assert out[0] == rng_data
-
-    def test_empty_write(self):
-        reader = self._reader()
-        plan = reader.collective_write([[], [(5, b"")]])
-        assert plan.num_accesses == 0
-
 
 class TestRangeSpellings:
     """Pairs, one-shot iterators and int64 arrays all mean the same ranges."""
@@ -247,7 +162,7 @@ class TestRangeSpellings:
     PAIRS = [(700, 30), (10, 20), (10, 0), (100, 50), (120, 40)]
 
     def _reader(self):
-        hints = IOHints(cb_buffer_size=128, cb_nodes=2, ind_rd_buffer_size=64)
+        hints = IOHints(cb_buffer_size=128, cb_nodes=2)
         return TwoPhaseReader(StripedFile(MemoryStore(self.DATA)), hints)
 
     def _spellings(self):
@@ -265,22 +180,16 @@ class TestRangeSpellings:
 
     def test_plans(self):
         hints = self._reader().hints
-        want_cb = plan_two_phase(self.PAIRS, hints)
-        want_ds = plan_data_sieving(self.PAIRS, hints)
-        assert want_ds.requested_bytes == 110
+        want = plan_two_phase(self.PAIRS, hints)
+        assert want.requested_bytes == 110
         for ranges in self._spellings():
-            assert plan_two_phase(ranges, hints) == want_cb
-        for ranges in self._spellings():
-            assert plan_data_sieving(ranges, hints) == want_ds
+            assert plan_two_phase(ranges, hints) == want
 
     def test_reads(self):
         want = b"".join(self.DATA[o : o + n] for o, n in self.PAIRS)
         for ranges in self._spellings():
             out, plan = self._reader().collective_read([ranges])
             assert out == [want] and plan.requested_bytes == 110
-        for ranges in self._spellings():
-            out, _plan = self._reader().independent_read(ranges)
-            assert out == want
 
     def test_one_shot_subarray_ranges_are_planned(self):
         """``subarray_ranges`` returns an iterator; walking it twice used to
@@ -302,19 +211,3 @@ class TestRangeSpellings:
         out, plan = self._reader().collective_read([[(5, 0)], [], iter(())])
         assert out == [b"", b"", b""] and plan.num_accesses == 0
         assert self._reader().collective_read([]) == ([], plan)
-        assert self._reader().independent_read([(900, 0)])[0] == b""
-
-
-class TestCollectiveWriteScaling:
-    def test_many_pieces_many_windows(self):
-        """Each window looks its pieces up by bisection over one shared index."""
-        pieces = [(37 * k, bytes([k % 251]) * 29) for k in range(400)]
-        reader = TwoPhaseReader(
-            StripedFile(MemoryStore(b"\xff" * 15000)), IOHints(cb_buffer_size=64, cb_nodes=3)
-        )
-        plan = reader.collective_write([pieces[r::4] for r in range(4)])
-        assert plan.num_accesses > 200
-        raw = reader.file.store.getvalue()
-        for off, data in pieces:
-            assert raw[off : off + 29] == data
-            assert raw[off + 29 : off + 37] == b"\xff" * 8

@@ -133,6 +133,22 @@ class TestDegradeTruncation:
         assert np.array_equal(result.final.image, direct.image)
         assert not result.final.degraded
 
+    @pytest.mark.parametrize("deadline_s", (1e-6, 1e9))
+    def test_prepare_prices_io_without_reading(self, deadline_s, monkeypatch):
+        """The ladder's degrade check prices the read's plan: with the
+        pyramid's field given, preparing reads nothing from the store."""
+        renderer, handle, field = make_renderer(
+            degrade=DegradePolicy(frame_deadline_s=deadline_s)
+        )
+        reads = []
+        read = handle.store.read
+        monkeypatch.setattr(
+            handle.store, "read", lambda off, n: reads.append((off, n)) or read(off, n)
+        )
+        plan = ProgressiveRenderer(renderer, levels=3).prepare(handle, field=field)
+        assert plan.truncated == (deadline_s < 1)
+        assert reads == []
+
     def test_loose_deadline_keeps_every_level(self):
         degrade = DegradePolicy(frame_deadline_s=1e9)
         renderer, handle, field = make_renderer(degrade=degrade)
