@@ -21,19 +21,18 @@ Two campaign drivers share one result type:
   with exactly the bytes the sequential path would read — so images
   stay bitwise identical to the oracle at every ``prefetch_depth``;
   only the campaign *clock* composition differs, computed by
-  :func:`simulate_pipeline` on its own discrete-event engine (the
-  per-frame SPMD runs keep theirs, sharded-parallel or not, so the
-  prefetch coroutines coexist with any per-frame engine backend).
+  :func:`simulate_pipeline` from the frames' stage costs.
 
-Overlapped reads are not priced in isolation: every read's priced
-demand is served through a
-:class:`repro.storage.contention.SharedStorageStation`, which conserves
-storage bandwidth across concurrent prefetches (DESIGN.md §15).
+Overlapped reads are not priced in isolation: :func:`simulate_pipeline`
+serves every read's priced demand from one shared store under a
+contention discipline, which conserves storage bandwidth across
+concurrent prefetches (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,15 +43,19 @@ from repro.obs.books import row_failures
 from repro.obs.tracer import CAT_PREFETCH, Tracer
 from repro.pio.reader import DatasetHandle, collective_read_blocks_async
 from repro.render.camera import Camera
-from repro.sim.engine import Engine
-from repro.sim.events import Future
-from repro.storage.contention import DISCIPLINES, SharedStorageStation
 from repro.utils.errors import ConfigError
 from repro.utils.validation import check_int
 
 #: Tracer lanes of the campaign trace: the storage pipeline vs compute.
 IO_LANE = 0
 COMPUTE_LANE = 1
+
+#: How concurrent reads share the store (DESIGN.md §15): ``fifo`` serves
+#: them one at a time in issue order, ``fair`` shares bandwidth equally.
+DISCIPLINES = ("fifo", "fair")
+_INF = float("inf")
+#: Remaining demand (s) at which a fair-shared read counts as served.
+_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class FrameSlot:
     index: int
     io_demand_s: float  # priced collective-read time, alone on storage
     compute_demand_s: float  # render + composite seconds
-    read_issue_s: float  # prefetch submitted to the storage station
+    read_issue_s: float  # prefetch submitted to the shared store
     read_start_s: float  # bytes first flowed (fifo: head of queue)
     read_done_s: float
     compute_start_s: float
@@ -91,7 +94,7 @@ class PipelineTimeline:
 
         Checks causality (compute after its read, reads served after
         issue), in-order non-overlapping compute, work conservation at
-        the storage station, and the makespan identity.
+        the shared store, and the makespan identity.
         """
         rows = []
         prev_compute, prev_read = 0.0, 0.0
@@ -133,68 +136,96 @@ def simulate_pipeline(
     ``prefetch_depth`` is the number of timesteps that may be read
     *ahead of* the frame currently computing (k+1 volume buffers); 0
     reproduces the sequential schedule exactly.  The read for frame j
-    is gated on frame j-k-1 releasing its buffer, every read's priced
-    demand is served through a :class:`SharedStorageStation` under
-    ``discipline``, and frame j's compute starts once both its read and
-    frame j-1's compute are done.  Deterministic — the same inputs give
-    bitwise the same timeline — and shared by the core campaign driver
-    and the farm's campaign job pricing, so both tiers answer "what
-    does overlap buy" with one model.
+    is issued at 0 for ``j <= k``, else when frame j-k-1's compute ends
+    and frees its buffer; every read's priced demand is served by one
+    shared store under ``discipline``, and frame j's compute starts once
+    both its read and frame j-1's compute are done.  Deterministic — the
+    same inputs give bitwise the same timeline — and shared by the core
+    campaign driver and the farm's campaign job pricing, so both tiers
+    answer "what does overlap buy" with one model.
     """
     if len(io_seconds) != len(compute_seconds):
         raise ConfigError(
             f"stage cost lists disagree: {len(io_seconds)} io vs "
             f"{len(compute_seconds)} compute entries"
         )
-    prefetch_depth = check_pipeline(prefetch_depth, discipline)
-    n = len(io_seconds)
-    if n == 0:
-        return PipelineTimeline([], prefetch_depth, discipline)
+    depth = check_pipeline(prefetch_depth, discipline)
+    io = [float(x) for x in io_seconds]
+    rc = [float(x) for x in compute_seconds]
+    for i, (r, c) in enumerate(zip(io, rc)):
+        if not 0 <= r < _INF:
+            raise ConfigError(f"frame {i} read demand must be >= 0 and finite, got {r!r}")
+        if c == _INF:
+            raise ConfigError(f"frame {i} compute demand must be finite, got {c!r}")
+    times = (_fifo if discipline == "fifo" else _fair)(io, rc, depth)
+    slots = [FrameSlot(i, io[i], rc[i], *row) for i, row in enumerate(zip(*times))]
+    if slots and not slots[-1].compute_done_s < _INF:
+        raise ConfigError("stage demands overflow the campaign clock")
+    return PipelineTimeline(slots, depth, discipline)
 
-    engine = Engine()
-    station = SharedStorageStation(engine, discipline)
-    read_done = [Future(name=f"read{i}.done") for i in range(n)]
-    buffer_free = [Future(name=f"buffer{i}.free") for i in range(n)]
-    compute_start = [0.0] * n
-    compute_end = [0.0] * n
 
-    def prefetcher(j: int):
-        gate = j - prefetch_depth - 1
-        if gate >= 0:
-            yield buffer_free[gate]
-        svc = yield station.submit(float(io_seconds[j]))
-        read_done[j].resolve(svc)
-
-    def computer():
-        for i in range(n):
-            yield read_done[i]
-            compute_start[i] = engine.now
-            if compute_seconds[i] > 0:
-                yield float(compute_seconds[i])
-            compute_end[i] = engine.now
-            buffer_free[i].resolve(None)
-
-    # Spawn prefetchers in frame order so same-instant submissions keep
-    # frame order at the station (engine resume order is FIFO).
+def _fifo(io: list[float], rc: list[float], depth: int) -> tuple[list[float], ...]:
+    """Reads one at a time in issue order at full bandwidth."""
+    n = len(io)
+    issue, start, done, c0, c1 = ([0.0] * n for _ in range(5))
+    free = end = 0.0  # store frees up / previous compute ends
     for j in range(n):
-        engine.spawn(prefetcher(j), name=f"prefetch{j}")
-    engine.spawn(computer(), name="compute")
-    engine.run()
+        if j > depth:
+            issue[j] = c1[j - depth - 1]
+        start[j] = max(issue[j], free)
+        done[j] = free = start[j] + io[j]
+        c0[j] = max(free, end)
+        c1[j] = end = c0[j] + rc[j] if rc[j] > 0 else c0[j]
+    return issue, start, done, c0, c1
 
-    slots = [
-        FrameSlot(
-            index=i,
-            io_demand_s=float(io_seconds[i]),
-            compute_demand_s=float(compute_seconds[i]),
-            read_issue_s=svc.t_issue,
-            read_start_s=svc.t_start,
-            read_done_s=svc.t_done,
-            compute_start_s=compute_start[i],
-            compute_done_s=compute_end[i],
-        )
-        for i, svc in enumerate(station.services)
-    ]
-    return PipelineTimeline(slots, prefetch_depth, discipline)
+
+def _fair(io: list[float], rc: list[float], depth: int) -> tuple[list[float], ...]:
+    """Processor sharing: k in-flight reads each progress at rate 1/k.
+
+    The first ``depth + 1`` reads submit at t = 0 before anything
+    completes; at any later tie a completion goes first.  A completion
+    due at the last event's instant with no read within :data:`_EPS`
+    never progresses (``t + remaining * k == t``): a submission due then
+    goes first, else the read with the least remaining demand retires.
+    """
+    n = len(io)
+    issue, done, c0, c1 = ([0.0] * n for _ in range(4))
+    served = [False] * n
+    nxt = min(depth + 1, n)  # next read to submit
+    active = [[io[j], j] for j in range(nxt)]  # [remaining demand, frame]
+    t = end = 0.0  # last submission or completion; last compute end
+    ci = 0  # next frame to compute
+    while ci < n:
+        gate = nxt - depth - 1
+        ts = c1[gate] if nxt < n and gate < ci else None
+        tc, stalled = _INF, False
+        if active:
+            least = min(active, key=itemgetter(0))
+            tc = t + max(0.0, least[0] * len(active))
+            stalled = tc == t and least[0] > _EPS
+        submit = ts is not None and (not active or ts < tc or (ts == tc and stalled))
+        now = ts if submit else tc
+        if now > t and active:
+            rate = 1.0 / len(active)
+            for a in active:
+                a[0] -= (now - t) * rate
+        t = now
+        if submit:
+            issue[nxt] = now
+            active.append([io[nxt], nxt])
+            nxt += 1
+            continue
+        if stalled:
+            least[0] = 0.0  # no progress is possible: retire it below
+        for rem, j in active:
+            if rem <= _EPS:
+                done[j], served[j] = now, True
+        active = [a for a in active if a[0] > _EPS]
+        while ci < n and served[ci]:
+            c0[ci] = max(done[ci], end)
+            c1[ci] = end = c0[ci] + rc[ci] if rc[ci] > 0 else c0[ci]
+            ci += 1
+    return issue, issue, done, c0, c1
 
 
 def campaign_trace(timeline: PipelineTimeline) -> Tracer:

@@ -259,14 +259,13 @@ def flash_scenario(
     edge: bool = True,
     admission: bool = True,
     autoscale: bool = True,
-    flash_requests: int = 48,
 ) -> FarmScenario:
     """The flash-crowd capacity study: diurnal base load plus a spike.
 
     A two-rack (2048-node) slice serving 64-node partitions (so at most
     32 concurrent renders).  Traffic is a diurnal browse population in
     one region, a small closed interactive tenant in another, and — at
-    t=600 s — a flash crowd: ``flash_requests`` arrivals inside a two
+    t=600 s — a flash crowd: 48 arrivals inside a two
     second window, all asking for the *same frame* from the ``free``
     tier.  Each service-tier arm is independently switchable so the
     capacity study can difference them:
@@ -289,7 +288,7 @@ def flash_scenario(
         # spike is absorbed by single-flight alone.
         SessionSpec(
             name="flash0", kind="browse", arrival="flash",
-            requests=flash_requests, burst_s=2.0, start_s=600.0,
+            requests=48, burst_s=2.0, start_s=600.0,
             cores=256, steps=1, azimuth_deg=45.0,
             region="eu", tier="free",
         ),

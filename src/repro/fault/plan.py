@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from repro.utils.errors import FaultError
 from repro.utils.rng import substream
 
+#: Machine-wide bandwidth factor during a compiled link flap.
+LINK_FLAP_FACTOR = 0.25
+
 
 @dataclass(frozen=True)
 class NodeCrash:
@@ -146,7 +149,6 @@ def compile_fault_plan(
     straggler_frac: float = 0.0,
     straggler_delay_s: float = 0.0,
     link_flaps: int = 0,
-    link_factor: float = 0.25,
     drop_prob: float = 0.0,
     dup_prob: float = 0.0,
     protect_nodes: tuple[int, ...] = (),
@@ -159,8 +161,8 @@ def compile_fault_plan(
     (excluding ``protect_nodes``) that crash, at times uniform inside
     ``crash_window`` (fractions of ``duration_s``); ``straggler_frac``
     picks ranks whose reads are delayed by ``straggler_delay_s``;
-    ``link_flaps`` cuts machine-wide bandwidth to ``link_factor`` for
-    10%-of-duration windows.
+    ``link_flaps`` cuts machine-wide bandwidth to :data:`LINK_FLAP_FACTOR`
+    for 10%-of-duration windows.
     """
     if duration_s <= 0:
         raise FaultError(f"duration_s must be > 0, got {duration_s!r}")
@@ -192,7 +194,7 @@ def compile_fault_plan(
         width = 0.1 * duration_s
         for _ in range(link_flaps):
             t0 = float(rng.uniform(0.0, 0.9 * duration_s))
-            windows.append(LinkWindow(t0, t0 + width, float(link_factor)))
+            windows.append(LinkWindow(t0, t0 + width, LINK_FLAP_FACTOR))
         windows.sort(key=lambda w: w.t0)
     return FaultPlan(
         seed=seed,

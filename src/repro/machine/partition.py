@@ -113,19 +113,14 @@ class Partition:
         object.__setattr__(self, "shape", (int(sx), int(sy), int(sz)))
 
     @classmethod
-    def for_cores(
-        cls,
-        cores: int,
-        processes_per_node: int = 4,
-        machine: MachineSpec = BGP_ALCF,
-    ) -> "Partition":
-        """Build the partition hosting ``cores`` MPI processes (one per core)."""
+    def for_cores(cls, cores: int, processes_per_node: int = 4) -> "Partition":
+        """ALCF's partition hosting ``cores`` MPI processes (one per core)."""
         check_positive("cores", cores)
         if cores % processes_per_node:
             raise ConfigError(
                 f"{cores} cores not divisible by {processes_per_node} processes/node"
             )
-        return cls(cores // processes_per_node, processes_per_node, machine)
+        return cls(cores // processes_per_node, processes_per_node, BGP_ALCF)
 
     @property
     def nprocs(self) -> int:

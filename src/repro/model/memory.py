@@ -23,6 +23,9 @@ from repro.utils.units import fmt_bytes
 #: decode buffers, and MPI staging (empirically ~2x in codes like this).
 WORKSPACE_FACTOR = 2.0
 
+#: Core counts :func:`min_cores_in_core` tries, smallest first.
+CORE_CANDIDATES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
+
 
 @dataclass(frozen=True)
 class MemoryEstimate:
@@ -81,12 +84,9 @@ def frame_memory(
     )
 
 
-def min_cores_in_core(
-    dataset: PaperDataset,
-    candidates: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768),
-) -> int:
-    """Smallest candidate core count that holds the frame in core."""
-    for cores in sorted(candidates):
+def min_cores_in_core(dataset: PaperDataset) -> int:
+    """Smallest of :data:`CORE_CANDIDATES` that holds the frame in core."""
+    for cores in CORE_CANDIDATES:
         if frame_memory(dataset, cores).fits:
             return cores
     raise ConfigError(

@@ -44,11 +44,10 @@ def range_arrays(ranges: Ranges) -> RangeArrays:
     return pairs[:, 0], pairs[:, 1]
 
 
-def merge_intervals(intervals: Ranges, min_gap: int = 1) -> list[Interval]:
-    """Sort and merge intervals; gaps smaller than ``min_gap`` coalesce.
+def merge_intervals(intervals: Ranges) -> list[Interval]:
+    """Sort and merge touching or overlapping intervals.
 
-    ``min_gap=1`` merges only touching/overlapping intervals.  Empty
-    intervals are dropped; a negative offset is a :class:`StorageError`.
+    Empty intervals are dropped; a negative offset is a :class:`StorageError`.
     One stable sort and a running maximum of ends over int64 arrays; the
     (short) result is Python-int tuples, which is what plans are made of.
     """
@@ -63,7 +62,7 @@ def merge_intervals(intervals: Ranges, min_gap: int = 1) -> list[Interval]:
         raise StorageError(f"negative interval offset {int(starts[0])}")
     reach = np.maximum.accumulate(starts + lengths[order])
     opens = np.ones(starts.size, dtype=bool)  # interval starts a new merged one
-    opens[1:] = starts[1:] > reach[:-1] + (min_gap - 1)
+    opens[1:] = starts[1:] > reach[:-1]
     closes = np.ones(starts.size, dtype=bool)
     closes[:-1] = opens[1:]
     starts = starts[opens]

@@ -16,6 +16,9 @@ import numpy as np
 from repro.utils.errors import StorageError
 from repro.utils.units import fmt_bytes
 
+#: Most accesses :meth:`AccessLog.bridge_spans` draws as spans.
+MAX_BRIDGE_SPANS = 512
+
 
 @dataclass(frozen=True)
 class Access:
@@ -112,13 +115,7 @@ class AccessLog:
 
     # -- trace bridging ---------------------------------------------------
 
-    def bridge_spans(
-        self,
-        tracer,
-        t0: float,
-        t1: float,
-        max_spans: int = 512,
-    ) -> int:
+    def bridge_spans(self, tracer, t0: float, t1: float) -> int:
         """Project the access sequence into a tracer window as I/O spans.
 
         Physical accesses carry no simulated clock — the two-phase read
@@ -127,15 +124,14 @@ class AccessLog:
         ``[t0, t1]``, with widths proportional to bytes moved.  The
         *structure* (which aggregator touched what, in which order, how
         big) is faithful; the absolute placement inside the window is a
-        visualization.  Returns the number of spans emitted; beyond
-        ``max_spans`` accesses the rest are summarized in a counter so
-        huge logs do not swamp the trace.
+        visualization.  Returns the number of spans emitted; accesses past
+        :data:`MAX_BRIDGE_SPANS` are counted so huge logs do not swamp it.
         """
         from repro.obs.tracer import CAT_IO
 
         if not getattr(tracer, "enabled", False) or t1 <= t0 or not self.accesses:
             return 0
-        kept = self.accesses[:max_spans]
+        kept = self.accesses[:MAX_BRIDGE_SPANS]
         dropped = len(self.accesses) - len(kept)
         by_actor: dict[int, list[Access]] = {}
         for a in kept:

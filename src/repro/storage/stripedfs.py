@@ -91,9 +91,6 @@ class StripedFile:
     def read(self, offset: int, length: int) -> bytes:
         return self.store.read(offset, length)
 
-    def write(self, offset: int, data: bytes) -> None:
-        self.store.write(offset, data)
-
     def server_segments(
         self, offsets: np.ndarray, lengths: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -173,13 +173,12 @@ class MPIWorld:
     def __init__(
         self,
         partition: Partition,
-        mapping_order: str = "XYZT",
         link: LinkCostModel | None = None,
         recv_overhead_s: float = 1e-6,
         tracer=None,
     ):
         self.partition = partition
-        self.mapping = RankMapping(partition, mapping_order)
+        self.mapping = RankMapping(partition, "XYZT")
         self.topology = TorusTopology(partition.shape, torus=partition.is_torus)  # type: ignore[arg-type]
         self.link = link or LinkCostModel()
         self.recv_overhead_s = recv_overhead_s

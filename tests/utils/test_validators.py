@@ -62,9 +62,11 @@ class TestValidators:
 
 
 NAN = float("nan")
+INF = float("inf")
 
-#: Integer knobs given a non-integer, and a NaN read demand: each once
-#: reached a raw TypeError mid-run, ran silently, or truncated.
+#: Integer knobs given a non-integer, and a NaN or infinite stage demand:
+#: each once reached a raw TypeError or SimulationError mid-run, ran
+#: silently, or truncated.
 KNOB_CASES = {
     "workers=2.5": lambda: ParallelConfig(workers=2.5),
     "workers='2'": lambda: ParallelConfig(workers="2"),
@@ -73,6 +75,9 @@ KNOB_CASES = {
     "simulate depth=nan": lambda: simulate_pipeline([1.0], [1.0], prefetch_depth=NAN),
     "renderer depth=1.5": lambda: PipelinedTimeSeriesRenderer(None, prefetch_depth=1.5),
     "read demand nan": lambda: simulate_pipeline([NAN], [1.0]),
+    "read demand inf": lambda: simulate_pipeline([INF], [1.0]),
+    "compute demand inf": lambda: simulate_pipeline([1.0], [INF]),
+    "stage demands overflow": lambda: simulate_pipeline([1e308, 1e308], [0.0, 0.0]),
 }
 
 
