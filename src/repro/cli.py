@@ -531,7 +531,6 @@ def cmd_progressive(args: argparse.Namespace) -> int:
     print(
         f"  first pixel {fmt_time(result.ttfp_s)}, full ladder "
         f"{fmt_time(result.total_s)}"
-        + (f" (truncated by the degrade policy)" if result.truncated else "")
     )
     if result.cancelled:
         print(

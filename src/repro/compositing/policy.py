@@ -52,14 +52,3 @@ def fixed_policy(m: int) -> CompositorPolicy:
     if m < 1:
         raise ConfigError(f"fixed policy needs m >= 1, got {m}")
     return CompositorPolicy(f"fixed-{m}", lambda n: min(m, n))
-
-
-def sqrt_policy(scale: float = 8.0) -> CompositorPolicy:
-    """m ~ scale * sqrt(n), a smooth alternative to the paper's steps."""
-    if scale <= 0:
-        raise ConfigError("sqrt policy scale must be positive")
-
-    def fn(n: int) -> int:
-        return max(1, min(n, int(scale * n**0.5)))
-
-    return CompositorPolicy(f"sqrt-{scale:g}", fn)

@@ -9,7 +9,7 @@ final image is completed", split into I/O, rendering, and compositing).
 """
 
 from repro.core.timing import FrameTiming
-from repro.core.pipeline import DegradePolicy, ParallelVolumeRenderer, FrameResult
+from repro.core.pipeline import ParallelVolumeRenderer, FrameResult
 from repro.core.plan import FramePlan, FramePlanCache, block_world_bounds
 from repro.core.timeseries import (
     FrameSlot,
@@ -25,7 +25,6 @@ __all__ = [
     "FrameTiming",
     "ParallelVolumeRenderer",
     "FrameResult",
-    "DegradePolicy",
     "FramePlan",
     "FramePlanCache",
     "block_world_bounds",

@@ -46,11 +46,10 @@ from repro.vmpi.runner import MPIWorld
 class FrameResult:
     """One rendered frame plus everything measured while making it.
 
-    ``degraded`` marks frames rendered under the quality fallback
-    (smaller image, looser early termination); ``fault`` carries the
-    injector's :class:`~repro.fault.metrics.FaultReport` when a
-    non-empty fault plan was active.  Both defaults keep fault-free
-    construction — and therefore the zero-fault invariant — unchanged.
+    ``fault`` carries the injector's
+    :class:`~repro.fault.metrics.FaultReport` when a non-empty fault
+    plan was active; its default keeps fault-free construction — and
+    therefore the zero-fault invariant — unchanged.
     """
 
     image: np.ndarray  # (height, width, 4) premultiplied RGBA
@@ -61,38 +60,9 @@ class FrameResult:
     messages: int
     bytes_sent: int
     trace: Tracer | None = None  # the frame's trace when tracing was on
-    degraded: bool = False
     fault: Any = None
     compositor: str = "directsend"  # which backend composited the frame
     compose_stats: dict | None = None  # backend extras (puzzlepiece drops)
-
-
-@dataclass(frozen=True)
-class DegradePolicy:
-    """Degraded-quality fallback for frames whose deadline is at risk.
-
-    When the projected I/O stage (priced collective read plus the
-    plan's worst straggler delay) exceeds ``io_fraction`` of
-    ``frame_deadline_s``, the frame is rendered at ``image_scale``
-    times the resolution with ``early_termination`` opacity cutoff —
-    bounded quality loss instead of a blown deadline, in the spirit of
-    approximate compositing.
-
-    With ``error_budget`` set *and* a compositor that honors one
-    (puzzlepiece), deadline pressure spends error budget instead of
-    resolution: the frame keeps its full size and the compositor drops
-    low-contribution pieces up to the per-pixel budget — a principled
-    quality knob where the resolution drop was a blunt one.
-    """
-
-    frame_deadline_s: float
-    io_fraction: float = 0.5
-    image_scale: float = 0.5
-    early_termination: float = 0.98
-    error_budget: float | None = None  # degrade via compositing error instead
-
-    def engages(self, projected_io_s: float) -> bool:
-        return projected_io_s > self.frame_deadline_s * self.io_fraction
 
 
 def volume_grid(handle: DatasetHandle) -> tuple[int, int, int]:
@@ -120,7 +90,6 @@ class ParallelVolumeRenderer:
         constants: ModelConstants = DEFAULT_CONSTANTS,
         tracer: Tracer | None = None,
         fault: Any = None,
-        degrade: DegradePolicy | None = None,
         parallel: "ParallelConfig | None" = None,
         compositor: str = "directsend",
         error_budget: float = 0.0,
@@ -142,7 +111,6 @@ class ParallelVolumeRenderer:
         self.constants = constants
         self.tracer = tracer
         self.fault = fault  # optional repro.fault.FaultPlan, one per frame
-        self.degrade = degrade
         self.parallel = parallel  # optional repro.sim.ParallelConfig
         self.compositor = compositor
         self.backend = get_backend(compositor)  # fail fast on a typo
@@ -227,53 +195,27 @@ class ParallelVolumeRenderer:
         # I/O stage per rank.
         io_delays = None
         failover = False
-        max_straggle = 0.0
         if self.fault is not None:
             failover = bool(self.fault.node_crashes)
             if self.fault.io_stragglers:
                 io_delays = {s.rank: s.delay_s for s in self.fault.io_stragglers}
-                max_straggle = max(io_delays.values())
                 if log is not None:
                     for rank, delay in sorted(io_delays.items()):
                         log.record_straggler(rank, delay)
-
-        # --- Degraded-quality fallback: when the projected I/O stage
-        # alone threatens the frame deadline, either spend compositing
-        # error budget (a backend that honors one keeps the full
-        # resolution and drops low-contribution pieces) or render
-        # smaller and terminate rays earlier.  The scaled camera gets
-        # its own frame plan (same decomposition and read blocks —
-        # only image-space geometry changes).
-        camera = self.camera
-        early_termination = None
-        degraded = False
-        error_budget = self.error_budget
-        if self.degrade is not None and self.degrade.engages(io_seconds + max_straggle):
-            degraded = True
-            if (
-                self.degrade.error_budget is not None
-                and self.backend.supports_error_budget
-            ):
-                error_budget = max(error_budget, self.degrade.error_budget)
-            else:
-                camera = self.camera.scaled(self.degrade.image_scale)
-                early_termination = self.degrade.early_termination
-                plan = self.frame_plan(camera, handle)
-                schedule = plan.schedule
 
         self.backend.validate(
             nprocs,
             decomposition=decomposition,
             parallel=self.parallel,
             failover=failover,
-            error_budget=error_budget,
+            error_budget=self.error_budget,
         )
         result = self.world.run(
             _frame_program,
             arrays,
             ghost_specs,
             decomposition,
-            camera,
+            self.camera,
             self.transfer,
             self.step,
             schedule,
@@ -282,10 +224,9 @@ class ParallelVolumeRenderer:
             self.ghost,
             plan.ray_plans,
             io_delays=io_delays,
-            early_termination=early_termination,
             failover=failover,
             compositor=self.compositor,
-            error_budget=error_budget,
+            error_budget=self.error_budget,
             fault=self.fault,
             parallel=self.parallel,
         )
@@ -293,7 +234,7 @@ class ParallelVolumeRenderer:
         # frame (rank 0's gathered canvas, or — under failover, where
         # rank 0 may be dead — host-side tile assembly).
         image, compose_stats = self.backend.finalize(
-            result.values, camera, failover=failover
+            result.values, self.camera, failover=failover
         )
         stage_max = tracer.stage_maxima()
         timing = FrameTiming(
@@ -313,7 +254,6 @@ class ParallelVolumeRenderer:
             messages=result.messages,
             bytes_sent=result.bytes_sent,
             trace=tracer if tracer.enabled else None,
-            degraded=degraded,
             fault=result.fault if self.fault is not None and not self.fault.empty else None,
             compositor=self.compositor,
             compose_stats=compose_stats,
@@ -334,7 +274,6 @@ def _frame_program(
     ghost: int,
     ray_plans: list | None = None,
     io_delays: dict | None = None,
-    early_termination: float | None = None,
     failover: bool = False,
     compositor: str = "directsend",
     error_budget: float = 0.0,
@@ -394,14 +333,7 @@ def _frame_program(
         gl,
     )
     ray_plan = ray_plans[ctx.rank] if ray_plans is not None else None
-    if early_termination is None:
-        partial = render_block(camera, vb, transfer, step, plan=ray_plan)
-    else:
-        # Degraded-quality fallback: looser opacity cutoff.
-        partial = render_block(
-            camera, vb, transfer, step,
-            early_termination=early_termination, plan=ray_plan,
-        )
+    partial = render_block(camera, vb, transfer, step, plan=ray_plan)
     samples = partial.samples if partial is not None else 0
 
     # Stages 2 (timed part) + 3: the compositing backend charges the

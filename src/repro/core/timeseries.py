@@ -93,8 +93,9 @@ class PipelineTimeline:
         """Violated timeline invariants (empty means consistent).
 
         Checks causality (compute after its read, reads served after
-        issue), in-order non-overlapping compute, work conservation at
-        the shared store, and the makespan identity.
+        issue), in-order non-overlapping compute spans as long as their
+        demands, work conservation at the shared store, and the
+        makespan identity.
         """
         rows = []
         prev_compute, prev_read = 0.0, 0.0
@@ -105,6 +106,7 @@ class PipelineTimeline:
             rows += [
                 (f"{f} computes after its read", start >= s.read_done_s - tol, True),
                 (f"{f} computes after frame {s.index - 1}", start >= prev_compute - tol, True),
+                (f"{f} compute span vs demand", s.compute_done_s - start, s.compute_demand_s, tol),
                 (f"{f} read served after issue", s.read_start_s >= s.read_issue_s - tol, True),
                 (f"{f} read in fifo order", in_order, True),
                 (f"{f} read no faster than full bandwidth", full_bw, True),
@@ -155,8 +157,8 @@ def simulate_pipeline(
     for i, (r, c) in enumerate(zip(io, rc)):
         if not 0 <= r < _INF:
             raise ConfigError(f"frame {i} read demand must be >= 0 and finite, got {r!r}")
-        if c == _INF:
-            raise ConfigError(f"frame {i} compute demand must be finite, got {c!r}")
+        if not 0 <= c < _INF:
+            raise ConfigError(f"frame {i} compute demand must be >= 0 and finite, got {c!r}")
     times = (_fifo if discipline == "fifo" else _fair)(io, rc, depth)
     slots = [FrameSlot(i, io[i], rc[i], *row) for i, row in enumerate(zip(*times))]
     if slots and not slots[-1].compute_done_s < _INF:
@@ -175,7 +177,7 @@ def _fifo(io: list[float], rc: list[float], depth: int) -> tuple[list[float], ..
         start[j] = max(issue[j], free)
         done[j] = free = start[j] + io[j]
         c0[j] = max(free, end)
-        c1[j] = end = c0[j] + rc[j] if rc[j] > 0 else c0[j]
+        c1[j] = end = c0[j] + rc[j]
     return issue, start, done, c0, c1
 
 
@@ -223,7 +225,7 @@ def _fair(io: list[float], rc: list[float], depth: int) -> tuple[list[float], ..
         active = [a for a in active if a[0] > _EPS]
         while ci < n and served[ci]:
             c0[ci] = max(done[ci], end)
-            c1[ci] = end = c0[ci] + rc[ci] if rc[ci] > 0 else c0[ci]
+            c1[ci] = end = c0[ci] + rc[ci]
             ci += 1
     return issue, issue, done, c0, c1
 

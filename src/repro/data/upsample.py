@@ -81,41 +81,6 @@ def _resample(
     return (c0 * (1 - fz) + c1 * fz).astype(np.float32)
 
 
-def upsample_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear upsampling of a 2D image (optional trailing channel axis).
-
-    Same endpoint-preserving mapping as :func:`upsample_trilinear` —
-    output sample j maps to input ``j * (n_in - 1) / (n_out - 1)`` —
-    used to stretch coarse ladder previews to full resolution so
-    time-to-quality compares like against like.
-    """
-    check_positive("out_h", out_h)
-    check_positive("out_w", out_w)
-    arr = np.asarray(image, dtype=np.float32)
-    if arr.ndim not in (2, 3):
-        raise ConfigError(f"expected a 2D image (or HxWxC), got shape {arr.shape}")
-    in_h, in_w = arr.shape[0], arr.shape[1]
-    if (in_h, in_w) == (out_h, out_w):
-        return arr.copy()
-    coords = []
-    for n_in, n_out in ((in_h, out_h), (in_w, out_w)):
-        scale = (n_in - 1) / (n_out - 1) if n_out > 1 else 0.0
-        coords.append(np.arange(n_out, dtype=np.float64) * scale)
-    yy, xx = np.meshgrid(*coords, indexing="ij")
-    y0 = np.clip(np.floor(yy).astype(np.int64), 0, in_h - 1)
-    x0 = np.clip(np.floor(xx).astype(np.int64), 0, in_w - 1)
-    y1 = np.clip(y0 + 1, 0, in_h - 1)
-    x1 = np.clip(x0 + 1, 0, in_w - 1)
-    fy = np.clip(yy - y0, 0.0, 1.0)
-    fx = np.clip(xx - x0, 0.0, 1.0)
-    if arr.ndim == 3:
-        fy = fy[..., None]
-        fx = fx[..., None]
-    c0 = arr[y0, x0] * (1 - fx) + arr[y0, x1] * fx
-    c1 = arr[y1, x0] * (1 - fx) + arr[y1, x1] * fx
-    return (c0 * (1 - fy) + c1 * fy).astype(np.float32)
-
-
 def upsample_parallel_program(
     ctx: Any,
     input_blocks: list[np.ndarray],

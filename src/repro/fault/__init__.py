@@ -10,8 +10,7 @@ The subsystem has three layers:
   board by ``MPIWorld.run(fault=...)``.
 * **Recovery** (:mod:`repro.fault.failover`, plus policy hooks in
   ``compositing.directsend``, ``core.pipeline`` and ``repro.farm``) —
-  compositor failover geometry, degraded-quality fallback, and job
-  requeue/quarantine.
+  compositor failover geometry and job requeue/quarantine.
 
 The chaos CLI driver (:mod:`repro.fault.chaos`) imports the farm and is
 deliberately *not* re-exported here, keeping this package import-light

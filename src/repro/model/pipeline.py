@@ -103,17 +103,6 @@ class FrameEstimate:
         """The paper's Table II metric: useful bytes / I/O seconds."""
         return self.io.useful_bytes / self.io.seconds if self.io.seconds else 0.0
 
-    @property
-    def core_seconds(self) -> float:
-        """Machine cost of the frame: cores x wall time.
-
-        The currency behind the paper's Fig. 5 remark that "the
-        configuration that produces the shortest run time might not
-        always be viable" — big partitions render faster but burn far
-        more core-hours per frame once I/O stops scaling.
-        """
-        return self.cores * self.total_s
-
 
 class FrameModel:
     """Prices frames of one dataset across core counts and I/O modes."""

@@ -25,7 +25,6 @@ from repro.obs.tracer import (
 )
 from repro.obs.export import (
     chrome_trace,
-    span_summary,
     stage_report,
     write_chrome_trace,
 )
@@ -48,5 +47,4 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "stage_report",
-    "span_summary",
 ]

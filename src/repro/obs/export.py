@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from statistics import median
 
-from repro.obs.tracer import CAT_STAGE, STAGES, Tracer
+from repro.obs.tracer import STAGES, Tracer
 from repro.utils.units import fmt_bytes, fmt_time
 
 
@@ -139,17 +139,3 @@ def stage_report(tracer: Tracer, frame: int | None = None, per_rank: bool = True
                 row += f"{fmt_time(d) if d is not None else '-':>12}"
             lines.append(row)
     return "\n".join(lines)
-
-
-def span_summary(tracer: Tracer, frame: int | None = None) -> dict[str, dict[str, float]]:
-    """Per-category span statistics: count and total seconds.
-
-    A compact machine-readable companion to :func:`stage_report`,
-    handy in tests and notebooks.
-    """
-    out: dict[str, dict[str, float]] = {}
-    for s in tracer.frame_spans(frame):
-        agg = out.setdefault(s.cat, {"count": 0, "seconds": 0.0})
-        agg["count"] += 1
-        agg["seconds"] += s.dur
-    return out

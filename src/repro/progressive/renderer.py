@@ -9,16 +9,6 @@ level renders the original handle through the original camera object,
 so it is bitwise identical (image, message count, bytes on the wire,
 stage timings) to a direct full-resolution render; the oracle tests
 pin exactly that.
-
-Deadline pressure is absorbed by the *ladder*, not by individual
-levels: when the wrapped renderer carries a
-:class:`~repro.core.pipeline.DegradePolicy` and the projected
-full-resolution I/O alone would engage it, the intermediate levels are
-dropped (``truncated``) — the viewer gets the coarsest preview
-immediately and then the exact final frame, instead of a permanently
-degraded image.  The per-frame degrade fallback is held off inside a
-ladder for the same reason: a scaled-camera final level would break
-the bitwise contract that makes the ladder trustworthy.
 """
 
 from __future__ import annotations
@@ -28,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.pipeline import FrameResult, ParallelVolumeRenderer, volume_grid
-from repro.data.upsample import upsample_bilinear
 from repro.obs.books import row_failures, span_count_failures
 from repro.obs.tracer import CAT_PROGRESSIVE, Tracer
-from repro.pio.reader import DatasetHandle, collective_read_blocks, collective_read_blocks_async
+from repro.pio.reader import DatasetHandle, collective_read_blocks
 from repro.progressive.ladder import build_pyramid, ladder_scales, levels_before_move
 from repro.utils.errors import ConfigError
 
@@ -60,8 +49,6 @@ class _LadderPlan:
     scales: tuple[int, ...]
     handles: list
     cameras: list
-    levels_planned: int
-    truncated: bool = False
 
 
 @dataclass
@@ -71,7 +58,6 @@ class ProgressiveResult:
     levels: list[LevelFrame]
     levels_planned: int
     nodes: int
-    truncated: bool = False  # DegradePolicy dropped the intermediate levels
     cancelled: bool = False  # a camera move cancelled the un-started tail
     cancel_after_s: float | None = None
     trace: Tracer | None = field(default=None, repr=False)
@@ -100,31 +86,6 @@ class ProgressiveResult:
     def images(self) -> list[np.ndarray]:
         return [lf.frame.image for lf in self.levels]
 
-    def preview(self, index: int = -1) -> np.ndarray:
-        """A level's image upsampled to the final resolution."""
-        if not self.levels:
-            raise ConfigError("ladder delivered no levels; nothing to preview")
-        lf = self.levels[index]
-        full = self.levels[-1] if self.levels[-1].scale == 1 else None
-        out_h = full.height if full else lf.height * lf.scale
-        out_w = full.width if full else lf.width * lf.scale
-        return upsample_bilinear(lf.frame.image, out_h, out_w)
-
-    def time_to_quality(self, rel_err: float) -> float | None:
-        """Earliest delivery time whose upsampled preview is within
-        ``rel_err`` mean-absolute error (relative to the final frame's
-        mean magnitude).  ``None`` if the ladder never reached the
-        final frame the tolerance is measured against."""
-        final = self.final
-        if final is None:
-            return None
-        norm = float(np.abs(final.image).mean()) or 1.0
-        for i, lf in enumerate(self.levels):
-            err = float(np.abs(self.preview(i) - final.image).mean()) / norm
-            if err <= rel_err:
-                return lf.t_done_s
-        return self.total_s
-
     def accounting_failures(self) -> list[str]:
         """Violated ladder identities, human-readable; empty == sound."""
         levels, delivered, planned = self.levels, len(self.levels), self.levels_planned
@@ -139,11 +100,10 @@ class ProgressiveResult:
         for lf in levels:
             total = lf.frame.timing.total_s
             rows.append((f"level {lf.index} duration vs stage total", lf.duration_s, total, 1e-9))
-        if self.cancelled or self.truncated:
+        if self.cancelled:
             rows.append(("cut ladder short of its plan", delivered < planned, True))
         else:
             rows.append(("levels delivered vs planned", delivered, planned))
-        if self.truncated or not self.cancelled:
             rows.append(("last level scale (1 = full resolution)", levels[-1].scale, 1))
         spans = {"level": delivered, "ttfp": 1}
         return row_failures(rows) + span_count_failures(self.trace, spans, cat=CAT_PROGRESSIVE)
@@ -190,20 +150,6 @@ class ProgressiveRenderer:
         grid = volume_grid(handle)
         scales = ladder_scales(self.levels)
         base_camera = r.camera
-        truncated = False
-        if r.degrade is not None and self.levels > 2:
-            # Ladder-level degrade: when full-res I/O alone threatens
-            # the deadline, drop the intermediates — coarsest preview
-            # now, exact final frame after, nothing permanently lossy.
-            # The read's report is priced from its plan; nothing is read.
-            plan = r.frame_plan(base_camera, handle)
-            report = collective_read_blocks_async(
-                handle, plan.read_blocks, r.hints, r.stripe
-            ).report
-            io_s = r.io_model.price(report, r.world.partition).seconds
-            if r.degrade.engages(io_s):
-                scales = (scales[0], 1)
-                truncated = True
         if len(scales) > 1:
             if field is None:
                 arrays, _report = collective_read_blocks(
@@ -220,32 +166,19 @@ class ProgressiveRenderer:
             else:
                 handles.append(RawHandle(RawVolume.write(pyramid[i])))
                 cameras.append(base_camera.scaled(1.0 / f))
-        return _LadderPlan(
-            scales=scales,
-            handles=handles,
-            cameras=cameras,
-            levels_planned=self.levels,
-            truncated=truncated,
-        )
+        return _LadderPlan(scales=scales, handles=handles, cameras=cameras)
 
     # -- level rendering ----------------------------------------------
 
     def render_level(self, plan: _LadderPlan, index: int) -> tuple[FrameResult, object]:
-        """Render one rung: swap in the level camera, render, restore.
-
-        The per-frame DegradePolicy is held off for the duration — the
-        ladder itself is the degrade response, and the final level's
-        bitwise contract forbids a silently scaled camera.
-        """
+        """Render one rung: swap in the level camera, render, restore."""
         r = self.renderer
-        saved_camera, saved_degrade = r.camera, r.degrade
+        saved_camera = r.camera
         r.camera = plan.cameras[index]
-        r.degrade = None
         try:
             frame = r.render_frame(plan.handles[index])
         finally:
             r.camera = saved_camera
-            r.degrade = saved_degrade
         return frame, plan.cameras[index]
 
     def emit_level(self, lf: LevelFrame, first: bool) -> None:
@@ -295,9 +228,8 @@ class ProgressiveRenderer:
         delivered = levels_before_move(level_ends(), cancel_after_s)
         return ProgressiveResult(
             levels=levels,
-            levels_planned=plan.levels_planned,
+            levels_planned=len(plan.scales),
             nodes=self.renderer.world.nprocs,
-            truncated=plan.truncated,
             cancelled=delivered < len(plan.scales),
             cancel_after_s=cancel_after_s,
             trace=self.tracer,

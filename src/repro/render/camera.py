@@ -73,8 +73,8 @@ class Camera:
     def scaled(self, factor: float) -> "Camera":
         """The same view rendered at ``factor`` times the resolution.
 
-        Used by the degraded-quality fallback: ``scaled(0.5)`` halves
-        both image dimensions (floored, min 1 pixel) while preserving
+        Used for the progressive ladder's coarse levels: ``scaled(0.5)``
+        halves both image dimensions (floored, min 1 pixel) while preserving
         the eye, view basis, field of view, and projection mode.
         """
         if factor <= 0:

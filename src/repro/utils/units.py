@@ -22,22 +22,6 @@ MS = 1e-3  # one millisecond, in seconds
 
 _DECIMAL_STEPS = [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")]
 
-_SUFFIXES = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "kib": KIB,
-    "mib": MIB,
-    "gib": GIB,
-    "tib": TIB,
-    "k": KB,
-    "m": MB,
-    "g": GB,
-    "t": TB,
-}
-
 
 def fmt_bytes(n: float) -> str:
     """Format a byte count with a decimal unit suffix.
@@ -82,25 +66,3 @@ def fmt_bandwidth(bytes_per_second: float) -> str:
     '1.30 GB/s'
     """
     return fmt_bytes(bytes_per_second) + "/s"
-
-
-def parse_bytes(text: str | int | float) -> int:
-    """Parse a human byte-size string such as ``"4 MiB"`` or ``"512k"``.
-
-    Integers and floats pass through (rounded).  Raises ``ValueError``
-    for unknown suffixes or malformed input.
-    """
-    if isinstance(text, (int, float)):
-        return int(round(text))
-    s = text.strip().lower().replace(" ", "")
-    if not s:
-        raise ValueError("empty byte-size string")
-    idx = len(s)
-    while idx > 0 and not s[idx - 1].isdigit() and s[idx - 1] != ".":
-        idx -= 1
-    num, suffix = s[:idx], s[idx:]
-    if not num:
-        raise ValueError(f"no numeric part in byte-size string {text!r}")
-    if suffix and suffix not in _SUFFIXES:
-        raise ValueError(f"unknown byte-size suffix {suffix!r} in {text!r}")
-    return int(round(float(num) * _SUFFIXES.get(suffix, 1)))

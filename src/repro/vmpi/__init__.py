@@ -28,7 +28,6 @@ from repro.vmpi.payload import VirtualPayload, payload_nbytes, snapshot
 from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, MessageBoard, Request, Status
 from repro.vmpi.context import RankContext
 from repro.vmpi.runner import MPIWorld, WorldResult
-from repro.vmpi.split import SubContext
 
 __all__ = [
     "ParallelConfig",
@@ -41,7 +40,6 @@ __all__ = [
     "Request",
     "Status",
     "RankContext",
-    "SubContext",
     "MPIWorld",
     "WorldResult",
 ]

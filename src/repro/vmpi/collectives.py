@@ -218,25 +218,6 @@ def gather(ctx: Any, value: Any, root: int = 0) -> Generator:
     return None
 
 
-def allgather(ctx: Any, value: Any) -> Generator:
-    """Recursive doubling when p is a power of two; else gather+bcast."""
-    p = ctx.size
-    if p & (p - 1) == 0:
-        tag = _coll_tag(ctx)
-        collected: dict[int, Any] = {ctx.rank: value}
-        mask = 1
-        while mask < p:
-            peer = ctx.rank ^ mask
-            req = ctx.isend(collected, peer, tag)
-            part = yield from ctx.recv(source=peer, tag=tag)
-            yield from ctx.wait(req)
-            collected.update(part)
-            mask <<= 1
-        return [collected[r] for r in range(p)]
-    gathered = yield from gather(ctx, value, root=0)
-    return (yield from bcast(ctx, gathered, root=0))
-
-
 def alltoallv(ctx: Any, by_dest: dict[int, Any]) -> Generator:
     """Sparse all-to-all: send ``by_dest[d]`` to each d; returns {src: item}.
 
@@ -274,35 +255,12 @@ def _check_root(root: int, p: int) -> None:
         raise CommunicationError(f"root {root} out of range [0, {p})")
 
 
-def _verb(algorithm: Any) -> Any:
-    """A context method running ``algorithm`` over the context, traced."""
+def verb(algorithm: Any) -> Any:
+    """A context method running ``algorithm`` over the context inside
+    :func:`traced`; call it with ``yield from``."""
 
     @functools.wraps(algorithm)
-    def verb(self: Any, *args: Any, **kwargs: Any) -> Generator:
+    def method(self: Any, *args: Any, **kwargs: Any) -> Generator:
         return (yield from traced(self, algorithm.__name__, algorithm(self, *args, **kwargs)))
 
-    return verb
-
-
-class Communicator:
-    """The collective verbs and ``split``, shared by the world's
-    :class:`~repro.vmpi.context.RankContext` and every split group.
-
-    Each verb runs this module's algorithm over ``self`` inside
-    :func:`traced`; a group carries no tracer, so its collectives stay
-    untraced.  Call them with ``yield from``.
-    """
-
-    barrier = _verb(barrier)
-    bcast = _verb(bcast)
-    reduce = _verb(reduce)
-    allreduce = _verb(allreduce)
-    gather = _verb(gather)
-    allgather = _verb(allgather)
-    alltoallv = _verb(alltoallv)
-
-    def split(self, color: Any, key: int | None = None) -> Generator:
-        """Collective MPI_Comm_split: returns this rank's group context."""
-        from repro.vmpi.split import split
-
-        return (yield from split(self, color, key))
+    return method

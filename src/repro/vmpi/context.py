@@ -20,7 +20,7 @@ def _payload_of(value: Any) -> Any:
     return value
 
 
-class RankContext(collectives.Communicator):
+class RankContext:
     """What a rank program sees: its rank, the world size, and verbs.
 
     All communication methods are generators — call them with
@@ -115,12 +115,15 @@ class RankContext(collectives.Communicator):
         """Wait for every request; returns the list of receive payloads."""
         return [v if v is None else _payload_of(v) for v in (yield AllOf(reqs))]
 
-    # -- collectives: the rest are Communicator's; a group has no GI network
+    # -- collectives: this module's algorithms over the context, traced
 
-    def gi_barrier(self) -> Generator:
-        """Hardware barrier on the global-interrupt network (no torus traffic)."""
-        return (yield from collectives.traced(
-            self, "gi_barrier", collectives.gi_barrier(self)))
+    barrier = collectives.verb(collectives.barrier)
+    gi_barrier = collectives.verb(collectives.gi_barrier)
+    bcast = collectives.verb(collectives.bcast)
+    reduce = collectives.verb(collectives.reduce)
+    allreduce = collectives.verb(collectives.allreduce)
+    gather = collectives.verb(collectives.gather)
+    alltoallv = collectives.verb(collectives.alltoallv)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RankContext {self.rank}/{self.size}>"

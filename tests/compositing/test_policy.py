@@ -7,7 +7,6 @@ from repro.compositing.policy import (
     PAPER_POLICY,
     CompositorPolicy,
     fixed_policy,
-    sqrt_policy,
 )
 from repro.utils.errors import ConfigError
 
@@ -38,17 +37,9 @@ class TestOtherPolicies:
         assert p.compositors_for(50) == 50
         assert p.compositors_for(500) == 100
 
-    def test_sqrt_policy_monotone(self):
-        p = sqrt_policy(8.0)
-        values = [p.compositors_for(n) for n in (64, 256, 1024, 4096)]
-        assert values == sorted(values)
-        assert all(1 <= v for v in values)
-
     def test_invalid_policies(self):
         with pytest.raises(ConfigError):
             fixed_policy(0)
-        with pytest.raises(ConfigError):
-            sqrt_policy(-1)
         bad = CompositorPolicy("bad", lambda n: n + 1)
         with pytest.raises(ConfigError, match="produced"):
             bad.compositors_for(4)

@@ -1,4 +1,4 @@
-"""The pipeline's compositor plumbing: pins, parity, and degrade modes.
+"""The pipeline's compositor plumbing: pins and parity.
 
 The bitwise pins are the PR's non-regression contract: a zero-fault
 default (direct-send) frame must be byte-identical to the pre-registry
@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import DegradePolicy, ParallelVolumeRenderer
+from repro.core import ParallelVolumeRenderer
 from repro.data import SupernovaModel, write_vh1_netcdf
 from repro.pio import IOHints, NetCDFHandle
 from repro.render import Camera, TransferFunction
@@ -106,29 +106,3 @@ class TestBackendSelection:
             t = res.timing
             assert t.io_s > 0 and t.render_s > 0 and t.composite_s > 0
             assert t.total_s == pytest.approx(t.io_s + t.render_s + t.composite_s)
-
-
-class TestDegradeViaErrorBudget:
-    DEADLINE = DegradePolicy(frame_deadline_s=1e-6, error_budget=0.1)
-
-    def test_deadline_pressure_spends_error_budget(self):
-        """With puzzlepiece, degrade keeps full resolution and drops
-        low-contribution pieces instead of shrinking the image."""
-        res = render(
-            16, 8, 48, 0.8, compositor="puzzlepiece", degrade=self.DEADLINE
-        )
-        assert res.degraded
-        assert res.image.shape == (48, 48, 4)  # resolution kept
-        assert res.compose_stats["pieces_dropped"] > 0
-        assert res.compose_stats["error_bound"] <= 0.1
-
-    def test_exact_backend_falls_back_to_resolution_scaling(self):
-        res = render(16, 8, 48, 0.8, degrade=self.DEADLINE)
-        assert res.degraded
-        assert res.image.shape == (24, 24, 4)  # the blunt knob
-
-    def test_no_pressure_no_degrade(self):
-        relaxed = DegradePolicy(frame_deadline_s=1e6, error_budget=0.1)
-        res = render(16, 8, 48, 0.8, compositor="puzzlepiece", degrade=relaxed)
-        assert not res.degraded
-        assert res.compose_stats["pieces_dropped"] == 0

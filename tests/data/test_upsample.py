@@ -6,7 +6,6 @@ import pytest
 from repro.data.synthetic import SupernovaModel
 from repro.data.upsample import (
     input_region_for_output_block,
-    upsample_bilinear,
     upsample_parallel_program,
     upsample_trilinear,
 )
@@ -95,64 +94,3 @@ class TestParallelUpsample:
             sl = tuple(slice(s, s + c) for s, c in zip(b.start, b.count))
             assembled[sl] = out
         assert np.allclose(assembled, serial, atol=1e-5)
-
-
-class TestBilinearUpsample:
-    """upsample_bilinear: the ladder-preview path (2D images)."""
-
-    def test_output_shape_and_dtype(self, rng):
-        img = rng.random((6, 8)).astype(np.float32)
-        out = upsample_bilinear(img, 12, 16)
-        assert out.shape == (12, 16)
-        assert out.dtype == np.float32
-
-    def test_channel_axis_broadcasts(self, rng):
-        img = rng.random((6, 8, 3)).astype(np.float32)
-        out = upsample_bilinear(img, 12, 16)
-        assert out.shape == (12, 16, 3)
-        # Each channel upsamples independently.
-        for c in range(3):
-            assert np.allclose(out[..., c], upsample_bilinear(img[..., c], 12, 16))
-
-    def test_same_size_round_trip_is_a_copy(self, rng):
-        img = rng.random((5, 7)).astype(np.float32)
-        out = upsample_bilinear(img, 5, 7)
-        assert np.array_equal(out, img)
-        assert out is not img
-
-    def test_endpoints_preserved(self, rng):
-        img = rng.random((4, 4)).astype(np.float32)
-        out = upsample_bilinear(img, 9, 9)
-        assert out[0, 0] == pytest.approx(img[0, 0])
-        assert out[-1, -1] == pytest.approx(img[-1, -1])
-        assert out[0, -1] == pytest.approx(img[0, -1])
-
-    def test_linear_image_upsamples_exactly(self):
-        y, x = np.meshgrid(np.arange(5.0), np.arange(6.0), indexing="ij")
-        img = (3 * x - 2 * y).astype(np.float32)
-        out = upsample_bilinear(img, 9, 11)
-        yy, xx = np.meshgrid(
-            np.linspace(0, 4, 9), np.linspace(0, 5, 11), indexing="ij"
-        )
-        assert np.allclose(out, (3 * xx - 2 * yy).astype(np.float32), atol=1e-5)
-
-    def test_value_range_preserved(self, rng):
-        img = rng.random((6, 6)).astype(np.float32)
-        out = upsample_bilinear(img, 24, 24)
-        assert out.min() >= img.min() - 1e-6
-        assert out.max() <= img.max() + 1e-6
-
-    def test_downsample_round_trip_stays_correlated(self):
-        """Coarse render -> bilinear preview approximates the full-res
-        frame structure (what time_to_quality measures)."""
-        model = SupernovaModel((12, 12, 12))
-        img = model.field("vx")[:, :, 6]
-        up = upsample_bilinear(upsample_bilinear(img, 6, 6), 12, 12)
-        corr = np.corrcoef(up.ravel(), img.ravel())[0, 1]
-        assert corr > 0.8
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            upsample_bilinear(np.zeros((4,), np.float32), 8, 8)
-        with pytest.raises(ConfigError):
-            upsample_bilinear(np.zeros((4, 4), np.float32), 0, 8)

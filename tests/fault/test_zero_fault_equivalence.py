@@ -56,7 +56,6 @@ class TestPipelineEquivalence:
     def test_no_fault_report_on_empty_plan(self, scene):
         empty = _frame(scene, FaultPlan.none())
         assert empty.fault is None
-        assert empty.degraded is False
 
     def test_trace_bitwise_identical(self, scene):
         t0, t1 = Tracer(enabled=True), Tracer(enabled=True)

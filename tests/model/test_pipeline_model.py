@@ -118,11 +118,16 @@ class TestConfigHandling:
         assert e.total_s > 0
 
 
+def core_seconds(fm, cores):
+    """Machine cost of one frame: cores x wall time."""
+    return cores * fm.estimate(cores).total_s
+
+
 class TestMachineCost:
     def test_core_seconds_grow_with_partition(self, fm):
         """The Fig. 5 remark, quantified: past the render-bound regime
         the machine cost per frame rises steeply with partition size."""
-        costs = {c: fm.estimate(c).core_seconds for c in (512, 2048, 16384, 32768)}
+        costs = {c: core_seconds(fm, c) for c in (512, 2048, 16384, 32768)}
         assert costs[2048] < costs[16384] < costs[32768]
         # At 32K the frame costs ~9x the core-seconds of the 2K run.
         assert costs[32768] > 8 * costs[2048]
@@ -130,6 +135,6 @@ class TestMachineCost:
     def test_small_partitions_render_bound_cost_flat(self, fm):
         """While rendering dominates, doubling cores is nearly free in
         core-seconds (the work is the same, just spread out)."""
-        c64 = fm.estimate(64).core_seconds
-        c128 = fm.estimate(128).core_seconds
+        c64 = core_seconds(fm, 64)
+        c128 = core_seconds(fm, 128)
         assert c128 < 1.5 * c64

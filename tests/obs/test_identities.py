@@ -9,14 +9,16 @@ identity — one field, one span, or one clock shift — and asserts the
 checker reports something.  Message text is never matched.  Two rows
 cannot help breaking a second identity too: a disabled cache's hit is
 also a doubly flagged record, and a first level landing after the last
-is also a level clock that does not increase.
+is also a level clock that does not increase.  Likewise, every row that
+moves one end of a frame's compute span, or its demand, also breaks
+that span's identity with the demand.
 
 Bases: the default farm scenario (as is, with its result cache off, and
 with ``orbit0`` submitted as one campaign job), ``flash`` (edge and
 admission; with coalescing off it sheds), the interactive miniature
 (ladders), a compute-bound pipeline schedule, a 3-frame
-depth-2 pipelined campaign with its campaign trace, and a 3-level
-ladder with a tracer (complete, and truncated by a deadline).
+depth-2 pipelined campaign with its campaign trace, and a complete
+3-level ladder with a tracer.
 
 Two identities are deliberately not rows: ``overlap_saved_s ==
 sequential_s - makespan_s`` and ``ttfp_s == levels[0].t_done_s`` state
@@ -31,7 +33,6 @@ import dataclasses
 import pytest
 
 from repro.core import ParallelVolumeRenderer, PipelinedTimeSeriesRenderer
-from repro.core.pipeline import DegradePolicy
 from repro.core.timeseries import simulate_pipeline
 from repro.data import SupernovaModel, extract_variable_raw
 from repro.farm import default_scenario, flash_scenario, interactive_selftest_scenario
@@ -78,12 +79,10 @@ def _campaign():
     )
 
 
-def _ladder(degrade=None):
+def _ladder():
     model = SupernovaModel(GRID, seed=1530)
     handle = RawHandle(extract_variable_raw(model, "vx"))
-    ladder = ProgressiveRenderer(
-        _renderer(degrade=degrade), levels=3, tracer=Tracer(enabled=True)
-    )
+    ladder = ProgressiveRenderer(_renderer(), levels=3, tracer=Tracer(enabled=True))
     return ladder.render_ladder(handle, field=model.field("vx"))
 
 
@@ -99,7 +98,6 @@ BASES = {
     # and one read's clock can move without touching another identity.
     "timeline": lambda: simulate_pipeline([1.0] * 3, [5.0] * 3, prefetch_depth=2),
     "ladder": _ladder,
-    "truncated": lambda: _ladder(DegradePolicy(frame_deadline_s=1e-6)),
 }
 
 _cache: dict[str, object] = {}
@@ -294,6 +292,9 @@ TIMELINE_ROWS = {
     "compute-in-order": (
         "timeline", lambda t: _slot(t, 0, compute_done_s=t.slots[1].compute_start_s + 1.0)
     ),
+    "compute-span-is-demand": (
+        "timeline", lambda t: _slot(t, 0, compute_demand_s=lambda s: s.compute_demand_s + 1.0)
+    ),
     "read-after-issue": (
         "timeline", lambda t: _slot(t, 1, read_start_s=lambda s: s.read_issue_s - 1.0)
     ),
@@ -346,8 +347,6 @@ LADDER_ROWS = {
     "level-duration": ("ladder", lambda p: _bump(p.levels[-1], "t_done_s", 1.0)),
     "complete-delivers-plan": ("ladder", lambda p: _bump(p, "levels_planned")),
     "complete-ends-full-res": ("ladder", lambda p: _set(p.levels[-1], scale=2)),
-    "truncated-drops-levels": ("ladder", lambda p: _set(p, truncated=True)),
-    "truncated-keeps-final": ("truncated", lambda p: _set(p.levels[-1], scale=2)),
     "cancelled-drops-levels": ("ladder", lambda p: _set(p, cancelled=True)),
     "level-spans": ("ladder", lambda p: _drop_span(p.trace, "level")),
     "ttfp-marker": ("ladder", lambda p: _drop_span(p.trace, "ttfp")),

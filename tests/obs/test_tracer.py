@@ -13,7 +13,6 @@ from repro.obs import (
     Span,
     Tracer,
     chrome_trace,
-    span_summary,
     stage_report,
     write_chrome_trace,
 )
@@ -103,11 +102,6 @@ class TestChromeExport:
         write_chrome_trace(self._tracer(), str(path))
         doc = json.loads(path.read_text())
         assert doc["otherData"]["counters"] == {"messages": 1}
-
-    def test_span_summary(self):
-        agg = span_summary(self._tracer())
-        assert agg[CAT_STAGE]["count"] == 2
-        assert agg[CAT_COMM]["seconds"] == 0.25
 
 
 class TestStageReport:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelVolumeRenderer
-from repro.core.pipeline import DegradePolicy
 from repro.data import SupernovaModel, extract_variable_raw
 from repro.obs import Tracer
 from repro.pio import RawHandle
@@ -18,7 +17,7 @@ IMAGE = 24
 CORES = 8
 
 
-def make_renderer(compositor="directsend", workers=1, degrade=None):
+def make_renderer(compositor="directsend", workers=1):
     model = SupernovaModel(GRID, seed=1530)
     handle = RawHandle(extract_variable_raw(model, "vx"))
     camera = Camera.looking_at_volume(GRID, width=IMAGE, height=IMAGE)
@@ -26,7 +25,7 @@ def make_renderer(compositor="directsend", workers=1, degrade=None):
     parallel = ParallelConfig(workers=workers) if workers > 1 else None
     renderer = ParallelVolumeRenderer(
         MPIWorld.for_cores(CORES), camera, tf, step=0.8,
-        parallel=parallel, compositor=compositor, degrade=degrade,
+        parallel=parallel, compositor=compositor,
     )
     return renderer, handle, model.field("vx")
 
@@ -93,20 +92,6 @@ class TestLadder:
         assert sum(1 for s in spans if s.name == "level") == 3
         assert sum(1 for s in spans if s.name == "ttfp") == 1
 
-    def test_preview_upsamples_to_final_resolution(self):
-        renderer, handle, field = make_renderer()
-        result = ProgressiveRenderer(renderer, levels=3).render_ladder(
-            handle, field=field
-        )
-        preview = result.preview(0)
-        assert preview.shape == result.final.image.shape
-        # A large tolerance is met by the first level already; tighter
-        # ones only later — time to quality is monotone in the bound.
-        loose = result.time_to_quality(10.0)
-        assert loose == result.levels[0].t_done_s
-        exact = result.time_to_quality(0.0)
-        assert exact == result.total_s
-
     def test_rejects_bad_levels(self):
         renderer, _, _ = make_renderer()
         with pytest.raises(ConfigError):
@@ -114,46 +99,30 @@ class TestLadder:
 
 
 class TestDegradeTruncation:
-    def test_deadline_pressure_drops_intermediates(self):
-        """A DegradePolicy the full-res I/O alone engages truncates the
-        ladder to (coarsest, final) — never a degraded final frame."""
-        degrade = DegradePolicy(frame_deadline_s=1e-6)
-        renderer, handle, field = make_renderer(degrade=degrade)
-        result = ProgressiveRenderer(renderer, levels=3).render_ladder(
-            handle, field=field
-        )
-        assert result.truncated
-        assert len(result.levels) == 2
-        assert result.levels[0].scale == 4 and result.levels[-1].scale == 1
-        assert result.accounting_failures() == []
-        # The final frame still matches the direct render bitwise: the
-        # per-frame degrade is held off inside the ladder.
-        oracle_renderer, oracle_handle, _ = make_renderer()
-        direct = oracle_renderer.render_frame(oracle_handle)
-        assert np.array_equal(result.final.image, direct.image)
-        assert not result.final.degraded
+    """A camera move truncates the ladder to its coarse (degraded)
+    levels; un-started levels never touch the store."""
 
-    @pytest.mark.parametrize("deadline_s", (1e-6, 1e9))
-    def test_prepare_prices_io_without_reading(self, deadline_s, monkeypatch):
-        """The ladder's degrade check prices the read's plan: with the
-        pyramid's field given, preparing reads nothing from the store."""
-        renderer, handle, field = make_renderer(
-            degrade=DegradePolicy(frame_deadline_s=deadline_s)
-        )
+    @pytest.mark.parametrize("cancel_after_s", (1e-6, 1e9))
+    def test_prepare_prices_io_without_reading(self, cancel_after_s, monkeypatch):
+        """With the pyramid's field given, preparing the ladder reads
+        nothing from the store: every byte the store serves is the
+        final level's own priced collective read, and a move before
+        the final level starts leaves the store unread."""
+        renderer, handle, field = make_renderer()
         reads = []
         read = handle.store.read
         monkeypatch.setattr(
             handle.store, "read", lambda off, n: reads.append((off, n)) or read(off, n)
         )
-        plan = ProgressiveRenderer(renderer, levels=3).prepare(handle, field=field)
-        assert plan.truncated == (deadline_s < 1)
+        ladder = ProgressiveRenderer(renderer, levels=3)
+        plan = ladder.prepare(handle, field=field)
+        assert plan.scales == (4, 2, 1)
         assert reads == []
-
-    def test_loose_deadline_keeps_every_level(self):
-        degrade = DegradePolicy(frame_deadline_s=1e9)
-        renderer, handle, field = make_renderer(degrade=degrade)
-        result = ProgressiveRenderer(renderer, levels=3).render_ladder(
-            handle, field=field
-        )
-        assert not result.truncated
-        assert len(result.levels) == 3
+        result = ladder.render_ladder(handle, field=field, cancel_after_s=cancel_after_s)
+        assert result.cancelled == (cancel_after_s < 1)
+        assert result.accounting_failures() == []
+        read_bytes = sum(n for _, n in reads)
+        if result.final is None:
+            assert read_bytes == 0
+        else:
+            assert read_bytes == result.final.io_report.physical_bytes > 0

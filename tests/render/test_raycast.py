@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DegradePolicy, ParallelVolumeRenderer
-from repro.data import write_vh1_netcdf
-from repro.pio import NetCDFHandle
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
 from repro.render.image import blank_image, composite_over
@@ -19,7 +16,6 @@ from repro.render.raycast import (
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
-from repro.vmpi import MPIWorld
 
 TOL = 5e-3  # early-termination threshold dominates the error budget
 
@@ -101,16 +97,6 @@ class TestRenderBlock:
         vb = VolumeBlock.whole(np.ones((4, 4, 4), np.float32))
         with pytest.raises(ConfigError, match="early_termination"):
             render_block(small_camera, vb, gray_tf, early_termination=et)
-
-    def test_degrade_policy_early_termination_is_checked(self, supernova, small_camera):
-        # The frame hands DegradePolicy.early_termination to render_block.
-        handle = NetCDFHandle(write_vh1_netcdf(supernova), "vx")
-        renderer = ParallelVolumeRenderer(
-            MPIWorld.for_cores(4), small_camera, TransferFunction.supernova(),
-            degrade=DegradePolicy(frame_deadline_s=1e-9, early_termination=0.0),
-        )
-        with pytest.raises(ConfigError, match="early_termination"):
-            renderer.render_frame(handle)
 
     def test_alpha_in_unit_range(self, small_camera, gray_tf, rng):
         vb = VolumeBlock.whole(rng.random((12, 12, 12)).astype(np.float32))

@@ -1,18 +1,6 @@
 """Units and formatting."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.utils.units import (
-    GB,
-    GIB,
-    KIB,
-    MIB,
-    fmt_bandwidth,
-    fmt_bytes,
-    fmt_time,
-    parse_bytes,
-)
+from repro.utils.units import fmt_bandwidth, fmt_bytes, fmt_time
 
 
 class TestFormatting:
@@ -33,32 +21,3 @@ class TestFormatting:
 
     def test_fmt_bandwidth(self):
         assert fmt_bandwidth(1.3e9) == "1.30 GB/s"
-
-
-class TestParseBytes:
-    def test_suffixes(self):
-        assert parse_bytes("4 MiB") == 4 * MIB
-        assert parse_bytes("512k") == 512_000
-        assert parse_bytes("2GiB") == 2 * GIB
-        assert parse_bytes("1.5 GB") == int(1.5 * GB)
-        assert parse_bytes("100") == 100
-
-    def test_numbers_pass_through(self):
-        assert parse_bytes(1024) == 1024
-        assert parse_bytes(10.6) == 11
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            parse_bytes("")
-        with pytest.raises(ValueError):
-            parse_bytes("12 parsecs")
-        with pytest.raises(ValueError):
-            parse_bytes("MiB")
-
-    @given(st.integers(min_value=0, max_value=10**15))
-    def test_roundtrip_plain_integers(self, n):
-        assert parse_bytes(str(n)) == n
-
-    def test_kib_vs_kb(self):
-        assert parse_bytes("1KiB") == KIB
-        assert parse_bytes("1KB") == 1000

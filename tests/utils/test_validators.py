@@ -64,9 +64,9 @@ class TestValidators:
 NAN = float("nan")
 INF = float("inf")
 
-#: Integer knobs given a non-integer, and a NaN or infinite stage demand:
-#: each once reached a raw TypeError or SimulationError mid-run, ran
-#: silently, or truncated.
+#: Integer knobs given a non-integer, and a NaN, infinite or negative
+#: stage demand: each once reached a raw TypeError or SimulationError
+#: mid-run, ran silently, or truncated.
 KNOB_CASES = {
     "workers=2.5": lambda: ParallelConfig(workers=2.5),
     "workers='2'": lambda: ParallelConfig(workers="2"),
@@ -77,6 +77,8 @@ KNOB_CASES = {
     "read demand nan": lambda: simulate_pipeline([NAN], [1.0]),
     "read demand inf": lambda: simulate_pipeline([INF], [1.0]),
     "compute demand inf": lambda: simulate_pipeline([1.0], [INF]),
+    "compute demand nan": lambda: simulate_pipeline([1.0, 1.0], [1.0, NAN]),
+    "compute demand negative": lambda: simulate_pipeline([1.0, 1.0], [-5.0, 1.0]),
     "stage demands overflow": lambda: simulate_pipeline([1e308, 1e308], [0.0, 0.0]),
 }
 

@@ -118,14 +118,6 @@ class TestGatherScatter:
         res = run(p, program)
         assert res[0] == [2 * r for r in range(p)]
 
-    @pytest.mark.parametrize("p", SIZES)
-    def test_allgather(self, p):
-        def program(ctx):
-            return (yield from ctx.allgather(ctx.rank**2))
-
-        res = run(p, program)
-        assert all(v == [r * r for r in range(p)] for v in res.values)
-
 
 class TestAlltoall:
     @pytest.mark.parametrize("p", (2, 4, 8))

@@ -162,31 +162,6 @@ def _sendrecv_ring(ctx):
     return got
 
 
-def _split(ctx):
-    """Three colour groups in reverse key order; group traffic shares a
-    user tag with parent traffic and must not cross-match."""
-    sub = yield from ctx.split(ctx.rank % 3, key=-ctx.rank)
-    log = []
-    total = yield from sub.allreduce(ctx.rank)
-    req = sub.isend(np.full(2 + sub.rank, ctx.rank), (sub.rank + 1) % sub.size, tag=5)
-    payload, st = yield from sub.recv_status(source=(sub.rank - 1) % sub.size, tag=5)
-    log.append((st.source, st.tag, st.nbytes, ctx.now))
-    yield from sub.wait(req)
-    req = ctx.isend(ctx.rank, (ctx.rank + 1) % ctx.size, tag=5)
-    from_parent = yield from ctx.recv(tag=5)
-    yield from ctx.wait(req)
-    reqs = sub.isend_many(
-        [(d, VirtualPayload(100 * (d + 1))) for d in range(sub.size) if d != sub.rank],
-        tag=6,
-    )
-    for _ in range(sub.size - 1):
-        _p, st = yield from sub.recv_status(tag=6)
-        log.append((st.source, st.tag, st.nbytes, ctx.now))
-    yield from sub.waitall(reqs)
-    members = yield from sub.gather(ctx.rank, root=0)
-    return sub.rank, sub.size, total, payload.tolist(), from_parent, log, members, ctx.now
-
-
 def _request_mix(ctx):
     """isend / irecv handles waited singly, together and twice."""
     n = ctx.size
@@ -214,7 +189,6 @@ CASES = {
     "collectives_12": (12, _collectives, 2.5e-4),
     "wildcards_8": (8, _wildcards, 2.5e-4),
     "sendrecv_ring_16": (16, _sendrecv_ring, 1e-4),
-    "split_16": (16, _split, 3e-4),
     "request_mix_8": (8, _request_mix, 5e-5),
 }
 
@@ -333,15 +307,6 @@ PINS = {
     ('sendrecv_ring_16', 'sharded', 'empty'): 'e90baef653b2e7a2',
     ('sendrecv_ring_16', 'sharded', 'crash'): '6013a3dd90d688b1',
     ('sendrecv_ring_16', 'sharded', 'link'): '15f37a4d26d0137c',
-    ('split_16', 'mono', 'none'): 'cd3480893ab609f8',
-    ('split_16', 'mono', 'empty'): '7d31df8e67f102ce',
-    ('split_16', 'mono', 'crash'): '0282c4169b46c58c',
-    ('split_16', 'mono', 'link'): '7e9e36aaee66009f',
-    ('split_16', 'mono', 'dropdup'): '84bc3449ab36bbf9',
-    ('split_16', 'sharded', 'none'): 'c2d1d5d1c6083c36',
-    ('split_16', 'sharded', 'empty'): 'c1fe6372a14d59fe',
-    ('split_16', 'sharded', 'crash'): '7f3200a56c55b819',
-    ('split_16', 'sharded', 'link'): '6c049a2aa6e99a92',
     ('wildcards_8', 'mono', 'none'): '45ba43950a367ba9',
     ('wildcards_8', 'mono', 'empty'): 'de73d449c60fc048',
     ('wildcards_8', 'mono', 'crash'): '44687a6a50ee75df',
