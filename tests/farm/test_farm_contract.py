@@ -245,6 +245,8 @@ SCENARIOS = {
     "default-no-coalesce": lambda: default_scenario(coalesce=False),
     "default-x8-cache16": lambda: _times(default_scenario(result_cache_entries=16), 8),
     "default-x8-cache4": lambda: _times(default_scenario(result_cache_entries=4), 8),
+    # farm_capacity_19k's traffic at a tenth of its x80 scale.
+    "capacity": lambda: _times(default_scenario(seed=1530, result_cache_entries=16), 8),
     "flash": flash_scenario,
     "flash-no-coalesce": lambda: flash_scenario(coalesce=False),
     "flash-no-edge": lambda: flash_scenario(edge=False),
@@ -317,6 +319,9 @@ PINS = {
     ),
     "default-x8-cache4": (
         "rec=d3d3e33011 span=a2fd722c94 sum=6d5cf60250 rep=ed34ec0d58 log=2dc326ee60 book=0f33077352"
+    ),
+    "capacity": (
+        "rec=ed46ae3371 span=419cdb924c sum=0c026b78af rep=df9a7d24f7 log=cbb9170a0e book=39de33815f"
     ),
     "flash": (
         "rec=4471df3b96 span=a00341beaf sum=ed5f988361 rep=c2efd43a0e log=363f0e1f5d book=4f49ecf6c6"
