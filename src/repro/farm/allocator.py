@@ -93,6 +93,9 @@ class NodeAllocator:
         self.total_nodes = int(total_nodes)
         # Sorted, disjoint, coalesced [lo, hi) free intervals.
         self._free: list[tuple[int, int]] = [(0, self.total_nodes)]
+        # Bumped by every change to the free list; the farm keys its
+        # memoised EASY reservation on it.
+        self.version = 0
 
     @property
     def free_nodes(self) -> int:
@@ -118,6 +121,7 @@ class NodeAllocator:
         if found is None:
             return None
         idx, start = found
+        self.version += 1
         lo, hi = self._free[idx]
         replacement = []
         if start > lo:
@@ -146,6 +150,7 @@ class NodeAllocator:
                 if hi < fhi:
                     replacement.append((hi, fhi))
                 self._free[idx : idx + 1] = replacement
+                self.version += 1
                 return
         raise ConfigError(
             f"cannot reserve {interval!r}: nodes are allocated or already reserved"
@@ -170,6 +175,7 @@ class NodeAllocator:
             else:
                 merged.append((ilo, ihi))
         self._free = merged
+        self.version += 1
 
     def _find(self, size: int) -> tuple[int, int] | None:
         """(free-list index, aligned start) of the first fit, or None."""

@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 from repro.farm.request import FrameRequest
+from repro.model.constants import DEFAULT_CONSTANTS
+from repro.model.pipeline import DATASETS, FrameModel
+from repro.utils.errors import ConfigError
 
 
 @dataclass
@@ -109,8 +112,6 @@ class ModelBackend:
     name = "model"
 
     def __init__(self, constants: Any = None):
-        from repro.model.constants import DEFAULT_CONSTANTS
-
         self._constants = constants or DEFAULT_CONSTANTS
         self._models: dict[str, Any] = {}
         self._estimates: dict[tuple, Any] = {}
@@ -121,8 +122,6 @@ class ModelBackend:
         """The memoized priced estimate; ``count=False`` skips the
         plan-tier hit/miss books (internal probes, e.g. the RAW
         estimate a progressive ladder prices coarse levels from)."""
-        from repro.model.pipeline import DATASETS, FrameModel
-
         key = (dataset, int(cores), io_mode)
         est = self._estimates.get(key)
         if est is not None:
@@ -139,9 +138,6 @@ class ModelBackend:
         return est
 
     def render(self, request: FrameRequest, cores: int) -> tuple[float, Any]:
-        from repro.model.pipeline import DATASETS
-        from repro.utils.errors import ConfigError
-
         if request.dataset not in DATASETS:
             raise ConfigError(
                 f"model backend knows datasets {sorted(DATASETS)}, "
@@ -374,8 +370,6 @@ BACKENDS = {"model": ModelBackend, "execute": ExecuteBackend}
 
 def backend_for(mode: str, **kwargs: Any) -> ServiceBackend:
     """Factory used by scenarios: ``model`` or ``execute``."""
-    from repro.utils.errors import ConfigError
-
     if mode not in BACKENDS:
         raise ConfigError(f"unknown farm backend {mode!r}; choose 'model' or 'execute'")
     return BACKENDS[mode](**kwargs)

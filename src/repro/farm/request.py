@@ -18,12 +18,15 @@ each per arrival.  A request's ``rid`` string is built once, at
 construction, and kept in a slot outside the dataclass fields, so every
 span, the ``done`` future and the allocation log of one request share
 one string, and ``dataclasses.fields`` / ``astuple`` see exactly the
-declared fields.
+declared fields.  ``FrameRequest(...)`` fills its slots through their
+descriptors (:func:`~repro.utils.slots.slot_init`) and stays frozen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+
+from repro.utils.slots import slot_init
 
 
 class _RidSlot:
@@ -32,6 +35,7 @@ class _RidSlot:
     __slots__ = ("rid",)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FrameRequest(_RidSlot):
     """One client's ask: render this frame on that many cores.

@@ -43,6 +43,15 @@ scheduler, in strict order:
   reserved time every backfilled interval has been freed again, so the
   machine state the reservation was computed against is restored.
 
+A dispatch pass runs only after a change that could let a queued job
+start (:meth:`RenderFarm._kick`).  A request served now is not one: it
+frees no node and caches no key, and since the last pass the free list
+has only shrunk, the reservation only moved earlier and every backfill
+window only narrowed, so a pass after it would start nothing.  The
+reservation replay is memoised on the head's size and
+``allocator.version`` (:meth:`RenderFarm._reservation`), which every
+``alloc``, ``free`` and ``reserve`` bumps, and ``_stop_at`` too.
+
 Every request emits ``queue`` and ``serve`` spans (plus ``alloc`` for
 the rendered ones) in :data:`CAT_FARM`; edge hits and coalesced waiters
 add zero-length markers in :data:`CAT_EDGE`, rejections in
@@ -84,7 +93,7 @@ from repro.sim.events import Future
 from repro.utils.errors import ConfigError
 
 
-@dataclass
+@dataclass(slots=True)
 class _Job:
     """One admitted render job waiting for or holding nodes.
 
@@ -171,6 +180,9 @@ class RenderFarm:
         self._total = workload.total_requests
         self._completed = 0
         self._dispatch_due = False  # a dispatch pass is scheduled or running
+        self._nodes_for: dict[int, int] = {}  # cores -> partition size
+        # The last reservation replay: ((head size, allocator version), time).
+        self._reservation_memo: tuple[tuple[int, int], float] = ((0, -1), math.inf)
         self._util_node_s = 0.0
         self._ran = False
 
@@ -272,9 +284,8 @@ class RenderFarm:
                 self.records.append(record)
                 self._serve_now(
                     record, done, payload, "edge_hit", "edge",
-                    ("edge-hit", CAT_EDGE), region=request.region,
+                    ("edge-hit", CAT_EDGE), "region", request.region,
                 )
-                self._kick()
                 return done
 
         payload = self.result_cache.lookup(key)
@@ -283,7 +294,6 @@ class RenderFarm:
             self.records.append(record)
             self._fill_edge(request, key, payload)
             self._serve_now(record, done, payload, "cache_hit", "cached")
-            self._kick()
             return done
 
         if request.is_progressive:
@@ -320,7 +330,9 @@ class RenderFarm:
                 primary.waiters.append((record, done))
                 return done
 
-        nodes = self.size_policy.nodes_for(request.cores)
+        nodes = self._nodes_for.get(request.cores)
+        if nodes is None:
+            nodes = self._nodes_for[request.cores] = self.size_policy.nodes_for(request.cores)
         if nodes > self.pool.max_nodes:
             raise ConfigError(
                 f"request {request.rid} needs a {nodes}-node partition but the "
@@ -335,7 +347,7 @@ class RenderFarm:
             self.rejected.append(record)
             self._serve_now(
                 record, done, None, "rejected", None,
-                ("reject", CAT_ADMIT), tier=request.tier,
+                ("reject", CAT_ADMIT), "tier", request.tier,
             )
             return done
 
@@ -349,7 +361,7 @@ class RenderFarm:
 
     def _serve_now(
         self, record: RequestRecord, done: Future, payload: Any, flag: str,
-        tag: str | None, marker: tuple[str, str] | None = None, **marker_args: Any,
+        tag: str | None, marker: tuple[str, str] | None = None, *marker_kv: Any,
     ) -> None:
         """Finish a request that never holds a partition: done *now*.
 
@@ -357,8 +369,9 @@ class RenderFarm:
         labels the ``serve`` span of the ``queue``/``serve`` pair
         (``None``: never served, no pair); ``marker`` is the ``(name,
         category)`` of the zero-length span that reconciles with the
-        flag's counter.  Whatever else differs between the endings — an
-        edge fill, whether a dispatch pass is due — is the caller's line.
+        flag's counter, ``marker_kv`` its flat arguments.  Whatever else
+        differs between the endings — an edge fill, whether a dispatch
+        pass is due — is the caller's line.
         """
         now = self.engine.now
         record.t_hold = record.t_serve = record.t_done = now
@@ -366,18 +379,21 @@ class RenderFarm:
         record.payload = payload
         if tag is not None:
             self._span(record, "queue", CAT_FARM, record.t_arrive, now)
-            self._span(record, "serve", CAT_FARM, now, now, **{tag: True})
+            self._span(record, "serve", CAT_FARM, now, now, tag, True)
         if marker is not None:
-            self._span(record, *marker, now, now, **marker_args)
+            self._span(record, *marker, now, now, *marker_kv)
         self._note_completed()
         done.resolve(record)
 
     def _span(
-        self, record: RequestRecord, name: str, cat: str, t0: float, t1: float, **args: Any
+        self, record: RequestRecord, name: str, cat: str, t0: float, t1: float, *kv: Any
     ) -> None:
-        """One span on the request's session lane, tagged with its rid."""
+        """One span on the request's session lane, tagged with its rid;
+        ``kv`` is the rest of its arguments, flat: ``key, value, ...``."""
         request = record.request
-        self.tracer.span(self._lane[request.session], name, cat, t0, t1, req=request.rid, **args)
+        self.tracer.span_kv(
+            self._lane[request.session], name, cat, t0, t1, ("req", request.rid, *kv)
+        )
 
     def _fill_edge(self, request: FrameRequest, key: tuple, payload: Any) -> None:
         if self.edge is not None:
@@ -401,9 +417,13 @@ class RenderFarm:
 
     def _kick(self) -> None:
         """Run a dispatch pass at this instant, after the current event.
-        One pass serves every kick raised before it ends, also those
-        raised inside it: a second pass would find free nodes only
-        shrunk, caches probed, prices memoised, reservations written."""
+
+        Called by whatever could let a queued job start: a submit that
+        queues, a finish, a kill, a grown pool, a repaired node; never
+        by a request served now.  One pass serves every kick raised
+        before it ends, also those raised inside it: a second pass would
+        find free nodes only shrunk, caches probed, prices memoised,
+        reservations written."""
         if not self._dispatch_due:
             self._dispatch_due = True
             self.engine.schedule(0.0, self._dispatch)
@@ -431,7 +451,7 @@ class RenderFarm:
             elif shadow is None:
                 # Head blocked: reserve its earliest possible start, then
                 # let later jobs backfill without touching that reservation.
-                shadow = self._shadow_time(job)
+                shadow = self._reservation(job)
                 if job.record.reserved_start is None and math.isfinite(shadow):
                     job.record.reserved_start = shadow
                 if not self.backfill:
@@ -458,6 +478,23 @@ class RenderFarm:
         self._serve_now(job.record, job.done, payload, "cache_hit", "cached")
         self._resolve_waiters(job, payload)
         return True
+
+    def _reservation(self, job: _Job) -> float:
+        """:meth:`_shadow_time`, replayed only when the machine changed.
+
+        The replay reads the free list and the running jobs' intervals
+        and end times.  Each change to those bumps
+        ``allocator.version``: ``alloc``, ``free`` and ``reserve`` do
+        (a job starts or ends with one of them), and so does
+        :meth:`_stop_at`, which moves a running job's end.  An equal
+        (head size, version) key therefore replays to an equal time.
+        """
+        key = (job.nodes, self.allocator.version)
+        memo_key, shadow = self._reservation_memo
+        if key != memo_key:
+            shadow = self._shadow_time(job)
+            self._reservation_memo = (key, shadow)
+        return shadow
 
     def _shadow_time(self, job: _Job) -> float:
         """Earliest time ``job`` fits, replaying running jobs' releases."""
@@ -518,6 +555,7 @@ class RenderFarm:
         unserved = job.nodes * (job.record.t_done - t)
         self._util_node_s -= unserved
         job.record.t_done = t
+        self.allocator.version += 1  # a reservation replay reads t_done
         rid, interval, t_hold, _ = self.allocation_log[job.log_i]
         self.allocation_log[job.log_i] = (rid, interval, t_hold, t)
         return unserved
@@ -562,7 +600,7 @@ class RenderFarm:
         prev_end = 0.0 if lvl == 0 else payload.level_end_s[lvl - 1]
         self._span(
             record, "level", CAT_PROGRESSIVE, record.t_serve + prev_end, self.engine.now,
-            level=lvl, edge=payload.edges[lvl],
+            "level", lvl, "edge", payload.edges[lvl],
         )
         record.levels_done += 1
         self._levels_published += 1
@@ -604,7 +642,7 @@ class RenderFarm:
         job.events[delivered:] = [self.engine.schedule_at(new_end, partial(self._finish, job))]
         self._span(
             record, "ladder-cancelled", CAT_PROGRESSIVE, now, now,
-            completes=delivered, of=job.payload.levels,
+            "completes", delivered, "of", job.payload.levels,
         )
 
     def _finish(self, job: _Job) -> None:
@@ -612,10 +650,10 @@ class RenderFarm:
         job.events = []  # the last delivery just fired; also unties job <-> event
         self._release(job)
         self._span(record, "queue", CAT_FARM, record.t_arrive, record.t_hold)
-        self._span(record, "alloc", CAT_FARM, record.t_hold, record.t_serve, nodes=job.nodes)
+        self._span(record, "alloc", CAT_FARM, record.t_hold, record.t_serve, "nodes", job.nodes)
         self._span(
             record, "serve", CAT_FARM, record.t_serve, record.t_done,
-            nodes=job.nodes, backfilled=job.backfilled,
+            "nodes", job.nodes, "backfilled", job.backfilled,
         )
         record.payload = job.payload
         if self._inflight.get(job.key) is job:
@@ -672,7 +710,7 @@ class RenderFarm:
         record.reserved_start = None  # void: the machine changed under it
         job.backfilled = False
         self._span(
-            record, "killed", CAT_FAULT, record.t_hold, now, node=node, retry=record.retries
+            record, "killed", CAT_FAULT, record.t_hold, now, "node", node, "retry", record.retries
         )
         # The job requeues ONCE, waiters still attached; its _inflight
         # entry stays, so new duplicates keep coalescing onto it.

@@ -28,12 +28,16 @@ dataclass (no instance dict) and keeps its keyword arguments as one
 flat ``(key, value, key, value, ...)`` tuple in call order.  The
 read-only :attr:`Span.args` property rebuilds the dict (``None`` for a
 span recorded without arguments), so readers see exactly what was
-passed to :meth:`Tracer.span`.
+passed to :meth:`Tracer.span`.  ``Span(...)`` fills the slots through
+their descriptors (:func:`~repro.utils.slots.slot_init`), not the frozen
+``__init__``'s per-field ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.utils.slots import slot_init
 
 #: Span categories, in the order reports list them.
 CAT_STAGE = "stage"  # the three frame stages, per rank
@@ -53,6 +57,7 @@ CAT_PROGRESSIVE = "progressive"  # resolution-ladder levels (coarse-first refine
 STAGES = ("io", "render", "composite")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Span:
     """One timed activity on one rank, in simulated seconds."""
@@ -116,6 +121,11 @@ class Tracer:
             # for the few arguments a span carries.
             Span(rank, name, cat, t0, t1, self.frame, sum(args.items(), ()))
         )
+
+    def span_kv(self, rank: int, name: str, cat: str, t0: float, t1: float, kv: tuple) -> None:
+        """:meth:`span` with the arguments already flat, ``(key, value, ...)``."""
+        if self.enabled:
+            self.spans.append(Span(rank, name, cat, t0, t1, self.frame, kv))
 
     def stage(self, rank: int, name: str, t0: float, t1: float) -> None:
         """Record a frame-stage span — always, even when disabled.

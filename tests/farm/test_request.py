@@ -119,3 +119,11 @@ class TestFootprint:
         assert per_arrival <= MAX_BYTES_PER_ARRIVAL, (
             f"{per_arrival:.0f} B retained per arrival > {MAX_BYTES_PER_ARRIVAL} B"
         )
+
+
+def test_fields_refuse_assignment():
+    request = _request()
+    for name in REQUEST_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(request, name, None)
+    assert request == _request() and request.rid == "browse0/17"

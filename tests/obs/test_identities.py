@@ -9,9 +9,7 @@ identity — one field, one span, or one clock shift — and asserts the
 checker reports something.  Message text is never matched.  Two rows
 cannot help breaking a second identity too: a disabled cache's hit is
 also a doubly flagged record, and a first level landing after the last
-is also a level clock that does not increase.  Likewise, every row that
-moves one end of a frame's compute span, or its demand, also breaks
-that span's identity with the demand.
+is also a level clock that does not increase.
 
 Bases: the default farm scenario (as is, with its result cache off, and
 with ``orbit0`` submitted as one campaign job), ``flash`` (edge and
@@ -154,6 +152,15 @@ def _slot(timeline, i, **fields):
     timeline.slots[i] = dataclasses.replace(old, **fields)
 
 
+def _shift_compute(timeline, i, dt):
+    """Move both ends of slot ``i``'s compute span by ``dt`` (a callable
+    maps the old slot), so the span still equals its demand."""
+    old = timeline.slots[i]
+    dt = dt(old) if callable(dt) else dt
+    _slot(timeline, i, compute_start_s=old.compute_start_s + dt,
+          compute_done_s=old.compute_done_s + dt)
+
+
 def _shift(levels, dt):
     for lf in levels:
         _set(lf, t_start_s=lf.t_start_s + dt, t_done_s=lf.t_done_s + dt)
@@ -287,10 +294,14 @@ FARM_ROWS = {
 
 TIMELINE_ROWS = {
     "compute-after-read": (
-        "timeline", lambda t: _slot(t, 0, compute_start_s=lambda s: s.read_done_s / 2)
+        "timeline",
+        lambda t: _shift_compute(t, 0, lambda s: s.read_done_s / 2 - s.compute_start_s),
     ),
     "compute-in-order": (
-        "timeline", lambda t: _slot(t, 0, compute_done_s=t.slots[1].compute_start_s + 1.0)
+        "timeline",
+        lambda t: _shift_compute(
+            t, 0, t.slots[1].compute_start_s + 1.0 - t.slots[0].compute_done_s
+        ),
     ),
     "compute-span-is-demand": (
         "timeline", lambda t: _slot(t, 0, compute_demand_s=lambda s: s.compute_demand_s + 1.0)
@@ -304,30 +315,41 @@ TIMELINE_ROWS = {
     "read-bandwidth": (
         "timeline", lambda t: _slot(t, 0, io_demand_s=lambda s: s.io_demand_s + 1.0)
     ),
+    # The demand goes negative with its span: with every span as long
+    # as its demand and in order, the last frame is also the last to end.
     "makespan-last-compute": (
-        "timeline", lambda t: _slot(t, 2, compute_done_s=t.slots[1].compute_done_s - 1.0)
+        "timeline",
+        lambda t: _slot(
+            t, 2, compute_done_s=t.slots[1].compute_done_s - 1.0,
+            compute_demand_s=t.slots[1].compute_done_s - 1.0 - t.slots[2].compute_start_s,
+        ),
     ),
 }
 
 TIMESERIES_ROWS = {
     "timeline-consistent": (
         "campaign",
-        lambda c: _slot(c.timeline, 0, compute_start_s=lambda s: s.read_done_s / 2),
+        lambda c: _shift_compute(
+            c.timeline, 0, lambda s: s.read_done_s / 2 - s.compute_start_s
+        ),
     ),
     "slots-per-frame": ("campaign", lambda c: c.frames.pop()),
     "io-demand": (
         "campaign", lambda c: _slot(c.timeline, 0, io_demand_s=lambda s: s.io_demand_s - 1e-3)
     ),
-    "compute-demand": (
+    "compute-demand": (  # the span shrinks with the demand
         "campaign",
-        lambda c: _slot(c.timeline, 0, compute_demand_s=lambda s: s.compute_demand_s + 1.0),
+        lambda c: _slot(
+            c.timeline, 0, compute_demand_s=lambda s: s.compute_demand_s / 2,
+            compute_done_s=lambda s: s.compute_done_s - s.compute_demand_s / 2,
+        ),
     ),
     # Untraced, so the trace-end identity does not fire as well.
     "makespan-within-sequential": (
         "campaign",
         lambda c: (
             _set(c, campaign_trace=None),
-            _slot(c.timeline, 2, compute_done_s=lambda s: s.compute_done_s + 10.0),
+            _shift_compute(c.timeline, 2, 10.0),
         ),
     ),
     "campaign-span-count": ("campaign", lambda c: c.campaign_trace.spans.pop()),
