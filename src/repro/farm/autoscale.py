@@ -29,6 +29,7 @@ allocator and the torus-partition size policy both reward.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
@@ -137,7 +138,9 @@ class NodePool:
     """
 
     def __init__(self, farm: RenderFarm, policy: StaticPool | ReactiveAutoscaler | None):
-        self.farm = farm
+        # Not an owning reference: the farm owns this helper, and a
+        # finished farm is freed by reference counting alone.
+        self.farm = weakref.proxy(farm)
         self.policy = policy
         total = farm.allocator.total_nodes
         self.max_nodes = total if policy is None else min(total, int(policy.max_nodes))

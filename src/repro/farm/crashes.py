@@ -20,6 +20,7 @@ draw sequence is exactly one (gap, victim) pair per crash.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
@@ -38,7 +39,9 @@ class CrashProcess:
     """One farm run's crash events, quarantine ledger and fault books."""
 
     def __init__(self, farm: RenderFarm, faults: FarmFaults | None):
-        self.farm = farm
+        # Not an owning reference: the farm owns this helper, and a
+        # finished farm is freed by reference counting alone.
+        self.farm = weakref.proxy(farm)
         self.faults = faults if faults is not None and faults.active else None
         self.crashes = 0
         self.wasted_node_s = 0.0

@@ -22,8 +22,10 @@ class RankMapping:
 
     The rank -> node map is a pure function of ``(partition, order)``,
     so it is resolved once here: ``node_table`` (read-only ``int64``,
-    one entry per rank) is what :meth:`node_of` indexes.  Both DES
-    worlds look up every message's endpoints through it.
+    one entry per rank) and ``node_list`` (the same as Python ints,
+    for callers that range-check a whole batch themselves) are what
+    :meth:`node_of` indexes.  Both DES worlds look up every message's
+    endpoints through them.
     """
 
     def __init__(self, partition: Partition, order: str = "XYZT"):
@@ -46,7 +48,7 @@ class RankMapping:
         c = self.coords_of(np.arange(self.nprocs, dtype=np.int64))
         self.node_table = c[:, 0] + sx * (c[:, 1] + sy * c[:, 2])
         self.node_table.setflags(write=False)
-        self._node_list: list[int] = self.node_table.tolist()
+        self.node_list: list[int] = self.node_table.tolist()
 
     # -- rank -> coords ------------------------------------------------
 
@@ -90,7 +92,7 @@ class RankMapping:
         """
         if isinstance(ranks, int):
             if 0 <= ranks < self.nprocs:
-                return self._node_list[ranks]
+                return self.node_list[ranks]
             raise ConfigError("rank out of range for partition")
         r = np.asarray(ranks, dtype=np.int64)
         if np.any((r < 0) | (r >= self.nprocs)):

@@ -71,7 +71,9 @@ class LinkCostModel:
         if isinstance(nbytes, np.ndarray):
             s = nbytes.astype(np.float64, copy=False)
             return s / (self.effective_bandwidth(np.maximum(s, 1.0)) * factor)
-        s = max(float(nbytes), 1.0)
+        s = float(nbytes)
+        if s < 1.0:
+            s = 1.0
         return nbytes / (self.bandwidth_Bps * (s / (s + self.s_half_bytes)) * factor)
 
 

@@ -2,8 +2,10 @@
 
 Each compute node has a serialized injection port and ejection port
 (one message at a time, matching a single torus DMA engine).  A
-message's timeline is the port law, stated once as
-:meth:`DESNetwork.inject` and :meth:`DESNetwork.eject`::
+message's timeline is the port law, stated as
+:meth:`DESNetwork.inject` and :meth:`DESNetwork.eject` (the sharded
+transport prices through them) and walked message by message, with
+the same additions, by :meth:`DESNetwork.transfer_many_then`::
 
     wire    = LinkCostModel.wire_s(nbytes, link-window factor)
     start   = max(now, src node's injector free time)
@@ -24,26 +26,23 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from repro.machine.mapping import RankMapping
 from repro.network.costs import LinkCostModel
 from repro.network.topology import TorusTopology
 from repro.obs.tracer import CAT_COMM
 from repro.sim.engine import Engine
 from repro.sim.events import Future
-from repro.utils.errors import CommunicationError
+from repro.utils.errors import CommunicationError, ConfigError
 from repro.utils.validation import check_non_negative
 
 
 class DESNetwork:
     """Torus transport bound to a DES engine and a rank mapping.
 
-    :meth:`transfer_then` (one message) and :meth:`transfer_many_then`
-    (one rank's batch, vectorized) price messages and schedule the
-    caller's delivery callables — one engine event per message (a
-    batch's as one engine stream: one heap entry, 16 bytes per
-    message) and nothing else allocated.
+    :meth:`transfer_many_then` (one rank's batch) and
+    :meth:`transfer_then` (a batch of one) price messages and schedule
+    the caller's delivery callables — a batch as one engine stream (one
+    heap entry, 16 bytes per message), a single message as one event.
     :meth:`transfer` / :meth:`transfer_many` are the Future-returning
     adapters over them.
     """
@@ -64,8 +63,9 @@ class DESNetwork:
         self.link = link or LinkCostModel()
         self.recv_overhead_s = recv_overhead_s
         self.tracer = tracer  # optional repro.obs.Tracer
-        self._inject_free = np.zeros(topology.num_nodes, dtype=np.float64)
-        self._eject_free = np.zeros(topology.num_nodes, dtype=np.float64)
+        # Port free times, one Python float per node.
+        self._inject_free = [0.0] * topology.num_nodes
+        self._eject_free = [0.0] * topology.num_nodes
         # Optional FaultInjector; consulted only when its network
         # features (link windows, wire drops) are active.
         self.fault = None
@@ -76,7 +76,7 @@ class DESNetwork:
         # name string per destination.
         self._msg_names: dict[int, str] = {}
 
-    # -- the port law: written once, as its two halves --------------------
+    # -- the port law as its two halves (the sharded transport's pricing) --
 
     def inject(self, src_node: int, dst_node: int, nbytes: int, now: float,
                factor: float = 1.0):
@@ -96,7 +96,7 @@ class DESNetwork:
         wire = link.wire_s(nbytes, factor) if nbytes else 0.0
         start = max(now, self._inject_free[src_node])
         self._inject_free[src_node] = done = start + (link.sw_overhead_s + wire)
-        hops = int(self.topology.hop_row(src_node)[dst_node])
+        hops = self.topology.hop_row(src_node).item(dst_node)
         return done, done + hops * link.hop_latency_s, wire, hops
 
     def eject(self, dst_node: int, ready: float, wire: float) -> float:
@@ -114,122 +114,83 @@ class DESNetwork:
     def transfer_then(self, src_rank: int, dst_rank: int, nbytes: int, fn) -> None:
         """Start a transfer now; the engine calls ``fn()`` at delivery time.
 
-        Under a fault injector whose network features are on, link
-        windows divide the wire bandwidth, and a drop decision makes
-        the delivery event call ``fn(fault.DROPPED)`` at what would
-        have been delivery time — the sender's reliability layer sees
-        the loss only when the timeout/ack would have fired, as on a
-        real wire.  Without one the path pays a single predicate.
+        A batch of one: :meth:`transfer_many_then` is the pricing body.
         """
-        if nbytes < 0:
-            raise CommunicationError(f"negative message size {nbytes}")
-        now = self.engine.now
-        node_of = self.mapping.node_of
-        src_node = node_of(src_rank)
-        dst_node = node_of(dst_rank)
-        self.messages_sent += 1
-        self.bytes_sent += int(nbytes)
-        factor = 1.0
-        fault = self.fault
-        if fault is not None and fault.net_active:
-            if fault.msg_faults and fault.drop_decision():
-                fn = partial(fn, fault.DROPPED)
-            if fault.has_links:
-                factor = fault.link_factor(src_node, dst_node, now)
+        self.transfer_many_then(src_rank, ((dst_rank, nbytes),), (fn,))
 
-        if src_node == dst_node:
-            hops = 0
-            deliver = now + self.link.sw_overhead_s + self.recv_overhead_s
-        else:
-            _done, arrive, wire, hops = self.inject(src_node, dst_node, nbytes, now, factor)
-            deliver = self.eject(dst_node, arrive - wire, wire)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                        nbytes, hops, now, deliver)
-        self.engine.schedule_at(deliver, fn)
-
-    def transfer_many_then(
-        self, src_rank: int, requests: list[tuple[int, int]], fns
-    ) -> None:
-        """Start many transfers from one rank now, one per ``(dst_rank,
+    def transfer_many_then(self, src_rank: int, requests, fns) -> None:
+        """Start transfers from one rank now, one per ``(dst_rank,
         nbytes)`` request, in request order; ``fns[k]()`` runs when
         request ``k`` is delivered.
 
-        Semantically — and bitwise, in delivered times, byte/message
-        counters, and trace spans — identical to calling
-        :meth:`transfer_then` once per request, but the
-        injection/ejection timelines, hop counts, and bandwidth curve
-        are evaluated vectorized in NumPy.  The injection chain
-        ``free[k] = (...(start + busy[0]) + busy[1]...) + busy[k]`` is a
-        ``cumsum`` seeded with the port's current free time, which
-        reproduces the sequential left-to-right float additions exactly.
+        The one pricing body: the port law walked message by message
+        over Python floats, with the additions :meth:`inject` and
+        :meth:`eject` make, so a batch is bitwise one
+        :meth:`transfer_then` per request — delivered times, port
+        timelines, counters and trace spans.  Same-node messages skip
+        the wire and both ports.  Sizes and destination ranks are all
+        validated before any port state changes.
+
+        Under a fault injector whose network features are on, link
+        windows divide the wire bandwidth, and a drop decision (drawn
+        per message, in request order) makes the delivery event call
+        ``fns[k](fault.DROPPED)`` at what would have been delivery time
+        — the sender's reliability layer sees the loss only when the
+        timeout/ack would have fired, as on a real wire.
         """
-        n = len(requests)
-        if n == 0:
+        if not requests:
             return
-        fault = self.fault
-        if n == 1 or (fault is not None and fault.net_active):
-            # Nothing to vectorize, or per-message fault decisions that
-            # must happen in request order: take the scalar path, so the
-            # counting RNG sees the same draw sequence as individual sends.
-            for (d, b), fn in zip(requests, fns):
-                self.transfer_then(src_rank, d, b, fn)
-            return
+        mapping = self.mapping
+        src_node = mapping.node_of(src_rank)
+        dst_ranks, sizes = zip(*requests)
+        if min(sizes) < 0:
+            raise CommunicationError(f"negative message size {min(sizes)}")
+        if min(dst_ranks) < 0 or max(dst_ranks) >= mapping.nprocs:
+            raise ConfigError("rank out of range for partition")
+        dst_nodes = list(map(mapping.node_list.__getitem__, dst_ranks))
+        self.messages_sent += len(dst_nodes)
+        self.bytes_sent += int(sum(sizes))
+
         now = self.engine.now
-        src_node = self.mapping.node_of(src_rank)
-        dst_ranks, nb = np.array(requests, dtype=np.int64).T
-        if nb.min() < 0:
-            raise CommunicationError(f"negative message size {int(nb.min())}")
-        dst_nodes = self.mapping.node_of(dst_ranks)
-        self.messages_sent += n
-        self.bytes_sent += int(nb.sum())
-
         link = self.link
-        deliver = np.empty(n, dtype=np.float64)
-        hops_all = np.zeros(n, dtype=np.int64)
-        local = dst_nodes == src_node
-        if local.any():
-            # Same-node messages skip the wire and both ports.
-            deliver[local] = now + link.sw_overhead_s + self.recv_overhead_s
-        idx = np.flatnonzero(~local)
-        if idx.size:
-            dn = dst_nodes[idx]
-            wire = link.wire_s(nb[idx])
-            busy = link.sw_overhead_s + wire
-            start0 = max(now, self._inject_free[src_node])
-            free = np.cumsum(np.concatenate(([start0], busy)))[1:]
-            self._inject_free[src_node] = free[-1]
-            hops = self.topology.hop_row(src_node)[dn].astype(np.int64)
-            hops_all[idx] = hops
-            arrive = free + hops * link.hop_latency_s
-            ready = arrive - wire
-            eject_busy = self.recv_overhead_s + wire
-            eject_free = self._eject_free
-            if len(set(dn.tolist())) == dn.size:
-                # Distinct receivers: no intra-batch ejector chaining.
-                d = np.maximum(ready, eject_free[dn]) + eject_busy
-                eject_free[dn] = d
+        wire_s, sw, hop_s = link.wire_s, link.sw_overhead_s, link.hop_latency_s
+        recv = self.recv_overhead_s
+        local_t = now + sw + recv
+        eject_free = self._eject_free
+        free = self._inject_free[src_node]
+        row = None  # the source's hop row, fetched on its first wire message
+        fault = self.fault if self.fault is not None and self.fault.net_active else None
+        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
+        times, dropped = [], []
+        for dst_rank, nbytes, dst_node in zip(dst_ranks, sizes, dst_nodes):
+            factor = 1.0
+            if fault is not None:
+                if fault.msg_faults and fault.drop_decision():
+                    dropped.append(len(times))
+                if fault.has_links and dst_node != src_node:
+                    factor = fault.link_factor(src_node, dst_node, now)
+            if dst_node == src_node:
+                hops = 0
+                t = local_t
             else:
-                # Repeated receivers serialize on the ejector in order.
-                d = np.empty(idx.size, dtype=np.float64)
-                for k in range(idx.size):
-                    node = dn[k]
-                    busy_until = eject_free[node]
-                    r = ready[k]
-                    d[k] = t = (r if r > busy_until else busy_until) + eject_busy[k]
-                    eject_free[node] = t
-            deliver[idx] = d
-
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            for dst_rank, dst_node, nbytes, hops, t1 in zip(
-                dst_ranks.tolist(), dst_nodes.tolist(), nb.tolist(),
-                hops_all.tolist(), deliver.tolist(),
-            ):
+                wire = wire_s(nbytes, factor) if nbytes else 0.0
+                free = (free if free > now else now) + (sw + wire)
+                if row is None:
+                    row = self.topology.hop_row(src_node)
+                hops = row.item(dst_node)
+                ready = free + hops * hop_s - wire
+                busy = eject_free[dst_node]
+                eject_free[dst_node] = t = (ready if ready > busy else busy) + (recv + wire)
+            times.append(t)
+            if tracer is not None:
                 self._trace(tracer, src_rank, dst_rank, src_node, dst_node,
-                            nbytes, hops, now, t1)
-        self.engine.schedule_stream(deliver, fns)
+                            nbytes, hops, now, t)
+        self._inject_free[src_node] = free
+        if dropped:
+            fns = list(fns)
+            for k in dropped:
+                fns[k] = partial(fns[k], fault.DROPPED)
+        self.engine.schedule_stream(times, fns)
 
     def _trace(self, tracer, src_rank, dst_rank, src_node, dst_node,
                nbytes, hops, t0, t1) -> None:

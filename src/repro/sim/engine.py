@@ -14,9 +14,9 @@ throughput without giving up determinism):
 
 * **One heap entry per batch.**  :meth:`Engine.schedule_stream` queues
   a batch (a rank's ``isend_many``) as one entry for its earliest
-  element; the rest wait in two sorted 8-byte arrays, and the entry is
-  re-pushed with the next element's key after each one fires.  The
-  heap holds a few thousand stream heads, not one entry per message.
+  element; the rest wait in two sorted 8-byte arrays, and the entry
+  re-sifts in place (one ``heapreplace``) with the next element's key
+  as each one fires.  The heap holds a few thousand stream heads.
 
 * **Ready deque for same-timestamp resumes.**  Starting or resuming a
   process at the current time (spawn, future resolved, zero delay)
@@ -40,10 +40,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any, Callable, Generator, Optional
-
-import numpy as np
 
 from repro.sim.events import AllOf, Delay, Event, Future
 from repro.utils.errors import DeadlockError, SimulationError
@@ -141,19 +139,8 @@ class Process:
                 )
             self.done.resolve(stop.value)
             return
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Yieldable) -> None:
-        eng = self.engine
         cls = yielded.__class__
-        if cls is Delay:
-            self.waiting_on = yielded
-            seconds = yielded.seconds
-            if seconds == 0.0:
-                self(None)
-            else:
-                eng._schedule_step(seconds, self)
-        elif cls is Future or cls in _FUTURE_SUBCLASSES:
+        if cls is Future or cls in _FUTURE_SUBCLASSES:  # the common yield
             self.waiting_on = yielded
             if yielded.done:
                 # Requeue rather than step: simultaneous resumptions keep
@@ -163,6 +150,20 @@ class Process:
                 yielded._callbacks = [self]
             else:
                 yielded._callbacks.append(self)
+            return
+        self._dispatch(yielded)
+
+    def _dispatch(self, yielded: Yieldable) -> None:
+        """Everything but a future (:meth:`_step` takes those)."""
+        eng = self.engine
+        cls = yielded.__class__
+        if cls is Delay:
+            self.waiting_on = yielded
+            seconds = yielded.seconds
+            if seconds == 0.0:
+                self(None)
+            else:
+                eng._schedule_step(seconds, self)
         elif cls is AllOf:
             self.waiting_on = yielded
             self._wait_all(yielded)
@@ -178,17 +179,18 @@ class Process:
 
     def _wait_all(self, group: AllOf) -> None:
         futures = group.futures
-        if not futures:
-            self([])
+        pending = [f for f in futures if not f.done]
+        if not pending:
+            self([f.value for f in futures])
             return
-        remaining = [len(futures)]
+        remaining = [len(pending)]
 
         def one_done(_value: Any) -> None:
             remaining[0] -= 1
             if remaining[0] == 0:
                 self([f.value for f in futures])
 
-        for f in futures:
+        for f in pending:
             f.add_done_callback(one_done)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -205,7 +207,7 @@ class _Stream(list):
     ``base + index[k]``, the one the ``schedule_at`` loop would give it.
     """
 
-    __slots__ = ("engine", "times", "index", "fns", "base", "k", "last", "_fire")
+    __slots__ = ("engine", "times", "index", "fns", "base", "k", "last")
 
     def __init__(self, engine: "Engine", times: array, index: array,
                  fns: list[Callable], base: int):
@@ -216,26 +218,25 @@ class _Stream(list):
         self.base = base
         self.k = 0
         self.last = len(index) - 1
-        self._fire = fire = self.fire
-        list.__init__(self, (times[0], 0, base + index[0], fire))
+        list.__init__(self, (times[0], 0, base + index[0], self.fire))
         heappush(engine._queue, self)
 
     def fire(self) -> None:
-        """Run the head element; re-queue the entry for the next one
-        first (the run loop popped it and nulled its callback)."""
+        """Run the head element, called on top of the heap: first re-key
+        and re-sift the entry for the next one, or pop it when spent."""
         k = self.k
         index = self.index
         fn = self.fns[index[k]]
+        eng = self.engine
         if k < self.last:
             self.k = k = k + 1
             self[0] = self.times[k]
             self[2] = self.base + index[k]
-            self[3] = self._fire
-            eng = self.engine
-            heappush(eng._queue, self)
+            heapreplace(eng._queue, self)
             eng._backlog -= 1
         else:
-            self._fire = None  # spent: break the self-reference
+            heappop(eng._queue)
+            self[3] = None  # spent: break the self-reference
         fn()
 
 
@@ -276,13 +277,12 @@ class Engine:
         self._cancelled = 0  # cancelled events still sitting in the queue
         # Unfired stream elements behind their stream's queued head.
         self._backlog = 0
-        self._note_cb = self._note_cancelled
         # Per-engine Event subclass: the cancel-notification callback
         # rides on the *class* (shadowing the inherited slot), so
         # schedule() skips one per-event attribute store.  Bound
         # methods return themselves from class attribute lookup.
         self._ev_cls = type(
-            "_EngineEvent", (Event,), {"__slots__": (), "on_cancel": self._note_cb}
+            "_EngineEvent", (Event,), {"__slots__": (), "on_cancel": self._note_cancelled}
         )
 
     # -- scheduling ---------------------------------------------------
@@ -309,29 +309,31 @@ class Engine:
         heappush(self._queue, ev)
         return ev
 
-    def schedule_stream(self, times: np.ndarray | list[float], fns: list[Callable]) -> None:
+    def schedule_stream(self, times: list[float], fns: list[Callable]) -> None:
         """Queue ``fns[k]()`` at ``times[k]`` for a batch, as one heap
         entry (a :class:`_Stream`), in exactly the order and with the
-        sequence numbers of a :meth:`schedule_at` loop: a stable
-        argsort keeps equal times in batch order.  A bad time raises
-        before anything is queued or numbered.  Streams are not
-        cancellable."""
+        sequence numbers of a :meth:`schedule_at` loop: a stable sort
+        keeps equal times in batch order, and a batch of one is that
+        loop's one event.  A bad time raises before anything is queued
+        or numbered.  Streams are not cancellable."""
         n = len(fns)
-        if n == 0:
+        if n < 2:
+            if n:
+                self.schedule_at(times[0], fns[0])
             return
-        t = np.asarray(times, dtype=np.float64)
-        order = np.argsort(t, kind="stable")
-        ts = t[order]
+        order = sorted(range(n), key=times.__getitem__)
+        ts = [times[i] for i in order]
         now = self.now
-        # NaN sorts last and -inf first: the two ends check the batch.
-        if not (now <= ts[0] and ts[-1] < _INF):
-            bad = next(x for x in t.tolist() if not (now <= x < _INF))
+        # Without a NaN the sort is total and the two ends check the
+        # batch; a NaN (or inf + -inf) makes the sum NaN.
+        if not (now <= ts[0] and ts[-1] < _INF) or (s := sum(ts)) != s:
+            bad = next(x for x in times if not (now <= x < _INF))
             raise SimulationError(
                 f"cannot schedule at t={bad!r}: not in [now={now!r}, inf)"
             )
         self._seq = (base := self._seq) + n
         self._backlog += n - 1
-        _Stream(self, array("d", ts.tobytes()), array("q", order.tobytes()), fns, base + 1)
+        _Stream(self, array("d", ts), array("q", order), fns, base + 1)
 
     def _schedule_step(self, delay: float, proc: Process) -> None:
         """Queue ``proc._step(None)`` after ``delay`` — the Delay resume
@@ -401,26 +403,27 @@ class Engine:
                         continue
                 if not q:
                     break
-                entry = heappop(q)
+                entry = q[0]
                 fn = entry[3]
                 if fn is None:  # cancelled — drop
+                    heappop(q)
                     self._cancelled -= 1
                     continue
                 t = entry[0]
-                if t > horizon:
-                    heappush(q, entry)  # leave the event queued
+                if t > horizon:  # leave the event queued
                     if ran_any:
                         self.last_event_time = now
                     self.now = until
                     return until
                 if t < now:
-                    heappush(q, entry)
                     raise SimulationError("event queue yielded time running backwards")
-                # Executed: a later cancel() of this handle is a no-op,
-                # never a queued cancellation.
-                entry[3] = None
                 now = self.now = t
                 ran_any = True
+                if entry.__class__ is not _Stream:  # a stream pops itself
+                    heappop(q)
+                    # Executed: a later cancel() of this handle is a
+                    # no-op, never a queued cancellation.
+                    entry[3] = None
                 fn()
             if ran_any:
                 self.last_event_time = self.now
@@ -450,7 +453,3 @@ class Engine:
             heappop(q)
             self._cancelled -= 1
         return q[0][0] if q else _INF
-
-    @property
-    def processes(self) -> list[Process]:
-        return list(self._processes)

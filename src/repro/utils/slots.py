@@ -10,14 +10,21 @@ through those descriptors instead — about half the time for
 :class:`~repro.farm.request.FrameRequest`, which a farm run builds once
 per span and once per arrival.
 
-Only construction changes.  The class stays frozen (assignment raises
-:class:`dataclasses.FrozenInstanceError`), and equality, hashing,
-``repr``, ``dataclasses.replace`` and pickling are the dataclass's own.
+Only construction changes.  The class stays frozen, and equality,
+hashing, ``repr``, ``dataclasses.replace`` and pickling are the
+dataclass's own.  Setting or deleting *any* name raises
+:class:`dataclasses.FrozenInstanceError` (the ``__setattr__`` that
+``@dataclass(frozen=True, slots=True)`` generates raised a
+``TypeError`` from ``super()`` for a name that is not a field).
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields
+
+
+def _frozen(self, name: str, *_value) -> None:  # __setattr__ and __delattr__
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
 
 
 def slot_init(cls: type) -> type:
@@ -41,4 +48,5 @@ def slot_init(cls: type) -> type:
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

@@ -224,7 +224,7 @@ def alltoallv(ctx: Any, by_dest: dict[int, Any]) -> Generator:
     Receive counts are agreed first by allreducing an indicator vector
     (``counts[d]`` = how many ranks send to d) — ``p log p`` small
     messages instead of the ``p^2`` a dense alltoall of flags costs —
-    then the data flows as one bulk-vectorized batch per sender.  This
+    then the data flows as one bulk-send batch per sender.  This
     is the shape direct-send compositing has, offered as a library
     collective for other workloads.
     """

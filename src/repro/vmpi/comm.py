@@ -39,6 +39,11 @@ class Status(NamedTuple):
     nbytes: int
 
 
+#: ``_status(Status, (source, tag, nbytes))``: a Status without the
+#: NamedTuple constructor's Python frame.
+_status = tuple.__new__
+
+
 class Request(Future):
     """Handle for a non-blocking operation; ``yield req`` to wait.
 
@@ -96,13 +101,38 @@ class _Send(Request):
         if fault is not None and fault.active:
             board._deliver_faulty(self, value)
             return
+        pend = board._pending[self.dest]
+        tag = self.tag
+        dq = pend.get(tag) if pend else None
+        # With no wildcard-tag receive posted, the earliest match can
+        # only be this deque's head: hand over and complete the receive,
+        # then the send, in place (every other case: ``_deliver``).
+        if dq and ANY_TAG not in pend and dq[0][1].source in (ANY_SOURCE, self.source):
+            recv = dq.popleft()[1]
+            if not dq:
+                del pend[tag]
+            recv.done = True
+            recv.value = got = (self.payload, _status(Status, (self.source, tag, self.nbytes)))
+            self.payload = None
+            callbacks = recv._callbacks
+            if callbacks:
+                recv._callbacks = None
+                for cb in callbacks:
+                    cb(got)
+            self.done = True
+            callbacks = self._callbacks
+            if callbacks:
+                self._callbacks = None
+                for cb in callbacks:
+                    cb(None)
+            return
         board._deliver(self)
         self.resolve(None)
 
     def hand_to(self, recv: "_Recv") -> None:
         """Complete ``recv`` with this message and let go of the body:
         the sender's request list must not pin delivered payloads."""
-        recv.resolve((self.payload, Status(self.source, self.tag, self.nbytes)))
+        recv.resolve((self.payload, _status(Status, (self.source, self.tag, self.nbytes))))
         self.payload = None
 
 
@@ -206,9 +236,9 @@ class MessageBoard:
     def post_send_many(self, source: int, dest_payloads: Iterable, tag: int) -> list[Request]:
         """Eager sends of many ``(dest, payload)`` with one tag, in order.
 
-        Uses :meth:`DESNetwork.transfer_many_then`, so the whole batch's wire
-        timeline is computed vectorized; delivery order and times are
-        identical to an equivalent sequence of :meth:`post_send` calls.
+        Uses :meth:`DESNetwork.transfer_many_then`, so the whole batch is
+        priced in one pass; delivery order and times are identical to
+        an equivalent sequence of :meth:`post_send` calls.
         ``dest_payloads`` is read once (it may be a ``zip`` or a
         generator), and every destination is validated before anything
         reaches the network.
@@ -301,24 +331,14 @@ class MessageBoard:
         return best_rec
 
     def _deliver(self, rec: _Send) -> None:
-        """Hand ``rec`` to the earliest-posted matching receive, or park it."""
+        """Hand ``rec`` to the earliest-posted matching receive, or park
+        it (a fault-free monolithic delivery tries :meth:`_Send.__call__`'s
+        head-of-deque case first)."""
         tag = rec.tag
         pend = self._pending[rec.dest]
         if pend:
-            dq = pend.get(tag)
-            if dq and ANY_TAG not in pend:
-                # No wildcard-tag receive is posted, so the earliest
-                # match can only be in this deque — and it is the head
-                # whenever the head accepts the source.
-                head = dq[0][1]
-                if head.source == ANY_SOURCE or head.source == rec.source:
-                    dq.popleft()
-                    if not dq:
-                        del pend[tag]
-                    rec.hand_to(head)
-                    return
-            # General case: candidates live in the exact-tag deque and
-            # the wildcard-tag deque; the lower posting stamp wins.
+            # Candidates live in the exact-tag deque and the
+            # wildcard-tag deque; the lower posting stamp wins.
             best = None  # (stamp, tag_key, index, receive)
             for key in (tag, ANY_TAG):
                 for i, (stamp, pr) in enumerate(pend.get(key, ())):

@@ -70,9 +70,9 @@ class RankContext:
         pairs, in order (any iterable, read once).
 
         Equivalent to ``[self.isend(p, d, tag) for d, p in dest_payloads]``
-        but the wire timeline is computed vectorized (one NumPy pass for
-        the batch), which is what makes thousand-piece compositing
-        phases affordable to simulate.
+        but the batch is priced in one pass and queued as one engine
+        stream, which is what makes thousand-piece compositing phases
+        affordable to simulate.
         """
         return self.board.post_send_many(self.rank, dest_payloads, tag)
 

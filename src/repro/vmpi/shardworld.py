@@ -109,7 +109,7 @@ class ShardMessageBoard(MessageBoard):
     def post_send_many(self, source: int, dest_payloads: Iterable, tag: int) -> list[Request]:
         # Scalar per message: the shard path returns times, not futures,
         # so the batch is already allocation-light; request order gives
-        # the same injection chain the vectorized monolithic path prices.
+        # the same injection chain the monolithic batch loop prices.
         return [self.post_send(source, d, tag, p) for d, p in dest_payloads]
 
     # -- delivery ------------------------------------------------------

@@ -243,9 +243,9 @@ SCENARIOS = {
     "default-cache0": lambda: default_scenario(result_cache_entries=0),
     "default-fcfs": lambda: default_scenario(result_cache_entries=0, backfill=False),
     "default-no-coalesce": lambda: default_scenario(coalesce=False),
-    "default-x8-cache16": lambda: _times(default_scenario(result_cache_entries=16), 8),
     "default-x8-cache4": lambda: _times(default_scenario(result_cache_entries=4), 8),
-    # farm_capacity_19k's traffic at a tenth of its x80 scale.
+    # farm_capacity_19k's traffic at a tenth of its x80 scale (also the
+    # default study x8 with a 16-entry cache: 1530 is the default seed).
     "capacity": lambda: _times(default_scenario(seed=1530, result_cache_entries=16), 8),
     "flash": flash_scenario,
     "flash-no-coalesce": lambda: flash_scenario(coalesce=False),
@@ -313,9 +313,6 @@ PINS = {
     ),
     "default-no-coalesce": (
         "rec=7809fffa7b span=1102e953ee sum=68c3551492 rep=1ef2f6265e log=e890c3c488 book=0425b7db94"
-    ),
-    "default-x8-cache16": (
-        "rec=ed46ae3371 span=419cdb924c sum=0c026b78af rep=df9a7d24f7 log=cbb9170a0e book=39de33815f"
     ),
     "default-x8-cache4": (
         "rec=d3d3e33011 span=a2fd722c94 sum=6d5cf60250 rep=ed34ec0d58 log=2dc326ee60 book=0f33077352"

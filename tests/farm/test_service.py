@@ -9,7 +9,10 @@ The three properties the ISSUE pins:
 Plus: span/record reconciliation, determinism, and scenario parsing.
 """
 
+import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +23,11 @@ from repro.farm import (
     SessionSpec,
     SizePolicy,
     Workload,
+    default_scenario,
+    flash_scenario,
     selftest_scenario,
 )
+from repro.fault.plan import FarmFaults
 from repro.obs.tracer import CAT_FARM
 from repro.utils.errors import ConfigError
 
@@ -501,3 +507,33 @@ class TestScenario:
         assert len(result.records) == 28
         assert result.cache_hits > 0
         assert_spans_reconcile(result)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dataclasses.replace(
+                default_scenario(),
+                fault=FarmFaults(crash_rate_per_node_hour=0.05, repair_s=30.0, max_crashes=200),
+            ),
+            flash_scenario,
+        ],
+        ids=["crashes", "autoscale"],
+    )
+    def test_finished_run_is_freed_without_the_cyclic_gc(self, make):
+        """The node pool and the crash process point back at their farm
+        without owning it: reference counting alone frees a finished
+        run once its caller lets go."""
+        scenario = make()
+        gc.collect()
+        gc.disable()
+        try:
+            farm = scenario.build()
+            result = farm.run()
+            assert result.faults is not None or result.autoscale["scale_events"] > 0
+            ref = weakref.ref(farm)
+            del farm, result
+            assert ref() is None
+        finally:
+            gc.enable()

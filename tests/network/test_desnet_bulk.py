@@ -6,8 +6,11 @@ issuing the same requests one at a time — delivered times, byte and
 message counters, port free times, and trace spans all identical.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fault.inject import FaultInjector
 from repro.fault.plan import FaultPlan, LinkWindow
@@ -131,7 +134,7 @@ class TestCallbackAndFutureForms:
         eng.run()
         spans = [(s.rank, s.name, s.cat, s.t0, s.t1, s.args) for s in tracer.spans]
         state = (
-            net._inject_free.tolist(), net._eject_free.tolist(),
+            list(net._inject_free), list(net._eject_free),
             net.messages_sent, net.bytes_sent,
             spans, tracer.counters, tracer.link_bytes,
         )
@@ -164,6 +167,119 @@ class TestCallbackAndFutureForms:
         assert state_cb[0] != self._run(False, bulk)[1][0]
 
 
+def _priced(batches, bulk, plan=None):
+    """Issue ``batches`` of ``(issue time, src, requests)`` and drain;
+    returns every delivery's ``(message index, time, value)`` in firing
+    order, plus the port timelines, counters and trace."""
+    tracer = Tracer()
+    eng, net = make_net(order="TXYZ", tracer=tracer)
+    if plan is not None:
+        net.fault = FaultInjector(plan)
+    log = []
+
+    def landing(k):
+        return lambda value=None: log.append((k, eng.now, value))
+
+    k0 = 0
+    for t, src, requests in batches:
+        fns = [landing(k0 + i) for i in range(len(requests))]
+        k0 += len(requests)
+        if bulk:
+            issue = partial(net.transfer_many_then, src, requests, fns)
+        else:
+            def issue(src=src, requests=requests, fns=fns):
+                for (d, b), fn in zip(requests, fns):
+                    net.transfer_then(src, d, b, fn)
+        eng.schedule_at(t, issue)
+    eng.run()
+    spans = [(s.rank, s.name, s.cat, s.t0, s.t1, s.args) for s in tracer.spans]
+    return log, (
+        list(net._inject_free), list(net._eject_free), net.messages_sent,
+        net.bytes_sent, spans, tracer.counters, tracer.link_bytes,
+    )
+
+
+#: Sizes that matter to the port law: empty and one-byte messages (the
+#: bandwidth curve's floor), small ones, and large ones.
+SIZES = st.one_of(
+    st.sampled_from([0, 1]), st.integers(2, 4096), st.integers(1 << 16, 1 << 20)
+)
+#: A few destinations, so nodes repeat within a batch; under TXYZ order
+#: ranks 2k and 2k + 1 share node k, so sources 0 / 2 / 9 have a
+#: same-node peer among them (1, 3, 8).
+DESTS = st.sampled_from([0, 1, 2, 3, 8, 9, 17, 33, 40, 63])
+BATCHES = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 5e-6, 1e-4]),
+        st.sampled_from([0, 2, 9]),
+        st.lists(st.tuples(DESTS, SIZES), min_size=1, max_size=12),
+    ),
+    min_size=1, max_size=4,
+).map(lambda bs: sorted(bs, key=lambda b: b[0]))
+
+
+class TestBatchEqualsOneAtATime:
+    """Property: a batch prices exactly as ``transfer_then`` per message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=BATCHES, armed=st.booleans(), seed=st.integers(0, 2**16))
+    def test_same_deliveries_ports_counters_and_trace(self, batches, armed, seed):
+        plan = None
+        if armed:
+            plan = FaultPlan(
+                seed=seed, drop_prob=0.3,
+                link_windows=(LinkWindow(0.0, 5e-5, 0.5),),
+            )
+        log_one, state_one = _priced(batches, bulk=False, plan=plan)
+        log_bulk, state_bulk = _priced(batches, bulk=True, plan=plan)
+        assert len(log_bulk) == sum(len(reqs) for _t, _s, reqs in batches)
+        assert log_bulk == log_one  # == on floats: bitwise, in firing order
+        assert state_bulk == state_one
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches=BATCHES)
+    def test_the_loop_is_inject_then_eject(self, batches):
+        """The batch loop walks the port law as :meth:`inject` and
+        :meth:`eject` (the sharded transport's pricing) state it."""
+        log, state = _priced(batches, bulk=True)
+        eng, net = make_net(order="TXYZ")
+        want = []
+
+        def issue(src, requests):
+            now, src_node = eng.now, net.mapping.node_of(src)
+            for d, b in requests:
+                dst_node = net.mapping.node_of(d)
+                if dst_node == src_node:
+                    want.append(now + net.link.sw_overhead_s + net.recv_overhead_s)
+                else:
+                    _done, arrive, wire, _hops = net.inject(src_node, dst_node, b, now)
+                    want.append(net.eject(dst_node, arrive - wire, wire))
+
+        for t, src, requests in batches:
+            eng.schedule_at(t, partial(issue, src, requests))
+        eng.run()
+        assert [t for _k, t, _v in sorted(log)] == want
+        assert state[:2] == (list(net._inject_free), list(net._eject_free))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        requests=st.lists(st.tuples(DESTS, SIZES), max_size=8),
+        at=st.integers(0, 8),
+        warm=st.booleans(),
+    )
+    def test_negative_size_raises_with_ports_untouched(self, requests, at, warm):
+        eng, net = make_net(order="TXYZ")
+        if warm:  # busy ports first, so "untouched" is not "all zero"
+            net.transfer_many_then(0, REQUESTS, [lambda: None] * len(REQUESTS))
+        before = (list(net._inject_free), list(net._eject_free),
+                  net.messages_sent, net.bytes_sent, eng.pending_events)
+        bad = requests[:at] + [(9, -1)] + requests[at:]
+        with pytest.raises(CommunicationError):
+            net.transfer_many_then(0, bad, [lambda: None] * len(bad))
+        assert (list(net._inject_free), list(net._eject_free),
+                net.messages_sent, net.bytes_sent, eng.pending_events) == before
+
+
 class TestEndpointSerialization:
     def test_injector_serializes_in_request_order(self):
         """Equal-size messages from one node to one far node deliver
@@ -187,8 +303,8 @@ class TestEndpointSerialization:
         times = drain_times(eng, futs)
         expected = net.link.sw_overhead_s + net.recv_overhead_s
         assert times == [expected, expected]  # size-independent, no wire
-        assert not net._inject_free.any()
-        assert not net._eject_free.any()
+        assert not any(net._inject_free)
+        assert not any(net._eject_free)
 
 
 class TestHopRowCache:

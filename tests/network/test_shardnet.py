@@ -87,9 +87,9 @@ class TestIntraShardTiming:
             assert shard.messages_sent == mono.messages_sent
             assert shard.bytes_sent == mono.bytes_sent
             if plan is None:
-                clean = mono._inject_free.copy()
+                clean = list(mono._inject_free)
         # The windows did something: ports free later than without them.
-        assert (mono._inject_free > clean).any()
+        assert any(w > c for w, c in zip(mono._inject_free, clean))
 
     def test_same_node_delivery(self):
         part, mapping, topo = _machine()

@@ -75,6 +75,15 @@ class TestSameAsTheDataclassInit:
                 delattr(obj, f.name)
         assert obj == cls(*args)
 
+    def test_frozen_for_names_that_are_not_fields(self, case):
+        cls, args = CASES[case]
+        obj = cls(*args)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obj.extra
+        assert obj == cls(*args)
+
     def test_replace(self, case):
         cls, args = CASES[case]
         obj = cls(*args)

@@ -80,6 +80,23 @@ class TestMatchingSemantics:
         eng.run()
         assert r2.complete
 
+    def test_earlier_wildcard_tag_recv_beats_the_exact_tag_head(self):
+        """Delivery hands a message to its tag deque's head only while
+        no wildcard-tag receive is posted, and only if the head accepts
+        its source; otherwise the earliest-posted match wins."""
+        eng, board = make_board()
+        wild = board.post_recv(1, source=ANY_SOURCE, tag=ANY_TAG)
+        exact = board.post_recv(1, source=ANY_SOURCE, tag=4)
+        board.post_send(0, 1, tag=4, payload="x")
+        eng.run()
+        assert wild.complete and not exact.complete
+        from_2 = board.post_recv(1, source=2, tag=5)
+        any_src = board.post_recv(1, source=ANY_SOURCE, tag=5)
+        board.post_send(3, 1, tag=5, payload="y")
+        eng.run()
+        assert any_src.value[0] == "y" and not from_2.complete
+        assert exact.value is None
+
     def test_negative_send_tag_rejected(self):
         _eng, board = make_board()
         with pytest.raises(CommunicationError, match="tag"):
@@ -115,8 +132,9 @@ def _accepts(want_source, want_tag, source, tag):
 
 
 class TestMatcherAgainstListScan:
-    """The tag-indexed deques, their stamps and ``_deliver``'s head-pop
-    shortcut against the definition: a delivery goes to the
+    """The tag-indexed deques, their stamps and the delivery event's
+    head-pop shortcut (``_Send.__call__``, in front of ``_deliver``'s
+    general match) against the definition: a delivery goes to the
     earliest-posted receive that accepts it, a receive takes the
     earliest-arrived parked message it accepts."""
 
@@ -151,7 +169,7 @@ class TestMatcherAgainstListScan:
                     expect[rid] = hit[0]
             else:
                 source, tag = max(source, 0), max(tag, 0)  # a message names both
-                board._deliver(_Send(board, source, self.RANK, tag, n, 8 + n))
+                _Send(board, source, self.RANK, tag, n, 8 + n)()  # the delivery event
                 hit = next((r for r in waiting if _accepts(r[1], r[2], source, tag)), None)
                 if hit is None:
                     parked.append((n, source, tag))
